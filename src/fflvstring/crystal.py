@@ -3,14 +3,16 @@
 The companion algebra of rank m = 2n-1 acts through its vector crystal:
 letters 1..m+1 for family A, letters 1..2m for family C (reading
 1 < ... < m < m-bar < ... < 1-bar).  Tensor words are plain tuples of
-letters; the bracketing rule computes the partial lowering and raising
-operators, a saturation pass along the reduced word produces the Demazure
-crystal, and greedy raising extracts string vectors.
+letters.  One left-to-right bracket scan per operator index leaves a
+signature +^a -^b: string extraction raises all a plus positions at once,
+and the saturation along the reduced word lowers the b minus positions
+left to right.
 
-Two binary conventions are not forced by the construction itself: the scan
-direction of the bracketing rule and the composition order of the
-saturation.  Both are module constants; the configured pair is the one that
-passes the dimension gates (see tests), the alternative pair fails them.
+The scan direction and the saturation order are fixed conventions, not
+forced by the construction.  The tests show that each alternative fails the
+dimension gate: forward saturation loses an element of A2 omega_1, and a
+right-to-left scan (a mirrored tensor word) makes the highest word of
+A2 (1,1) non-highest and over-fills its closure.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from .rootsys import (
     reduced_word,
     weyl_dim,
 )
-
-# Bracketing scan direction and saturation order along the word.  The
-# dimension gate fixes both; flipping either breaks it.
-SIGNATURE_REVERSED = False
-CLOSURE_REVERSED = False
 
 TensorWord = tuple[int, ...]
 
@@ -81,55 +78,50 @@ class VectorCrystal:
 
 
 def _surviving(crystal: VectorCrystal, j: int, word: TensorWord):
-    """Unmatched lowering/raising positions after bracket cancellation.
+    """Unmatched raising/lowering positions after bracket cancellation.
 
-    Returns (plus, minus): positions whose letters can be raised resp.
-    lowered, in scan order, after cancelling every raise that immediately
-    follows a lower.
+    Returns (plus, minus), both ascending: a raisable letter cancels the
+    nearest unmatched lowerable letter to its left, so every surviving plus
+    lies left of every surviving minus.
     """
-    positions = list(enumerate(word))
-    if SIGNATURE_REVERSED:
-        positions.reverse()
-    stack: list[tuple[int, bool]] = []  # (position, is_lowerable)
-    for pos, letter in positions:
-        if crystal.f(j, letter) is not None:
-            stack.append((pos, True))
-        elif crystal.e(j, letter) is not None:
-            if stack and stack[-1][1]:
-                stack.pop()
+    movers = crystal._movers(j)
+    plus: list[int] = []
+    minus: list[int] = []
+    for pos, letter in enumerate(word):
+        if letter in movers:
+            minus.append(pos)
+        elif letter - 1 in movers:
+            if minus:
+                minus.pop()
             else:
-                stack.append((pos, False))
-    plus = [pos for pos, low in stack if not low]
-    minus = [pos for pos, low in stack if low]
+                plus.append(pos)
     return plus, minus
+
+
+def _shift(word: TensorWord, positions, step: int) -> TensorWord:
+    """The word with the letters at ``positions`` moved by ``step``."""
+    out = list(word)
+    for pos in positions:
+        out[pos] += step
+    return tuple(out)
 
 
 def tensor_f(crystal: VectorCrystal, j: int, word: TensorWord) -> TensorWord | None:
     """Lowering operator on a tensor word (leftmost unmatched lower), or None."""
     _, minus = _surviving(crystal, j, word)
-    if not minus:
-        return None
-    pos = minus[0]
-    new = crystal.f(j, word[pos])
-    assert new is not None
-    return word[:pos] + (new,) + word[pos + 1 :]
+    return _shift(word, minus[:1], 1) if minus else None
 
 
 def tensor_e(crystal: VectorCrystal, j: int, word: TensorWord) -> TensorWord | None:
     """Raising operator on a tensor word (rightmost unmatched raise), or None."""
     plus, _ = _surviving(crystal, j, word)
-    if not plus:
-        return None
-    pos = plus[-1]
-    new = crystal.e(j, word[pos])
-    assert new is not None
-    return word[:pos] + (new,) + word[pos + 1 :]
+    return _shift(word, plus[-1:], -1) if plus else None
 
 
 def is_highest(crystal: VectorCrystal, word: TensorWord) -> bool:
     """True iff every raising operator kills the word."""
-    return all(
-        tensor_e(crystal, j, word) is None for j in range(1, crystal.rank + 1)
+    return not any(
+        _surviving(crystal, j, word)[0] for j in range(1, crystal.rank + 1)
     )
 
 
@@ -146,26 +138,25 @@ def build_highest(lt: LieType, weight) -> TensorWord:
     return tuple(word)
 
 
-@lru_cache(maxsize=None)
 def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
     """Saturation of the highest-weight word along the reduced word.
 
     Walking the word right to left, each letter j replaces the current set S
-    by { f_j^k(b) : b in S, k >= 0 }.  The result must have exactly as many
-    elements as the source module has dimensions; a mismatch is a hard
-    failure.
+    by { f_j^k(b) : b in S, k >= 0 }; f_j^k(b) lowers the first k surviving
+    minus positions of b.  The result must have exactly as many elements as
+    the source module has dimensions; a mismatch is a hard failure.
     """
     w = check_dominant(lt, weight)
     crystal = VectorCrystal(lt.family, lt.target_rank)
     current: set[TensorWord] = {build_highest(lt, w)}
-    letters = reduced_word(lt)
-    order = letters if CLOSURE_REVERSED else tuple(reversed(letters))
-    for j in order:
+    for j in reversed(reduced_word(lt)):
         grown = set(current)
         for b in current:
-            x = b
-            while (x := tensor_f(crystal, j, x)) is not None:
-                grown.add(x)
+            _, minus = _surviving(crystal, j, b)
+            x = list(b)
+            for pos in minus:
+                x[pos] += 1
+                grown.add(tuple(x))
         current = grown
     expected = weyl_dim(lt, w)
     if len(current) != expected:
@@ -179,17 +170,20 @@ def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]
 def extract_string(
     crystal: VectorCrystal, b: TensorWord, word: tuple[int, ...]
 ) -> ExponentVector:
-    """Greedy raising along the word; the element must end highest-weight."""
+    """Greedy raising along the word; the element must end highest-weight.
+
+    For each letter j, e_j^a with a maximal raises all a surviving plus
+    positions of b at once.
+    """
     q: list[int] = []
     for j in word:
-        k = 0
-        while (nb := tensor_e(crystal, j, b)) is not None:
-            b = nb
-            k += 1
-        q.append(k)
+        plus, _ = _surviving(crystal, j, b)
+        b = _shift(b, plus, -1)
+        q.append(len(plus))
     if not is_highest(crystal, b):
-        raise ValueError(
-            f"element {b} is not a Demazure element for word {tuple(word)}"
+        raise VerificationError(
+            "crystal.highest_weight",
+            f"element {b} is not a Demazure element for word {tuple(word)}",
         )
     return tuple(q)
 

@@ -139,12 +139,19 @@ def apply_T(
     if len(p) != len(labels):
         raise ValueError(f"exponent vector must have length {len(labels)}")
     image = apply_affine(build_matrix(lt), build_translation(lt, w), p)
-    if expect_nonnegative and any(x < 0 for x in image):
+    if expect_nonnegative:
+        check_nonnegative(lt, w, p, image)
+    return image
+
+
+def check_nonnegative(lt: LieType, weight, p: Sequence[int], image) -> None:
+    """Gate: the image of a verified chain point lies in the nonnegative orthant."""
+    if any(x < 0 for x in image):
         raise VerificationError(
             "degenmap.nonnegative_image",
-            f"{lt} {w}: image {image} of {tuple(p)} has a negative entry",
+            f"{lt} {tuple(weight)}: image {image} of chain point {tuple(p)} "
+            "has a negative entry",
         )
-    return image
 
 
 def fold_label(row: int, col: int, m: int) -> RootLabel:

@@ -80,7 +80,3 @@ def solve_linear(
         sol[c] = m[i][n_cols]
     return sol, len(pivots)
 
-
-def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-    """Integer matrix times integer vector."""
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix)

@@ -22,9 +22,9 @@ from .degenmap import (
     apply_affine,
     build_matrix,
     build_translation,
+    check_nonnegative,
     weight_twist_solve,
 )
-from .errors import VerificationError
 from .fflv import points
 from .rootsys import (
     ExponentVector,
@@ -132,11 +132,8 @@ def check_main(
     images = []
     for p in chain_pts:
         v = apply_affine(mat, trans, p)
-        if trusted and any(x < 0 for x in v):
-            raise VerificationError(
-                "degenmap.nonnegative_image",
-                f"{lt} {w}: image {v} of chain point {p} has a negative entry",
-            )
+        if trusted:
+            check_nonnegative(lt, w, p, v)
         images.append(v)
     image_set = set(images)
     strings = string_points(lt, w)

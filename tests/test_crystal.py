@@ -1,10 +1,12 @@
 """Vector crystals, the bracketing rule, saturation and string extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import fflvstring.crystal as crystal
 from fflvstring.crystal import (
     VectorCrystal,
+    _surviving,
     build_highest,
     demazure_set,
     element_weight_roots,
@@ -122,8 +124,9 @@ def test_extract_string_examples():
 
 def test_extract_string_rejects_foreign_element():
     vc = VectorCrystal("A", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError) as info:
         extract_string(vc, (2,), (2,))
+    assert info.value.gate == "crystal.highest_weight"
 
 
 def test_string_points_examples():
@@ -206,25 +209,103 @@ def test_minkowski_containment_string_side():
                         assert tuple(x + y for x, y in zip(p, q)) in big
 
 
-def _raw_demazure(lt, weight):
-    """Bypass the cache so convention flips take effect."""
-    return crystal.demazure_set.__wrapped__(lt, weight)
+def _saturate(vc, top, order):
+    """Closure of {top} under f_j^k for j in ``order``, one step at a time."""
+    current = {top}
+    for j in order:
+        grown = set(current)
+        for b in current:
+            x = b
+            while (x := tensor_f(vc, j, x)) is not None:
+                grown.add(x)
+        current = grown
+    return current
 
 
-def test_closure_order_gate(monkeypatch):
-    # the configured order passes; the reversed composition fails on (A,2) omega_1
-    assert len(_raw_demazure(A2, (1, 0))) == 3
-    monkeypatch.setattr(crystal, "CLOSURE_REVERSED", True)
-    with pytest.raises(VerificationError):
-        _raw_demazure(A2, (1, 0))
-
-
-def test_signature_convention_gate(monkeypatch):
-    # the reversed bracketing scan breaks the highest-weight property of the
-    # multi-column word and with it the dimension gate
-    assert len(_raw_demazure(A2, (1, 1))) == 8
-    monkeypatch.setattr(crystal, "SIGNATURE_REVERSED", True)
+def test_closure_order_gate():
+    # saturating right to left along the word passes; the forward
+    # composition loses an element of (A,2) omega_1
     vc = VectorCrystal("A", 3)
-    assert not is_highest(vc, build_highest(A2, (1, 1)))
-    with pytest.raises(VerificationError):
-        _raw_demazure(A2, (1, 1))
+    word = reduced_word(A2)
+    top = build_highest(A2, (1, 0))
+    assert len(demazure_set(A2, (1, 0))) == 3
+    assert _saturate(vc, top, reversed(word)) == set(demazure_set(A2, (1, 0)))
+    assert len(_saturate(vc, top, word)) == 2
+
+
+def test_signature_convention_gate():
+    # a right-to-left bracketing scan is the left-to-right scan of the
+    # mirrored word; it breaks the highest-weight property of the
+    # multi-column word and with it the dimension gate
+    vc = VectorCrystal("A", 3)
+    order = tuple(reversed(reduced_word(A2)))
+    top = build_highest(A2, (1, 1))
+    mirrored = top[::-1]
+    assert len(demazure_set(A2, (1, 1))) == weyl_dim(A2, (1, 1)) == 8
+    assert is_highest(vc, top)
+    assert not is_highest(vc, mirrored)
+    assert len(_saturate(vc, mirrored, order)) == 18
+
+
+def _signature(vc, j, word):
+    """Reference rule: delete adjacent (-, +) pairs of the signature until none."""
+    sig = []
+    for pos, letter in enumerate(word):
+        if vc.f(j, letter) is not None:
+            sig.append((pos, "-"))
+        elif vc.e(j, letter) is not None:
+            sig.append((pos, "+"))
+    k = 0
+    while k + 1 < len(sig):
+        if sig[k][1] == "-" and sig[k + 1][1] == "+":
+            del sig[k : k + 2]
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return [p for p, s in sig if s == "+"], [p for p, s in sig if s == "-"]
+
+
+def _ref_step(vc, j, word, lower):
+    """One operator step by the reference rule, or None."""
+    plus, minus = _signature(vc, j, word)
+    if not (minus if lower else plus):
+        return None
+    pos = minus[0] if lower else plus[-1]
+    new = vc.f(j, word[pos]) if lower else vc.e(j, word[pos])
+    return word[:pos] + (new,) + word[pos + 1 :]
+
+
+def _moved(word, positions, step):
+    return tuple(x + step if p in positions else x for p, x in enumerate(word))
+
+
+@st.composite
+def _tensor_words(draw):
+    family = draw(st.sampled_from("AC"))
+    vc = VectorCrystal(family, draw(st.integers(1, 4)))
+    word = draw(st.lists(st.sampled_from(vc.letters()), max_size=10))
+    return vc, tuple(word)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tensor_words())
+def test_bracket_scan_matches_stepwise_rule(case):
+    vc, word = case
+    for j in range(1, vc.rank + 1):
+        plus, minus = _surviving(vc, j, word)
+        assert (plus, minus) == _signature(vc, j, word)
+        assert all(p < q for p in plus for q in minus)
+        # raising until None equals raising every surviving + once
+        x, steps = word, 0
+        while (nx := _ref_step(vc, j, x, lower=False)) is not None:
+            assert tensor_e(vc, j, x) == nx
+            x, steps = nx, steps + 1
+        assert tensor_e(vc, j, x) is None
+        assert (x, steps) == (_moved(word, plus, -1), len(plus))
+        # f_j^k lowers the first k surviving - positions
+        x = word
+        for k in range(1, len(minus) + 1):
+            nx = _ref_step(vc, j, x, lower=True)
+            assert tensor_f(vc, j, x) == nx == _moved(word, minus[:k], 1)
+            x = nx
+        assert tensor_f(vc, j, x) is None
