@@ -104,6 +104,8 @@ def _cmd_points(args, kind: str) -> int:
 def _cmd_verify_main(args) -> int:
     if args.max_level < 0:
         raise UsageError("--max-level must be nonnegative")
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     lt = LieType(_parse_type(args.type), args.rank)
     matrix = None
     if args.corrupt_matrix:

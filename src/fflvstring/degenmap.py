@@ -5,7 +5,12 @@ with entries in {0,-1} (family A) resp. {0,-1,-2} (family C) and
 determinant of absolute value 1; the translation part depends linearly on
 the dominant weight.  This module also houses the fold/unfold coordinate
 correspondences between a symplectic rank m and a special-linear rank 2m-1,
-and the exact affine solver for the weight twist.
+and the exact affine solver for the weight twist.  The solver runs one
+integer elimination over all weight pairs and all source coordinates and
+keeps only a row basis of at most 2n rows; its answer is the
+free-variables-zero solution of the full system, the same as solving every
+coordinate over every pair, because the reduced row echelon form of a
+consistent system depends only on its row space.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import VerificationError
@@ -223,10 +229,22 @@ class WeightTwist:
 def weight_twist_solve(lt: LieType, weight, pairs):
     """One affine map fitting every (source weight, companion weight) pair.
 
-    Solves for the restriction twist * companion_weight + shift =
-    source_weight across all pairs at once.  Returns ``(twist, None)`` on
-    success or ``(None, witness_pair)`` when no single affine map fits; the
-    witness is the first pair that breaks consistency.
+    Solves twist * companion_weight + shift = source_weight for all pairs and
+    all n source coordinates in one exact elimination.  The distinct pairs
+    are scaled to integers by the lcm D of their denominators, and each
+    augmented row ``[D*companion, D | D*source]`` is reduced against a basis
+    of at most m+1 rows, kept in reduced echelon form: a row whose companion
+    part is independent joins the basis, a dependent row must reduce to zero
+    in its source part as well.  The twist is read off the basis with free
+    variables set to zero.  Scaling a row by D leaves its row space alone,
+    and the reduced row echelon form of a consistent system depends only on
+    its row space, which the basis rows span; so this is exactly the
+    free-variables-zero solution of the full system, coordinate by
+    coordinate.  ``unique`` holds iff the basis has m+1 rows.
+
+    Returns ``(twist, None)`` on success or ``(None, witness_pair)`` when no
+    single affine map fits; the witness is the first pair that breaks
+    consistency of the lowest inconsistent source coordinate.
     """
     check_dominant(lt, weight)
     uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
@@ -234,25 +252,50 @@ def weight_twist_solve(lt: LieType, weight, pairs):
         raise ValueError("at least one weight pair is required")
     n = lt.rank
     m = lt.target_rank
-    rows = [list(tgt) + [Fraction(1)] for _, tgt in uniq]
-    matrix: list[tuple[Fraction, ...]] = []
-    shift: list[Fraction] = []
-    unique = True
-    for r in range(n):
-        rhs = [src[r] for src, _ in uniq]
-        res = solve_linear(rows, rhs)
-        if res is None:
-            return None, _first_breaking_pair(uniq, r)
-        sol, rank = res
-        matrix.append(tuple(sol[:m]))
-        shift.append(sol[m])
-        if rank < m + 1:
-            unique = False
-    twist = WeightTwist(tuple(matrix), tuple(shift), unique)
+    scale = lcm(*{x.denominator for src, tgt in uniq for x in src + tgt})
+    # pivot column -> basis row; every basis row is zero at the other pivots
+    basis: dict[int, list[int]] = {}
+    broken: set[int] = set()
     for src, tgt in uniq:
-        if twist.apply(tgt) != src:
-            return None, (src, tgt)
+        row = [x.numerator * (scale // x.denominator) for x in tgt]
+        row.append(scale)
+        row += [x.numerator * (scale // x.denominator) for x in src]
+        for c, b in basis.items():
+            if row[c]:
+                row = _clear(row, b, c)
+        pivot = next((c for c in range(m + 1) if row[c]), None)
+        if pivot is None:
+            broken.update(r for r in range(n) if row[m + 1 + r])
+            continue
+        row = _primitive(row)
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _primitive(_clear(b, row, pivot))
+        basis[pivot] = row
+    if broken:
+        return None, _first_breaking_pair(uniq, min(broken))
+    sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
+    for c, b in basis.items():
+        for r in range(n):
+            sol[r][c] = Fraction(b[m + 1 + r], b[c])
+    twist = WeightTwist(
+        tuple(tuple(row[:m]) for row in sol),
+        tuple(row[m] for row in sol),
+        len(basis) == m + 1,
+    )
     return twist, None
+
+
+def _clear(row: list[int], b: list[int], c: int) -> list[int]:
+    """The integer combination of ``row`` and ``b`` that is zero in column c."""
+    f, g = row[c], b[c]
+    return [g * x - f * y for x, y in zip(row, b)]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero integer row divided by the gcd of its entries."""
+    d = gcd(*row)
+    return [x // d for x in row]
 
 
 def _first_breaking_pair(uniq, coord):
@@ -263,4 +306,8 @@ def _first_breaking_pair(uniq, coord):
         rhs.append(src[coord])
         if solve_linear(rows, rhs) is None:
             return (src, tgt)
-    raise AssertionError("inconsistent system had no breaking pair")
+    raise VerificationError(
+        "degenmap.twist_witness",
+        f"source coordinate {coord} is inconsistent, yet no prefix of the "
+        f"{len(uniq)} pairs breaks it",
+    )

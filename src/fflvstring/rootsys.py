@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
+from .errors import VerificationError
 from .exact import solve_linear
 
 WeightVector = tuple[Fraction, ...]
@@ -235,7 +236,10 @@ def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
     m = cartan_matrix(family, rank)
     rhs = [1 if i == k - 1 else 0 for i in range(rank)]
     res = solve_linear(m, rhs)
-    assert res is not None
+    if res is None:
+        raise VerificationError(
+            "rootsys.cartan_invertible", f"{family}{rank}: Cartan matrix is singular"
+        )
     return tuple(res[0])
 
 
@@ -301,21 +305,41 @@ def weyl_dim(lt: LieType, weight: Sequence[int]) -> int:
                 num *= (v[i] - v[j]) * (v[i] + v[j])
                 den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise VerificationError(
+            "rootsys.weyl_dim_integral", f"{lt} {w}: Weyl formula gives {num}/{den}"
+        )
     return q
+
+
+@lru_cache(maxsize=None)
+def _fflv_frame(lt: LieType, w: tuple[int, ...]):
+    """lambda in simple-root coordinates, and each label's root as its nonzero
+    (coordinate, coefficient) entries, in label order.
+    """
+    roots = tuple(
+        tuple((c, e) for c, e in enumerate(root_expansion(lt, lab)) if e)
+        for lab in build_labels(lt)
+    )
+    return weight_roots(lt.family, lt.rank, w), roots
+
+
+@lru_cache(maxsize=None)
+def _string_base(lt: LieType, w: tuple[int, ...]) -> WeightVector:
+    return lifted_weight_roots(lt, w)
 
 
 def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:
     """Weight of the exponent vector p in the source lattice: lambda - sum p * alpha."""
-    labels = build_labels(lt)
-    if len(p) != len(labels):
-        raise ValueError(f"exponent vector must have length {len(labels)}")
-    out = list(weight_roots(lt.family, lt.rank, check_dominant(lt, weight)))
-    for x, lab in zip(p, labels):
+    base, roots = _fflv_frame(lt, check_dominant(lt, weight))
+    if len(p) != len(roots):
+        raise ValueError(f"exponent vector must have length {len(roots)}")
+    delta = [0] * lt.rank
+    for x, root in zip(p, roots):
         if x:
-            for c, e in enumerate(root_expansion(lt, lab)):
-                out[c] -= x * e
-    return tuple(out)
+            for c, e in root:
+                delta[c] += x * e
+    return tuple(b - d if d else b for b, d in zip(base, delta))
 
 
 def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> WeightVector:
@@ -323,10 +347,11 @@ def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> Weigh
     word = reduced_word(lt)
     if len(q) != len(word):
         raise ValueError(f"string vector must have length {len(word)}")
-    out = list(lifted_weight_roots(lt, weight))
+    delta = [0] * lt.target_rank
     for x, letter in zip(q, word):
-        out[letter - 1] -= x
-    return tuple(out)
+        delta[letter - 1] += x
+    base = _string_base(lt, check_dominant(lt, weight))
+    return tuple(b - d if d else b for b, d in zip(base, delta))
 
 
 def reflect_simple(family: str, rank: int, i: int, mu: WeightVector) -> WeightVector:

@@ -43,8 +43,8 @@ from fflvstring.wedge import (
     wedge_basis,
 )
 
-A_GRID = [(LieType("A", n), 3) for n in range(1, 5)]
-C_GRID = [(LieType("C", n), 2) for n in (2, 3)]
+A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", 5), 2)]
+C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
 
 
 def record(num: int, title: str, ok: bool, detail: str = "") -> None:

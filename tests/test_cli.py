@@ -199,6 +199,18 @@ def test_out_file_writing(tmp_path, capsys):
     assert len(doc["points"]) == 3
 
 
+def test_verify_main_rejects_nonpositive_threads(capsys):
+    for threads in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "main", "--type", "A", "--rank", "2", "--max-level", "1",
+            "--threads", threads,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads must be at least 1" in err
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("FSL_THREADS", "5")
     assert cli._default_threads() == 5

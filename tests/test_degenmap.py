@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fflvstring.degenmap import (
+    WeightTwist,
+    _first_breaking_pair,
     apply_T,
     build_matrix,
     build_translation,
@@ -253,7 +257,88 @@ def test_weight_twist_reports_witness_on_corrupted_pairs():
     corrupted = pairs + [(bad, tgt)]
     twist, witness = weight_twist_solve(A2, (1, 0), corrupted)
     assert twist is None
-    assert witness is not None
+    assert witness == (bad, tgt)
+
+
+def test_first_breaking_pair_gate_on_consistent_system():
+    with pytest.raises(VerificationError) as exc:
+        _first_breaking_pair(_twist_pairs(A2, (1, 0)), 0)
+    assert exc.value.gate == "degenmap.twist_witness"
+
+
+def _gauss_jordan(rows, rhs):
+    """Free-variables-zero solution and rank of rows * x = rhs, or None."""
+    mat = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    if any(row[-1] for row in mat[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * len(rows[0])
+    for i, c in enumerate(pivots):
+        sol[c] = mat[i][-1]
+    return sol, len(pivots)
+
+
+def _twist_oracle(lt, pairs):
+    """The full system solved coordinate by coordinate, no basis, no scaling."""
+    uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
+    rows = [list(t) + [1] for _, t in uniq]
+    m = lt.target_rank
+    matrix, shift = [], []
+    for r in range(lt.rank):
+        rhs = [s[r] for s, _ in uniq]
+        res = _gauss_jordan(rows, rhs)
+        if res is None:
+            k = next(
+                k for k in range(1, len(uniq) + 1)
+                if _gauss_jordan(rows[:k], rhs[:k]) is None
+            )
+            return None, uniq[k - 1]
+        sol, rank = res
+        matrix.append(tuple(sol[:m]))
+        shift.append(sol[m])
+    return WeightTwist(tuple(matrix), tuple(shift), rank == m + 1), None
+
+
+TWIST_CASES = [
+    (A1, (2,)), (A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)), (A3, (0, 1, 0)),
+    (A3, (1, 0, 1)), (A3, (1, 1, 0)), (C2, (0, 1)), (C2, (1, 1)), (C2, (2, 0)),
+]
+_PAIRS = {}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_weight_twist_matches_full_system_oracle(data):
+    lt, w = data.draw(st.sampled_from(TWIST_CASES))
+    if (lt, w) not in _PAIRS:
+        _PAIRS[lt, w] = _twist_pairs(lt, w)
+    real = _PAIRS[lt, w]
+    picks = data.draw(st.lists(st.integers(0, len(real) - 1), min_size=1, max_size=24))
+    pairs = [real[i] for i in picks]
+    # up to two single-entry corruptions, so that two source coordinates can
+    # break at different pairs
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        side = data.draw(st.integers(0, 1))
+        vec = list(pairs[k][side])
+        c = data.draw(st.integers(0, len(vec) - 1))
+        vec[c] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        pair = list(pairs[k])
+        pair[side] = tuple(vec)
+        pairs[k] = tuple(pair)
+    assert weight_twist_solve(lt, w, pairs) == _twist_oracle(lt, pairs)
 
 
 def test_fundamental_translation_index_range():

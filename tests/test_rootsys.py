@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import fflvstring.rootsys as rootsys
+from fflvstring.errors import VerificationError
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
@@ -177,6 +179,13 @@ def test_cartan_inverse_consistency():
             assert image == tuple(
                 Fraction(1) if i == k - 1 else Fraction(0) for i in range(rank)
             )
+
+
+def test_singular_cartan_matrix_is_a_named_gate(monkeypatch):
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda family, rank: ((1, 1), (1, 1)))
+    with pytest.raises(VerificationError) as exc:
+        fundamental_weight_roots.__wrapped__("A", 2, 1)
+    assert exc.value.gate == "rootsys.cartan_invertible"
 
 
 def test_fflv_weight_examples():
