@@ -239,7 +239,12 @@ def element_weight_roots(lt: LieType, weight, b: TensorWord):
         for letter in b:
             wt[letter - 1] += 1
         delta = [x - y for x, y in zip(top, wt)]
-        assert sum(delta) == 0
+        if sum(delta) != 0:
+            raise VerificationError(
+                "crystal.word_weight_balance",
+                f"{lt} {w}: word {tuple(b)} has {len(b)} letters, "
+                f"the highest word {sum(top)}",
+            )
         delta_roots = [Fraction(sum(delta[:k])) for k in range(1, m + 1)]
     else:
         top = [0] * m

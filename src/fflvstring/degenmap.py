@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import VerificationError
-from .exact import det_int, solve_linear
+from .exact import det_int
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -244,7 +244,12 @@ def weight_twist_solve(lt: LieType, weight, pairs):
 
     Returns ``(twist, None)`` on success or ``(None, witness_pair)`` when no
     single affine map fits; the witness is the first pair that breaks
-    consistency of the lowest inconsistent source coordinate.
+    consistency of the lowest inconsistent source coordinate.  It is found
+    in the same pass: until a coordinate breaks, the basis spans every
+    earlier row in the companion part and in that coordinate (a skipped row
+    reduced to zero there), so the first dependent row with a nonzero
+    residual in it is the first pair whose prefix of the system is
+    inconsistent.
     """
     check_dominant(lt, weight)
     uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
@@ -255,7 +260,8 @@ def weight_twist_solve(lt: LieType, weight, pairs):
     scale = lcm(*{x.denominator for src, tgt in uniq for x in src + tgt})
     # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    broken: set[int] = set()
+    # source coordinate -> first pair whose reduced residual in it is nonzero
+    breaks: dict[int, tuple] = {}
     for src, tgt in uniq:
         row = [x.numerator * (scale // x.denominator) for x in tgt]
         row.append(scale)
@@ -265,15 +271,17 @@ def weight_twist_solve(lt: LieType, weight, pairs):
                 row = _clear(row, b, c)
         pivot = next((c for c in range(m + 1) if row[c]), None)
         if pivot is None:
-            broken.update(r for r in range(n) if row[m + 1 + r])
+            for r in range(n):
+                if row[m + 1 + r]:
+                    breaks.setdefault(r, (src, tgt))
             continue
         row = _primitive(row)
         for c, b in basis.items():
             if b[pivot]:
                 basis[c] = _primitive(_clear(b, row, pivot))
         basis[pivot] = row
-    if broken:
-        return None, _first_breaking_pair(uniq, min(broken))
+    if breaks:
+        return None, breaks[min(breaks)]
     sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):
@@ -297,17 +305,3 @@ def _primitive(row: list[int]) -> list[int]:
     d = gcd(*row)
     return [x // d for x in row]
 
-
-def _first_breaking_pair(uniq, coord):
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for src, tgt in uniq:
-        rows.append(list(tgt) + [Fraction(1)])
-        rhs.append(src[coord])
-        if solve_linear(rows, rhs) is None:
-            return (src, tgt)
-    raise VerificationError(
-        "degenmap.twist_witness",
-        f"source coordinate {coord} is inconsistent, yet no prefix of the "
-        f"{len(uniq)} pairs breaks it",
-    )

@@ -1,8 +1,9 @@
 """Exact linear algebra over integers and rationals.
 
 Everything in this package is an exact combinatorial identity, so no floats
-appear anywhere: determinants are computed fraction-free over the integers
-and linear systems are solved over ``fractions.Fraction``.
+appear anywhere: determinants come from exact Gaussian elimination that
+touches only the rows with a nonzero entry in the pivot column, and linear
+systems are solved over ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -12,30 +13,32 @@ from typing import Sequence
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
+    """Determinant of a square integer matrix by exact sparse elimination.
+
+    Rows whose entry in the pivot column is already zero are left alone, and
+    only the rows an elimination step touches are promoted to ``Fraction``,
+    so a triangular matrix costs one column scan per pivot.  The result is
+    the product of the pivots times the sign of the row swaps.
+    """
     n = len(matrix)
-    if n == 0:
-        return 1
     m = [list(row) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        pivot = m[k]
+        det *= pivot[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            if m[i][k]:
+                f = Fraction(m[i][k]) / pivot[k]
+                m[i] = [a - f * b for a, b in zip(m[i], pivot)]
+    return int(det)
 
 
 def solve_linear(

@@ -90,7 +90,10 @@ def build_labels(lt: LieType) -> tuple[RootLabel, ...]:
         ]
     labels.sort(key=lambda lab: (-column_key(lab, n), lab.row))
     expected = n * (n + 1) // 2 if lt.family == "A" else n * n
-    assert len(labels) == expected
+    if len(labels) != expected:
+        raise VerificationError(
+            "rootsys.label_count", f"{lt}: {len(labels)} labels, expected {expected}"
+        )
     return tuple(labels)
 
 

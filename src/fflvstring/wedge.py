@@ -1,13 +1,14 @@
 """Independent oracle: exact lowering-operator actions on exterior powers.
 
-Wedge vectors are sparse maps from strictly increasing index tuples to exact
-rationals.  For family A the generator with index j is the elementary
-lowering e_j -> e_{j+1} on the natural module of the companion algebra; for
-family C it is the unfolded pair e_j -> e_{j+1}, e_{2m-j} -> e_{2m-j+1} on
-the reordered natural module, so both families act through the same
-elementary step.  On top of the action sit the proportionality test, the
-non-annihilation and minimality checks, and the fully independent
-reconstruction of the type-A string points.
+Wedge vectors are sparse maps from strictly increasing index tuples to
+integers: a lowering step picks up neither a sign nor a denominator, so
+every coefficient is a nonnegative integer.  For family A the generator with
+index j is the elementary lowering e_j -> e_{j+1} on the natural module of
+the companion algebra; for family C it is the unfolded pair e_j -> e_{j+1},
+e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
+through the same elementary step.  On top of the action sit the
+proportionality test, the non-annihilation and minimality checks, and the
+fully independent reconstruction of the type-A string points.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .degenmap import apply_T
+from .errors import VerificationError
 from .fflv import fundamental_points
 from .rootsys import (
     ExponentVector,
@@ -29,7 +31,7 @@ from .rootsys import (
     word_letter,
 )
 
-WedgeVector = dict[tuple[int, ...], Fraction]
+WedgeVector = dict[tuple[int, ...], int]
 
 
 def wedge_basis(indices: Iterable[int]) -> WedgeVector:
@@ -37,7 +39,7 @@ def wedge_basis(indices: Iterable[int]) -> WedgeVector:
     t = tuple(indices)
     if list(t) != sorted(set(t)):
         raise ValueError(f"indices {t} are not strictly increasing")
-    return {t: Fraction(1)}
+    return {t: 1}
 
 
 def highest_wedge(k: int) -> WedgeVector:
@@ -49,8 +51,8 @@ def is_zero(v: WedgeVector) -> bool:
     return not v
 
 
-def _add_term(acc: WedgeVector, key: tuple[int, ...], coeff: Fraction) -> None:
-    new = acc.get(key, Fraction(0)) + coeff
+def _add_term(acc: WedgeVector, key: tuple[int, ...], coeff: int) -> None:
+    new = acc.get(key, 0) + coeff
     if new:
         acc[key] = new
     else:
@@ -63,14 +65,13 @@ def act_elementary(t: int, v: WedgeVector, dim: int) -> WedgeVector:
         raise ValueError(f"step index {t} out of range for dimension {dim}")
     out: WedgeVector = {}
     for key, coeff in v.items():
-        for pos, idx in enumerate(key):
-            if idx != t:
-                continue
-            if t + 1 in key:
-                continue  # repeated factor vanishes
-            new_key = key[:pos] + (t + 1,) + key[pos + 1 :]
-            # t+1 slots into the same position, so no sign is picked up
-            _add_term(out, new_key, coeff)
+        # a strictly increasing key holds t at most once; a repeated factor
+        # t+1 makes the term vanish
+        if t not in key or t + 1 in key:
+            continue
+        pos = key.index(t)
+        # t+1 slots into the same position, so no sign is picked up
+        _add_term(out, key[:pos] + (t + 1,) + key[pos + 1 :], coeff)
     return out
 
 
@@ -136,11 +137,10 @@ def proportionality_ratio(f: WedgeVector, g: WedgeVector) -> Fraction | None:
         return None
     keys = iter(f)
     first = next(keys)
-    r = g[first] / f[first]
     for key in keys:
-        if f[key] * r != g[key]:
+        if f[key] * g[first] != g[key] * f[first]:
             return None
-    return r
+    return Fraction(g[first], f[first])
 
 
 def sim_scalar_ops(
@@ -150,8 +150,9 @@ def sim_scalar_ops(
     dim = rank + 1 if family == "A" else 2 * rank
     r: Fraction | None = None
     for base in combinations(range(1, dim + 1), i):
-        fx = act_sequence(ops_x, wedge_basis(base), family, rank)
-        fy = act_sequence(ops_y, wedge_basis(base), family, rank)
+        # combinations yields strictly increasing tuples: valid basis keys
+        fx = act_sequence(ops_x, {base: 1}, family, rank)
+        fy = act_sequence(ops_y, {base: 1}, family, rank)
         if is_zero(fx) and is_zero(fy):
             continue
         ratio = proportionality_ratio(fx, fy)
@@ -288,12 +289,16 @@ def unfold_dominates(a_vec: Sequence[int], m: int, wedge_power: int) -> bool:
     dst = LieType("C", m)
     folded = fold_vector(a_vec, m)
     dim = src.target_dim
-    assert dim == dst.target_dim
+    if dim != dst.target_dim:
+        raise VerificationError(
+            "wedge.unfold_dimension",
+            f"{src} acts on dimension {dim}, {dst} on {dst.target_dim}",
+        )
     for base in combinations(range(1, dim + 1), wedge_power):
         va = act_monomial(src, a_vec, wedge_basis(base))
         vc = act_monomial(dst, folded, wedge_basis(base))
         for key, coeff in va.items():
-            if vc.get(key, Fraction(0)) < coeff:
+            if vc.get(key, 0) < coeff:
                 return False
     return True
 

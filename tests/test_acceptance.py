@@ -87,7 +87,7 @@ def test_criterion_02_main_theorem_type_c():
 def test_criterion_03_unimodularity():
     ok = True
     for family in ("A", "C"):
-        for n in range(1, 11):
+        for n in range(1, 13):
             mat = build_matrix(LieType(family, n))
             size = len(mat)
             if det_int(mat) not in (1, -1):
@@ -99,7 +99,7 @@ def test_criterion_03_unimodularity():
                 ok = False
             if not all(mat[k][k] == -1 for k in range(size)):
                 ok = False
-    record(3, "unimodularity, entries, triangularity, n <= 10", ok)
+    record(3, "unimodularity, entries, triangularity, n <= 12", ok)
 
 
 def test_criterion_04_printed_fixtures():
@@ -170,9 +170,9 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_proposition_sweeps():
     ok = True
-    # commutation equivalence table for acting ranks <= 5, both families
+    # commutation equivalence table for acting ranks <= 6, both families
     for family in ("A", "C"):
-        for m in range(1, 6):
+        for m in range(1, 7):
             dim = m + 1 if family == "A" else 2 * m
             for l in range(1, m + 1):
                 for j in range(1, m + 1):

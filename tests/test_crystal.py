@@ -184,6 +184,15 @@ def test_string_weight_matches_letter_counts(family, rank, level):
             assert string_weight(lt, w, q) == element_weight_roots(lt, w, b)
 
 
+def test_word_weight_balance_gate():
+    # a type-A word with one letter more than the highest word has no weight
+    w = (1, 0)
+    b = build_highest(A2, w) + (1,)
+    with pytest.raises(VerificationError) as exc:
+        element_weight_roots(A2, w, b)
+    assert exc.value.gate == "crystal.word_weight_balance"
+
+
 @pytest.mark.parametrize(
     "family,rank,level", [("A", 2, 2), ("A", 3, 1), ("C", 2, 1), ("C", 3, 1)]
 )

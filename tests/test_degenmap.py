@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fflvstring.degenmap import (
     WeightTwist,
-    _first_breaking_pair,
     apply_T,
     build_matrix,
     build_translation,
@@ -258,12 +257,6 @@ def test_weight_twist_reports_witness_on_corrupted_pairs():
     twist, witness = weight_twist_solve(A2, (1, 0), corrupted)
     assert twist is None
     assert witness == (bad, tgt)
-
-
-def test_first_breaking_pair_gate_on_consistent_system():
-    with pytest.raises(VerificationError) as exc:
-        _first_breaking_pair(_twist_pairs(A2, (1, 0)), 0)
-    assert exc.value.gate == "degenmap.twist_witness"
 
 
 def _gauss_jordan(rows, rhs):

@@ -1,5 +1,7 @@
 """Verification pipelines: reports, containments, dilations, grids."""
 
+from fractions import Fraction
+
 import pytest
 
 from fflvstring.degenmap import build_matrix
@@ -18,6 +20,7 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
+A4 = LieType("A", 4)
 
 
 def corrupted_matrix(lt):
@@ -52,6 +55,17 @@ def test_check_main_with_corrupted_matrix_reports_witnesses():
     assert not rep.equal
     assert rep.missing_total + rep.extra_total > 0
     assert rep.missing or rep.extra
+
+
+def test_corrupted_a4_matrix_twist_witness():
+    # the first pair that breaks the lowest inconsistent source coordinate
+    rep = check_main(A4, (1, 1, 1, 1), matrix=corrupted_matrix(A4))
+    assert rep.status == "failed"
+    assert rep.weight_twist is None
+    src, tgt = rep.twist_witness
+    assert src == (1, 2, 2, 1)
+    assert tgt == (1, 1, 0, 0, 0, 1, 1)
+    assert all(type(x) is Fraction for x in src + tgt)
 
 
 def test_check_main_budget_skip():

@@ -134,6 +134,21 @@ def test_proportionality_reports_signed_ratio():
     assert proportionality_ratio(f, {(1, 3): Fraction(1)}) is None
 
 
+def test_proportionality_ratio_is_exact():
+    r = proportionality_ratio({(1, 2): 2}, {(1, 2): 3})
+    assert r == Fraction(3, 2)
+    assert type(r) is Fraction
+    f = {(1, 2): 2, (1, 3): 4}
+    assert proportionality_ratio(f, {(1, 2): 3, (1, 3): 6}) == Fraction(3, 2)
+    assert proportionality_ratio(f, {(1, 2): 3, (1, 3): 5}) is None
+
+
+def test_coefficients_are_integers():
+    # f_1 f_1 on e_1 ^ e_3 of C2: both unfolded paths reach e_2 ^ e_4
+    out = act_sequence([1, 1], wedge_basis((1, 3)), "C", 2)
+    assert out == {(2, 4): 2}
+    assert type(out[(2, 4)]) is int
+
 def test_nonannihilation_zero_point():
     for lt, i in ((A3, 2), (C2, 2)):
         zero = (0,) * len(build_labels(lt))
