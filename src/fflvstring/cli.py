@@ -12,13 +12,11 @@ import os
 import sys
 
 from .crystal import string_points
-from .degenmap import build_matrix, build_translation, fold_vector
+from .degenmap import build_matrix
 from .errors import VerificationError
-from .exact import det_int
 from .fflv import points
 from .rootsys import LieType, build_labels, reduced_word
-from .verify import all_passed, reports_to_json, run_grid
-from .wedge import act_sequence, sim_check_ops, wedge_basis
+from .verify import SWEEPS, all_passed, reports_to_json, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -133,87 +131,12 @@ def _cmd_verify_main(args) -> int:
     return EXIT_OK if all_passed(reports) else EXIT_VERIFICATION_FAILED
 
 
-def _require_positive_rank(args) -> None:
+def _cmd_verify_sweep(args) -> int:
     if args.max_rank < 1:
         raise UsageError("--max-rank must be at least 1")
-
-
-def _cmd_verify_unimodular(args) -> int:
-    _require_positive_rank(args)
-    failures = []
-    for family in ("A", "C"):
-        for n in range(1, args.max_rank + 1):
-            lt = LieType(family, n)
-            try:
-                mat = build_matrix(lt)
-            except VerificationError as exc:
-                print(f"{lt}: FAILED ({exc})")
-                failures.append(str(lt))
-                continue
-            det = det_int(mat)
-            entries = sorted({x for row in mat for x in row})
-            upper = all(
-                mat[r][c] == 0 for r in range(len(mat)) for c in range(r)
-            )
-            diag_ok = all(mat[k][k] == -1 for k in range(len(mat)))
-            print(
-                f"{lt}: det = {det}, entries = {entries}, "
-                f"triangular = {upper and diag_ok}"
-            )
-            if det not in (1, -1) or not upper or not diag_ok:
-                failures.append(str(lt))
+    lines, failures = SWEEPS[args.subcommand](args.max_rank)
+    print("\n".join(lines))
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
-
-
-def _cmd_verify_fold(args) -> int:
-    _require_positive_rank(args)
-    failures = []
-    for n in range(1, args.max_rank + 1):
-        source = LieType("A", 2 * n - 1)
-        target = LieType("C", n)
-        for i in range(1, n + 1):
-            w_a = tuple(1 if k == i - 1 else 0 for k in range(2 * n - 1))
-            w_c = tuple(1 if k == i - 1 else 0 for k in range(n))
-            folded = fold_vector(build_translation(source, w_a), n)
-            expected = build_translation(target, w_c)
-            ok = folded == expected
-            print(f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {ok}")
-            if not ok:
-                failures.append((n, i))
-    if failures:
-        print(f"failing (rank, index) pairs: {failures}")
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
-
-
-def _cmd_verify_comm(args) -> int:
-    _require_positive_rank(args)
-    failures = []
-    for family in ("A", "C"):
-        for m in range(1, args.max_rank + 1):
-            dim = m + 1 if family == "A" else 2 * m
-            bad = 0
-            for l in range(1, m + 1):
-                for j in range(1, m + 1):
-                    expected = abs(l - j) != 1
-                    pointwise = all(
-                        act_sequence([l, j], wedge_basis((t,)), family, m)
-                        == act_sequence([j, l], wedge_basis((t,)), family, m)
-                        for t in range(1, dim + 1)
-                    )
-                    if pointwise != expected:
-                        bad += 1
-                        failures.append((family, m, l, j, "pointwise"))
-                    for i in range(1, m + 1):
-                        sim = sim_check_ops([l, j], [j, l], i, family, m)
-                        if sim != expected:
-                            bad += 1
-                            failures.append((family, m, l, j, f"sim i={i}"))
-            print(f"{family}{m}: commutation table {'ok' if bad == 0 else 'FAILED'}")
-    if failures:
-        print(f"failing cases: {failures[:10]}")
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,13 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fflv = sub.add_parser("fflv", help="chain polytope lattice points")
     fflv_sub = fflv.add_subparsers(dest="subcommand", required=True)
-    fflv_points = fflv_sub.add_parser("points", help="emit a point document")
-    _add_points_args(fflv_points)
+    _add_points_args(fflv_sub.add_parser("points", help="emit a point document"))
 
     stringpoly = sub.add_parser("stringpoly", help="string polytope lattice points")
     string_sub = stringpoly.add_subparsers(dest="subcommand", required=True)
-    string_points_cmd = string_sub.add_parser("points", help="emit a point document")
-    _add_points_args(string_points_cmd)
+    _add_points_args(string_sub.add_parser("points", help="emit a point document"))
 
     verify = sub.add_parser("verify", help="theorem verification sweeps")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -246,14 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
     )
 
-    uni = verify_sub.add_parser("unimodular", help="determinant sweep")
-    uni.add_argument("--max-rank", type=int, required=True)
-
-    fold = verify_sub.add_parser("fold", help="translation folding sweep")
-    fold.add_argument("--max-rank", type=int, required=True)
-
-    comm = verify_sub.add_parser("comm", help="commutation equivalence sweep")
-    comm.add_argument("--max-rank", type=int, required=True)
+    for name, text in (
+        ("unimodular", "determinant sweep"),
+        ("fold", "translation folding sweep"),
+        ("comm", "commutation equivalence sweep"),
+    ):
+        sweep = verify_sub.add_parser(name, help=text)
+        sweep.add_argument("--max-rank", type=int, required=True)
     return parser
 
 
@@ -278,17 +198,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.subcommand == "main":
                 return _cmd_verify_main(args)
-            if args.subcommand == "unimodular":
-                return _cmd_verify_unimodular(args)
-            if args.subcommand == "fold":
-                return _cmd_verify_fold(args)
-            if args.subcommand == "comm":
-                return _cmd_verify_comm(args)
+            return _cmd_verify_sweep(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:

@@ -27,6 +27,7 @@ from .rootsys import (
     check_dominant,
     lifted_coeffs,
     lifted_weight_roots,
+    natural_dim,
     reduced_word,
     weyl_dim,
 )
@@ -50,7 +51,7 @@ class VectorCrystal:
             raise ValueError("rank must be positive")
         self.family = family
         self.rank = rank
-        self.size = rank + 1 if family == "A" else 2 * rank
+        self.size = natural_dim(family, rank)
 
     def letters(self) -> range:
         return range(1, self.size + 1)
@@ -168,19 +169,20 @@ def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]
 
 
 def extract_string(
-    crystal: VectorCrystal, b: TensorWord, word: tuple[int, ...]
+    crystal: VectorCrystal, b: TensorWord, word: tuple[int, ...], highest: TensorWord
 ) -> ExponentVector:
-    """Greedy raising along the word; the element must end highest-weight.
+    """Greedy raising along the word; the element must end at ``highest``.
 
     For each letter j, e_j^a with a maximal raises all a surviving plus
-    positions of b at once.
+    positions of b at once.  A Demazure element lies in the component of
+    ``highest``, the only highest-weight element there.
     """
     q: list[int] = []
     for j in word:
         plus, _ = _surviving(crystal, j, b)
         b = _shift(b, plus, -1)
         q.append(len(plus))
-    if not is_highest(crystal, b):
+    if b != highest:
         raise VerificationError(
             "crystal.highest_weight",
             f"element {b} is not a Demazure element for word {tuple(word)}",
@@ -198,9 +200,10 @@ def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector,
     w = check_dominant(lt, weight)
     crystal = VectorCrystal(lt.family, lt.target_rank)
     word = reduced_word(lt)
+    top = build_highest(lt, w)
     seen: dict[ExponentVector, TensorWord] = {}
     for b in demazure_set(lt, w):
-        q = extract_string(crystal, b, word)
+        q = extract_string(crystal, b, word, top)
         if q in seen:
             raise VerificationError(
                 "crystal.string_injectivity",

@@ -21,6 +21,7 @@ from .rootsys import (
     build_labels,
     check_dominant,
     column_key,
+    fundamental_weight,
     label_index,
     weyl_dim,
 )
@@ -56,7 +57,7 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
 
     extend(i, 0)
     pts = tuple(sorted(out))
-    expected = weyl_dim(lt, tuple(1 if k == i - 1 else 0 for k in range(n)))
+    expected = weyl_dim(lt, fundamental_weight(n, i))
     if len(pts) != expected:
         raise VerificationError(
             "fflv.fundamental_cardinality",

@@ -34,6 +34,16 @@ WeightVector = tuple[Fraction, ...]
 ExponentVector = tuple[int, ...]
 
 
+def natural_dim(family: str, rank: int) -> int:
+    """Dimension of the natural module of a rank-``rank`` algebra of the family."""
+    return rank + 1 if family == "A" else 2 * rank
+
+
+def fundamental_weight(rank: int, i: int) -> tuple[int, ...]:
+    """Fundamental coefficients of omega_i: the i-th unit vector of length rank."""
+    return tuple(1 if k == i - 1 else 0 for k in range(rank))
+
+
 @dataclass(frozen=True)
 class LieType:
     """Family (A or C) and rank of the algebra the lattice points belong to."""
@@ -55,8 +65,7 @@ class LieType:
     @property
     def target_dim(self) -> int:
         """Dimension of the natural module the companion algebra acts on."""
-        m = self.target_rank
-        return m + 1 if self.family == "A" else 2 * m
+        return natural_dim(self.family, self.target_rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -5,7 +5,8 @@ same weight, gates both cardinalities on the Weyl dimension, records up to
 ten witnesses per direction together with exact totals, and carries the
 affine weight twist fitted to all weight pairs of the case.  Grid runs are
 deterministic: results are ordered by case, independent of thread count,
-and the JSON rendering contains no timing data.
+and the JSON rendering contains no timing data.  The supporting sweeps
+return the lines the CLI prints and a list of their failing cases.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from .degenmap import (
     build_matrix,
     build_translation,
     check_nonnegative,
+    fold_vector,
     weight_twist_solve,
 )
+from .errors import VerificationError
+from .exact import det_int
 from .fflv import points
 from .rootsys import (
     ExponentVector,
@@ -32,9 +36,12 @@ from .rootsys import (
     check_dominant,
     dominant_weights,
     fflv_weight,
+    fundamental_weight,
+    natural_dim,
     string_weight,
     weyl_dim,
 )
+from .wedge import act_sequence, sim_check_ops, wedge_basis
 
 WITNESS_CAP = 10
 
@@ -281,3 +288,77 @@ def all_passed(reports: Sequence[VerificationReport]) -> bool:
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     """Byte-stable JSON rendering of a report list."""
     return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+
+
+def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
+    """Determinant, entries and triangularity of the linear part, ranks <= max_rank.
+
+    ``build_matrix`` gates the entries and |det| = 1; a triangular matrix
+    with diagonal -1 has determinant (-1)^size, so it is not eliminated again.
+    """
+    lines, failures = [], []
+    for family in ("A", "C"):
+        for n in range(1, max_rank + 1):
+            lt = LieType(family, n)
+            try:
+                mat = build_matrix(lt)
+            except VerificationError as exc:
+                lines.append(f"{lt}: FAILED ({exc})")
+                failures.append(str(lt))
+                continue
+            upper = all(row[c] == 0 for r, row in enumerate(mat) for c in range(r))
+            triangular = upper and all(row[r] == -1 for r, row in enumerate(mat))
+            det = (-1) ** len(mat) if triangular else det_int(mat)
+            entries = sorted({x for row in mat for x in row})
+            lines.append(
+                f"{lt}: det = {det}, entries = {entries}, triangular = {triangular}"
+            )
+            if not triangular:
+                failures.append(str(lt))
+    return lines, failures
+
+
+def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """t(A_{2n-1}, omega_i) must fold onto t(C_n, omega_i), ranks n <= max_rank."""
+    lines, failures = [], []
+    for n in range(1, max_rank + 1):
+        source, target = LieType("A", 2 * n - 1), LieType("C", n)
+        for i in range(1, n + 1):
+            t_a = build_translation(source, fundamental_weight(2 * n - 1, i))
+            t_c = build_translation(target, fundamental_weight(n, i))
+            ok = fold_vector(t_a, n) == t_c
+            lines.append(f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {ok}")
+            if not ok:
+                failures.append((n, i))
+    if failures:
+        lines.append(f"failing (rank, index) pairs: {failures}")
+    return lines, failures
+
+
+def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
+    """Commutation table: l, j commute iff |l - j| != 1 on every exterior power."""
+    lines, failures = [], []
+    for family in ("A", "C"):
+        for m in range(1, max_rank + 1):
+            before = len(failures)
+            for l in range(1, m + 1):
+                for j in range(1, m + 1):
+                    expected = abs(l - j) != 1
+                    pointwise = all(
+                        act_sequence([l, j], wedge_basis((t,)), family, m)
+                        == act_sequence([j, l], wedge_basis((t,)), family, m)
+                        for t in range(1, natural_dim(family, m) + 1)
+                    )
+                    if pointwise != expected:
+                        failures.append((family, m, l, j, "pointwise"))
+                    for i in range(1, m + 1):
+                        if sim_check_ops([l, j], [j, l], i, family, m) != expected:
+                            failures.append((family, m, l, j, f"sim i={i}"))
+            status = "ok" if len(failures) == before else "FAILED"
+            lines.append(f"{family}{m}: commutation table {status}")
+    if failures:
+        lines.append(f"failing cases: {failures[:10]}")
+    return lines, failures
+
+
+SWEEPS = {"unimodular": unimodular_sweep, "fold": fold_sweep, "comm": comm_sweep}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .degenmap import apply_T
 from .errors import VerificationError
@@ -24,11 +24,10 @@ from .fflv import fundamental_points
 from .rootsys import (
     ExponentVector,
     LieType,
-    RootLabel,
     build_labels,
-    label_index,
+    fundamental_weight,
+    natural_dim,
     reduced_word,
-    word_letter,
 )
 
 WedgeVector = dict[tuple[int, ...], int]
@@ -81,18 +80,13 @@ def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
     Family A acts on the (rank+1)-dimensional natural module, family C on
     the 2*rank-dimensional one through the unfolded operator.
     """
-    if family == "A":
-        if not 1 <= j <= rank:
-            raise ValueError(f"operator index {j} out of range")
-        return act_elementary(j, v, rank + 1)
     if not 1 <= j <= rank:
         raise ValueError(f"operator index {j} out of range")
-    dim = 2 * rank
+    dim = natural_dim(family, rank)
     out = act_elementary(j, v, dim)
     other = 2 * rank - j
-    if other != j:
-        second = act_elementary(other, v, dim)
-        for key, coeff in second.items():
+    if family == "C" and other != j:
+        for key, coeff in act_elementary(other, v, dim).items():
             _add_term(out, key, coeff)
     return out
 
@@ -147,7 +141,7 @@ def sim_scalar_ops(
     ops_x: Sequence[int], ops_y: Sequence[int], i: int, family: str, rank: int
 ) -> Fraction | None:
     """One scalar r with r * x(v) = y(v) on every basis wedge, or None."""
-    dim = rank + 1 if family == "A" else 2 * rank
+    dim = natural_dim(family, rank)
     r: Fraction | None = None
     for base in combinations(range(1, dim + 1), i):
         # combinations yields strictly increasing tuples: valid basis keys
@@ -186,8 +180,7 @@ def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:
 
 def nonannihilation_check(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped chain point acts nonzero on the highest wedge."""
-    weight = tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
-    image = apply_T(lt, weight, p, expect_nonnegative=True)
+    image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
     result = act_monomial(lt, image, highest_wedge(2 * i - 1))
     return not is_zero(result)
 
@@ -212,6 +205,17 @@ def _letter_histogram(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts[1:])
 
 
+def _block_vectors(lt: LieType, i: int) -> Iterator[ExponentVector]:
+    """Every 0/1 exponent vector supported on the restriction block."""
+    block = restriction_block(lt, i)
+    size = len(build_labels(lt))
+    for bits in product((0, 1), repeat=len(block)):
+        x = [0] * size
+        for k, bit in zip(block, bits):
+            x[k] = bit
+        yield tuple(x)
+
+
 def _neglex_min(vectors: Iterable[ExponentVector]) -> ExponentVector:
     """Smallest vector in the order where a larger first differing entry wins."""
     return max(vectors)
@@ -226,20 +230,13 @@ def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """
     if lt.family != "A":
         raise ValueError("minimality sweep is implemented for type A only")
-    weight = tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
-    image = apply_T(lt, weight, p, expect_nonnegative=True)
+    image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
     v = highest_wedge(2 * i - 1)
     if is_zero(act_monomial(lt, image, v)):
         return False
     target_hist = _letter_histogram(lt, image)
-    block = restriction_block(lt, i)
-    size = len(build_labels(lt))
     candidates = []
-    for bits in product((0, 1), repeat=len(block)):
-        x = [0] * size
-        for k, bit in zip(block, bits):
-            x[k] = bit
-        x = tuple(x)
+    for x in _block_vectors(lt, i):
         if _letter_histogram(lt, x) != target_hist:
             continue
         if is_zero(act_monomial(lt, x, v)):
@@ -261,14 +258,8 @@ def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
     if not 1 <= i <= lt.rank:
         raise ValueError(f"fundamental index {i} out of range")
     v = highest_wedge(2 * i - 1)
-    block = restriction_block(lt, i)
-    size = len(build_labels(lt))
     classes: dict[tuple[int, ...], list[ExponentVector]] = {}
-    for bits in product((0, 1), repeat=len(block)):
-        x = [0] * size
-        for k, bit in zip(block, bits):
-            x[k] = bit
-        x = tuple(x)
+    for x in _block_vectors(lt, i):
         if is_zero(act_monomial(lt, x, v)):
             continue
         classes.setdefault(_letter_histogram(lt, x), []).append(x)

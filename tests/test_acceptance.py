@@ -6,42 +6,29 @@ per-criterion lines.
 """
 
 import time
-from itertools import product
-
-import pytest
 
 from fflvstring.crystal import string_points
-from fflvstring.degenmap import (
-    apply_T,
-    build_matrix,
-    build_translation,
-    fold_vector,
-)
-from fflvstring.exact import det_int
-from fflvstring.fflv import embed_point_in_a, fundamental_points, points
+from fflvstring.degenmap import apply_T, build_matrix, build_translation, fold_vector
+from fflvstring.fflv import embed_point_in_a, fundamental_points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
     build_labels,
-    dominant_weights,
+    fundamental_weight,
     reduced_word,
     vector_from_labels,
-    weyl_dim,
 )
 from fflvstring.verify import (
     all_passed,
     check_lattice_corollary,
     check_minkowski,
+    comm_sweep,
+    fold_sweep,
     reports_to_json,
     run_grid,
+    unimodular_sweep,
 )
-from fflvstring.wedge import (
-    act_sequence,
-    restriction_block,
-    sim_check_ops,
-    unfold_dominates,
-    wedge_basis,
-)
+from fflvstring.wedge import restriction_block, unfold_dominates
 
 A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", 5), 2)]
 C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
@@ -52,10 +39,6 @@ def record(num: int, title: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num:02d} [{title}]: {status}{suffix}")
     assert ok, f"criterion {num} failed: {title} {suffix}"
-
-
-def fundamental(lt, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
 
 
 def test_criterion_01_main_theorem_type_a():
@@ -85,20 +68,8 @@ def test_criterion_02_main_theorem_type_c():
 
 
 def test_criterion_03_unimodularity():
-    ok = True
-    for family in ("A", "C"):
-        for n in range(1, 13):
-            mat = build_matrix(LieType(family, n))
-            size = len(mat)
-            if det_int(mat) not in (1, -1):
-                ok = False
-            entries = {x for row in mat for x in row}
-            if not entries <= ({0, -1} if family == "A" else {0, -1, -2}):
-                ok = False
-            if not all(mat[r][c] == 0 for r in range(size) for c in range(r)):
-                ok = False
-            if not all(mat[k][k] == -1 for k in range(size)):
-                ok = False
+    lines, failures = unimodular_sweep(12)
+    ok = not failures and len(lines) == 24
     record(3, "unimodularity, entries, triangularity, n <= 12", ok)
 
 
@@ -161,7 +132,7 @@ def test_criterion_05_oracle_equivalence():
     for n in range(1, 5):
         lt = LieType("A", n)
         for i in range(1, n + 1):
-            if oracle_string_points_A(lt, i) != string_points(lt, fundamental(lt, i)):
+            if oracle_string_points_A(lt, i) != string_points(lt, fundamental_weight(n, i)):
                 ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120
@@ -169,52 +140,31 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_proposition_sweeps():
-    ok = True
     # commutation equivalence table for acting ranks <= 6, both families
-    for family in ("A", "C"):
-        for m in range(1, 7):
-            dim = m + 1 if family == "A" else 2 * m
-            for l in range(1, m + 1):
-                for j in range(1, m + 1):
-                    expected = abs(l - j) != 1
-                    pointwise = all(
-                        act_sequence([l, j], wedge_basis((t,)), family, m)
-                        == act_sequence([j, l], wedge_basis((t,)), family, m)
-                        for t in range(1, dim + 1)
-                    )
-                    if pointwise != expected:
-                        ok = False
-                    for i in range(1, m + 1):
-                        if sim_check_ops([l, j], [j, l], i, family, m) != expected:
-                            ok = False
+    comm_lines, comm_failures = comm_sweep(6)
+    ok = not comm_failures and len(comm_lines) == 12
+    # translation folding for n <= 4
+    fold_lines, fold_failures = fold_sweep(4)
+    ok = ok and not fold_failures and len(fold_lines) == 10
     # support restriction for all type-A fundamental string points
     for n in range(1, 5):
         lt = LieType("A", n)
         for i in range(1, n + 1):
             block = set(restriction_block(lt, i))
-            for p in string_points(lt, fundamental(lt, i)):
+            for p in string_points(lt, fundamental_weight(n, i)):
                 if not set(p) <= {0, 1}:
                     ok = False
                 if any(x and k not in block for k, x in enumerate(p)):
                     ok = False
-    # translation folding for n <= 4
-    for n in range(1, 5):
-        src = LieType("A", 2 * n - 1)
-        dst = LieType("C", n)
-        for i in range(1, n + 1):
-            w_a = tuple(1 if k == i - 1 else 0 for k in range(2 * n - 1))
-            t_a = build_translation(src, w_a)
-            if fold_vector(t_a, n) != build_translation(dst, fundamental(dst, i)):
-                ok = False
     # summand containment on all type-C fundamental points, n <= 3
     for n in (2, 3):
         ltc = LieType("C", n)
         lta = LieType("A", 2 * n - 1)
         for i in range(1, n + 1):
-            w_a = tuple(1 if k == i - 1 else 0 for k in range(2 * n - 1))
+            w_a = fundamental_weight(lta.rank, i)
             for p in fundamental_points(ltc, i):
                 a_img = apply_T(lta, w_a, embed_point_in_a(ltc, p))
-                if fold_vector(a_img, n) != apply_T(ltc, fundamental(ltc, i), p):
+                if fold_vector(a_img, n) != apply_T(ltc, fundamental_weight(n, i), p):
                     ok = False
                 if not unfold_dominates(a_img, n, 2 * i - 1):
                     ok = False
@@ -228,7 +178,8 @@ def test_criterion_07_minkowski_containments():
         for lt, _ in cases:
             for i in range(1, lt.rank + 1):
                 for j in range(1, lt.rank + 1):
-                    rep = check_minkowski(lt, fundamental(lt, i), fundamental(lt, j))
+                    w_i = fundamental_weight(lt.rank, i)
+                    rep = check_minkowski(lt, w_i, fundamental_weight(lt.rank, j))
                     if not rep.ok:
                         ok = False
                     witnesses += len(rep.fflv_witnesses) + len(rep.string_witnesses)

@@ -5,8 +5,32 @@ import json
 import pytest
 
 import fflvstring.cli as cli
+import fflvstring.verify as verify
 from fflvstring.cli import main, parse_polytope_document
 from fflvstring.errors import VerificationError
+from fflvstring.rootsys import LieType
+
+GOLDEN_SWEEPS = {
+    ("unimodular", "3"): """\
+A1: det = -1, entries = [-1], triangular = True
+A2: det = -1, entries = [-1, 0], triangular = True
+A3: det = 1, entries = [-1, 0], triangular = True
+C1: det = -1, entries = [-1], triangular = True
+C2: det = 1, entries = [-2, -1, 0], triangular = True
+C3: det = -1, entries = [-2, -1, 0], triangular = True
+""",
+    ("fold", "2"): """\
+fold t(A1, omega_1) == t(C1, omega_1): True
+fold t(A3, omega_1) == t(C2, omega_1): True
+fold t(A3, omega_2) == t(C2, omega_2): True
+""",
+    ("comm", "2"): """\
+A1: commutation table ok
+A2: commutation table ok
+C1: commutation table ok
+C2: commutation table ok
+""",
+}
 
 
 def run_cli(capsys, *argv):
@@ -128,22 +152,74 @@ def test_verify_main_json_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def golden_sweep(capsys, sweep, max_rank):
+    code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", max_rank)
+    assert (code, out, err) == (0, GOLDEN_SWEEPS[sweep, max_rank], "")
+
+
 def test_verify_unimodular(capsys):
-    code, out, _ = run_cli(capsys, "verify", "unimodular", "--max-rank", "6")
-    assert code == 0
-    assert "det = -1" in out or "det = 1" in out
+    golden_sweep(capsys, "unimodular", "3")
 
 
 def test_verify_fold(capsys):
-    code, out, _ = run_cli(capsys, "verify", "fold", "--max-rank", "3")
-    assert code == 0
-    assert "True" in out
+    golden_sweep(capsys, "fold", "2")
 
 
 def test_verify_comm(capsys):
-    code, out, _ = run_cli(capsys, "verify", "comm", "--max-rank", "3")
-    assert code == 0
-    assert "ok" in out
+    golden_sweep(capsys, "comm", "2")
+
+
+@pytest.mark.parametrize("sweep", ["unimodular", "fold", "comm"])
+def test_verify_sweep_rejects_nonpositive_rank(capsys, sweep):
+    code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", "0")
+    assert code == 2
+    assert out == ""
+    assert "--max-rank must be at least 1" in err
+
+
+def test_verify_unimodular_failure_path(capsys, monkeypatch):
+    real = verify.build_matrix
+
+    def broken(lt):
+        if lt == LieType("C", 2):
+            raise VerificationError("degenmap.unimodular", f"{lt}: determinant 3")
+        return real(lt)
+
+    monkeypatch.setattr(verify, "build_matrix", broken)
+    code, out, _ = run_cli(capsys, "verify", "unimodular", "--max-rank", "2")
+    assert code == 1
+    assert "C2: FAILED (degenmap.unimodular: C2: determinant 3)\n" in out
+    assert verify.unimodular_sweep(2)[1] == ["C2"]
+
+
+def test_verify_fold_failure_path(capsys, monkeypatch):
+    real = verify.fold_vector
+
+    def wrong(vec, n):
+        out = real(vec, n)
+        return out[:-1] + (out[-1] + 1,) if n == 2 else out
+
+    monkeypatch.setattr(verify, "fold_vector", wrong)
+    code, out, _ = run_cli(capsys, "verify", "fold", "--max-rank", "2")
+    assert code == 1
+    assert "fold t(A3, omega_2) == t(C2, omega_2): False\n" in out
+    assert out.endswith("failing (rank, index) pairs: [(2, 1), (2, 2)]\n")
+    assert verify.fold_sweep(2)[1] == [(2, 1), (2, 2)]
+
+
+def test_verify_comm_failure_path(capsys, monkeypatch):
+    real = verify.sim_check_ops
+
+    def wrong(ops_x, ops_y, i, family, rank):
+        ok = real(ops_x, ops_y, i, family, rank)
+        return not ok if (family, rank, tuple(ops_x), i) == ("C", 2, (1, 2), 1) else ok
+
+    monkeypatch.setattr(verify, "sim_check_ops", wrong)
+    code, out, _ = run_cli(capsys, "verify", "comm", "--max-rank", "2")
+    assert code == 1
+    assert "C2: commutation table FAILED\n" in out
+    assert out.endswith("failing cases: [('C', 2, 1, 2, 'sim i=1')]\n")
+    assert verify.comm_sweep(2)[1] == [("C", 2, 1, 2, "sim i=1")]
 
 
 def test_usage_error_wrong_weight_length(capsys):

@@ -22,6 +22,7 @@ from fflvstring.errors import VerificationError
 from fflvstring.rootsys import (
     LieType,
     dominant_weights,
+    fundamental_weight,
     reduced_word,
     string_weight,
     weyl_dim,
@@ -32,10 +33,6 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
-
-
-def fundamental(lt, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
 
 
 def test_vector_crystal_a():
@@ -117,15 +114,19 @@ def test_extract_string_examples():
     vc = VectorCrystal("A", 3)
     word = reduced_word(A2)
     assert word == (2, 3, 1)
-    assert extract_string(vc, (1,), word) == (0, 0, 0)
-    assert extract_string(vc, (2,), word) == (0, 0, 1)
-    assert extract_string(vc, (3,), word) == (1, 0, 1)
+    assert extract_string(vc, (1,), word, (1,)) == (0, 0, 0)
+    assert extract_string(vc, (2,), word, (1,)) == (0, 0, 1)
+    assert extract_string(vc, (3,), word, (1,)) == (1, 0, 1)
 
 
 def test_extract_string_rejects_foreign_element():
     vc = VectorCrystal("A", 3)
     with pytest.raises(VerificationError) as info:
-        extract_string(vc, (2,), (2,))
+        extract_string(vc, (2,), (2,), (1,))
+    assert info.value.gate == "crystal.highest_weight"
+    # the empty word is highest-weight, but not the highest word (1,)
+    with pytest.raises(VerificationError) as info:
+        extract_string(vc, (), (2, 3, 1), (1,))
     assert info.value.gate == "crystal.highest_weight"
 
 
@@ -146,7 +147,7 @@ def test_support_restriction_type_a(rank):
     labels = build_labels(lt)
     for i in range(1, rank + 1):
         block = {k for k, lab in enumerate(labels) if lab.row <= i <= lab.col}
-        for p in string_points(lt, fundamental(lt, i)):
+        for p in string_points(lt, fundamental_weight(lt.rank, i)):
             assert set(p) <= {0, 1}
             for k, x in enumerate(p):
                 if k not in block:
@@ -161,9 +162,10 @@ def test_string_round_trip(family, rank, level):
     vc = VectorCrystal(family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
+        top = build_highest(lt, w)
         for b in demazure_set(lt, w):
-            q = extract_string(vc, b, word)
-            x = build_highest(lt, w)
+            q = extract_string(vc, b, word, top)
+            x = top
             for j, k in reversed(list(zip(word, q))):
                 for _ in range(k):
                     x = tensor_f(vc, j, x)
@@ -180,7 +182,7 @@ def test_string_weight_matches_letter_counts(family, rank, level):
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         for b in demazure_set(lt, w):
-            q = extract_string(vc, b, word)
+            q = extract_string(vc, b, word, build_highest(lt, w))
             assert string_weight(lt, w, q) == element_weight_roots(lt, w, b)
 
 
@@ -201,9 +203,9 @@ def test_extremal_element_extracts_to_translation(family, rank, level):
     vc = VectorCrystal(family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
-        assert extract_string(vc, extremal_element(lt, w), word) == build_translation(
-            lt, w
-        )
+        top = build_highest(lt, w)
+        q = extract_string(vc, extremal_element(lt, w), word, top)
+        assert q == build_translation(lt, w)
 
 
 def test_minkowski_containment_string_side():

@@ -187,17 +187,6 @@ def test_fold_inverts_canonical_embedding(rank):
         assert fold_label(lab.row, column_key(lab, rank), rank) == lab
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_fold_translation_identity(rank):
-    source = LieType("A", 2 * rank - 1)
-    target = LieType("C", rank)
-    for i in range(1, rank + 1):
-        w_a = tuple(1 if k == i - 1 else 0 for k in range(2 * rank - 1))
-        w_c = tuple(1 if k == i - 1 else 0 for k in range(rank))
-        folded = fold_vector(build_translation(source, w_a), rank)
-        assert folded == build_translation(target, w_c)
-
-
 def test_fold_vector_doubles_colliding_fiber():
     # t for (A3, omega_2) folds onto t for (C2, omega_2), doubling e_{1,2}
     folded = fold_vector(build_translation(A3, (0, 1, 0)), 2)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from fflvstring.errors import VerificationError
 from fflvstring.fflv import (
     dyck_check_A,
     embed_point_in_a,
@@ -15,6 +14,7 @@ from fflvstring.rootsys import (
     build_labels,
     column_key,
     dominant_weights,
+    fundamental_weight,
     vector_from_labels,
     weyl_dim,
 )
@@ -24,10 +24,6 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
-
-
-def fundamental(lt, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
 
 
 def from_labels(lt, *labs):
@@ -79,7 +75,7 @@ def test_fundamental_cardinality_gate(family, max_rank):
         lt = LieType(family, n)
         for i in range(1, n + 1):
             pts = fundamental_points(lt, i)
-            assert len(pts) == weyl_dim(lt, fundamental(lt, i))
+            assert len(pts) == weyl_dim(lt, fundamental_weight(lt.rank, i))
 
 
 @pytest.mark.parametrize("family,max_rank", [("A", 4), ("C", 3)])

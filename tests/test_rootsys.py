@@ -16,9 +16,11 @@ from fflvstring.rootsys import (
     column_key,
     dominant_weights,
     fflv_weight,
+    fundamental_weight,
     fundamental_weight_roots,
     lifted_coeffs,
     lifted_weight_roots,
+    natural_dim,
     reduced_word,
     root_expansion,
     string_weight,
@@ -37,15 +39,19 @@ C2 = LieType("C", 2)
 C3 = LieType("C", 3)
 
 
-def fundamental(lt, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
-
-
 def test_lietype_validation():
     with pytest.raises(ValueError):
         LieType("B", 2)
     with pytest.raises(ValueError):
         LieType("A", 0)
+
+
+def test_natural_dim_and_fundamental_weight():
+    assert [natural_dim("A", m) for m in (1, 2, 5)] == [2, 3, 6]
+    assert [natural_dim("C", m) for m in (1, 2, 5)] == [2, 4, 10]
+    assert (A3.target_dim, C3.target_dim) == (6, 10)
+    assert fundamental_weight(3, 1) == (1, 0, 0)
+    assert fundamental_weight(3, 3) == (0, 0, 1)
 
 
 def test_labels_a3_printed_basis():
@@ -122,14 +128,14 @@ def test_weyl_dim_fundamental_formulas():
     for n in range(1, 7):
         lt = LieType("A", n)
         for i in range(1, n + 1):
-            assert weyl_dim(lt, fundamental(lt, i)) == math.comb(n + 1, i)
+            assert weyl_dim(lt, fundamental_weight(lt.rank, i)) == math.comb(n + 1, i)
     for n in range(1, 6):
         lt = LieType("C", n)
         for k in range(1, n + 1):
             expected = math.comb(2 * n, k) - (
                 math.comb(2 * n, k - 2) if k >= 2 else 0
             )
-            assert weyl_dim(lt, fundamental(lt, k)) == expected
+            assert weyl_dim(lt, fundamental_weight(lt.rank, k)) == expected
 
 
 def test_weyl_dim_trivial_module():

@@ -7,12 +7,14 @@ import pytest
 
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_T
-from fflvstring.fflv import embed_point_in_a, fundamental_points
+from fflvstring.fflv import fundamental_points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
     build_labels,
+    fundamental_weight,
     label_index,
+    natural_dim,
     vector_from_labels,
 )
 from fflvstring.wedge import (
@@ -38,10 +40,6 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
-
-
-def fundamental(lt, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(lt.rank))
 
 
 def test_act_simple_on_leading_wedge():
@@ -89,7 +87,7 @@ def test_act_monomial_square_kills_fundamental_wedge():
 
 def test_serre_free_commutation():
     for family, m in (("A", 4), ("C", 4)):
-        dim = m + 1 if family == "A" else 2 * m
+        dim = natural_dim(family, m)
         for l in range(1, m + 1):
             for j in range(1, m + 1):
                 expected = abs(l - j) != 1
@@ -166,7 +164,7 @@ def test_nonannihilation_all_fundamental_points(family, max_rank):
 def test_support_violation_annihilates():
     # adding a unit outside the restriction block must kill the action
     lt, i = A3, 2
-    w = fundamental(lt, i)
+    w = fundamental_weight(lt.rank, i)
     p = next(p for p in fundamental_points(lt, i) if any(p))
     image = list(apply_T(lt, w, p))
     outside = label_index(lt)[RootLabel(3, 3)]
@@ -187,7 +185,7 @@ def test_minimality_rejects_shifted_competitor():
     # the weight class of f_3 on (A3, omega_2) has a second nonzero actor,
     # one column to the left; it is strictly larger in the neglex order
     lt, i = A3, 2
-    w = fundamental(lt, i)
+    w = fundamental_weight(lt.rank, i)
     p = vector_from_labels(lt, {RootLabel(2, 2): 1})
     image = apply_T(lt, w, p)
     assert image == vector_from_labels(lt, {RootLabel(1, 3): 1})
@@ -202,7 +200,7 @@ def test_minimality_rejects_shifted_competitor():
 def test_oracle_equals_crystal_string_points(rank):
     lt = LieType("A", rank)
     for i in range(1, rank + 1):
-        assert oracle_string_points_A(lt, i) == string_points(lt, fundamental(lt, i))
+        assert oracle_string_points_A(lt, i) == string_points(lt, fundamental_weight(rank, i))
 
 
 def test_oracle_rank1():
@@ -214,23 +212,6 @@ def test_unfold_dominance_exhaustive_rank2():
     for bits in product((0, 1), repeat=size):
         for i in (1, 2):
             assert unfold_dominates(bits, 2, 2 * i - 1)
-
-
-@pytest.mark.parametrize("rank", [2, 3])
-def test_unfold_dominance_on_mapped_fundamental_points(rank):
-    from fflvstring.degenmap import fold_vector
-
-    ltc = LieType("C", rank)
-    lta = LieType("A", 2 * rank - 1)
-    for i in range(1, rank + 1):
-        w_a = tuple(1 if k == i - 1 else 0 for k in range(2 * rank - 1))
-        for p in fundamental_points(ltc, i):
-            a_img = apply_T(lta, w_a, embed_point_in_a(ltc, p))
-            # folding the mapped embedded point reproduces the type-C image
-            assert fold_vector(a_img, rank) == apply_T(
-                ltc, fundamental(ltc, i), p
-            )
-            assert unfold_dominates(a_img, rank, 2 * i - 1)
 
 
 def test_wedge_basis_validates_input():
