@@ -56,6 +56,13 @@ def _default_threads() -> int:
         return 1
 
 
+def _check_out_path(out_path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work starts."""
+    parent = os.path.dirname(os.path.abspath(out_path or "."))
+    if out_path and (os.path.isdir(out_path) or not os.path.isdir(parent)):
+        raise UsageError(f"cannot write {out_path}: not a file in an existing directory")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -83,17 +90,10 @@ def polytope_document(lt: LieType, weight, kind: str) -> dict:
     return doc
 
 
-def parse_polytope_document(text: str) -> dict:
-    """Inverse of the JSON rendering, for lossless round-trips."""
-    doc = json.loads(text)
-    doc["weight"] = list(doc["weight"])
-    doc["points"] = [list(p) for p in doc["points"]]
-    return doc
-
-
 def _cmd_points(args, kind: str) -> int:
     lt = LieType(_parse_type(args.type), args.rank)
     weight = _parse_weight(args.weight, lt.rank)
+    _check_out_path(args.out)
     doc = polytope_document(lt, weight, kind)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -105,6 +105,7 @@ def _cmd_verify_main(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     lt = LieType(_parse_type(args.type), args.rank)
+    _check_out_path(args.json)
     matrix = None
     if args.corrupt_matrix:
         mat = [list(row) for row in build_matrix(lt)]

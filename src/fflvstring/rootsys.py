@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import VerificationError
-from .exact import solve_linear
 
 WeightVector = tuple[Fraction, ...]
 ExponentVector = tuple[int, ...]
@@ -134,11 +133,6 @@ def vector_from_labels(lt: LieType, assignment: Mapping[RootLabel, int]) -> Expo
     return tuple(out)
 
 
-def word_letter(label: RootLabel, n: int) -> int:
-    """Simple-reflection index the label is aligned with in the reduced word."""
-    return label.row + column_key(label, n) - 1
-
-
 @lru_cache(maxsize=None)
 def reduced_word(lt: LieType) -> tuple[int, ...]:
     """The distinguished reduced word in the rank-(2n-1) companion Weyl group.
@@ -158,53 +152,19 @@ def reduced_word(lt: LieType) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_is_reduced(lt: LieType) -> bool:
-    """Check reducedness in the companion Weyl group via a permutation model.
+def word_is_reduced(family: str, rank: int, word: Sequence[int]) -> bool:
+    """Whether ``word`` is a reduced expression in the rank-``rank`` Weyl group.
 
-    Family A multiplies out the word in the symmetric group and counts
-    inversions; family C uses signed permutations and counts positive roots
-    sent to negative ones.  The word is reduced iff that length equals the
-    word length.
+    Root criterion (Humphreys 1990, Reflection Groups and Coxeter Groups,
+    1.6-1.7): the word i_1 ... i_N is reduced iff every root
+    s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) is positive.  A root has all its
+    simple-root coordinates of one sign, so one negative coordinate decides.
     """
-    word = reduced_word(lt)
-    m = lt.target_rank
-    if lt.family == "A":
-        perm = list(range(m + 1))
-        for i in word:
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        inv = sum(
-            1
-            for a in range(m + 1)
-            for b in range(a + 1, m + 1)
-            if perm[a] > perm[b]
-        )
-        return inv == len(word)
-
-    signed = list(range(1, m + 1))
-    for i in word:
-        if i == m:
-            signed[m - 1] = -signed[m - 1]
-        else:
-            signed[i - 1], signed[i] = signed[i], signed[i - 1]
-
-    def image(i: int) -> tuple[int, int]:
-        v = signed[i - 1]
-        return (abs(v), 1 if v > 0 else -1)
-
-    sent_negative = 0
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            # roots e_i - e_j, e_i + e_j (i < j) and 2 e_i (i == j)
-            pairs = ((1, -1), (1, 1)) if i < j else ((1, 1),)
-            for ci, cj in pairs:
-                (pi, si), (pj, sj) = image(i), image(j)
-                coeff: dict[int, int] = {}
-                coeff[pi] = coeff.get(pi, 0) + ci * si
-                coeff[pj] = coeff.get(pj, 0) + cj * sj
-                entries = sorted((p, c) for p, c in coeff.items() if c != 0)
-                if entries and entries[0][1] < 0:
-                    sent_negative += 1
-    return sent_negative == len(word)
+    for k, i in enumerate(word):
+        alpha = tuple(1 if j == i - 1 else 0 for j in range(rank))
+        if min(apply_word(family, rank, word[:k], alpha)) < 0:
+            return False
+    return True
 
 
 def root_expansion(lt: LieType, label: RootLabel) -> tuple[int, ...]:
@@ -242,17 +202,28 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
-    """The k-th fundamental weight in simple-root coordinates (exact rationals)."""
+    """The k-th fundamental weight in simple-root coordinates (exact rationals).
+
+    Closed forms: (omega_k)_i = min(i,k)(n+1-max(i,k))/(n+1) for family A,
+    and min(i,k) for i < n, k/2 for i = n for family C.  The gate checks the
+    defining property: the Cartan matrix sends omega_k to the k-th unit vector.
+    """
     if not 1 <= k <= rank:
         raise ValueError(f"fundamental index {k} out of range for rank {rank}")
-    m = cartan_matrix(family, rank)
-    rhs = [1 if i == k - 1 else 0 for i in range(rank)]
-    res = solve_linear(m, rhs)
-    if res is None:
-        raise VerificationError(
-            "rootsys.cartan_invertible", f"{family}{rank}: Cartan matrix is singular"
+    n = rank
+    if family == "A":
+        w = tuple(
+            Fraction(min(i, k) * (n + 1 - max(i, k)), n + 1) for i in range(1, n + 1)
         )
-    return tuple(res[0])
+    else:
+        w = tuple(Fraction(min(i, k)) for i in range(1, n)) + (Fraction(k, 2),)
+    for i, row in enumerate(cartan_matrix(family, rank)):
+        if sum(a * x for a, x in zip(row, w)) != (1 if i == k - 1 else 0):
+            raise VerificationError(
+                "rootsys.cartan_invertible",
+                f"{family}{rank}: the Cartan matrix does not send omega_{k} to e_{k}",
+            )
+    return w
 
 
 def weight_roots(family: str, rank: int, coeffs: Sequence[int]) -> WeightVector:
@@ -366,21 +337,18 @@ def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> Weigh
     return tuple(b - d if d else b for b, d in zip(base, delta))
 
 
-def reflect_simple(family: str, rank: int, i: int, mu: WeightVector) -> WeightVector:
-    """Simple reflection s_i on a weight in simple-root coordinates."""
-    m = cartan_matrix(family, rank)
-    pairing = sum(m[i - 1][j] * mu[j] for j in range(rank))
-    out = list(mu)
-    out[i - 1] -= pairing
-    return tuple(out)
-
-
 def apply_word(
     family: str, rank: int, word: Sequence[int], mu: WeightVector
 ) -> WeightVector:
-    """Apply s_{i_1} ... s_{i_k} to mu (rightmost reflection acts first)."""
+    """Apply s_{i_1} ... s_{i_k} to mu (rightmost reflection acts first).
+
+    In simple-root coordinates s_i subtracts <mu, alpha_i^vee> from entry i.
+    """
+    cartan = cartan_matrix(family, rank)
     for i in reversed(word):
-        mu = reflect_simple(family, rank, i, mu)
+        out = list(mu)
+        out[i - 1] -= sum(a * x for a, x in zip(cartan[i - 1], mu))
+        mu = tuple(out)
     return mu
 
 

@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .degenmap import apply_T
+from .degenmap import apply_T, fold_vector
 from .errors import VerificationError
-from .fflv import fundamental_points
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -44,10 +43,6 @@ def wedge_basis(indices: Iterable[int]) -> WedgeVector:
 def highest_wedge(k: int) -> WedgeVector:
     """The wedge of the first k basis vectors."""
     return wedge_basis(range(1, k + 1))
-
-
-def is_zero(v: WedgeVector) -> bool:
-    return not v
 
 
 def _add_term(acc: WedgeVector, key: tuple[int, ...], coeff: int) -> None:
@@ -96,7 +91,7 @@ def act_sequence(
 ) -> WedgeVector:
     """Apply a written product of generators, rightmost factor first."""
     for j in reversed(ops):
-        if is_zero(v):
+        if not v:
             return {}
         v = act_simple(j, v, family, rank)
     return v
@@ -123,9 +118,9 @@ def proportionality_ratio(f: WedgeVector, g: WedgeVector) -> Fraction | None:
 
     Both zero yields 1 by convention; exactly one zero yields None.
     """
-    if is_zero(f) and is_zero(g):
+    if not f and not g:
         return Fraction(1)
-    if is_zero(f) or is_zero(g):
+    if not f or not g:
         return None
     if set(f) != set(g):
         return None
@@ -137,38 +132,27 @@ def proportionality_ratio(f: WedgeVector, g: WedgeVector) -> Fraction | None:
     return Fraction(g[first], f[first])
 
 
-def sim_scalar_ops(
+def sim_check_ops(
     ops_x: Sequence[int], ops_y: Sequence[int], i: int, family: str, rank: int
-) -> Fraction | None:
-    """One scalar r with r * x(v) = y(v) on every basis wedge, or None."""
+) -> bool:
+    """Equivalence of two generator products on the i-th exterior power.
+
+    Requires one shared positive rational scalar r with r * x(v) = y(v) on
+    every basis wedge v; sign-mismatched proportionality does not count.
+    """
     dim = natural_dim(family, rank)
     r: Fraction | None = None
     for base in combinations(range(1, dim + 1), i):
         # combinations yields strictly increasing tuples: valid basis keys
         fx = act_sequence(ops_x, {base: 1}, family, rank)
         fy = act_sequence(ops_y, {base: 1}, family, rank)
-        if is_zero(fx) and is_zero(fy):
+        if not fx and not fy:
             continue
         ratio = proportionality_ratio(fx, fy)
-        if ratio is None:
-            return None
-        if r is None:
-            r = ratio
-        elif r != ratio:
-            return None
-    return Fraction(1) if r is None else r
-
-
-def sim_check_ops(
-    ops_x: Sequence[int], ops_y: Sequence[int], i: int, family: str, rank: int
-) -> bool:
-    """Equivalence of two generator products on the i-th exterior power.
-
-    Requires one shared positive rational scalar on every basis wedge;
-    sign-mismatched proportionality does not count.
-    """
-    r = sim_scalar_ops(ops_x, ops_y, i, family, rank)
-    return r is not None and r > 0
+        if ratio is None or (r is not None and r != ratio):
+            return False
+        r = ratio
+    return r is None or r > 0
 
 
 def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:
@@ -181,8 +165,7 @@ def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:
 def nonannihilation_check(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped chain point acts nonzero on the highest wedge."""
     image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
-    result = act_monomial(lt, image, highest_wedge(2 * i - 1))
-    return not is_zero(result)
+    return bool(act_monomial(lt, image, highest_wedge(2 * i - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -216,11 +199,6 @@ def _block_vectors(lt: LieType, i: int) -> Iterator[ExponentVector]:
         yield tuple(x)
 
 
-def _neglex_min(vectors: Iterable[ExponentVector]) -> ExponentVector:
-    """Smallest vector in the order where a larger first differing entry wins."""
-    return max(vectors)
-
-
 def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped point is the smallest nonzero actor of its weight.
 
@@ -232,17 +210,18 @@ def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
         raise ValueError("minimality sweep is implemented for type A only")
     image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
     v = highest_wedge(2 * i - 1)
-    if is_zero(act_monomial(lt, image, v)):
+    if not act_monomial(lt, image, v):
         return False
     target_hist = _letter_histogram(lt, image)
     candidates = []
     for x in _block_vectors(lt, i):
         if _letter_histogram(lt, x) != target_hist:
             continue
-        if is_zero(act_monomial(lt, x, v)):
+        if not act_monomial(lt, x, v):
             continue
         candidates.append(x)
-    return tuple(image) == _neglex_min(candidates)
+    # the neglex minimum: a larger first differing entry is smaller
+    return tuple(image) == max(candidates)
 
 
 def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
@@ -260,10 +239,11 @@ def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
     v = highest_wedge(2 * i - 1)
     classes: dict[tuple[int, ...], list[ExponentVector]] = {}
     for x in _block_vectors(lt, i):
-        if is_zero(act_monomial(lt, x, v)):
+        if not act_monomial(lt, x, v):
             continue
         classes.setdefault(_letter_histogram(lt, x), []).append(x)
-    return tuple(sorted(_neglex_min(group) for group in classes.values()))
+    # max is the neglex minimum, as in minimality_check_A
+    return tuple(sorted(max(group) for group in classes.values()))
 
 
 def unfold_dominates(a_vec: Sequence[int], m: int, wedge_power: int) -> bool:
@@ -274,8 +254,6 @@ def unfold_dominates(a_vec: Sequence[int], m: int, wedge_power: int) -> bool:
     module, the coefficients of the A-action must be dominated entrywise by
     those of the folded C-monomial's (unfolded) action.
     """
-    from .degenmap import fold_vector
-
     src = LieType("A", 2 * m - 1)
     dst = LieType("C", m)
     folded = fold_vector(a_vec, m)
@@ -293,7 +271,3 @@ def unfold_dominates(a_vec: Sequence[int], m: int, wedge_power: int) -> bool:
                 return False
     return True
 
-
-def fundamental_nonannihilation_sweep(lt: LieType, i: int) -> bool:
-    """Every fundamental chain point must act nonzero after mapping."""
-    return all(nonannihilation_check(lt, i, p) for p in fundamental_points(lt, i))

@@ -7,6 +7,8 @@ per-criterion lines.
 
 import time
 
+import pytest
+
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_T, build_matrix, build_translation, fold_vector
 from fflvstring.fflv import embed_point_in_a, fundamental_points
@@ -34,6 +36,12 @@ A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", 5), 2)]
 C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
 
 
+@pytest.fixture(scope="module")
+def grid():
+    """One serial run of the whole grid, shared by criteria 01, 02, 08 and 10."""
+    return run_grid(A_GRID + C_GRID)
+
+
 def record(num: int, title: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
@@ -41,10 +49,9 @@ def record(num: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {title} {suffix}"
 
 
-def test_criterion_01_main_theorem_type_a():
-    start = time.perf_counter()
-    reports = run_grid(A_GRID)
-    elapsed = time.perf_counter() - start
+def test_criterion_01_main_theorem_type_a(grid):
+    reports = [r for r in grid if r.family == "A"]
+    elapsed = sum(r.elapsed for r in reports)
     ok = all_passed(reports) and all(
         r.equal and r.fflv_count == r.string_count == r.weyl_dim for r in reports
     )
@@ -54,10 +61,9 @@ def test_criterion_01_main_theorem_type_a():
     record(1, "main theorem, type A", ok, f"{len(reports)} cases, {elapsed:.1f}s")
 
 
-def test_criterion_02_main_theorem_type_c():
-    start = time.perf_counter()
-    reports = run_grid(C_GRID)
-    elapsed = time.perf_counter() - start
+def test_criterion_02_main_theorem_type_c(grid):
+    reports = [r for r in grid if r.family == "C"]
+    elapsed = sum(r.elapsed for r in reports)
     ok = all_passed(reports) and all(
         r.equal and r.fflv_count == r.string_count == r.weyl_dim for r in reports
     )
@@ -187,11 +193,8 @@ def test_criterion_07_minkowski_containments():
     record(7, "Minkowski containment, all fundamental pairs", ok)
 
 
-def test_criterion_08_weight_twist_per_case():
-    reports = run_grid(A_GRID) + run_grid(C_GRID)
-    ok = all(
-        r.weight_twist is not None and r.twist_witness is None for r in reports
-    )
+def test_criterion_08_weight_twist_per_case(grid):
+    ok = all(r.weight_twist is not None and r.twist_witness is None for r in grid)
     record(8, "one affine weight twist fits every pair per case", ok)
 
 
@@ -203,8 +206,8 @@ def test_criterion_09_dilation_counts():
     record(9, "dilation counts match Weyl dimensions", ok)
 
 
-def test_criterion_10_determinism():
-    first = reports_to_json(run_grid(A_GRID + C_GRID))
+def test_criterion_10_determinism(grid):
+    first = reports_to_json(grid)
     second = reports_to_json(run_grid(A_GRID + C_GRID))
     threaded = reports_to_json(run_grid(A_GRID + C_GRID, threads=4))
     ok = first == second == threaded

@@ -6,7 +6,7 @@ import pytest
 
 import fflvstring.cli as cli
 import fflvstring.verify as verify
-from fflvstring.cli import main, parse_polytope_document
+from fflvstring.cli import main
 from fflvstring.errors import VerificationError
 from fflvstring.rootsys import LieType
 
@@ -103,8 +103,7 @@ def test_document_round_trip(capsys):
         capsys, "fflv", "points", "--type", "C", "--rank", "2", "--weight", "1,1"
     )
     assert code == 0
-    doc = parse_polytope_document(out)
-    assert json.dumps(doc, indent=2) + "\n" == out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 def test_documents_byte_identical(capsys):
@@ -273,6 +272,26 @@ def test_out_file_writing(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert len(doc["points"]) == 3
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "1", "--json"),
+        ("fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0", "--out"),
+        ("stringpoly", "points", "--type", "C", "--rank", "2", "--weight", "0,1", "--out"),
+    ],
+)
+def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, argv, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the output path was checked")
+
+    for name in ("run_grid", "points", "string_points"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert "cannot write" in err
 
 
 def test_verify_main_rejects_nonpositive_threads(capsys):

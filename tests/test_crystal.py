@@ -1,21 +1,18 @@
-"""Vector crystals, the bracketing rule, saturation and string extraction."""
+"""Letter moves, the bracketing rule, saturation and string extraction."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fflvstring.crystal import (
-    VectorCrystal,
     _surviving,
     build_highest,
     demazure_set,
-    element_weight_roots,
     extract_string,
-    extremal_element,
-    is_highest,
+    movers,
     string_points,
-    tensor_e,
-    tensor_f,
 )
 from fflvstring.degenmap import build_translation
 from fflvstring.errors import VerificationError
@@ -23,6 +20,9 @@ from fflvstring.rootsys import (
     LieType,
     dominant_weights,
     fundamental_weight,
+    lifted_coeffs,
+    lifted_weight_roots,
+    natural_dim,
     reduced_word,
     string_weight,
     weyl_dim,
@@ -35,58 +35,79 @@ C2 = LieType("C", 2)
 C3 = LieType("C", 3)
 
 
+def _lower(vc, j, letter):
+    """Reference f_j on one letter of the vector crystal ``vc = (family, rank)``.
+
+    Family A moves j to j+1; family C also moves 2*rank-j, i.e. (j+1)-bar to
+    j-bar, and the long operator j = rank moves rank to rank-bar.
+    """
+    family, rank = vc
+    if letter == j or (family == "C" and letter == 2 * rank - j):
+        return letter + 1
+    return None
+
+
+def _raise(vc, j, letter):
+    """Reference e_j on one letter: the inverse move of ``_lower``."""
+    return letter - 1 if _lower(vc, j, letter - 1) is not None else None
+
+
+def _letters(vc):
+    return range(1, natural_dim(*vc) + 1)
+
+
 def test_vector_crystal_a():
-    vc = VectorCrystal("A", 3)
-    assert vc.size == 4
+    vc = ("A", 3)
+    assert len(_letters(vc)) == 4
     for j in range(1, 4):
-        for k in vc.letters():
-            assert vc.f(j, k) == (k + 1 if k == j else None)
-            assert vc.e(j, k) == (k - 1 if k == j + 1 else None)
+        assert movers(*vc)[j] == (j,)
+        for k in _letters(vc):
+            assert _lower(vc, j, k) == (k + 1 if k == j else None)
+            assert _raise(vc, j, k) == (k - 1 if k == j + 1 else None)
 
 
 def test_vector_crystal_c():
     m = 3
-    vc = VectorCrystal("C", m)
-    assert vc.size == 2 * m
+    vc = ("C", m)
+    assert len(_letters(vc)) == 2 * m
     # long operator: m -> m-bar
-    assert vc.f(m, m) == m + 1
-    assert vc.letter_name(m + 1) == f"{m}~"
+    assert _lower(vc, m, m) == m + 1
+    assert movers(*vc)[m] == (m,)
     # short operators move j and (j+1)-bar
     for j in range(1, m):
-        assert vc.f(j, j) == j + 1
-        assert vc.f(j, 2 * m - j) == 2 * m - j + 1
-        moved = {k for k in vc.letters() if vc.f(j, k) is not None}
-        assert moved == {j, 2 * m - j}
+        assert _lower(vc, j, j) == j + 1
+        assert _lower(vc, j, 2 * m - j) == 2 * m - j + 1
+        moved = tuple(k for k in _letters(vc) if _lower(vc, j, k) is not None)
+        assert moved == movers(*vc)[j] == (j, 2 * m - j)
         # raising is the exact inverse
-        assert vc.e(j, 2 * m - j + 1) == 2 * m - j
+        assert _raise(vc, j, 2 * m - j + 1) == 2 * m - j
 
 
 def test_vector_crystal_c1_degenerates_to_a1():
-    vc = VectorCrystal("C", 1)
-    assert vc.size == 2
-    assert vc.f(1, 1) == 2 and vc.f(1, 2) is None
+    vc = ("C", 1)
+    assert len(_letters(vc)) == 2
+    assert _lower(vc, 1, 1) == 2 and _lower(vc, 1, 2) is None
+    assert movers("C", 1) == movers("A", 1)
 
 
 def test_tensor_rule_examples():
-    vc = VectorCrystal("A", 3)
-    assert tensor_f(vc, 2, (1, 2)) == (1, 3)
+    vc = ("A", 3)
+    assert _ref_step(vc, 2, (1, 2), lower=True) == (1, 3)
     # raising kills a highest-weight word
-    for j in range(1, 4):
-        assert tensor_e(vc, j, (1, 2)) is None
+    assert _is_highest(vc, (1, 2))
     # partial inverse property
     for word in [(1, 2), (1, 1), (2, 1), (1, 2, 3)]:
         for j in range(1, 4):
-            low = tensor_f(vc, j, word)
+            low = _ref_step(vc, j, word, lower=True)
             if low is not None:
-                assert tensor_e(vc, j, low) == word
+                assert _ref_step(vc, j, low, lower=False) == word
 
 
 def test_build_highest():
     assert build_highest(A3, (0, 1, 0)) == (1, 2, 3)
     assert build_highest(A2, (0, 0)) == ()
     assert build_highest(A2, (1, 1)) == (1, 1, 2, 3)
-    vc = VectorCrystal("A", 3)
-    assert is_highest(vc, build_highest(A2, (1, 1)))
+    assert _is_highest(("A", 3), build_highest(A2, (1, 1)))
 
 
 def test_demazure_set_rank2_fundamental():
@@ -111,22 +132,22 @@ def test_demazure_dimension_gate(family, rank, level):
 
 
 def test_extract_string_examples():
-    vc = VectorCrystal("A", 3)
+    table = movers("A", 3)
     word = reduced_word(A2)
     assert word == (2, 3, 1)
-    assert extract_string(vc, (1,), word, (1,)) == (0, 0, 0)
-    assert extract_string(vc, (2,), word, (1,)) == (0, 0, 1)
-    assert extract_string(vc, (3,), word, (1,)) == (1, 0, 1)
+    assert extract_string(table, (1,), word, (1,)) == (0, 0, 0)
+    assert extract_string(table, (2,), word, (1,)) == (0, 0, 1)
+    assert extract_string(table, (3,), word, (1,)) == (1, 0, 1)
 
 
 def test_extract_string_rejects_foreign_element():
-    vc = VectorCrystal("A", 3)
+    table = movers("A", 3)
     with pytest.raises(VerificationError) as info:
-        extract_string(vc, (2,), (2,), (1,))
+        extract_string(table, (2,), (2,), (1,))
     assert info.value.gate == "crystal.highest_weight"
     # the empty word is highest-weight, but not the highest word (1,)
     with pytest.raises(VerificationError) as info:
-        extract_string(vc, (), (2, 3, 1), (1,))
+        extract_string(table, (), (2, 3, 1), (1,))
     assert info.value.gate == "crystal.highest_weight"
 
 
@@ -159,18 +180,44 @@ def test_support_restriction_type_a(rank):
 )
 def test_string_round_trip(family, rank, level):
     lt = LieType(family, rank)
-    vc = VectorCrystal(family, lt.target_rank)
+    vc = (family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         top = build_highest(lt, w)
         for b in demazure_set(lt, w):
-            q = extract_string(vc, b, word, top)
+            q = extract_string(movers(*vc), b, word, top)
             x = top
             for j, k in reversed(list(zip(word, q))):
                 for _ in range(k):
-                    x = tensor_f(vc, j, x)
+                    x = _ref_step(vc, j, x, lower=True)
                     assert x is not None
             assert x == b
+
+
+def _letter_weight(lt, w, b):
+    """Letter-count reference for ``string_weight``: the weight of tensor word b.
+
+    The defect of b against the highest word lies in the root lattice and
+    converts exactly to simple-root coordinates of the companion lattice.
+    """
+    m = lt.target_rank
+    size = m + 1 if lt.family == "A" else m
+    top, wt = [0] * size, [0] * size
+    for k, a in enumerate(lifted_coeffs(lt, w), start=1):
+        for t in range(k):
+            top[t] += a
+    for letter in b:
+        if letter <= size:
+            wt[letter - 1] += 1
+        else:  # family C: letter 2m+1-i reads i-bar
+            wt[2 * m - letter] -= 1
+    delta = [x - y for x, y in zip(top, wt)]
+    if lt.family == "A":
+        roots = [Fraction(sum(delta[:k])) for k in range(1, m + 1)]
+    else:
+        roots = [Fraction(sum(delta[:k])) for k in range(1, m)]
+        roots.append(Fraction(sum(delta), 2))
+    return tuple(x - d for x, d in zip(lifted_weight_roots(lt, w), roots))
 
 
 @pytest.mark.parametrize(
@@ -178,34 +225,28 @@ def test_string_round_trip(family, rank, level):
 )
 def test_string_weight_matches_letter_counts(family, rank, level):
     lt = LieType(family, rank)
-    vc = VectorCrystal(family, lt.target_rank)
+    table = movers(family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         for b in demazure_set(lt, w):
-            q = extract_string(vc, b, word, build_highest(lt, w))
-            assert string_weight(lt, w, q) == element_weight_roots(lt, w, b)
-
-
-def test_word_weight_balance_gate():
-    # a type-A word with one letter more than the highest word has no weight
-    w = (1, 0)
-    b = build_highest(A2, w) + (1,)
-    with pytest.raises(VerificationError) as exc:
-        element_weight_roots(A2, w, b)
-    assert exc.value.gate == "crystal.word_weight_balance"
+            q = extract_string(table, b, word, build_highest(lt, w))
+            assert string_weight(lt, w, q) == _letter_weight(lt, w, b)
 
 
 @pytest.mark.parametrize(
     "family,rank,level", [("A", 2, 2), ("A", 3, 1), ("C", 2, 1), ("C", 3, 1)]
 )
 def test_extremal_element_extracts_to_translation(family, rank, level):
+    # full lowering saturation of the highest word along the reduced word
     lt = LieType(family, rank)
-    vc = VectorCrystal(family, lt.target_rank)
+    vc = (family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
-        top = build_highest(lt, w)
-        q = extract_string(vc, extremal_element(lt, w), word, top)
-        assert q == build_translation(lt, w)
+        top = b = build_highest(lt, w)
+        for j in reversed(word):
+            while (x := _ref_step(vc, j, b, lower=True)) is not None:
+                b = x
+        assert extract_string(movers(*vc), b, word, top) == build_translation(lt, w)
 
 
 def test_minkowski_containment_string_side():
@@ -227,7 +268,7 @@ def _saturate(vc, top, order):
         grown = set(current)
         for b in current:
             x = b
-            while (x := tensor_f(vc, j, x)) is not None:
+            while (x := _ref_step(vc, j, x, lower=True)) is not None:
                 grown.add(x)
         current = grown
     return current
@@ -236,7 +277,7 @@ def _saturate(vc, top, order):
 def test_closure_order_gate():
     # saturating right to left along the word passes; the forward
     # composition loses an element of (A,2) omega_1
-    vc = VectorCrystal("A", 3)
+    vc = ("A", 3)
     word = reduced_word(A2)
     top = build_highest(A2, (1, 0))
     assert len(demazure_set(A2, (1, 0))) == 3
@@ -248,13 +289,13 @@ def test_signature_convention_gate():
     # a right-to-left bracketing scan is the left-to-right scan of the
     # mirrored word; it breaks the highest-weight property of the
     # multi-column word and with it the dimension gate
-    vc = VectorCrystal("A", 3)
+    vc = ("A", 3)
     order = tuple(reversed(reduced_word(A2)))
     top = build_highest(A2, (1, 1))
     mirrored = top[::-1]
     assert len(demazure_set(A2, (1, 1))) == weyl_dim(A2, (1, 1)) == 8
-    assert is_highest(vc, top)
-    assert not is_highest(vc, mirrored)
+    assert _is_highest(vc, top)
+    assert not _is_highest(vc, mirrored)
     assert len(_saturate(vc, mirrored, order)) == 18
 
 
@@ -262,9 +303,9 @@ def _signature(vc, j, word):
     """Reference rule: delete adjacent (-, +) pairs of the signature until none."""
     sig = []
     for pos, letter in enumerate(word):
-        if vc.f(j, letter) is not None:
+        if _lower(vc, j, letter) is not None:
             sig.append((pos, "-"))
-        elif vc.e(j, letter) is not None:
+        elif _raise(vc, j, letter) is not None:
             sig.append((pos, "+"))
     k = 0
     while k + 1 < len(sig):
@@ -282,8 +323,13 @@ def _ref_step(vc, j, word, lower):
     if not (minus if lower else plus):
         return None
     pos = minus[0] if lower else plus[-1]
-    new = vc.f(j, word[pos]) if lower else vc.e(j, word[pos])
+    new = _lower(vc, j, word[pos]) if lower else _raise(vc, j, word[pos])
     return word[:pos] + (new,) + word[pos + 1 :]
+
+
+def _is_highest(vc, word):
+    """Reference: every raising operator kills the word."""
+    return all(_ref_step(vc, j, word, lower=False) is None for j in range(1, vc[1] + 1))
 
 
 def _moved(word, positions, step):
@@ -292,9 +338,8 @@ def _moved(word, positions, step):
 
 @st.composite
 def _tensor_words(draw):
-    family = draw(st.sampled_from("AC"))
-    vc = VectorCrystal(family, draw(st.integers(1, 4)))
-    word = draw(st.lists(st.sampled_from(vc.letters()), max_size=10))
+    vc = (draw(st.sampled_from("AC")), draw(st.integers(1, 4)))
+    word = draw(st.lists(st.sampled_from(_letters(vc)), max_size=10))
     return vc, tuple(word)
 
 
@@ -302,21 +347,18 @@ def _tensor_words(draw):
 @given(_tensor_words())
 def test_bracket_scan_matches_stepwise_rule(case):
     vc, word = case
-    for j in range(1, vc.rank + 1):
-        plus, minus = _surviving(vc, j, word)
+    for j in range(1, vc[1] + 1):
+        plus, minus = _surviving(movers(*vc)[j], word)
         assert (plus, minus) == _signature(vc, j, word)
         assert all(p < q for p in plus for q in minus)
         # raising until None equals raising every surviving + once
         x, steps = word, 0
         while (nx := _ref_step(vc, j, x, lower=False)) is not None:
-            assert tensor_e(vc, j, x) == nx
             x, steps = nx, steps + 1
-        assert tensor_e(vc, j, x) is None
         assert (x, steps) == (_moved(word, plus, -1), len(plus))
         # f_j^k lowers the first k surviving - positions
         x = word
         for k in range(1, len(minus) + 1):
-            nx = _ref_step(vc, j, x, lower=True)
-            assert tensor_f(vc, j, x) == nx == _moved(word, minus[:k], 1)
-            x = nx
-        assert tensor_f(vc, j, x) is None
+            x = _ref_step(vc, j, x, lower=True)
+            assert x == _moved(word, minus[:k], 1)
+        assert _ref_step(vc, j, x, lower=True) is None

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,7 +29,6 @@ from fflvstring.rootsys import (
     weight_roots,
     weyl_dim,
     word_is_reduced,
-    word_letter,
 )
 from oracles import freudenthal_dim, gt_dim
 
@@ -102,7 +102,12 @@ def test_label_count_matches_word_length(family, rank):
 @pytest.mark.parametrize("family", ["A", "C"])
 @pytest.mark.parametrize("rank", range(1, 11))
 def test_word_is_reduced(family, rank):
-    assert word_is_reduced(LieType(family, rank))
+    lt = LieType(family, rank)
+    word, m = reduced_word(lt), lt.target_rank
+    assert word_is_reduced(family, m, word)
+    # s_i s_i = 1 at either end
+    assert not word_is_reduced(family, m, word + word[-1:])
+    assert not word_is_reduced(family, m, word[:1] + word)
 
 
 def test_reduced_word_fixtures():
@@ -115,7 +120,8 @@ def test_reduced_word_fixtures():
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_word_letters_align_with_labels(family, rank):
     lt = LieType(family, rank)
-    letters = tuple(word_letter(lab, rank) for lab in build_labels(lt))
+    # the label (row, col) carries the letter row + column_key - 1
+    letters = tuple(lab.row + column_key(lab, rank) - 1 for lab in build_labels(lt))
     assert letters == reduced_word(lt)
 
 
@@ -175,7 +181,7 @@ def test_root_expansion():
 
 
 def test_cartan_inverse_consistency():
-    for family, rank in (("A", 4), ("C", 4), ("C", 1)):
+    for family, rank in product("AC", range(1, 13)):
         m = cartan_matrix(family, rank)
         for k in range(1, rank + 1):
             w = fundamental_weight_roots(family, rank, k)
