@@ -15,7 +15,6 @@ from .degenmap import (
     build_translation,
     fold_label,
     fold_vector,
-    unfold_letter,
     weight_twist_solve,
 )
 from .errors import VerificationError
@@ -77,7 +76,6 @@ __all__ = [
     "sim_check",
     "string_points",
     "string_weight",
-    "unfold_letter",
     "weight_twist_solve",
     "weyl_dim",
 ]

@@ -48,14 +48,6 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FSL_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _check_out_path(out_path: str | None) -> None:
     """Refuse an output path that cannot be written, before any work starts."""
     parent = os.path.dirname(os.path.abspath(out_path or "."))
@@ -102,8 +94,6 @@ def _cmd_points(args, kind: str) -> int:
 def _cmd_verify_main(args) -> int:
     if args.max_level < 0:
         raise UsageError("--max-level must be nonnegative")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     lt = LieType(_parse_type(args.type), args.rank)
     _check_out_path(args.json)
     matrix = None
@@ -111,9 +101,7 @@ def _cmd_verify_main(args) -> int:
         mat = [list(row) for row in build_matrix(lt)]
         mat[0][0] -= 1
         matrix = tuple(tuple(row) for row in mat)
-    reports = run_grid(
-        [(lt, args.max_level)], threads=args.threads, matrix=matrix
-    )
+    reports = run_grid([(lt, args.max_level)], matrix=matrix)
     header = f"{'case':<16}{'fflv':>6}{'string':>8}{'dim':>6}  {'status':<8}{'twist':<7}"
     print(header)
     for rep in reports:
@@ -163,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     main_cmd.add_argument("--rank", type=int, required=True)
     main_cmd.add_argument("--max-level", type=int, required=True)
     main_cmd.add_argument("--json", default=None)
-    main_cmd.add_argument("--threads", type=int, default=_default_threads())
     main_cmd.add_argument(
         "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
     )

@@ -3,8 +3,8 @@
 The linear part is an N x N integer matrix in the descending label basis
 with entries in {0,-1} (family A) resp. {0,-1,-2} (family C) and
 determinant of absolute value 1; the translation part depends linearly on
-the dominant weight.  This module also houses the fold/unfold coordinate
-correspondences between a symplectic rank m and a special-linear rank 2m-1,
+the dominant weight.  This module also houses the fold correspondence of
+coordinates from a special-linear rank 2m-1 onto a symplectic rank m,
 and the exact affine solver for the weight twist.  The solver runs one
 integer elimination over all weight pairs and all source coordinates and
 keeps only a row basis of at most 2n rows; its answer is the
@@ -189,19 +189,6 @@ def fold_vector(vec: Sequence[int], m: int) -> ExponentVector:
         if x:
             out[dst_idx[fold_label(lab.row, lab.col, m)]] += x
     return tuple(out)
-
-
-def unfold_letter(j: int, m: int) -> tuple[int, ...]:
-    """Special-linear operator indices a symplectic rank-m generator unfolds to.
-
-    Generator j < m becomes the pair {j, 2m-j} of A_{2m-1} letters, the long
-    generator m stays single.
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"letter {j} out of range for rank {m}")
-    if j == m:
-        return (m,)
-    return (j, 2 * m - j)
 
 
 @dataclass(frozen=True)

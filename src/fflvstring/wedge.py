@@ -7,8 +7,9 @@ index j is the elementary lowering e_j -> e_{j+1} on the natural module of
 the companion algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
 through the same elementary step.  On top of the action sit the
-proportionality test, the non-annihilation and minimality checks, and the
-fully independent reconstruction of the type-A string points.
+proportionality test, the non-annihilation check, and the fully independent
+reconstruction of the type-A string points; the minimality check is
+membership in that reconstruction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .degenmap import apply_T, fold_vector
 from .errors import VerificationError
@@ -180,50 +181,20 @@ def restriction_block(lt: LieType, i: int) -> tuple[int, ...]:
     )
 
 
-def _letter_histogram(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
-    word = reduced_word(lt)
-    counts = [0] * (lt.target_rank + 1)
-    for letter, e in zip(word, x):
-        counts[letter] += e
-    return tuple(counts[1:])
-
-
-def _block_vectors(lt: LieType, i: int) -> Iterator[ExponentVector]:
-    """Every 0/1 exponent vector supported on the restriction block."""
-    block = restriction_block(lt, i)
-    size = len(build_labels(lt))
-    for bits in product((0, 1), repeat=len(block)):
-        x = [0] * size
-        for k, bit in zip(block, bits):
-            x[k] = bit
-        yield tuple(x)
-
-
 def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped point is the smallest nonzero actor of its weight.
 
-    Sweeps all 0/1 exponent vectors on the restriction block with the same
-    letter histogram as the image of p and requires the image to act nonzero
-    and to be the minimum in the negative lexicographic order.
+    That is, the image of p is one of the oracle's string points: a 0/1
+    vector on the restriction block that acts nonzero on the highest wedge
+    and is the neglex minimum of its letter-histogram class.
     """
     if lt.family != "A":
         raise ValueError("minimality sweep is implemented for type A only")
     image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
-    v = highest_wedge(2 * i - 1)
-    if not act_monomial(lt, image, v):
-        return False
-    target_hist = _letter_histogram(lt, image)
-    candidates = []
-    for x in _block_vectors(lt, i):
-        if _letter_histogram(lt, x) != target_hist:
-            continue
-        if not act_monomial(lt, x, v):
-            continue
-        candidates.append(x)
-    # the neglex minimum: a larger first differing entry is smaller
-    return tuple(image) == max(candidates)
+    return image in oracle_string_points_A(lt, i)
 
 
+@lru_cache(maxsize=None)
 def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
     """Type-A string points rebuilt from the wedge action alone.
 
@@ -236,13 +207,17 @@ def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
         raise ValueError("the oracle is a type-A construction")
     if not 1 <= i <= lt.rank:
         raise ValueError(f"fundamental index {i} out of range")
+    block = restriction_block(lt, i)
+    word = reduced_word(lt)
     v = highest_wedge(2 * i - 1)
     classes: dict[tuple[int, ...], list[ExponentVector]] = {}
-    for x in _block_vectors(lt, i):
-        if not act_monomial(lt, x, v):
-            continue
-        classes.setdefault(_letter_histogram(lt, x), []).append(x)
-    # max is the neglex minimum, as in minimality_check_A
+    for bits in product((0, 1), repeat=len(block)):
+        ones = [k for k, bit in zip(block, bits) if bit]
+        x = tuple(1 if k in ones else 0 for k in range(len(word)))
+        if act_monomial(lt, x, v):
+            # the letter histogram of a 0/1 monomial is its sorted letters
+            classes.setdefault(tuple(sorted(word[k] for k in ones)), []).append(x)
+    # the neglex minimum: a larger first differing entry is smaller
     return tuple(sorted(max(group) for group in classes.values()))
 
 

@@ -139,16 +139,15 @@ def test_verify_main_corrupted_fixture_fails(capsys):
 
 
 def test_verify_main_json_deterministic(tmp_path, capsys):
-    paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
-    for path, threads in zip(paths, ("1", "1", "3")):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
         code, _, _ = run_cli(
             capsys,
             "verify", "main", "--type", "A", "--rank", "2", "--max-level", "2",
-            "--json", str(path), "--threads", threads,
+            "--json", str(path),
         )
         assert code == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def golden_sweep(capsys, sweep, max_rank):
@@ -241,6 +240,12 @@ def test_usage_error_unknown_flag(capsys):
     assert code == 2
 
 
+def test_verify_main_has_no_thread_option(capsys):
+    argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "1")
+    code, out, err = run_cli(capsys, *argv, "--threads", "2")
+    assert (code, out) == (2, "") and "unrecognized arguments: --threads" in err
+
+
 def test_usage_error_negative_weight(capsys):
     code, _, err = run_cli(
         capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,-1"
@@ -292,24 +297,3 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
     code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
     assert (code, out) == (2, "")
     assert "cannot write" in err
-
-
-def test_verify_main_rejects_nonpositive_threads(capsys):
-    for threads in ("0", "-3"):
-        code, out, err = run_cli(
-            capsys,
-            "verify", "main", "--type", "A", "--rank", "2", "--max-level", "1",
-            "--threads", threads,
-        )
-        assert code == 2
-        assert out == ""
-        assert "--threads must be at least 1" in err
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("FSL_THREADS", "5")
-    assert cli._default_threads() == 5
-    monkeypatch.setenv("FSL_THREADS", "junk")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("FSL_THREADS")
-    assert cli._default_threads() == 1

@@ -14,11 +14,9 @@ from fflvstring.degenmap import (
     fold_label,
     fold_vector,
     fundamental_translation,
-    unfold_letter,
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
-from fflvstring.exact import det_int
 from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType,
@@ -61,28 +59,6 @@ def test_matrix_c2_printed_fixture():
 def test_matrix_rank_one_base_cases():
     assert build_matrix(A1) == ((-1,),)
     assert build_matrix(C1) == ((-1,),)
-
-
-@pytest.mark.parametrize("family", ["A", "C"])
-@pytest.mark.parametrize("rank", range(1, 11))
-def test_unimodularity_and_entry_range(family, rank):
-    lt = LieType(family, rank)
-    mat = build_matrix(lt)
-    assert det_int(mat) in (1, -1)
-    entries = {x for row in mat for x in row}
-    allowed = {0, -1} if family == "A" else {0, -1, -2}
-    assert entries <= allowed
-
-
-@pytest.mark.parametrize("family", ["A", "C"])
-@pytest.mark.parametrize("rank", range(1, 11))
-def test_triangularity_in_descending_basis(family, rank):
-    # the descending label chain is the triangularizing basis: the negated
-    # matrix is upper triangular with unit diagonal
-    mat = build_matrix(LieType(family, rank))
-    size = len(mat)
-    assert all(mat[r][c] == 0 for r in range(size) for c in range(r))
-    assert all(mat[k][k] == -1 for k in range(size))
 
 
 def test_translation_a3_omega2_fixture():
@@ -191,14 +167,6 @@ def test_fold_vector_doubles_colliding_fiber():
     # t for (A3, omega_2) folds onto t for (C2, omega_2), doubling e_{1,2}
     folded = fold_vector(build_translation(A3, (0, 1, 0)), 2)
     assert folded == build_translation(C2, (0, 1))
-
-
-def test_unfold_letter():
-    assert unfold_letter(1, 3) == (1, 5)
-    assert unfold_letter(2, 3) == (2, 4)
-    assert unfold_letter(3, 3) == (3,)
-    with pytest.raises(ValueError):
-        unfold_letter(4, 3)
 
 
 def _twist_pairs(lt, w):

@@ -1,9 +1,14 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
+from fflvstring import verify
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "fflvstring"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def test_no_assert_statements_in_package():
@@ -17,3 +22,31 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _perfbench_tree(name):
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def test_benchmark_binds_existing_names():
+    # the benchmark rebinds and calls package functions by name, read here
+    # without importing it, so a removed or renamed one fails in this suite
+    tracer, workloads = _perfbench_tree("tracer.py"), _perfbench_tree("workloads.py")
+    assigns = {n.targets[0].id: n.value for n in tracer.body if isinstance(n, ast.Assign)}
+    used = {(home, func) for home, func, _, _ in ast.literal_eval(assigns["TRACED"]).values()}
+    modules = set()
+    for node in workloads.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "fflvstring":
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("fflvstring."):
+            used |= {(node.module.split(".")[1], alias.name) for alias in node.names}
+    used |= {
+        (node.value.id, node.attr)
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+    }
+    assert modules and used
+    missing = [f"{home}.{func}" for home, func in sorted(used)
+               if not hasattr(importlib.import_module(f"fflvstring.{home}"), func)]
+    assert missing == []
+    assert "threads" in inspect.signature(verify.run_grid).parameters

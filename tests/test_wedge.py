@@ -7,6 +7,7 @@ import pytest
 
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_T
+from fflvstring.errors import VerificationError
 from fflvstring.fflv import fundamental_points
 from fflvstring.rootsys import (
     LieType,
@@ -15,6 +16,7 @@ from fflvstring.rootsys import (
     fundamental_weight,
     label_index,
     natural_dim,
+    reduced_word,
     vector_from_labels,
 )
 from fflvstring.wedge import (
@@ -192,6 +194,46 @@ def test_minimality_rejects_shifted_competitor():
     assert act_monomial(lt, competitor, wedge)
     assert competitor < image  # image is the lex-max, hence neglex-min
     assert minimality_check_A(lt, i, p)
+
+
+def test_minimality_false_branches():
+    # the competitor above acts nonzero but is not minimal; the second image
+    # is nonnegative but kills the highest wedge
+    lt, i = A3, 2
+    w, wedge = fundamental_weight(lt.rank, i), highest_wedge(2 * i - 1)
+    competitor = vector_from_labels(lt, {RootLabel(2, 2): 1})
+    images = {p: apply_T(lt, w, p) for p in product((-1, 0, 1), repeat=6)}
+    p = next(p for p, im in images.items() if im == competitor)
+    q = next(
+        q for q, im in images.items() if min(im) >= 0 and not act_monomial(lt, im, wedge)
+    )
+    assert not minimality_check_A(lt, i, p) and not minimality_check_A(lt, i, q)
+
+
+@pytest.mark.parametrize("lt", [A2, A3])
+def test_minimality_matches_reference(lt):
+    # reference: the image acts nonzero and is the lex-max among the nonzero
+    # 0/1 actors on the restriction block with its letter histogram
+    word = reduced_word(lt)
+
+    def hist(x):
+        return tuple(sorted(l for l, e in zip(word, x) for _ in range(e)))
+
+    for i in range(1, lt.rank + 1):
+        w, wedge = fundamental_weight(lt.rank, i), highest_wedge(2 * i - 1)
+        outside = [k for k, lab in enumerate(build_labels(lt)) if not lab.row <= i <= lab.col]
+        best = {}
+        for x in product((0, 1), repeat=len(word)):
+            if not any(x[k] for k in outside) and act_monomial(lt, x, wedge):
+                best[hist(x)] = max(best.get(hist(x), x), x)
+        for p in product((-1, 0, 1), repeat=len(word)):
+            image = apply_T(lt, w, p)
+            if min(image) < 0:
+                with pytest.raises(VerificationError):
+                    minimality_check_A(lt, i, p)
+                continue
+            minimal = bool(act_monomial(lt, image, wedge)) and best.get(hist(image)) == image
+            assert minimality_check_A(lt, i, p) == minimal
 
 
 @pytest.mark.parametrize("rank", range(1, 5))
