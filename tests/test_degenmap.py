@@ -61,6 +61,17 @@ def test_matrix_rank_one_base_cases():
     assert build_matrix(C1) == ((-1,),)
 
 
+@pytest.mark.parametrize("family", ["A", "C"])
+@pytest.mark.parametrize("rank", range(1, 11))
+def test_triangularity_in_descending_basis(family, rank):
+    # the descending label chain is the triangularizing basis: the negated
+    # matrix is upper triangular with unit diagonal
+    mat = build_matrix(LieType(family, rank))
+    size = len(mat)
+    assert all(mat[r][c] == 0 for r in range(size) for c in range(r))
+    assert all(mat[k][k] == -1 for k in range(size))
+
+
 def test_translation_a3_omega2_fixture():
     expected = vector_from_labels(
         A3,
