@@ -1,7 +1,10 @@
 """Command-line front end with stable JSON output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-gate failure.  Identical invocations produce byte-identical documents.
+fault: a failed gate, or a ``ValueError`` that escapes the library after the
+input was validated.  Identical invocations produce byte-identical
+documents.  A command refuses a weight whose module dimension exceeds
+``--max-dim`` before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from .crystal import string_points
 from .degenmap import build_matrix
 from .errors import VerificationError
 from .fflv import points
-from .rootsys import LieType, build_labels, reduced_word
+from .rootsys import LieType, build_labels, dominant_weights, reduced_word, weyl_dim
 from .verify import SWEEPS, all_passed, reports_to_json, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GATE_FAILURE = 3
+DEFAULT_MAX_DIM = 200_000
 
 
 class UsageError(Exception):
@@ -32,6 +36,21 @@ def _parse_type(value: str) -> str:
     if value not in ("A", "C"):
         raise UsageError(f"--type must be A or C, got {value!r}")
     return value
+
+
+def _positive(option: str):
+    """argparse type for an option that takes an integer of at least 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise UsageError(f"{option} must be a positive integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -46,6 +65,16 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     if any(a < 0 for a in coeffs):
         raise UsageError("--weight coefficients must be nonnegative")
     return coeffs
+
+
+def _check_dim(lt: LieType, weights, max_dim: int) -> None:
+    """Refuse the first weight whose module dimension exceeds the budget."""
+    for w in weights:
+        dim = weyl_dim(lt, w)
+        if dim > max_dim:
+            raise UsageError(
+                f"{lt} {tuple(w)} has dimension {dim}, above --max-dim {max_dim}"
+            )
 
 
 def _check_out_path(out_path: str | None) -> None:
@@ -86,6 +115,7 @@ def _cmd_points(args, kind: str) -> int:
     lt = LieType(_parse_type(args.type), args.rank)
     weight = _parse_weight(args.weight, lt.rank)
     _check_out_path(args.out)
+    _check_dim(lt, [weight], args.max_dim)
     doc = polytope_document(lt, weight, kind)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -96,6 +126,7 @@ def _cmd_verify_main(args) -> int:
         raise UsageError("--max-level must be nonnegative")
     lt = LieType(_parse_type(args.type), args.rank)
     _check_out_path(args.json)
+    _check_dim(lt, dominant_weights(lt.rank, args.max_level), args.max_dim)
     matrix = None
     if args.corrupt_matrix:
         mat = [list(row) for row in build_matrix(lt)]
@@ -148,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     main_cmd = verify_sub.add_parser("main", help="set equality over a weight grid")
     main_cmd.add_argument("--type", required=True)
-    main_cmd.add_argument("--rank", type=int, required=True)
+    main_cmd.add_argument("--rank", type=_positive("--rank"), required=True)
     main_cmd.add_argument("--max-level", type=int, required=True)
+    _add_max_dim(main_cmd)
     main_cmd.add_argument("--json", default=None)
     main_cmd.add_argument(
         "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
@@ -167,18 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_points_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--type", required=True)
-    cmd.add_argument("--rank", type=int, required=True)
+    cmd.add_argument("--rank", type=_positive("--rank"), required=True)
     cmd.add_argument("--weight", required=True)
+    _add_max_dim(cmd)
     cmd.add_argument("--out", default=None)
 
 
+def _add_max_dim(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--max-dim",
+        type=_positive("--max-dim"),
+        default=DEFAULT_MAX_DIM,
+        help="refuse a weight whose module dimension exceeds this "
+        f"(default {DEFAULT_MAX_DIM})",
+    )
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "fflv":
             return _cmd_points(args, "fflv")
         if args.command == "stringpoly":
@@ -188,11 +227,16 @@ def main(argv=None) -> int:
                 return _cmd_verify_main(args)
             return _cmd_verify_sweep(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError, OSError) as exc:
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:
         print(f"internal gate failure: {exc}", file=sys.stderr)
+        return EXIT_GATE_FAILURE
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_GATE_FAILURE
 
 

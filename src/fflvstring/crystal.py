@@ -2,11 +2,13 @@
 
 The companion algebra of rank m = 2n-1 acts on letters 1..m+1 for family A
 and 1..2m for family C (reading 1 < ... < m < m-bar < ... < 1-bar); a table
-per family and rank lists the letters each lowering operator moves.  Tensor
-words are plain tuples of letters.  One left-to-right bracket scan per
-operator index leaves a signature +^a -^b: string extraction raises all a
-plus positions at once, and the saturation along the reduced word lowers
-the b minus positions left to right.
+per family and rank gives, for each operator index, the class of every
+letter (lowered, raised or untouched), indexed by the letter.  Tensor words
+are plain tuples of letters.  One left-to-right bracket scan per operator
+index (Kashiwara's signature rule) leaves a signature +^a -^b: string
+extraction raises all a plus positions in the scan itself, counting the
+open minus positions instead of listing them, and the saturation along the
+reduced word lowers the b minus positions left to right.
 
 The scan direction and the saturation order are fixed conventions, not
 forced by the construction.  The tests show that each alternative fails the
@@ -20,46 +22,78 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import VerificationError
-from .rootsys import ExponentVector, LieType, check_dominant, reduced_word, weyl_dim
+from .rootsys import (
+    ExponentVector,
+    LieType,
+    check_dominant,
+    natural_dim,
+    reduced_word,
+    weyl_dim,
+)
 
 TensorWord = tuple[int, ...]
 
 
+LOWER, RAISE = 1, -1
+
+
 @lru_cache(maxsize=None)
-def movers(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Letters that the lowering operator f_j moves to their successors, by j.
+def letter_classes(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Class of every letter under the operator index j: LOWER, RAISE or 0.
 
     For family A, f_j moves letter j to j+1.  For family C it moves letters
     j and 2m-j, which in bar notation is j -> j+1 and (j+1)-bar -> j-bar (and
-    m -> m-bar for j = m, where the two indices coincide).  Raising e_j is the
-    inverse move.  Entry 0 is empty, so the table is indexed by j = 1..rank.
+    m -> m-bar for j = m, where the two letters coincide).  A moved letter is
+    LOWER (a minus of the j-signature), its successor RAISE (a plus), since
+    e_j is the inverse move.  Row j is indexed by the letter itself; entry 0
+    of the table and of each row is unused.
     """
-    if family == "A":
-        return ((),) + tuple((j,) for j in range(1, rank + 1))
-    return ((),) + tuple(
-        (j,) if j == rank else (j, 2 * rank - j) for j in range(1, rank + 1)
-    )
+    table: list[tuple[int, ...]] = [()]
+    for j in range(1, rank + 1):
+        row = [0] * (natural_dim(family, rank) + 1)
+        for letter in (j,) if family == "A" else (j, 2 * rank - j):
+            row[letter], row[letter + 1] = LOWER, RAISE
+        table.append(tuple(row))
+    return tuple(table)
 
 
-def _surviving(moved: tuple[int, ...], word: TensorWord):
-    """Unmatched raising/lowering positions after bracket cancellation.
+def _lowerable(row: tuple[int, ...], word: TensorWord) -> list[int]:
+    """Surviving minus positions of the signature of ``word``, ascending.
 
-    ``moved`` holds the letters f_j moves.  Returns (plus, minus), both
-    ascending: a raisable letter cancels the nearest unmatched lowerable
-    letter to its left, so every surviving plus lies left of every
-    surviving minus.
+    ``row`` is the ``letter_classes`` row of the operator.  A plus cancels
+    the nearest unmatched minus to its left, so f_j^k lowers the first k
+    survivors.
     """
-    plus: list[int] = []
     minus: list[int] = []
     for pos, letter in enumerate(word):
-        if letter in moved:
+        c = row[letter]
+        if c == LOWER:
             minus.append(pos)
-        elif letter - 1 in moved:
-            if minus:
-                minus.pop()
+        elif c and minus:
+            minus.pop()
+    return minus
+
+
+def _raise_all(row: tuple[int, ...], word: TensorWord) -> tuple[TensorWord, int]:
+    """e_j^a(word) with a maximal, and a.
+
+    A plus with no open minus to its left survives the bracketing, and no
+    later letter can cancel it; so one left-to-right scan that counts the
+    open minus positions raises every surviving plus as it passes.
+    """
+    out = list(word)
+    opened = a = 0
+    for pos, letter in enumerate(word):
+        c = row[letter]
+        if c == LOWER:
+            opened += 1
+        elif c:
+            if opened:
+                opened -= 1
             else:
-                plus.append(pos)
-    return plus, minus
+                out[pos] = letter - 1
+                a += 1
+    return (tuple(out) if a else word), a
 
 
 def build_highest(lt: LieType, weight) -> TensorWord:
@@ -84,14 +118,13 @@ def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]
     the source module has dimensions; a mismatch is a hard failure.
     """
     w = check_dominant(lt, weight)
-    table = movers(lt.family, lt.target_rank)
+    table = letter_classes(lt.family, lt.target_rank)
     current: set[TensorWord] = {build_highest(lt, w)}
     for j in reversed(reduced_word(lt)):
         grown = set(current)
         for b in current:
-            _, minus = _surviving(table[j], b)
             x = list(b)
-            for pos in minus:
+            for pos in _lowerable(table[j], b):
                 x[pos] += 1
                 grown.add(tuple(x))
         current = grown
@@ -112,19 +145,15 @@ def extract_string(
 ) -> ExponentVector:
     """Greedy raising along the word; the element must end at ``highest``.
 
-    ``table`` is the ``movers`` table of the companion algebra.  For each
-    letter j, e_j^a with a maximal raises all a surviving plus positions of
-    b at once.  A Demazure element lies in the component of ``highest``, the
-    only highest-weight element there.
+    ``table`` is the ``letter_classes`` table of the companion algebra.  For
+    each letter j, e_j^a with a maximal raises all a surviving plus
+    positions of b at once.  A Demazure element lies in the component of
+    ``highest``, the only highest-weight element there.
     """
     q: list[int] = []
     for j in word:
-        plus, _ = _surviving(table[j], b)
-        x = list(b)
-        for pos in plus:
-            x[pos] -= 1
-        b = tuple(x)
-        q.append(len(plus))
+        b, a = _raise_all(table[j], b)
+        q.append(a)
     if b != highest:
         raise VerificationError(
             "crystal.highest_weight",
@@ -141,7 +170,7 @@ def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector,
     vector is a hard failure.
     """
     w = check_dominant(lt, weight)
-    table = movers(lt.family, lt.target_rank)
+    table = letter_classes(lt.family, lt.target_rank)
     word = reduced_word(lt)
     top = build_highest(lt, w)
     seen: dict[ExponentVector, TensorWord] = {}

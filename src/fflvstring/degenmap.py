@@ -3,14 +3,17 @@
 The linear part is an N x N integer matrix in the descending label basis
 with entries in {0,-1} (family A) resp. {0,-1,-2} (family C) and
 determinant of absolute value 1; the translation part depends linearly on
-the dominant weight.  This module also houses the fold correspondence of
-coordinates from a special-linear rank 2m-1 onto a symplectic rank m,
-and the exact affine solver for the weight twist.  The solver runs one
-integer elimination over all weight pairs and all source coordinates and
-keeps only a row basis of at most 2n rows; its answer is the
-free-variables-zero solution of the full system, the same as solving every
-coordinate over every pair, because the reduced row echelon form of a
-consistent system depends only on its row space.
+the dominant weight.  The affine map walks only the support of a point.
+This module also houses the fold correspondence of coordinates from a
+special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
+solver for the weight twist.  The solver runs one integer elimination over
+all weight pairs and all source coordinates and keeps only a row basis of
+at most 2n rows; its answer is the free-variables-zero solution of the full
+system, the same as solving every coordinate over every pair, because the
+reduced row echelon form of a consistent system depends only on its row
+space.  Its rows come from one of two builders: ``Fraction`` weight pairs
+scaled by the lcm of their denominators, or integer weight deltas against
+the base pair, which give the same rows.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .rootsys import (
     LieType,
     RootLabel,
     all_columns,
+    base_weights,
     build_labels,
     check_dominant,
     column_key,
@@ -124,11 +128,19 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
 def apply_affine(
     matrix: Sequence[Sequence[int]], translation: Sequence[int], p: Sequence[int]
 ) -> ExponentVector:
-    """translation + matrix * p over the integers."""
-    return tuple(
-        t + sum(row[k] * p[k] for k in range(len(p)))
-        for t, row in zip(translation, matrix)
-    )
+    """translation + matrix * p over the integers.
+
+    Only the support of p is walked: a chain point has few nonzero entries,
+    and for each one the nonzero entries of its matrix column are added.
+    """
+    out = list(translation)
+    for k, x in enumerate(p):
+        if x:
+            for r, row in enumerate(matrix):
+                e = row[k]
+                if e:
+                    out[r] += e * x
+    return tuple(out)
 
 
 def apply_T(
@@ -152,7 +164,7 @@ def apply_T(
 
 def check_nonnegative(lt: LieType, weight, p: Sequence[int], image) -> None:
     """Gate: the image of a verified chain point lies in the nonnegative orthant."""
-    if any(x < 0 for x in image):
+    if min(image) < 0:
         raise VerificationError(
             "degenmap.nonnegative_image",
             f"{lt} {tuple(weight)}: image {image} of chain point {tuple(p)} "
@@ -217,42 +229,96 @@ def weight_twist_solve(lt: LieType, weight, pairs):
     """One affine map fitting every (source weight, companion weight) pair.
 
     Solves twist * companion_weight + shift = source_weight for all pairs and
-    all n source coordinates in one exact elimination.  The distinct pairs
-    are scaled to integers by the lcm D of their denominators, and each
-    augmented row ``[D*companion, D | D*source]`` is reduced against a basis
-    of at most m+1 rows, kept in reduced echelon form: a row whose companion
-    part is independent joins the basis, a dependent row must reduce to zero
-    in its source part as well.  The twist is read off the basis with free
-    variables set to zero.  Scaling a row by D leaves its row space alone,
-    and the reduced row echelon form of a consistent system depends only on
-    its row space, which the basis rows span; so this is exactly the
-    free-variables-zero solution of the full system, coordinate by
-    coordinate.  ``unique`` holds iff the basis has m+1 rows.
+    all n source coordinates in one exact elimination (``_twist_eliminate``).
+    The distinct pairs are scaled to integers by the lcm D of their
+    denominators; each gives the augmented row ``[D*companion, D | D*source]``.
 
     Returns ``(twist, None)`` on success or ``(None, witness_pair)`` when no
     single affine map fits; the witness is the first pair that breaks
-    consistency of the lowest inconsistent source coordinate.  It is found
-    in the same pass: until a coordinate breaks, the basis spans every
-    earlier row in the companion part and in that coordinate (a skipped row
-    reduced to zero there), so the first dependent row with a nonzero
-    residual in it is the first pair whose prefix of the system is
-    inconsistent.
+    consistency of the lowest inconsistent source coordinate.
     """
     check_dominant(lt, weight)
     uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
-    if not uniq:
+    scale = lcm(*{x.denominator for src, tgt in uniq for x in src + tgt})
+
+    def row(pair):
+        return _scaled(pair[1], scale) + [scale] + _scaled(pair[0], scale)
+
+    return _twist_eliminate(lt, uniq, row)
+
+
+def delta_twist_solve(lt: LieType, weight, deltas):
+    """``weight_twist_solve`` for pairs given by their integer deltas.
+
+    A pair is (``root_delta`` of a chain point, ``letter_histogram`` of its
+    image): its weights are the base pair ``(lambda, lifted lambda)`` minus
+    the deltas.  A delta is an integer vector, so every entry keeps the
+    denominator of its base entry; the lcm D of the base denominators is the
+    scale ``weight_twist_solve`` finds, and each row is ``D*base - D*delta``,
+    the same integers, built without a ``Fraction``.  The distinct deltas
+    are the distinct pairs, in the same order, so the twist and the witness
+    are those of ``weight_twist_solve`` on the weight pairs; the witness
+    comes back as ``Fraction`` weights.
+    """
+    src, tgt = base_weights(lt, check_dominant(lt, weight))
+    scale = lcm(*{x.denominator for x in src + tgt})
+    base_src, base_tgt = _scaled(src, scale), _scaled(tgt, scale)
+
+    def row(delta):
+        ds, dt = delta
+        return (
+            [b - scale * d for b, d in zip(base_tgt, dt)]
+            + [scale]
+            + [b - scale * d for b, d in zip(base_src, ds)]
+        )
+
+    twist, witness = _twist_eliminate(lt, list(dict.fromkeys(deltas)), row)
+    if witness is None:
+        return twist, None
+    ds, dt = witness
+    return None, (
+        tuple(b - d for b, d in zip(src, ds)),
+        tuple(b - d for b, d in zip(tgt, dt)),
+    )
+
+
+def _scaled(v, scale: int) -> list[int]:
+    """scale * v as integers; scale is a multiple of every denominator of v."""
+    return [x.numerator * (scale // x.denominator) for x in v]
+
+
+def _twist_eliminate(lt: LieType, items, row_of):
+    """The twist fitting the integer rows ``row_of(item)``, each of the form
+    ``[D*companion, D | D*source]``, or the witness item.
+
+    Each row is reduced against a basis of at most m+1 rows, kept in reduced
+    echelon form: a row whose companion part is independent joins the
+    basis, a dependent row must reduce to zero in its source part as well.
+    The twist is read off the basis with free variables set to zero.
+    Scaling a row by D leaves its row space alone, and the reduced row
+    echelon form of a consistent system depends only on its row space,
+    which the basis rows span; so this is exactly the free-variables-zero
+    solution of the full system, coordinate by coordinate.  ``unique``
+    holds iff the basis has m+1 rows.
+
+    Returns ``(twist, None)``, or ``(None, item)`` for the first item whose
+    row breaks consistency of the lowest inconsistent source coordinate.
+    It is found in the same pass: until a coordinate breaks, the basis
+    spans every earlier row in the companion part and in that coordinate (a
+    skipped row reduced to zero there), so the first dependent row with a
+    nonzero residual in it is the first row whose prefix of the system is
+    inconsistent.
+    """
+    if not items:
         raise ValueError("at least one weight pair is required")
     n = lt.rank
     m = lt.target_rank
-    scale = lcm(*{x.denominator for src, tgt in uniq for x in src + tgt})
     # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    # source coordinate -> first pair whose reduced residual in it is nonzero
-    breaks: dict[int, tuple] = {}
-    for src, tgt in uniq:
-        row = [x.numerator * (scale // x.denominator) for x in tgt]
-        row.append(scale)
-        row += [x.numerator * (scale // x.denominator) for x in src]
+    # source coordinate -> first item whose reduced residual in it is nonzero
+    breaks: dict[int, object] = {}
+    for item in items:
+        row = row_of(item)
         for c, b in basis.items():
             if row[c]:
                 row = _clear(row, b, c)
@@ -260,7 +326,7 @@ def weight_twist_solve(lt: LieType, weight, pairs):
         if pivot is None:
             for r in range(n):
                 if row[m + 1 + r]:
-                    breaks.setdefault(r, (src, tgt))
+                    breaks.setdefault(r, item)
             continue
         row = _primitive(row)
         for c, b in basis.items():

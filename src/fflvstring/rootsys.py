@@ -18,6 +18,8 @@ Conventions:
   the basis all dense vectors and matrices in this package are written in.
 * Weights live in simple-root coordinates as exact rationals.  Dominant
   weights enter as tuples of nonnegative fundamental-weight coefficients.
+  The weight of a point is its base weight minus an integer delta:
+  ``root_delta`` of a chain point, ``letter_histogram`` of a string point.
 """
 
 from __future__ import annotations
@@ -296,25 +298,24 @@ def weyl_dim(lt: LieType, weight: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _fflv_frame(lt: LieType, w: tuple[int, ...]):
-    """lambda in simple-root coordinates, and each label's root as its nonzero
-    (coordinate, coefficient) entries, in label order.
-    """
-    roots = tuple(
-        tuple((c, e) for c, e in enumerate(root_expansion(lt, lab)) if e)
-        for lab in build_labels(lt)
-    )
-    return weight_roots(lt.family, lt.rank, w), roots
+def base_weights(lt: LieType, weight: tuple[int, ...]):
+    """The base pair: lambda in the source lattice and the lifted weight in the
+    companion lattice, both in simple-root coordinates."""
+    return weight_roots(lt.family, lt.rank, weight), lifted_weight_roots(lt, weight)
 
 
 @lru_cache(maxsize=None)
-def _string_base(lt: LieType, w: tuple[int, ...]) -> WeightVector:
-    return lifted_weight_roots(lt, w)
+def _label_roots(lt: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each label's root as its nonzero (coordinate, coefficient) entries."""
+    return tuple(
+        tuple((c, e) for c, e in enumerate(root_expansion(lt, lab)) if e)
+        for lab in build_labels(lt)
+    )
 
 
-def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:
-    """Weight of the exponent vector p in the source lattice: lambda - sum p * alpha."""
-    base, roots = _fflv_frame(lt, check_dominant(lt, weight))
+def root_delta(lt: LieType, p: Sequence[int]) -> tuple[int, ...]:
+    """sum p * alpha over the labels, in simple-root coordinates (integers)."""
+    roots = _label_roots(lt)
     if len(p) != len(roots):
         raise ValueError(f"exponent vector must have length {len(roots)}")
     delta = [0] * lt.rank
@@ -322,19 +323,31 @@ def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightV
         if x:
             for c, e in root:
                 delta[c] += x * e
-    return tuple(b - d if d else b for b, d in zip(base, delta))
+    return tuple(delta)
 
 
-def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> WeightVector:
-    """Weight of the word monomial with exponents q, in the companion lattice."""
+def letter_histogram(lt: LieType, q: Sequence[int]) -> tuple[int, ...]:
+    """sum q_k alpha_{i_k} over the reduced word: the exponent of each letter."""
     word = reduced_word(lt)
     if len(q) != len(word):
         raise ValueError(f"string vector must have length {len(word)}")
     delta = [0] * lt.target_rank
     for x, letter in zip(q, word):
-        delta[letter - 1] += x
-    base = _string_base(lt, check_dominant(lt, weight))
-    return tuple(b - d if d else b for b, d in zip(base, delta))
+        if x:
+            delta[letter - 1] += x
+    return tuple(delta)
+
+
+def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:
+    """Weight of the exponent vector p in the source lattice: lambda - sum p * alpha."""
+    base, _ = base_weights(lt, check_dominant(lt, weight))
+    return tuple(b - d for b, d in zip(base, root_delta(lt, p)))
+
+
+def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> WeightVector:
+    """Weight of the word monomial with exponents q, in the companion lattice."""
+    _, base = base_weights(lt, check_dominant(lt, weight))
+    return tuple(b - d for b, d in zip(base, letter_histogram(lt, q)))
 
 
 def apply_word(

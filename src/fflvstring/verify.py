@@ -24,8 +24,8 @@ from .degenmap import (
     build_matrix,
     build_translation,
     check_nonnegative,
+    delta_twist_solve,
     fold_vector,
-    weight_twist_solve,
 )
 from .errors import VerificationError
 from .exact import det_int
@@ -35,10 +35,10 @@ from .rootsys import (
     LieType,
     check_dominant,
     dominant_weights,
-    fflv_weight,
     fundamental_weight,
+    letter_histogram,
     natural_dim,
-    string_weight,
+    root_delta,
     weyl_dim,
 )
 from .wedge import act_sequence, sim_check_ops, wedge_basis
@@ -120,6 +120,12 @@ def check_main(
 ) -> VerificationReport:
     """Compare mapped chain points against string points for one weight.
 
+    Per point the work is integer only: the image under the affine map,
+    walked over the support of the point, and the weight deltas of the pair
+    (``root_delta`` of the point, ``letter_histogram`` of its image), which
+    ``delta_twist_solve`` dedupes and fits.  The report is the one the
+    ``Fraction`` weight pairs give to ``weight_twist_solve``.
+
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports mismatches as witnesses instead of raising the
     nonnegativity gate.  ``max_dim`` skips cases whose module dimension
@@ -137,11 +143,13 @@ def check_main(
     trans = build_translation(lt, w)
 
     images = []
+    deltas = []
     for p in chain_pts:
         v = apply_affine(mat, trans, p)
         if trusted:
             check_nonnegative(lt, w, p, v)
         images.append(v)
+        deltas.append((root_delta(lt, p), letter_histogram(lt, v)))
     image_set = set(images)
     strings = string_points(lt, w)
     string_set = set(strings)
@@ -150,11 +158,7 @@ def check_main(
     extra = tuple(sorted(v for v in image_set if v not in string_set))
     equal = not missing and not extra
 
-    pairs = [
-        (fflv_weight(lt, w, p), string_weight(lt, w, v))
-        for p, v in zip(chain_pts, images)
-    ]
-    twist, witness = weight_twist_solve(lt, w, pairs)
+    twist, witness = delta_twist_solve(lt, w, deltas)
 
     ok = equal and len(chain_pts) == dim and len(strings) == dim and twist is not None
     return VerificationReport(

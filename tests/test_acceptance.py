@@ -32,7 +32,7 @@ from fflvstring.verify import (
 )
 from fflvstring.wedge import restriction_block, unfold_dominates
 
-A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", 5), 2)]
+A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", n), 2) for n in (5, 6)]
 C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
 
 

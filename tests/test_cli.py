@@ -297,3 +297,66 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
     code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
     assert (code, out) == (2, "")
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fflv", "points", "--type", "A", "--rank", "8", "--weight", "3,3,3,3,3,3,3,3"),
+        ("stringpoly", "points", "--type", "C", "--rank", "4", "--weight", "3,3,3,3"),
+        ("fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0",
+         "--max-dim", "2"),
+        ("verify", "main", "--type", "C", "--rank", "5", "--max-level", "3"),
+        ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "2",
+         "--max-dim", "7"),
+    ],
+)
+def test_max_dim_refused_before_enumeration(capsys, monkeypatch, argv):
+    # A8 (3^8) has dimension 4.7e21: the Weyl dimension is checked before
+    # any enumeration starts, so no point set is ever asked for
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the dimension was checked")
+
+    for name in ("run_grid", "points", "string_points"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "above --max-dim" in err
+
+
+def test_max_dim_admits_its_bound(capsys):
+    # the adjoint of A2 has dimension 8, the largest case of the level-2 grid
+    argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "2")
+    assert run_cli(capsys, *argv, "--max-dim", "8")[0] == 0
+    code, out, _ = run_cli(
+        capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0",
+        "--max-dim", "3",
+    )
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+
+
+@pytest.mark.parametrize("rank", ["0", "-1", "two"])
+@pytest.mark.parametrize("command", [("fflv", "points"), ("verify", "main")])
+def test_rank_validated_at_parse_time(capsys, monkeypatch, command, rank):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a weight was parsed for an invalid rank")
+
+    monkeypatch.setattr(cli, "_parse_weight", no_parse)
+    monkeypatch.setattr(cli, "run_grid", no_parse)
+    extra = ("--weight", "0") if command[0] == "fflv" else ("--max-level", "0")
+    code, out, err = run_cli(capsys, *command, "--type", "A", "--rank", rank, *extra)
+    assert (code, out) == (2, "")
+    assert "--rank must be a positive integer" in err
+
+
+def test_library_value_error_is_internal_fault(capsys, monkeypatch):
+    # input is validated at the front end, so a ValueError from the
+    # library is a fault of the program, not of the user
+    def fault(*args, **kwargs):
+        raise ValueError("at least one weight pair is required")
+
+    monkeypatch.setattr(cli, "run_grid", fault)
+    argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "internal error: at least one weight pair is required" in err

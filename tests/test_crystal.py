@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fflvstring.crystal import (
-    _surviving,
+    LOWER,
+    RAISE,
+    _lowerable,
+    _raise_all,
     build_highest,
     demazure_set,
     extract_string,
-    movers,
+    letter_classes,
     string_points,
 )
 from fflvstring.degenmap import build_translation
@@ -56,11 +59,22 @@ def _letters(vc):
     return range(1, natural_dim(*vc) + 1)
 
 
+def _moved_letters(vc, j):
+    """Letters the class table marks as moved by f_j; each one's successor
+    must be marked as moved back by e_j, and no other letter may be marked."""
+    row = letter_classes(*vc)[j]
+    lowered = tuple(k for k in _letters(vc) if row[k] == LOWER)
+    raised = tuple(k for k in _letters(vc) if row[k] == RAISE)
+    assert raised == tuple(k + 1 for k in lowered)
+    assert len(row) == len(_letters(vc)) + 1
+    return lowered
+
+
 def test_vector_crystal_a():
     vc = ("A", 3)
     assert len(_letters(vc)) == 4
     for j in range(1, 4):
-        assert movers(*vc)[j] == (j,)
+        assert _moved_letters(vc, j) == (j,)
         for k in _letters(vc):
             assert _lower(vc, j, k) == (k + 1 if k == j else None)
             assert _raise(vc, j, k) == (k - 1 if k == j + 1 else None)
@@ -72,13 +86,13 @@ def test_vector_crystal_c():
     assert len(_letters(vc)) == 2 * m
     # long operator: m -> m-bar
     assert _lower(vc, m, m) == m + 1
-    assert movers(*vc)[m] == (m,)
+    assert _moved_letters(vc, m) == (m,)
     # short operators move j and (j+1)-bar
     for j in range(1, m):
         assert _lower(vc, j, j) == j + 1
         assert _lower(vc, j, 2 * m - j) == 2 * m - j + 1
         moved = tuple(k for k in _letters(vc) if _lower(vc, j, k) is not None)
-        assert moved == movers(*vc)[j] == (j, 2 * m - j)
+        assert moved == _moved_letters(vc, j) == (j, 2 * m - j)
         # raising is the exact inverse
         assert _raise(vc, j, 2 * m - j + 1) == 2 * m - j
 
@@ -87,7 +101,7 @@ def test_vector_crystal_c1_degenerates_to_a1():
     vc = ("C", 1)
     assert len(_letters(vc)) == 2
     assert _lower(vc, 1, 1) == 2 and _lower(vc, 1, 2) is None
-    assert movers("C", 1) == movers("A", 1)
+    assert letter_classes("C", 1) == letter_classes("A", 1)
 
 
 def test_tensor_rule_examples():
@@ -132,7 +146,7 @@ def test_demazure_dimension_gate(family, rank, level):
 
 
 def test_extract_string_examples():
-    table = movers("A", 3)
+    table = letter_classes("A", 3)
     word = reduced_word(A2)
     assert word == (2, 3, 1)
     assert extract_string(table, (1,), word, (1,)) == (0, 0, 0)
@@ -141,7 +155,7 @@ def test_extract_string_examples():
 
 
 def test_extract_string_rejects_foreign_element():
-    table = movers("A", 3)
+    table = letter_classes("A", 3)
     with pytest.raises(VerificationError) as info:
         extract_string(table, (2,), (2,), (1,))
     assert info.value.gate == "crystal.highest_weight"
@@ -185,7 +199,7 @@ def test_string_round_trip(family, rank, level):
     for w in dominant_weights(rank, level):
         top = build_highest(lt, w)
         for b in demazure_set(lt, w):
-            q = extract_string(movers(*vc), b, word, top)
+            q = extract_string(letter_classes(*vc), b, word, top)
             x = top
             for j, k in reversed(list(zip(word, q))):
                 for _ in range(k):
@@ -225,7 +239,7 @@ def _letter_weight(lt, w, b):
 )
 def test_string_weight_matches_letter_counts(family, rank, level):
     lt = LieType(family, rank)
-    table = movers(family, lt.target_rank)
+    table = letter_classes(family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         for b in demazure_set(lt, w):
@@ -246,7 +260,8 @@ def test_extremal_element_extracts_to_translation(family, rank, level):
         for j in reversed(word):
             while (x := _ref_step(vc, j, b, lower=True)) is not None:
                 b = x
-        assert extract_string(movers(*vc), b, word, top) == build_translation(lt, w)
+        q = extract_string(letter_classes(*vc), b, word, top)
+        assert q == build_translation(lt, w)
 
 
 def test_minkowski_containment_string_side():
@@ -348,10 +363,13 @@ def _tensor_words(draw):
 def test_bracket_scan_matches_stepwise_rule(case):
     vc, word = case
     for j in range(1, vc[1] + 1):
-        plus, minus = _surviving(movers(*vc)[j], word)
-        assert (plus, minus) == _signature(vc, j, word)
+        row = letter_classes(*vc)[j]
+        plus, minus = _signature(vc, j, word)
+        assert _lowerable(row, word) == minus
         assert all(p < q for p in plus for q in minus)
-        # raising until None equals raising every surviving + once
+        # one scan raises exactly the surviving + positions, each once,
+        # which is raising until None by the stepwise rule
+        assert _raise_all(row, word) == (_moved(word, plus, -1), len(plus))
         x, steps = word, 0
         while (nx := _ref_step(vc, j, x, lower=False)) is not None:
             x, steps = nx, steps + 1

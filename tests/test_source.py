@@ -5,7 +5,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from fflvstring import verify
+from fflvstring import degenmap, rootsys, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fflvstring"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -50,3 +50,32 @@ def test_benchmark_binds_existing_names():
                if not hasattr(importlib.import_module(f"fflvstring.{home}"), func)]
     assert missing == []
     assert "threads" in inspect.signature(verify.run_grid).parameters
+
+
+# parameters of the functions the benchmark's staged replay (Grid.replay)
+# calls positionally; a reordered or renamed parameter would silently feed
+# it wrong arguments
+REPLAY_PARAMETERS = {
+    (degenmap, "apply_affine"): ("matrix", "translation", "p"),
+    (degenmap, "build_translation"): ("lt", "weight"),
+    (degenmap, "weight_twist_solve"): ("lt", "weight", "pairs"),
+    (rootsys, "fflv_weight"): ("lt", "weight", "p"),
+    (rootsys, "string_weight"): ("lt", "weight", "q"),
+}
+
+
+def test_benchmark_replay_parameters_pinned():
+    workloads = _perfbench_tree("workloads.py")
+    grid = next(n for n in workloads.body if getattr(n, "name", None) == "Grid")
+    replay = next(n for n in grid.body if getattr(n, "name", None) == "replay")
+    calls = {
+        (node.func.value.id, node.func.attr): len(node.args)
+        for node in ast.walk(replay)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    }
+    for (module, name), params in REPLAY_PARAMETERS.items():
+        home = module.__name__.rsplit(".", 1)[1]
+        assert calls[home, name] == len(params), name
+        assert tuple(inspect.signature(getattr(module, name)).parameters) == params

@@ -3,10 +3,26 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fflvstring.degenmap import build_matrix
-from fflvstring.rootsys import LieType
+from fflvstring.crystal import string_points
+from fflvstring.degenmap import (
+    apply_affine,
+    build_matrix,
+    build_translation,
+    weight_twist_solve,
+)
+from fflvstring.fflv import points
+from fflvstring.rootsys import (
+    LieType,
+    dominant_weights,
+    fflv_weight,
+    string_weight,
+    weyl_dim,
+)
 from fflvstring.verify import (
+    WITNESS_CAP,
     all_passed,
     check_lattice_corollary,
     check_main,
@@ -139,3 +155,66 @@ def test_report_json_shape():
     assert '"family": "A"' in text
     assert '"weight_twist"' in text
     assert '"elapsed"' not in text
+
+
+def _reference_report(lt, w, matrix):
+    """``check_main`` stage by stage on the dense matrix and ``Fraction``
+    weights: the report dict and the twist witness it must produce."""
+    chain = points(lt, w)
+    mat = build_matrix(lt) if matrix is None else matrix
+    trans = build_translation(lt, w)
+    images = [apply_affine(mat, trans, p) for p in chain]
+    strings = string_points(lt, w)
+    missing = [s for s in strings if s not in set(images)]
+    extra = sorted(set(images) - set(strings))
+    pairs = [
+        (fflv_weight(lt, w, p), string_weight(lt, w, v)) for p, v in zip(chain, images)
+    ]
+    twist, witness = weight_twist_solve(lt, w, pairs)
+    dim = weyl_dim(lt, w)
+    equal = not missing and not extra
+    ok = equal and len(chain) == len(strings) == dim and twist is not None
+    return {
+        "family": lt.family,
+        "rank": lt.rank,
+        "weight": list(w),
+        "status": "ok" if ok else "failed",
+        "fflv_count": len(chain),
+        "string_count": len(strings),
+        "weyl_dim": dim,
+        "equal": equal,
+        "missing_total": len(missing),
+        "missing": [list(p) for p in missing[:WITNESS_CAP]],
+        "extra_total": len(extra),
+        "extra": [list(p) for p in extra[:WITNESS_CAP]],
+        "weight_twist": None if twist is None else {
+            "matrix": [[str(x) for x in row] for row in twist.matrix],
+            "shift": [str(x) for x in twist.shift],
+            "unique": twist.unique,
+        },
+    }, witness
+
+
+KERNEL_CASES = [
+    (lt, w)
+    for lt in [LieType(f, n) for f in "AC" for n in range(1, 5)]
+    for w in dominant_weights(lt.rank, 4)
+    if weyl_dim(lt, w) <= 500
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_kernel_matches_staged_reference(data):
+    # the integer kernel of check_main against the Fraction pipeline the
+    # benchmark replays; a lowered matrix entry exercises the witness path
+    lt, w = data.draw(st.sampled_from(KERNEL_CASES))
+    matrix = None
+    if data.draw(st.booleans()):
+        size = len(build_matrix(lt))
+        r, c = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+        mat = [list(row) for row in build_matrix(lt)]
+        mat[r][c] -= 1
+        matrix = tuple(tuple(row) for row in mat)
+    rep = check_main(lt, w, matrix)
+    assert (rep.to_dict(), rep.twist_witness) == _reference_report(lt, w, matrix)
