@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 fault: a failed gate, or a ``ValueError`` that escapes the library after the
 input was validated.  Identical invocations produce byte-identical
 documents.  A command refuses a weight whose module dimension exceeds
-``--max-dim`` before it enumerates anything.
+``--max-dim`` before it enumerates anything; ``verify main``, ``verify
+unimodular`` and ``verify comm`` likewise refuse a matrix or an
+exterior-power table that holds more entries or rows than that.
 """
 
 from __future__ import annotations
@@ -18,8 +20,15 @@ from .crystal import string_points
 from .degenmap import build_matrix
 from .errors import VerificationError
 from .fflv import points
-from .rootsys import LieType, build_labels, dominant_weights, reduced_word, weyl_dim
-from .verify import SWEEPS, all_passed, reports_to_json, run_grid
+from .rootsys import (
+    LieType,
+    build_labels,
+    dominant_weights,
+    reduced_word,
+    root_count,
+    weyl_dim,
+)
+from .verify import SWEEP_SIZES, SWEEPS, all_passed, reports_to_json, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -77,6 +86,12 @@ def _check_dim(lt: LieType, weights, max_dim: int) -> None:
             )
 
 
+def _check_size(what: str, size: int, max_dim: int) -> None:
+    """Refuse a matrix or a table larger than the budget."""
+    if size > max_dim:
+        raise UsageError(f"{what}: {size}, above --max-dim {max_dim}")
+
+
 def _check_out_path(out_path: str | None) -> None:
     """Refuse an output path that cannot be written, before any work starts."""
     parent = os.path.dirname(os.path.abspath(out_path or "."))
@@ -126,6 +141,11 @@ def _cmd_verify_main(args) -> int:
         raise UsageError("--max-level must be nonnegative")
     lt = LieType(_parse_type(args.type), args.rank)
     _check_out_path(args.json)
+    # a budget set below the default to limit the weights does not refuse a
+    # matrix the default admits: A2 at --max-dim 8 keeps its 3 x 3 matrix
+    _check_size(
+        f"{lt} matrix entries", root_count(lt) ** 2, max(args.max_dim, DEFAULT_MAX_DIM)
+    )
     _check_dim(lt, dominant_weights(lt.rank, args.max_level), args.max_dim)
     matrix = None
     if args.corrupt_matrix:
@@ -154,6 +174,11 @@ def _cmd_verify_main(args) -> int:
 def _cmd_verify_sweep(args) -> int:
     if args.max_rank < 1:
         raise UsageError("--max-rank must be at least 1")
+    if args.subcommand in SWEEP_SIZES:
+        unit, size = SWEEP_SIZES[args.subcommand]
+        # sizes grow with the rank: the first rank above the budget is refused
+        for rank in range(1, args.max_rank + 1):
+            _check_size(f"{LieType('C', rank)} {unit}", size(rank), args.max_dim)
     lines, failures = SWEEPS[args.subcommand](args.max_rank)
     print("\n".join(lines))
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
@@ -181,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     main_cmd.add_argument("--type", required=True)
     main_cmd.add_argument("--rank", type=_positive("--rank"), required=True)
     main_cmd.add_argument("--max-level", type=int, required=True)
-    _add_max_dim(main_cmd)
+    _add_max_dim(
+        main_cmd,
+        "refuse a weight whose module dimension exceeds this, or a matrix whose "
+        f"entry count exceeds both this and {DEFAULT_MAX_DIM}",
+    )
     main_cmd.add_argument("--json", default=None)
     main_cmd.add_argument(
         "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
@@ -194,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sweep = verify_sub.add_parser(name, help=text)
         sweep.add_argument("--max-rank", type=int, required=True)
+        if name in SWEEP_SIZES:
+            _add_max_dim(sweep, f"refuse a rank whose {SWEEP_SIZES[name][0]} exceed this")
     return parser
 
 
@@ -205,13 +236,15 @@ def _add_points_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--out", default=None)
 
 
-def _add_max_dim(cmd: argparse.ArgumentParser) -> None:
+def _add_max_dim(
+    cmd: argparse.ArgumentParser,
+    text: str = "refuse a weight whose module dimension exceeds this",
+) -> None:
     cmd.add_argument(
         "--max-dim",
         type=_positive("--max-dim"),
         default=DEFAULT_MAX_DIM,
-        help="refuse a weight whose module dimension exceeds this "
-        f"(default {DEFAULT_MAX_DIM})",
+        help=f"{text} (default {DEFAULT_MAX_DIM})",
     )
 
 

@@ -89,6 +89,12 @@ def column_key(label: RootLabel, n: int) -> int:
     return 2 * n - label.col if label.barred else label.col
 
 
+def root_count(lt: LieType) -> int:
+    """Number N of labels of H(X_n): n(n+1)/2 for A_n, n^2 for C_n."""
+    n = lt.rank
+    return n * (n + 1) // 2 if lt.family == "A" else n * n
+
+
 @lru_cache(maxsize=None)
 def build_labels(lt: LieType) -> tuple[RootLabel, ...]:
     """All labels of H(X_n) in descending order (high columns first, rows ascending)."""
@@ -99,7 +105,7 @@ def build_labels(lt: LieType) -> tuple[RootLabel, ...]:
             RootLabel(r, j, True) for j in range(1, n) for r in range(1, j + 1)
         ]
     labels.sort(key=lambda lab: (-column_key(lab, n), lab.row))
-    expected = n * (n + 1) // 2 if lt.family == "A" else n * n
+    expected = root_count(lt)
     if len(labels) != expected:
         raise VerificationError(
             "rootsys.label_count", f"{lt}: {len(labels)} labels, expected {expected}"

@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .crystal import string_points
@@ -38,6 +39,7 @@ from .rootsys import (
     fundamental_weight,
     letter_histogram,
     natural_dim,
+    root_count,
     root_delta,
     weyl_dim,
 )
@@ -365,4 +367,19 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     return lines, failures
 
 
+def comm_table_rows(m: int) -> int:
+    """Rows of the exterior-power tables of the type-C generators at acting rank m.
+
+    Type C acts on the larger module (2m against m + 1), so this bounds the
+    tables ``comm_sweep`` builds for both families at that rank.
+    """
+    return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
+
+
 SWEEPS = {"unimodular": unimodular_sweep, "fold": fold_sweep, "comm": comm_sweep}
+# the largest table a sweep builds at one rank, always in type C, which the
+# CLI holds against --max-dim; it grows with the rank
+SWEEP_SIZES = {
+    "unimodular": ("matrix entries", lambda n: root_count(LieType("C", n)) ** 2),
+    "comm": ("exterior-power table rows", comm_table_rows),
+}

@@ -1,15 +1,18 @@
 """Independent oracle: exact lowering-operator actions on exterior powers.
 
-Wedge vectors are sparse maps from strictly increasing index tuples to
-integers: a lowering step picks up neither a sign nor a denominator, so
-every coefficient is a nonnegative integer.  For family A the generator with
-index j is the elementary lowering e_j -> e_{j+1} on the natural module of
-the companion algebra; for family C it is the unfolded pair e_j -> e_{j+1},
+A basis wedge e_{t_1} ^ ... ^ e_{t_i} is keyed by the bitmask sum 2^{t_k}, and
+a wedge vector is a sparse map from such keys to integers: a lowering step
+picks up neither a sign nor a denominator, so every coefficient is a
+nonnegative integer.  For family A the generator with index j is the
+elementary lowering e_j -> e_{j+1} on the natural module of the companion
+algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
-through the same elementary step.  On top of the action sit the
-proportionality test, the non-annihilation check, and the fully independent
-reconstruction of the type-A string points; the minimality check is
-membership in that reconstruction.
+through the same elementary step.  ``power_action`` is a memo of
+``act_simple`` on the basis of one exterior power; the equivalence test
+composes its rows into one sparse product per generator sequence.  On top
+of the action sit the proportionality test, the non-annihilation check, and
+the fully independent reconstruction of the type-A string points; the
+minimality check is membership in that reconstruction.
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ from .rootsys import (
     reduced_word,
 )
 
-WedgeVector = dict[tuple[int, ...], int]
+WedgeVector = dict[int, int]
+# the terms of one image, in the order ``act_simple`` produced them
+Terms = tuple[tuple[int, int], ...]
 
 
 def wedge_basis(indices: Iterable[int]) -> WedgeVector:
-    """Basis wedge for a strictly increasing index tuple."""
+    """Basis wedge for a strictly increasing index tuple, keyed by its bitmask."""
     t = tuple(indices)
     if list(t) != sorted(set(t)):
         raise ValueError(f"indices {t} are not strictly increasing")
-    return {t: 1}
+    return {sum(1 << k for k in t): 1}
 
 
 def highest_wedge(k: int) -> WedgeVector:
@@ -46,28 +51,14 @@ def highest_wedge(k: int) -> WedgeVector:
     return wedge_basis(range(1, k + 1))
 
 
-def _add_term(acc: WedgeVector, key: tuple[int, ...], coeff: int) -> None:
-    new = acc.get(key, 0) + coeff
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
-
-
 def act_elementary(t: int, v: WedgeVector, dim: int) -> WedgeVector:
     """Leibniz action of the lowering step e_t -> e_{t+1} on a wedge vector."""
     if not 1 <= t < dim:
         raise ValueError(f"step index {t} out of range for dimension {dim}")
-    out: WedgeVector = {}
-    for key, coeff in v.items():
-        # a strictly increasing key holds t at most once; a repeated factor
-        # t+1 makes the term vanish
-        if t not in key or t + 1 in key:
-            continue
-        pos = key.index(t)
-        # t+1 slots into the same position, so no sign is picked up
-        _add_term(out, key[:pos] + (t + 1,) + key[pos + 1 :], coeff)
-    return out
+    # in a key holding t but not t+1, t+1 takes the slot of t, so no sign is
+    # picked up; a key already holding t+1 vanishes.  The move is injective,
+    # so no two terms merge.
+    return {key + (1 << t): coeff for key, coeff in v.items() if key >> t & 3 == 1}
 
 
 def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
@@ -82,8 +73,9 @@ def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
     out = act_elementary(j, v, dim)
     other = 2 * rank - j
     if family == "C" and other != j:
+        # both steps have nonnegative coefficients: merged terms never cancel
         for key, coeff in act_elementary(other, v, dim).items():
-            _add_term(out, key, coeff)
+            out[key] = out.get(key, 0) + coeff
     return out
 
 
@@ -96,6 +88,68 @@ def act_sequence(
             return {}
         v = act_simple(j, v, family, rank)
     return v
+
+
+def _basis_keys(dim: int, i: int) -> list[int]:
+    """Keys of the basis wedges of the i-th exterior power of a dim-space."""
+    return [
+        key
+        for t in combinations(range(1, dim + 1), i)
+        for key in wedge_basis(t)
+    ]
+
+
+@lru_cache(maxsize=None)
+def power_action(family: str, rank: int, i: int) -> tuple[dict[int, Terms], ...]:
+    """Memo of ``act_simple`` on the basis of the i-th exterior power.
+
+    Entry j - 1 maps the key of every basis wedge that generator j does not
+    kill to the terms of its image.  Equal terms of different rows share one
+    tuple object, so the terms take memory in proportion to the basis, not
+    to the number of rows.
+    """
+    keys = _basis_keys(natural_dim(family, rank), i)
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    rows = []
+    for j in range(1, rank + 1):
+        images = ((key, act_simple(j, {key: 1}, family, rank)) for key in keys)
+        rows.append(
+            {
+                key: tuple(shared.setdefault(term, term) for term in image.items())
+                for key, image in images
+                if image
+            }
+        )
+    return tuple(rows)
+
+
+def _product_images(
+    ops: Sequence[int], i: int, family: str, rank: int
+) -> dict[int, WedgeVector]:
+    """Nonzero images of the basis wedges of the i-th power under a written product.
+
+    Rightmost factor first, one table row per surviving term; a basis wedge
+    whose image dies is dropped.  The empty product is the identity.
+    """
+    for j in ops:
+        if not 1 <= j <= rank:
+            raise ValueError(f"operator index {j} out of range")
+    if not ops:
+        return {key: {key: 1} for key in _basis_keys(natural_dim(family, rank), i)}
+    rows = power_action(family, rank, i)
+    images = rows[ops[-1] - 1]
+    for j in reversed(ops[:-1]):
+        image_of = rows[j - 1].get
+        step = {}
+        for base, terms in images.items():
+            out: WedgeVector = {}
+            for key, coeff in terms:
+                for moved, c in image_of(key, ()):
+                    out[moved] = out.get(moved, 0) + coeff * c
+            if out:
+                step[base] = tuple(out.items())
+        images = step
+    return {base: dict(terms) for base, terms in images.items()}
 
 
 def monomial_ops(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
@@ -141,15 +195,14 @@ def sim_check_ops(
     Requires one shared positive rational scalar r with r * x(v) = y(v) on
     every basis wedge v; sign-mismatched proportionality does not count.
     """
-    dim = natural_dim(family, rank)
+    fx = _product_images(ops_x, i, family, rank)
+    fy = _product_images(ops_y, i, family, rank)
+    # a basis wedge that only one product kills has no scalar
+    if fx.keys() != fy.keys():
+        return False
     r: Fraction | None = None
-    for base in combinations(range(1, dim + 1), i):
-        # combinations yields strictly increasing tuples: valid basis keys
-        fx = act_sequence(ops_x, {base: 1}, family, rank)
-        fy = act_sequence(ops_y, {base: 1}, family, rank)
-        if not fx and not fy:
-            continue
-        ratio = proportionality_ratio(fx, fy)
+    for base, image in fx.items():
+        ratio = proportionality_ratio(image, fy[base])
         if ratio is None or (r is not None and r != ratio):
             return False
         r = ratio

@@ -6,6 +6,7 @@ import pytest
 
 import fflvstring.cli as cli
 import fflvstring.verify as verify
+import fflvstring.wedge as wedge
 from fflvstring.cli import main
 from fflvstring.errors import VerificationError
 from fflvstring.rootsys import LieType
@@ -333,6 +334,43 @@ def test_max_dim_admits_its_bound(capsys):
         "--max-dim", "3",
     )
     assert code == 0 and len(json.loads(out)["points"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C8 needs 313,616 table rows, C22 234,256 and A30 216,225 matrix entries
+        ("verify", "comm", "--max-rank", "8"),
+        ("verify", "comm", "--max-rank", "1000000000"),
+        ("verify", "comm", "--max-rank", "3", "--max-dim", "122"),
+        ("verify", "unimodular", "--max-rank", "22"),
+        ("verify", "unimodular", "--max-rank", "3", "--max-dim", "80"),
+        ("verify", "main", "--type", "C", "--rank", "32", "--max-level", "0"),
+        ("verify", "main", "--type", "A", "--rank", "30", "--max-level", "0"),
+    ],
+)
+def test_table_size_refused_before_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table was built before its size was checked")
+
+    monkeypatch.setattr(wedge, "power_action", no_work)
+    monkeypatch.setattr(verify, "build_matrix", no_work)
+    monkeypatch.setattr(cli, "build_matrix", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "above --max-dim" in err
+
+
+def test_table_size_admits_its_bound(capsys):
+    # C3 holds 123 table rows and 81 matrix entries
+    for sweep, bound in (("comm", "123"), ("unimodular", "81")):
+        code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", "3", "--max-dim", bound)
+        assert (code, err) == (0, "")
+    assert out == GOLDEN_SWEEPS["unimodular", "3"]
+    argv = ("verify", "main", "--type", "A", "--rank", "30", "--max-level", "0")
+    assert run_cli(capsys, *argv, "--max-dim", "216225")[0] == 0
+    # the default budget admits the comm sweep up to acting rank 7
+    assert verify.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < verify.comm_table_rows(8)
 
 
 @pytest.mark.parametrize("rank", ["0", "-1", "two"])

@@ -1,10 +1,13 @@
 """Exact wedge actions, the proportionality relation, and the oracle points."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fflvstring import wedge
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_T
 from fflvstring.errors import VerificationError
@@ -20,6 +23,7 @@ from fflvstring.rootsys import (
     vector_from_labels,
 )
 from fflvstring.wedge import (
+    act_elementary,
     act_monomial,
     act_sequence,
     act_simple,
@@ -66,7 +70,7 @@ def test_act_simple_repeated_index_vanishes():
 def test_act_simple_c_is_unfolded_pair():
     # rank 2: operator 1 moves indices 1 and 3 on the 4-dimensional module
     out = act_simple(1, wedge_basis((1, 3)), "C", 2)
-    assert out == {(2, 3): Fraction(1), (1, 4): Fraction(1)}
+    assert out == {**wedge_basis((2, 3)), **wedge_basis((1, 4))}
     # long operator moves index 2 only
     assert act_simple(2, wedge_basis((2,)), "C", 2) == wedge_basis((3,))
 
@@ -144,8 +148,94 @@ def test_proportionality_ratio_is_exact():
 def test_coefficients_are_integers():
     # f_1 f_1 on e_1 ^ e_3 of C2: both unfolded paths reach e_2 ^ e_4
     out = act_sequence([1, 1], wedge_basis((1, 3)), "C", 2)
-    assert out == {(2, 4): 2}
-    assert type(out[(2, 4)]) is int
+    assert out == {key: 2 for key in wedge_basis((2, 4))}
+    assert all(type(coeff) is int for coeff in out.values())
+
+
+def test_act_elementary_moves_one_slot():
+    # dimension 4: t moves to t + 1 in its own slot; a key that already
+    # holds t + 1, or does not hold t, vanishes
+    v = wedge_basis((1, 3))
+    assert act_elementary(1, v, 4) == wedge_basis((2, 3))
+    assert act_elementary(3, v, 4) == wedge_basis((1, 4))
+    assert act_elementary(2, v, 4) == {}
+    assert act_elementary(1, wedge_basis((1, 2)), 4) == {}
+    with pytest.raises(ValueError):
+        act_elementary(4, v, 4)
+
+
+def _stepwise_sim(ops_x, ops_y, i, family, rank):
+    """Reference: both products acted out on every basis wedge, one at a time."""
+    r = None
+    for t in combinations(range(1, natural_dim(family, rank) + 1), i):
+        fx = act_sequence(ops_x, wedge_basis(t), family, rank)
+        fy = act_sequence(ops_y, wedge_basis(t), family, rank)
+        if not fx and not fy:
+            continue
+        ratio = proportionality_ratio(fx, fy)
+        if ratio is None or (r is not None and r != ratio):
+            return False
+        r = ratio
+    return r is None or r > 0
+
+
+@st.composite
+def _sim_cases(draw):
+    # lengths 0-3 over ranks <= 4 draw equal, adjacent and distant indices;
+    # a permuted second sequence reaches the shared-ratio test
+    family = draw(st.sampled_from("AC"))
+    rank = draw(st.integers(1, 4))
+    i = draw(st.integers(1, natural_dim(family, rank)))
+    ops_x = draw(st.lists(st.integers(1, rank), max_size=3))
+    ops_y = draw(
+        st.one_of(st.permutations(ops_x), st.lists(st.integers(1, rank), max_size=3))
+    )
+    return ops_x, ops_y, i, family, rank
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sim_cases())
+def test_sim_check_ops_matches_stepwise_reference(case):
+    assert sim_check_ops(*case) == _stepwise_sim(*case)
+
+
+def test_sim_check_ops_rejects_out_of_range_operator():
+    with pytest.raises(ValueError):
+        sim_check_ops([0], [1], 1, "A", 2)
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_power_action_rows_are_act_simple(family):
+    rank = 3
+    dim = natural_dim(family, rank)
+    for i in range(dim + 1):
+        rows = wedge.power_action(family, rank, i)
+        assert len(rows) == rank
+        for j, row in enumerate(rows, start=1):
+            for t in combinations(range(1, dim + 1), i):
+                (key,) = wedge_basis(t)
+                assert dict(row.get(key, ())) == act_simple(j, wedge_basis(t), family, rank)
+
+
+def test_power_action_is_the_only_memo():
+    # the benchmark empties every lru_cache defined in a package module
+    # between operations; a memo held in a module dict or a closure would
+    # survive that and carry work from one operation into the next
+    fn = wedge.power_action
+    assert fn.__module__ == "fflvstring.wedge"
+    fn.cache_clear()
+    assert sim_check_ops([1, 3], [3, 1], 2, "C", 3)
+    assert fn.cache_info().currsize == 1
+    fn.cache_clear()
+    assert fn.cache_info().currsize == 0
+    state = [
+        name
+        for name, value in vars(wedge).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert state == []
+    assert sim_check_ops.__closure__ is None
+
 
 def test_nonannihilation_zero_point():
     for lt, i in ((A3, 2), (C2, 2)):
