@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .crystal import string_points
 from .degenmap import build_matrix
@@ -24,11 +25,12 @@ from .rootsys import (
     LieType,
     build_labels,
     dominant_weights,
+    natural_dim,
     reduced_word,
     root_count,
     weyl_dim,
 )
-from .verify import SWEEP_SIZES, SWEEPS, all_passed, reports_to_json, run_grid
+from .verify import SWEEPS, all_passed, reports_to_json, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -74,6 +76,23 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     if any(a < 0 for a in coeffs):
         raise UsageError("--weight coefficients must be nonnegative")
     return coeffs
+
+
+def comm_table_rows(m: int) -> int:
+    """Rows of the exterior-power tables of the type-C generators at acting rank m.
+
+    Type C acts on the larger module (2m against m + 1), so this bounds the
+    tables ``comm_sweep`` builds for both families at that rank.
+    """
+    return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
+
+
+# the largest table a sweep builds at one rank, always in type C, which is
+# held against --max-dim; it grows with the rank
+SWEEP_SIZES = {
+    "unimodular": ("matrix entries", lambda n: root_count(LieType("C", n)) ** 2),
+    "comm": ("exterior-power table rows", comm_table_rows),
+}
 
 
 def _check_dim(lt: LieType, weights, max_dim: int) -> None:

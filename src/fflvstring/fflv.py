@@ -125,9 +125,10 @@ def dyck_paths(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bool:
     """Cross-check a type-A point set against the path inequality system.
 
-    True iff every point satisfies, for every path from (l,l) to (j,j), the
-    bound sum over the path <= a_l + ... + a_j, and conversely every integer
-    vector of the bounding box satisfying all the bounds belongs to the set.
+    True iff the set is exactly the nonnegative integer vectors that satisfy,
+    for every path from (l,l) to (j,j), the bound sum over the path <=
+    a_l + ... + a_j.  These lie in the bounding box, so a point outside it,
+    a negative entry included, fails the check.
     """
     lt = LieType("A", rank)
     w = check_dominant(lt, weight)
@@ -138,23 +139,16 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
         rhs = sum(w[l - 1 : j])
         systems.append((tuple(idx[RootLabel(a, b)] for a, b in path), rhs))
 
-    point_set = set(pts)
-    for p in point_set:
-        for support, rhs in systems:
-            if sum(p[k] for k in support) > rhs:
-                return False
-
     # box bound per label: the straight path through (a,b) alone
     bounds = [sum(w[lab.row - 1 : lab.col]) for lab in build_labels(lt)]
+    feasible = set()
     for candidate in product(*(range(b + 1) for b in bounds)):
-        ok = True
         for support, rhs in systems:
             if sum(candidate[k] for k in support) > rhs:
-                ok = False
                 break
-        if ok and candidate not in point_set:
-            return False
-    return True
+        else:
+            feasible.add(candidate)
+    return feasible == set(pts)
 
 
 def embed_point_in_a(lt: LieType, p: ExponentVector) -> ExponentVector:

@@ -1,12 +1,15 @@
 """End-to-end theorem pipelines with machine-readable reports.
 
 Each report compares the mapped chain points with the string points of the
-same weight, gates both cardinalities on the Weyl dimension, records up to
-ten witnesses per direction together with exact totals, and carries the
-affine weight twist fitted to all weight pairs of the case.  Grid runs are
-deterministic: results are ordered by case, independent of thread count,
-and the JSON rendering contains no timing data.  The supporting sweeps
-return the lines the CLI prints and a list of their failing cases.
+same weight, records both cardinalities and the Weyl dimension, up to ten
+witnesses per direction together with exact totals, and the affine weight
+twist fitted to all weight pairs of the case.  A report stores only this
+evidence: its verdict is derived from it, so no report can contradict
+itself.  Grid runs are deterministic: results are ordered by case,
+independent of thread count, and the JSON rendering contains no timing
+data.  The supporting sweeps return the lines the CLI prints and a list of
+their failing cases.  Nothing here bounds the work; the CLI refuses an
+oversized weight, matrix or table before it calls this module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .crystal import string_points
@@ -39,11 +41,10 @@ from .rootsys import (
     fundamental_weight,
     letter_histogram,
     natural_dim,
-    root_count,
     root_delta,
     weyl_dim,
 )
-from .wedge import act_sequence, sim_check_ops, wedge_basis
+from .wedge import act_sequence, power_action, sim_check_ops, wedge_basis
 
 WITNESS_CAP = 10
 
@@ -55,11 +56,9 @@ class VerificationReport:
     family: str
     rank: int
     weight: tuple[int, ...]
-    status: str  # "ok", "failed" or "skipped"
     fflv_count: int
     string_count: int
     weyl_dim: int
-    equal: bool
     missing: tuple[ExponentVector, ...]
     missing_total: int
     extra: tuple[ExponentVector, ...]
@@ -67,6 +66,18 @@ class VerificationReport:
     weight_twist: WeightTwist | None
     twist_witness: tuple | None
     elapsed: float
+
+    @property
+    def equal(self) -> bool:
+        """T(P) = Q: no string point is missing and no image is unmatched."""
+        return self.missing_total == 0 and self.extra_total == 0
+
+    @property
+    def status(self) -> str:
+        """``ok`` if T(P) = Q, |P| = |Q| = dim and a weight twist fits."""
+        counted = self.fflv_count == self.string_count == self.weyl_dim
+        ok = self.equal and counted and self.weight_twist is not None
+        return "ok" if ok else "failed"
 
     def to_dict(self) -> dict:
         """JSON-stable rendering; excludes the elapsed time on purpose."""
@@ -94,31 +105,10 @@ class VerificationReport:
         }
 
 
-def _skipped(lt: LieType, weight, dim: int, elapsed: float) -> VerificationReport:
-    return VerificationReport(
-        family=lt.family,
-        rank=lt.rank,
-        weight=tuple(weight),
-        status="skipped",
-        fflv_count=0,
-        string_count=0,
-        weyl_dim=dim,
-        equal=False,
-        missing=(),
-        missing_total=0,
-        extra=(),
-        extra_total=0,
-        weight_twist=None,
-        twist_witness=None,
-        elapsed=elapsed,
-    )
-
-
 def check_main(
     lt: LieType,
     weight: Sequence[int],
     matrix=None,
-    max_dim: int | None = None,
 ) -> VerificationReport:
     """Compare mapped chain points against string points for one weight.
 
@@ -130,14 +120,11 @@ def check_main(
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports mismatches as witnesses instead of raising the
-    nonnegativity gate.  ``max_dim`` skips cases whose module dimension
-    exceeds the budget, explicitly, never silently.
+    nonnegativity gate.  Every case runs to the end; a caller that must
+    bound the work checks ``weyl_dim`` first, as the CLI does.
     """
     start = time.perf_counter()
     w = check_dominant(lt, weight)
-    dim = weyl_dim(lt, w)
-    if max_dim is not None and dim > max_dim:
-        return _skipped(lt, w, dim, time.perf_counter() - start)
 
     chain_pts = points(lt, w)
     trusted = matrix is None
@@ -158,20 +145,16 @@ def check_main(
 
     missing = tuple(s for s in strings if s not in image_set)
     extra = tuple(sorted(v for v in image_set if v not in string_set))
-    equal = not missing and not extra
 
     twist, witness = delta_twist_solve(lt, w, deltas)
 
-    ok = equal and len(chain_pts) == dim and len(strings) == dim and twist is not None
     return VerificationReport(
         family=lt.family,
         rank=lt.rank,
         weight=w,
-        status="ok" if ok else "failed",
         fflv_count=len(chain_pts),
         string_count=len(strings),
-        weyl_dim=dim,
-        equal=equal,
+        weyl_dim=weyl_dim(lt, w),
         missing=missing[:WITNESS_CAP],
         missing_total=len(missing),
         extra=extra[:WITNESS_CAP],
@@ -190,10 +173,16 @@ class ContainmentReport:
     rank: int
     weight1: tuple[int, ...]
     weight2: tuple[int, ...]
-    fflv_ok: bool
     fflv_witnesses: tuple[ExponentVector, ...]
-    string_ok: bool
     string_witnesses: tuple[ExponentVector, ...]
+
+    @property
+    def fflv_ok(self) -> bool:
+        return not self.fflv_witnesses
+
+    @property
+    def string_ok(self) -> bool:
+        return not self.string_witnesses
 
     @property
     def ok(self) -> bool:
@@ -227,9 +216,7 @@ def check_minkowski(lt: LieType, weight1, weight2) -> ContainmentReport:
         rank=lt.rank,
         weight1=w1,
         weight2=w2,
-        fflv_ok=not fflv_bad,
         fflv_witnesses=fflv_bad,
-        string_ok=not string_bad,
         string_witnesses=string_bad,
     )
 
@@ -267,7 +254,6 @@ def run_grid(
     cases: Sequence[tuple[LieType, int]],
     threads: int = 1,
     matrix=None,
-    max_dim: int | None = None,
 ) -> list[VerificationReport]:
     """Run check_main over every dominant weight of every case, in order.
 
@@ -282,13 +268,13 @@ def run_grid(
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(
-                pool.map(lambda t: check_main(t[0], t[1], matrix, max_dim), tasks)
+                pool.map(lambda t: check_main(t[0], t[1], matrix), tasks)
             )
-    return [check_main(lt, w, matrix, max_dim) for lt, w in tasks]
+    return [check_main(lt, w, matrix) for lt, w in tasks]
 
 
 def all_passed(reports: Sequence[VerificationReport]) -> bool:
-    return all(r.status != "failed" for r in reports)
+    return all(r.status == "ok" for r in reports)
 
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
@@ -362,24 +348,11 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
                             failures.append((family, m, l, j, f"sim i={i}"))
             status = "ok" if len(failures) == before else "FAILED"
             lines.append(f"{family}{m}: commutation table {status}")
+            # no later rank reads the tables of this one
+            power_action.cache_clear()
     if failures:
         lines.append(f"failing cases: {failures[:10]}")
     return lines, failures
 
 
-def comm_table_rows(m: int) -> int:
-    """Rows of the exterior-power tables of the type-C generators at acting rank m.
-
-    Type C acts on the larger module (2m against m + 1), so this bounds the
-    tables ``comm_sweep`` builds for both families at that rank.
-    """
-    return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
-
-
 SWEEPS = {"unimodular": unimodular_sweep, "fold": fold_sweep, "comm": comm_sweep}
-# the largest table a sweep builds at one rank, always in type C, which the
-# CLI holds against --max-dim; it grows with the rank
-SWEEP_SIZES = {
-    "unimodular": ("matrix entries", lambda n: root_count(LieType("C", n)) ** 2),
-    "comm": ("exterior-power table rows", comm_table_rows),
-}

@@ -370,7 +370,7 @@ def test_table_size_admits_its_bound(capsys):
     argv = ("verify", "main", "--type", "A", "--rank", "30", "--max-level", "0")
     assert run_cli(capsys, *argv, "--max-dim", "216225")[0] == 0
     # the default budget admits the comm sweep up to acting rank 7
-    assert verify.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < verify.comm_table_rows(8)
+    assert cli.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < cli.comm_table_rows(8)
 
 
 @pytest.mark.parametrize("rank", ["0", "-1", "two"])

@@ -36,69 +36,9 @@ C2 = LieType("C", 2)
 C3 = LieType("C", 3)
 
 
-def test_matrix_a3_printed_fixture():
-    assert build_matrix(A3) == (
-        (-1, -1, -1, -1, 0, -1),
-        (0, -1, -1, 0, -1, 0),
-        (0, 0, -1, 0, 0, 0),
-        (0, 0, 0, -1, -1, -1),
-        (0, 0, 0, 0, -1, 0),
-        (0, 0, 0, 0, 0, -1),
-    )
-
-
-def test_matrix_c2_printed_fixture():
-    assert build_matrix(C2) == (
-        (-1, -1, 0, -1),
-        (0, -1, -2, -1),
-        (0, 0, -1, 0),
-        (0, 0, 0, -1),
-    )
-
-
 def test_matrix_rank_one_base_cases():
     assert build_matrix(A1) == ((-1,),)
     assert build_matrix(C1) == ((-1,),)
-
-
-@pytest.mark.parametrize("family", ["A", "C"])
-@pytest.mark.parametrize("rank", range(1, 11))
-def test_triangularity_in_descending_basis(family, rank):
-    # the descending label chain is the triangularizing basis: the negated
-    # matrix is upper triangular with unit diagonal
-    mat = build_matrix(LieType(family, rank))
-    size = len(mat)
-    assert all(mat[r][c] == 0 for r in range(size) for c in range(r))
-    assert all(mat[k][k] == -1 for k in range(size))
-
-
-def test_translation_a3_omega2_fixture():
-    expected = vector_from_labels(
-        A3,
-        {
-            RootLabel(1, 2): 1,
-            RootLabel(2, 2): 1,
-            RootLabel(1, 3): 1,
-            RootLabel(2, 3): 1,
-        },
-    )
-    assert build_translation(A3, (0, 1, 0)) == expected
-
-
-def test_translation_c3_omega2_fixture():
-    expected = vector_from_labels(
-        C3,
-        {
-            RootLabel(1, 2): 1,
-            RootLabel(2, 2): 1,
-            RootLabel(1, 3): 1,
-            RootLabel(2, 3): 1,
-            RootLabel(1, 2, True): 2,
-            RootLabel(2, 2, True): 1,
-            RootLabel(1, 1, True): 1,
-        },
-    )
-    assert build_translation(C3, (0, 1, 0)) == expected
 
 
 def test_translation_c2_omega2_fixture():

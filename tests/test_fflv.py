@@ -146,6 +146,8 @@ def test_dyck_a2_adjoint_both_directions():
 def test_dyck_rejects_added_point():
     bad = points(A2, (1, 0)) + (from_labels(A2, RootLabel(2, 2)),)
     assert dyck_check_A(2, (1, 0), tuple(sorted(bad))) is False
+    # outside the bounding box: meets every path bound, yet is no point
+    assert dyck_check_A(2, (1, 1), points(A2, (1, 1)) + ((-1, 0, 0),)) is False
 
 
 def test_dyck_rejects_removed_point():

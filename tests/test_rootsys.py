@@ -54,17 +54,6 @@ def test_natural_dim_and_fundamental_weight():
     assert fundamental_weight(3, 3) == (0, 0, 1)
 
 
-def test_labels_a3_printed_basis():
-    assert build_labels(A3) == (
-        RootLabel(1, 3),
-        RootLabel(2, 3),
-        RootLabel(3, 3),
-        RootLabel(1, 2),
-        RootLabel(2, 2),
-        RootLabel(1, 1),
-    )
-
-
 def test_labels_c2_printed_basis():
     assert build_labels(C2) == (
         RootLabel(1, 1, True),

@@ -6,6 +6,7 @@ import inspect
 from pathlib import Path
 
 from fflvstring import degenmap, rootsys, verify
+from fflvstring.rootsys import LieType
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fflvstring"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -52,6 +53,25 @@ def test_benchmark_binds_existing_names():
     assert "threads" in inspect.signature(verify.run_grid).parameters
 
 
+def _grid_method(name):
+    workloads = _perfbench_tree("workloads.py")
+    grid = next(n for n in workloads.body if getattr(n, "name", None) == "Grid")
+    return next(n for n in grid.body if getattr(n, "name", None) == name)
+
+
+def test_benchmark_reads_existing_report_attributes():
+    # the benchmark's output check reads these off each report; a renamed
+    # one would show only as failed cases of the grid workload
+    read = {
+        node.attr
+        for node in ast.walk(_grid_method("check"))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "rep"
+    }
+    assert {"status", "equal", "weight_twist", "to_dict"} <= read
+    rep = verify.check_main(LieType("A", 1), (1,))
+    assert [name for name in sorted(read) if not hasattr(rep, name)] == []
+
+
 # parameters of the functions the benchmark's staged replay (Grid.replay)
 # calls positionally; a reordered or renamed parameter would silently feed
 # it wrong arguments
@@ -65,9 +85,7 @@ REPLAY_PARAMETERS = {
 
 
 def test_benchmark_replay_parameters_pinned():
-    workloads = _perfbench_tree("workloads.py")
-    grid = next(n for n in workloads.body if getattr(n, "name", None) == "Grid")
-    replay = next(n for n in grid.body if getattr(n, "name", None) == "replay")
+    replay = _grid_method("replay")
     calls = {
         (node.func.value.id, node.func.attr): len(node.args)
         for node in ast.walk(replay)
