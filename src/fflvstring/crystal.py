@@ -5,16 +5,20 @@ and 1..2m for family C (reading 1 < ... < m < m-bar < ... < 1-bar); a table
 per family and rank gives, for each operator index, the class of every
 letter (lowered, raised or untouched), indexed by the letter.  Tensor words
 are plain tuples of letters.  One left-to-right bracket scan per operator
-index (Kashiwara's signature rule) leaves a signature +^a -^b: string
-extraction raises all a plus positions in the scan itself, counting the
-open minus positions instead of listing them, and the saturation along the
-reduced word lowers the b minus positions left to right.
+index j (Kashiwara's signature rule) leaves a signature +^a -^c; a word with
+a = 0 is a j-head, and f_j^k lowers the first k of its c minus positions.
 
-The scan direction and the saturation order are fixed conventions, not
-forced by the construction.  The tests show that each alternative fails the
-dimension gate: forward saturation loses an element of A2 omega_1, and a
-right-to-left scan (a mirrored tensor word) makes the highest word of
-A2 (1,1) non-highest and over-fills its closure.
+One walk along the reduced word, right to left, builds the Demazure set with
+the string vector (Littelmann's string coordinates) of each element over the
+letters done so far.  By the string property (Kashiwara 1993) the set meets
+every j-string in nothing, its head alone or the whole string, so at letter
+j each head b with string s gives f_j^k(b) with string (k,) + s, k = 0..c,
+and every other element is made again by its head.  Were the property to
+fail, elements would be lost and the dimension gate would fire.
+``extract_string``, raising an element back along the whole word, is the
+independent reference.  The gate also pins the scan direction and the walk
+order, as the tests show: a forward walk loses an element of A2 omega_1, and
+a right-to-left scan (a mirrored word) over-fills A2 (1,1).
 """
 
 from __future__ import annotations
@@ -57,43 +61,23 @@ def letter_classes(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _lowerable(row: tuple[int, ...], word: TensorWord) -> list[int]:
+def _lowerable(row: tuple[int, ...], word: TensorWord) -> list[int] | None:
     """Surviving minus positions of the signature of ``word``, ascending.
 
     ``row`` is the ``letter_classes`` row of the operator.  A plus cancels
-    the nearest unmatched minus to its left, so f_j^k lowers the first k
-    survivors.
+    the nearest unmatched minus to its left; a plus that meets none
+    survives, so ``word`` is not a head and the scan returns None.
     """
     minus: list[int] = []
     for pos, letter in enumerate(word):
         c = row[letter]
         if c == LOWER:
             minus.append(pos)
-        elif c and minus:
+        elif c:
+            if not minus:
+                return None
             minus.pop()
     return minus
-
-
-def _raise_all(row: tuple[int, ...], word: TensorWord) -> tuple[TensorWord, int]:
-    """e_j^a(word) with a maximal, and a.
-
-    A plus with no open minus to its left survives the bracketing, and no
-    later letter can cancel it; so one left-to-right scan that counts the
-    open minus positions raises every surviving plus as it passes.
-    """
-    out = list(word)
-    opened = a = 0
-    for pos, letter in enumerate(word):
-        c = row[letter]
-        if c == LOWER:
-            opened += 1
-        elif c:
-            if opened:
-                opened -= 1
-            else:
-                out[pos] = letter - 1
-                a += 1
-    return (tuple(out) if a else word), a
 
 
 def build_highest(lt: LieType, weight) -> TensorWord:
@@ -109,32 +93,36 @@ def build_highest(lt: LieType, weight) -> TensorWord:
     return tuple(word)
 
 
-def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
-    """Saturation of the highest-weight word along the reduced word.
+def _walk(lt: LieType, w: tuple[int, ...]) -> dict[TensorWord, ExponentVector]:
+    """Each Demazure element with its string vector, for a checked weight.
 
-    Walking the word right to left, each letter j replaces the current set S
-    by { f_j^k(b) : b in S, k >= 0 }; f_j^k(b) lowers the first k surviving
-    minus positions of b.  The result must have exactly as many elements as
-    the source module has dimensions; a mismatch is a hard failure.
+    A set whose size is not the dimension of the source module is a hard failure.
     """
-    w = check_dominant(lt, weight)
     table = letter_classes(lt.family, lt.target_rank)
-    current: set[TensorWord] = {build_highest(lt, w)}
+    strings: dict[TensorWord, ExponentVector] = {build_highest(lt, w): ()}
     for j in reversed(reduced_word(lt)):
-        grown = set(current)
-        for b in current:
+        grown: dict[TensorWord, ExponentVector] = {}
+        for b, s in strings.items():
+            if (minus := _lowerable(table[j], b)) is None:
+                continue
+            grown[b] = (0,) + s
             x = list(b)
-            for pos in _lowerable(table[j], b):
+            for k, pos in enumerate(minus, start=1):
                 x[pos] += 1
-                grown.add(tuple(x))
-        current = grown
+                grown[tuple(x)] = (k,) + s
+        strings = grown
     expected = weyl_dim(lt, w)
-    if len(current) != expected:
+    if len(strings) != expected:
         raise VerificationError(
             "crystal.demazure_dimension",
-            f"{lt} {w}: closure has {len(current)} elements, expected {expected}",
+            f"{lt} {w}: closure has {len(strings)} elements, expected {expected}",
         )
-    return tuple(sorted(current))
+    return strings
+
+
+def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
+    """The Demazure crystal of the reduced word, as sorted tensor words."""
+    return tuple(sorted(_walk(lt, check_dominant(lt, weight))))
 
 
 def extract_string(
@@ -147,12 +135,24 @@ def extract_string(
 
     ``table`` is the ``letter_classes`` table of the companion algebra.  For
     each letter j, e_j^a with a maximal raises all a surviving plus
-    positions of b at once.  A Demazure element lies in the component of
+    positions of b in one scan that counts the open minus positions: a plus
+    that meets none survives.  A Demazure element lies in the component of
     ``highest``, the only highest-weight element there.
     """
     q: list[int] = []
     for j in word:
-        b, a = _raise_all(table[j], b)
+        row, out, opened, a = table[j], list(b), 0, 0
+        for pos, letter in enumerate(b):
+            c = row[letter]
+            if c == LOWER:
+                opened += 1
+            elif c:
+                if opened:
+                    opened -= 1
+                else:
+                    out[pos] = letter - 1
+                    a += 1
+        b = tuple(out)
         q.append(a)
     if b != highest:
         raise VerificationError(
@@ -166,16 +166,11 @@ def extract_string(
 def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
     """String vectors of the Demazure crystal, as a canonical point set.
 
-    Extraction must be injective; two elements colliding on one string
-    vector is a hard failure.
+    Two elements sharing one string vector is a hard failure.
     """
     w = check_dominant(lt, weight)
-    table = letter_classes(lt.family, lt.target_rank)
-    word = reduced_word(lt)
-    top = build_highest(lt, w)
     seen: dict[ExponentVector, TensorWord] = {}
-    for b in demazure_set(lt, w):
-        q = extract_string(table, b, word, top)
+    for b, q in _walk(lt, w).items():
         if q in seen:
             raise VerificationError(
                 "crystal.string_injectivity",
@@ -183,4 +178,3 @@ def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector,
             )
         seen[q] = b
     return tuple(sorted(seen))
-

@@ -1,4 +1,4 @@
-"""Letter moves, the bracketing rule, saturation and string extraction."""
+"""Letter moves, the bracketing rule, the Demazure walk and string extraction."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from fflvstring.crystal import (
     LOWER,
     RAISE,
     _lowerable,
-    _raise_all,
+    _walk,
     build_highest,
     demazure_set,
     extract_string,
@@ -190,21 +190,25 @@ def test_support_restriction_type_a(rank):
 
 
 @pytest.mark.parametrize(
-    "family,rank,level", [("A", 2, 2), ("A", 3, 1), ("C", 2, 2), ("C", 3, 1)]
+    "family,rank,level",
+    [("A", 2, 2), ("A", 3, 1), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)],
 )
 def test_string_round_trip(family, rank, level):
+    # the walk's strings are the extracted ones, and lowering the highest
+    # word by them (stepwise rule, cheap up to level 4 - rank) gives b back
     lt = LieType(family, rank)
     vc = (family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         top = build_highest(lt, w)
-        for b in demazure_set(lt, w):
-            q = extract_string(letter_classes(*vc), b, word, top)
+        for b, q in _walk(lt, w).items():
+            assert extract_string(letter_classes(*vc), b, word, top) == q
+            if sum(w) > 4 - rank:
+                continue
             x = top
             for j, k in reversed(list(zip(word, q))):
                 for _ in range(k):
                     x = _ref_step(vc, j, x, lower=True)
-                    assert x is not None
             assert x == b
 
 
@@ -239,11 +243,8 @@ def _letter_weight(lt, w, b):
 )
 def test_string_weight_matches_letter_counts(family, rank, level):
     lt = LieType(family, rank)
-    table = letter_classes(family, lt.target_rank)
-    word = reduced_word(lt)
     for w in dominant_weights(rank, level):
-        for b in demazure_set(lt, w):
-            q = extract_string(table, b, word, build_highest(lt, w))
+        for b, q in _walk(lt, w).items():
             assert string_weight(lt, w, q) == _letter_weight(lt, w, b)
 
 
@@ -289,15 +290,19 @@ def _saturate(vc, top, order):
     return current
 
 
-def test_closure_order_gate():
+def test_closure_order_gate(monkeypatch):
     # saturating right to left along the word passes; the forward
-    # composition loses an element of (A,2) omega_1
+    # composition loses an element of (A,2) omega_1, and so does the walk
+    # run forward, which the dimension gate catches
     vc = ("A", 3)
     word = reduced_word(A2)
     top = build_highest(A2, (1, 0))
-    assert len(demazure_set(A2, (1, 0))) == 3
     assert _saturate(vc, top, reversed(word)) == set(demazure_set(A2, (1, 0)))
     assert len(_saturate(vc, top, word)) == 2
+    monkeypatch.setattr("fflvstring.crystal.reduced_word", lambda lt: word[::-1])
+    with pytest.raises(VerificationError, match="closure has 2 elements, expected 3") as info:
+        demazure_set(A2, (1, 0))
+    assert info.value.gate == "crystal.demazure_dimension"
 
 
 def test_signature_convention_gate():
@@ -362,14 +367,14 @@ def _tensor_words(draw):
 @given(_tensor_words())
 def test_bracket_scan_matches_stepwise_rule(case):
     vc, word = case
+    table = letter_classes(*vc)
     for j in range(1, vc[1] + 1):
-        row = letter_classes(*vc)[j]
         plus, minus = _signature(vc, j, word)
-        assert _lowerable(row, word) == minus
+        assert _lowerable(table[j], word) == (None if plus else minus)
         assert all(p < q for p in plus for q in minus)
         # one scan raises exactly the surviving + positions, each once,
         # which is raising until None by the stepwise rule
-        assert _raise_all(row, word) == (_moved(word, plus, -1), len(plus))
+        assert extract_string(table, word, (j,), _moved(word, plus, -1)) == (len(plus),)
         x, steps = word, 0
         while (nx := _ref_step(vc, j, x, lower=False)) is not None:
             x, steps = nx, steps + 1
