@@ -11,9 +11,9 @@ all weight pairs and all source coordinates and keeps only a row basis of
 at most 2n rows; its answer is the free-variables-zero solution of the full
 system, the same as solving every coordinate over every pair, because the
 reduced row echelon form of a consistent system depends only on its row
-space.  Its rows come from one of two builders: ``Fraction`` weight pairs
-scaled by the lcm of their denominators, or integer weight deltas against
-the base pair, which give the same rows.
+space.  Its rows come from one of two builders, ``Fraction`` weight pairs
+scaled by the lcm of their denominators or integer weight deltas against
+the base pair, which give the same rows up to a positive factor.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import VerificationError
@@ -31,11 +32,12 @@ from .rootsys import (
     LieType,
     RootLabel,
     all_columns,
-    base_weights,
     build_labels,
     check_dominant,
     column_key,
+    fundamental_weight_roots,
     label_index,
+    lifted_coeffs,
 )
 
 
@@ -252,17 +254,26 @@ def delta_twist_solve(lt: LieType, weight, deltas):
 
     A pair is (``root_delta`` of a chain point, ``letter_histogram`` of its
     image): its weights are the base pair ``(lambda, lifted lambda)`` minus
-    the deltas.  A delta is an integer vector, so every entry keeps the
-    denominator of its base entry; the lcm D of the base denominators is the
-    scale ``weight_twist_solve`` finds, and each row is ``D*base - D*delta``,
-    the same integers, built without a ``Fraction``.  The distinct deltas
-    are the distinct pairs, in the same order, so the twist and the witness
-    are those of ``weight_twist_solve`` on the weight pairs; the witness
-    comes back as ``Fraction`` weights.
+    the deltas.  With the base pair in integer numerators over a fixed scale
+    D, each row ``D*base - D*delta`` is the row ``weight_twist_solve`` builds
+    times one positive factor: same primitive basis, twist and witness.  The
+    distinct deltas are the distinct pairs, in the same order; only a
+    witness is turned back into ``Fraction`` weights.
     """
-    src, tgt = base_weights(lt, check_dominant(lt, weight))
-    scale = lcm(*{x.denominator for x in src + tgt})
-    base_src, base_tgt = _scaled(src, scale), _scaled(tgt, scale)
+    w = check_dominant(lt, weight)
+    # the fundamental weights of rank r have denominator r+1 (A) or 2 (C)
+    scale = lcm(lt.rank + 1, 2 * lt.rank) if lt.family == "A" else 2
+
+    def numerators(rank: int, coeffs) -> list[int]:
+        out = [0] * rank
+        for k, a in enumerate(coeffs, start=1):
+            if a:
+                omega = _scaled(fundamental_weight_roots(lt.family, rank, k), scale)
+                out = [x + a * y for x, y in zip(out, omega)]
+        return out
+
+    base_src = numerators(lt.rank, w)
+    base_tgt = numerators(lt.target_rank, lifted_coeffs(lt, w))
 
     def row(delta):
         ds, dt = delta
@@ -277,8 +288,8 @@ def delta_twist_solve(lt: LieType, weight, deltas):
         return twist, None
     ds, dt = witness
     return None, (
-        tuple(b - d for b, d in zip(src, ds)),
-        tuple(b - d for b, d in zip(tgt, dt)),
+        tuple(Fraction(b - scale * d, scale) for b, d in zip(base_src, ds)),
+        tuple(Fraction(b - scale * d, scale) for b, d in zip(base_tgt, dt)),
     )
 
 
@@ -291,9 +302,12 @@ def _twist_eliminate(lt: LieType, items, row_of):
     """The twist fitting the integer rows ``row_of(item)``, each of the form
     ``[D*companion, D | D*source]``, or the witness item.
 
-    Each row is reduced against a basis of at most m+1 rows, kept in reduced
-    echelon form: a row whose companion part is independent joins the
-    basis, a dependent row must reduce to zero in its source part as well.
+    The basis of at most m+1 rows is kept in reduced echelon form and, as
+    B_c, at one common pivot value L.  The residual ``L*row - sum row[c]*B_c``
+    is a nonzero multiple of the reduced row: a row is dependent iff it
+    vanishes in every companion column, consistent in a source coordinate
+    iff it vanishes there, and only a row that joins the basis is reduced.
+
     The twist is read off the basis with free variables set to zero.
     Scaling a row by D leaves its row space alone, and the reduced row
     echelon form of a consistent system depends only on its row space,
@@ -305,9 +319,9 @@ def _twist_eliminate(lt: LieType, items, row_of):
     row breaks consistency of the lowest inconsistent source coordinate.
     It is found in the same pass: until a coordinate breaks, the basis
     spans every earlier row in the companion part and in that coordinate (a
-    skipped row reduced to zero there), so the first dependent row with a
-    nonzero residual in it is the first row whose prefix of the system is
-    inconsistent.
+    dependent row had a zero residual there), so the first dependent row
+    with a nonzero residual in it is the first row whose prefix of the
+    system is inconsistent.
     """
     if not items:
         raise ValueError("at least one weight pair is required")
@@ -315,36 +329,43 @@ def _twist_eliminate(lt: LieType, items, row_of):
     m = lt.target_rank
     # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    # source coordinate -> first item whose reduced residual in it is nonzero
+    # source coordinate -> first item whose residual in it is nonzero
     breaks: dict[int, object] = {}
+    common, checks = 1, [(j, ()) for j in range(m + 1 + n)]
     for item in items:
         row = row_of(item)
-        for c, b in basis.items():
-            if row[c]:
-                row = _clear(row, b, c)
-        pivot = next((c for c in range(m + 1) if row[c]), None)
-        if pivot is None:
-            for r in range(n):
-                if row[m + 1 + r]:
-                    breaks.setdefault(r, item)
-            continue
-        row = _primitive(row)
-        for c, b in basis.items():
-            if b[pivot]:
-                basis[c] = _primitive(_clear(b, row, pivot))
-        basis[pivot] = row
+        head = [row[c] for c in basis]
+        for j, col in checks:
+            if common * row[j] != sum(map(mul, head, col)):
+                if j <= m:
+                    common, checks = _join(basis, row, m)
+                    break
+                breaks.setdefault(j - m - 1, item)
     if breaks:
         return None, breaks[min(breaks)]
     sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):
             sol[r][c] = Fraction(b[m + 1 + r], b[c])
-    twist = WeightTwist(
-        tuple(tuple(row[:m]) for row in sol),
-        tuple(row[m] for row in sol),
-        len(basis) == m + 1,
-    )
-    return twist, None
+    matrix = tuple(tuple(row[:m]) for row in sol)
+    shift = tuple(row[m] for row in sol)
+    return WeightTwist(matrix, shift, len(basis) == m + 1), None
+
+
+def _join(basis: dict[int, list[int]], row: list[int], m: int):
+    """Reduce a row into the basis; return L and the non-pivot columns (j, B_*[j])."""
+    for c, b in basis.items():
+        if row[c]:
+            row = _clear(row, b, c)
+    pivot = next(c for c in range(m + 1) if row[c])
+    row = _primitive(row)
+    for c, b in basis.items():
+        if b[pivot]:
+            basis[c] = _primitive(_clear(b, row, pivot))
+    basis[pivot] = row
+    common = lcm(*(b[c] for c, b in basis.items()))
+    scaled = [[common // b[c] * x for x in b] for c, b in basis.items()]
+    return common, [(j, col) for j, col in enumerate(zip(*scaled)) if j not in basis]
 
 
 def _clear(row: list[int], b: list[int], c: int) -> list[int]:
@@ -357,4 +378,3 @@ def _primitive(row: list[int]) -> list[int]:
     """A nonzero integer row divided by the gcd of its entries."""
     d = gcd(*row)
     return [x // d for x in row]
-

@@ -10,7 +10,7 @@ mismatch is a hard failure, never silently accepted.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from operator import add
 
 from .errors import VerificationError
 from .rootsys import (
@@ -82,7 +82,7 @@ def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
         for _ in range(a):
             fund = fundamental_points(lt, i)
             current = {
-                tuple(x + y for x, y in zip(p, q)) for p in current for q in fund
+                tuple(map(add, p, q)) for p in current for q in fund
             }
     pts = tuple(sorted(current))
     expected = weyl_dim(lt, w)
@@ -128,26 +128,35 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
     True iff the set is exactly the nonnegative integer vectors that satisfy,
     for every path from (l,l) to (j,j), the bound sum over the path <=
     a_l + ... + a_j.  These lie in the bounding box, so a point outside it,
-    a negative entry included, fails the check.
+    a negative entry included, fails the check.  The box is filled depth-first,
+    and a value that breaks a path through its label ends that label's range.
     """
     lt = LieType("A", rank)
     w = check_dominant(lt, weight)
     idx = label_index(lt)
-    systems = []
+    through: list[list] = [[] for _ in idx]  # per label: (path support, bound)
     for path in dyck_paths(rank):
-        l, j = path[0][0], path[-1][1]
-        rhs = sum(w[l - 1 : j])
-        systems.append((tuple(idx[RootLabel(a, b)] for a, b in path), rhs))
+        support = tuple(idx[RootLabel(a, b)] for a, b in path)
+        for k in support:
+            through[k].append((support, sum(w[path[0][0] - 1 : path[-1][1]])))
 
     # box bound per label: the straight path through (a,b) alone
     bounds = [sum(w[lab.row - 1 : lab.col]) for lab in build_labels(lt)]
     feasible = set()
-    for candidate in product(*(range(b + 1) for b in bounds)):
-        for support, rhs in systems:
-            if sum(candidate[k] for k in support) > rhs:
+    vec = [0] * len(bounds)
+
+    def fill(k: int) -> None:
+        if k == len(vec):
+            feasible.add(tuple(vec))
+            return
+        for x in range(bounds[k] + 1):
+            vec[k] = x
+            if any(sum(vec[i] for i in support) > rhs for support, rhs in through[k]):
                 break
-        else:
-            feasible.add(candidate)
+            fill(k + 1)
+        vec[k] = 0
+
+    fill(0)
     return feasible == set(pts)
 
 

@@ -23,7 +23,6 @@ from typing import Sequence
 from .crystal import string_points
 from .degenmap import (
     WeightTwist,
-    apply_affine,
     build_matrix,
     build_translation,
     check_nonnegative,
@@ -36,12 +35,12 @@ from .fflv import points
 from .rootsys import (
     ExponentVector,
     LieType,
+    _label_roots,
     check_dominant,
     dominant_weights,
     fundamental_weight,
-    letter_histogram,
     natural_dim,
-    root_delta,
+    reduced_word,
     weyl_dim,
 )
 from .wedge import act_sequence, power_action, sim_check_ops, wedge_basis
@@ -112,11 +111,10 @@ def check_main(
 ) -> VerificationReport:
     """Compare mapped chain points against string points for one weight.
 
-    Per point the work is integer only: the image under the affine map,
-    walked over the support of the point, and the weight deltas of the pair
-    (``root_delta`` of the point, ``letter_histogram`` of its image), which
-    ``delta_twist_solve`` dedupes and fits.  The report is the one the
-    ``Fraction`` weight pairs give to ``weight_twist_solve``.
+    One integer walk over the support of each point (``_point_table``) gives
+    its image and the deltas (``root_delta`` of the point, ``letter_histogram``
+    of the image) that ``delta_twist_solve`` fits: the report of the staged
+    ``apply_affine`` and ``weight_twist_solve`` pipeline.
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports mismatches as witnesses instead of raising the
@@ -129,16 +127,22 @@ def check_main(
     chain_pts = points(lt, w)
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else matrix
-    trans = build_translation(lt, w)
+    size, n = len(mat), lt.rank
+    first, table = _point_table(lt, mat, build_translation(lt, w))
 
     images = []
     deltas = []
     for p in chain_pts:
-        v = apply_affine(mat, trans, p)
-        if trusted:
+        acc = first[:]
+        for k, x in enumerate(p):
+            if x:
+                for i, e in table[k]:
+                    acc[i] += e * x
+        v = tuple(acc[:size])
+        if trusted and min(v) < 0:
             check_nonnegative(lt, w, p, v)
         images.append(v)
-        deltas.append((root_delta(lt, p), letter_histogram(lt, v)))
+        deltas.append((tuple(acc[size : size + n]), tuple(acc[size + n :])))
     image_set = set(images)
     strings = string_points(lt, w)
     string_set = set(strings)
@@ -163,6 +167,22 @@ def check_main(
         twist_witness=witness,
         elapsed=time.perf_counter() - start,
     )
+
+
+def _point_table(lt: LieType, mat, trans):
+    """Start and per-label entries of the accumulator [image | root delta |
+    letter histogram]: label k adds its matrix column, root and letters."""
+    size, n = len(mat), lt.rank
+    letter = [size + n + i - 1 for i in reduced_word(lt)]
+    first = list(trans) + [0] * (n + lt.target_rank)
+    for r, x in enumerate(trans):
+        first[letter[r]] += x
+    table = []
+    for column, root in zip(zip(*mat), _label_roots(lt)):
+        image = [(r, e) for r, e in enumerate(column) if e]
+        letters = [(letter[r], e) for r, e in image]
+        table.append(image + [(size + c, e) for c, e in root] + letters)
+    return first, table
 
 
 @dataclass(frozen=True)

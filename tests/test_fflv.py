@@ -1,5 +1,7 @@
 """Chain point sets: fundamental chains, Minkowski sums, path cross-check."""
 
+from itertools import product
+
 import pytest
 
 from fflvstring.fflv import (
@@ -160,6 +162,44 @@ def test_dyck_full_grid(rank):
     lt = LieType("A", rank)
     for w in dominant_weights(rank, 3):
         assert dyck_check_A(rank, w, points(lt, w))
+
+
+def _meets_path_bounds(rank, w, vec):
+    """Every monotone path from (l,l) to (j,j) sums to at most a_l + ... + a_j,
+    for a nonnegative vector: the largest path sums from each (l,l), by
+    dynamic programming over the triangle."""
+    labels = build_labels(LieType("A", rank))
+    entry = {(lab.row, lab.col): x for lab, x in zip(labels, vec)}
+    for l in range(1, rank + 1):
+        best = {}
+        for b in range(l, rank + 1):
+            for a in range(l, b + 1):
+                before = [best[q] for q in ((a, b - 1), (a - 1, b)) if q in best]
+                best[a, b] = entry[a, b] + max(before, default=0)
+        if any(best[j, j] > sum(w[l - 1 : j]) for j in range(l, rank + 1)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dyck_check_matches_brute_force_box(rank):
+    # the pruned depth-first check against every vector of the bounding box
+    lt = LieType("A", rank)
+    labels = build_labels(lt)
+    for w in dominant_weights(rank, 3):
+        bounds = [sum(w[lab.row - 1 : lab.col]) for lab in labels]
+        box = set(product(*(range(b + 1) for b in bounds)))
+        truth = {v for v in box if _meets_path_bounds(rank, w, v)}
+        pts = list(points(lt, w))
+        variants = [pts, pts[1:], pts[:-1], pts + sorted(box - truth)[:1]]
+        for k in range(len(labels)):
+            # one entry of the last point moved just off the box
+            p = list(pts[-1])
+            p[k] = bounds[k] + 1 if k % 2 else -1
+            variants.append(pts[:-1] + [tuple(p)])
+        for variant in variants:
+            assert dyck_check_A(rank, w, tuple(variant)) == (set(variant) == truth)
+        assert dyck_check_A(rank, w, tuple(sorted(truth)))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflvstring import degenmap, rootsys, verify
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import (
     apply_affine,
@@ -213,3 +214,17 @@ def test_integer_kernel_matches_staged_reference(data):
         matrix = tuple(tuple(row) for row in mat)
     rep = check_main(lt, w, matrix)
     assert (rep.to_dict(), rep.twist_witness) == _reference_report(lt, w, matrix)
+
+
+def test_check_main_shares_no_stage_with_the_staged_reference(monkeypatch):
+    # the reference above is built from these; check_main must not call them
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_main called a staged-reference function")
+
+    names = ("apply_affine", "root_delta", "letter_histogram", "base_weights")
+    for module in (degenmap, rootsys, verify):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
+        assert check_main(lt, w).status == "ok"
