@@ -141,8 +141,26 @@ def polytope_document(lt: LieType, weight, kind: str) -> dict:
     }
     if kind == "string":
         doc["word"] = list(reduced_word(lt))
-    doc["points"] = [list(p) for p in pts]
+    doc["points"] = pts
     return doc
+
+
+def render_document(doc: dict) -> str:
+    """What ``json.dumps(doc, indent=2)`` plus a newline writes, byte for byte.
+
+    json's indented encoder is pure Python and visits every coordinate, so
+    only the small keys before ``points`` go through it.  Each point fills
+    one row template of its width; ``%s`` writes an ``int`` as json does
+    and, unlike ``%d``, never truncates a coordinate that is not one.
+    """
+    pts = doc["points"]
+    # points is the last key, so the text ends with its empty list
+    text = json.dumps(dict(doc, points=[]), indent=2) + "\n"
+    row = "    [\n" + ",\n".join(["      %s"] * len(pts[0])) + "\n    ]"
+    rows = [row % p for p in pts]
+    rows[0] = text[: -len("[]\n}\n")] + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def _cmd_points(args, kind: str) -> int:
@@ -151,7 +169,7 @@ def _cmd_points(args, kind: str) -> int:
     _check_out_path(args.out)
     _check_dim(lt, [weight], args.max_dim)
     doc = polytope_document(lt, weight, kind)
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(render_document(doc), args.out)
     return EXIT_OK
 
 

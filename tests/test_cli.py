@@ -1,15 +1,23 @@
 """Command-line surface: documents, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fflvstring.cli as cli
 import fflvstring.verify as verify
 import fflvstring.wedge as wedge
 from fflvstring.cli import main
+from fflvstring.crystal import string_points
+from fflvstring.degenmap import apply_affine, build_matrix, build_translation
 from fflvstring.errors import VerificationError
-from fflvstring.rootsys import LieType
+from fflvstring.fflv import points
+from fflvstring.rootsys import LieType, dominant_weights, weyl_dim
 
 GOLDEN_SWEEPS = {
     ("unimodular", "3"): """\
@@ -99,12 +107,90 @@ def test_stringpoly_points_c3(capsys):
     assert len(json.loads(out)["points"]) == 14
 
 
-def test_document_round_trip(capsys):
-    code, out, _ = run_cli(
-        capsys, "fflv", "points", "--type", "C", "--rank", "2", "--weight", "1,1"
+def points_argv(command, lt, weight):
+    return (
+        command, "points", "--type", lt.family, "--rank", str(lt.rank),
+        "--weight", ",".join(map(str, weight)),
     )
+
+
+KINDS = {"fflv": "fflv", "stringpoly": "string"}
+
+# rank 1 holds one coordinate per row and the zero weight one point
+DOCUMENT_CASES = [
+    pytest.param(command, lt, w, id=f"{lt}-{','.join(map(str, w))}-{command}")
+    for lt in [LieType(f, n) for f in "AC" for n in range(1, 4)]
+    for w in dominant_weights(lt.rank, 2)
+    for command in KINDS
+]
+
+
+def assert_json_layout(out, doc, case):
+    """A point document is exactly json's indented encoding plus a newline."""
+    # compared as a flag: pytest's diff of two documents that differ on every
+    # line takes minutes
+    same = out == json.dumps(doc, indent=2) + "\n"
+    assert same, f"{case}: not json.dumps(doc, indent=2) plus a newline"
+
+
+@pytest.mark.parametrize("command, lt, weight", DOCUMENT_CASES)
+def test_document_round_trip(capsys, command, lt, weight):
+    code, out, _ = run_cli(capsys, *points_argv(command, lt, weight))
     assert code == 0
-    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    doc = cli.polytope_document(lt, weight, KINDS[command])
+    assert_json_layout(out, doc, f"{command} {lt} {weight}")
+
+
+# sha256 of documents as json.dumps(doc, indent=2) + "\n" wrote them
+DOCUMENT_DIGESTS = {
+    ("fflv", "A", (1, 3, 0, 2)):
+        "146b84d1a717ed8b42fff24557ad6453f8d7d5a1c24c525da5a41b038854d9d9",
+    ("stringpoly", "A", (1, 3, 0, 2)):
+        "24c4c63a8dc64812927764836e89b09127adec50fa7cbe1d385db5fd8d9b4afb",
+    ("fflv", "A", (2, 0, 3, 1)):
+        "6b16cc488bbc2a182f9a32723724b87d81ed10e47dad66117b590a072432125a",
+    ("stringpoly", "A", (2, 0, 3, 1)):
+        "090e6ae895b3ae70aa08923c91120f2cd876ec85282826c42d33794e7a29113e",
+    ("fflv", "C", (0, 2, 2)):
+        "9a0bec315aa6c2e51327e4a63e12cbf1cb1726cc5c87a51522c7edbf165c8caf",
+    ("stringpoly", "C", (0, 2, 2)):
+        "69188e04e86417a4de141ccf4b1f8de32528cbc5318d1702ff8210e4401f0708",
+}
+
+
+@pytest.mark.parametrize(
+    "command, family, weight",
+    [
+        pytest.param(*key, id=f"{key[0]}-{key[1]}{len(key[2])}-{','.join(map(str, key[2]))}")
+        for key in DOCUMENT_DIGESTS
+    ],
+)
+def test_document_digest_fixture(capsys, command, family, weight):
+    lt = LieType(family, len(weight))
+    code, out, _ = run_cli(capsys, *points_argv(command, lt, weight))
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == DOCUMENT_DIGESTS[command, family, weight]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_point_sets_and_documents_agree(data):
+    family = data.draw(st.sampled_from("AC"))
+    lt = LieType(family, data.draw(st.integers(1, 4)))
+    w = tuple(data.draw(st.lists(st.integers(0, 2), min_size=lt.rank, max_size=lt.rank)))
+    assume(weyl_dim(lt, w) <= 400)
+    chain, strings = points(lt, w), string_points(lt, w)
+    assert len(chain) == len(strings) == weyl_dim(lt, w)
+    matrix, translation = build_matrix(lt), build_translation(lt, w)
+    assert {apply_affine(matrix, translation, p) for p in chain} == set(strings)
+    for command, expected in (("fflv", chain), ("stringpoly", strings)):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(list(points_argv(command, lt, w))) == 0
+        out = stdout.getvalue()
+        doc = json.loads(out)
+        assert doc["points"] == [list(p) for p in expected]
+        assert_json_layout(out, doc, f"{command} {lt} {w}")
 
 
 def test_documents_byte_identical(capsys):
@@ -269,15 +355,14 @@ def test_gate_failure_exits_three(capsys, monkeypatch):
 
 def test_out_file_writing(tmp_path, capsys):
     path = tmp_path / "points.json"
-    code, out, _ = run_cli(
-        capsys,
-        "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0",
-        "--out", str(path),
-    )
+    argv = points_argv("fflv", LieType("A", 2), (1, 0))
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0
     assert out == ""
-    doc = json.loads(path.read_text())
-    assert len(doc["points"]) == 3
+    assert len(json.loads(path.read_text())["points"]) == 3
+    # --out writes the bytes stdout gets
+    _, stdout, _ = run_cli(capsys, *argv)
+    assert path.read_bytes() == stdout.encode("utf-8")
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "."])
