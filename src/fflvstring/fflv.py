@@ -130,15 +130,19 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
     a_l + ... + a_j.  These lie in the bounding box, so a point outside it,
     a negative entry included, fails the check.  The box is filled depth-first,
     and a value that breaks a path through its label ends that label's range.
+    Each path keeps a running slack, its bound minus its sum so far: a unit
+    of label k lowers the slack of every path through k, and the range ends
+    when one of them turns negative.
     """
     lt = LieType("A", rank)
     w = check_dominant(lt, weight)
     idx = label_index(lt)
-    through: list[list] = [[] for _ in idx]  # per label: (path support, bound)
+    through: list[list[int]] = [[] for _ in idx]  # per label: the paths through it
+    slack = []  # per path: its bound minus the sum over it so far
     for path in dyck_paths(rank):
-        support = tuple(idx[RootLabel(a, b)] for a, b in path)
-        for k in support:
-            through[k].append((support, sum(w[path[0][0] - 1 : path[-1][1]])))
+        for a, b in path:
+            through[idx[RootLabel(a, b)]].append(len(slack))
+        slack.append(sum(w[path[0][0] - 1 : path[-1][1]]))
 
     # box bound per label: the straight path through (a,b) alone
     bounds = [sum(w[lab.row - 1 : lab.col]) for lab in build_labels(lt)]
@@ -149,11 +153,21 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
         if k == len(vec):
             feasible.add(tuple(vec))
             return
-        for x in range(bounds[k] + 1):
+        mine = through[k]
+        # value 0 leaves every slack as it was, and all of them are >= 0
+        fill(k + 1)
+        for x in range(1, bounds[k] + 1):
             vec[k] = x
-            if any(sum(vec[i] for i in support) > rhs for support, rhs in through[k]):
+            broken = False
+            for p in mine:
+                slack[p] -= 1
+                if slack[p] < 0:
+                    broken = True
+            if broken:
                 break
             fill(k + 1)
+        for p in mine:
+            slack[p] += vec[k]
         vec[k] = 0
 
     fill(0)

@@ -7,9 +7,11 @@ nonnegative integer.  For family A the generator with index j is the
 elementary lowering e_j -> e_{j+1} on the natural module of the companion
 algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
-through the same elementary step.  ``power_action`` is a memo of
-``act_simple`` on the basis of one exterior power; the equivalence test
-composes its rows into one sparse product per generator sequence.  On top
+through the same elementary step; ``_steps`` holds that unfolding for
+``act_simple`` and ``power_action`` alike.  ``power_action`` tabulates each
+generator on the basis of one exterior power, one pass over the basis per
+generator straight from its elementary steps; the equivalence test composes
+its rows into one sparse product per generator sequence.  On top
 of the action sit the proportionality test, the non-annihilation check, and
 the fully independent reconstruction of the type-A string points; the
 minimality check is membership in that reconstruction.
@@ -61,21 +63,31 @@ def act_elementary(t: int, v: WedgeVector, dim: int) -> WedgeVector:
     return {key + (1 << t): coeff for key, coeff in v.items() if key >> t & 3 == 1}
 
 
+def _steps(j: int, family: str, rank: int) -> tuple[int, ...]:
+    """Elementary steps of the generator with index j: j, and 2*rank - j in type C."""
+    if not 1 <= j <= rank:
+        raise ValueError(f"operator index {j} out of range")
+    other = 2 * rank - j
+    return (j, other) if family == "C" and other != j else (j,)
+
+
 def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
     """Action of the rank-``rank`` generator with index j on a wedge vector.
 
     Family A acts on the (rank+1)-dimensional natural module, family C on
-    the 2*rank-dimensional one through the unfolded operator.
+    the 2*rank-dimensional one through the unfolded operator: the sum of
+    ``act_elementary`` over the generator's steps, which all lie below the
+    dimension.
     """
-    if not 1 <= j <= rank:
-        raise ValueError(f"operator index {j} out of range")
-    dim = natural_dim(family, rank)
-    out = act_elementary(j, v, dim)
-    other = 2 * rank - j
-    if family == "C" and other != j:
+    # the steps are inlined: on the one-term vectors of the oracle and the
+    # sweeps, a call per step costs more than the move itself
+    out: WedgeVector = {}
+    for t in _steps(j, family, rank):
         # both steps have nonnegative coefficients: merged terms never cancel
-        for key, coeff in act_elementary(other, v, dim).items():
-            out[key] = out.get(key, 0) + coeff
+        for key, coeff in v.items():
+            if key >> t & 3 == 1:
+                moved = key + (1 << t)
+                out[moved] = out.get(moved, 0) + coeff
     return out
 
 
@@ -92,34 +104,34 @@ def act_sequence(
 
 def _basis_keys(dim: int, i: int) -> list[int]:
     """Keys of the basis wedges of the i-th exterior power of a dim-space."""
-    return [
-        key
-        for t in combinations(range(1, dim + 1), i)
-        for key in wedge_basis(t)
-    ]
+    return [sum(1 << k for k in t) for t in combinations(range(1, dim + 1), i)]
 
 
 @lru_cache(maxsize=None)
 def power_action(family: str, rank: int, i: int) -> tuple[dict[int, Terms], ...]:
-    """Memo of ``act_simple`` on the basis of the i-th exterior power.
+    """The action of every generator on the basis of the i-th exterior power.
 
     Entry j - 1 maps the key of every basis wedge that generator j does not
-    kill to the terms of its image.  Equal terms of different rows share one
-    tuple object, so the terms take memory in proportion to the basis, not
-    to the number of rows.
+    kill to the terms of its image, in ``act_simple``'s order.  Each row is
+    made in one pass over the basis from the generator's elementary steps:
+    a step moves a key with coefficient 1, and the two steps of a type-C
+    generator never reach the same key.  Equal terms of different rows share
+    one tuple object, so the terms take memory in proportion to the basis,
+    not to the number of rows.
     """
     keys = _basis_keys(natural_dim(family, rank), i)
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    # a step moves a basis wedge onto another one of the same power
+    unit = {key: (key, 1) for key in keys}
     rows = []
     for j in range(1, rank + 1):
-        images = ((key, act_simple(j, {key: 1}, family, rank)) for key in keys)
-        rows.append(
-            {
-                key: tuple(shared.setdefault(term, term) for term in image.items())
-                for key, image in images
-                if image
-            }
-        )
+        # step t applies to a key holding t but not t + 1
+        masks = [(3 << t, 1 << t) for t in _steps(j, family, rank)]
+        row = {}
+        for key in keys:
+            terms = tuple(unit[key + bit] for mask, bit in masks if key & mask == bit)
+            if terms:
+                row[key] = terms
+        rows.append(row)
     return tuple(rows)
 
 

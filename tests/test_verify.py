@@ -145,6 +145,22 @@ def test_comm_sweep_frees_the_tables_of_each_rank():
     assert power_action.cache_info().currsize == 0
 
 
+def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
+    # m * C(m, 2) equivalence tests per family and rank m <= 4: the full
+    # table of ordered pairs, diagonal included, would make 200
+    real = verify.sim_check_ops
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "sim_check_ops", counted)
+    assert comm_sweep(4)[1] == []
+    assert len(calls) == 70
+    assert all(ops_x[0] < ops_x[1] for ops_x, *_ in calls)
+
+
 def test_report_json_shape():
     reports = run_grid([(A1, 1)])
     text = reports_to_json(reports)

@@ -196,7 +196,11 @@ def _sim_cases(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sim_cases())
 def test_sim_check_ops_matches_stepwise_reference(case):
-    assert sim_check_ops(*case) == _stepwise_sim(*case)
+    ops_x, ops_y, i, family, rank = case
+    expected = _stepwise_sim(*case)
+    assert sim_check_ops(*case) == expected
+    # the commutation sweep tests each unordered pair once on this symmetry
+    assert sim_check_ops(ops_y, ops_x, i, family, rank) == expected
 
 
 def test_sim_check_ops_rejects_out_of_range_operator():
