@@ -30,7 +30,8 @@ from .rootsys import (
     root_count,
     weyl_dim,
 )
-from .verify import SWEEPS, all_passed, reports_to_json, run_grid
+from .verify import all_passed, comm_sweep, fold_sweep, reports_to_json, run_grid
+from .verify import unimodular_sweep
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -87,11 +88,22 @@ def comm_table_rows(m: int) -> int:
     return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
 
 
-# the largest table a sweep builds at one rank, always in type C, which is
-# held against --max-dim; it grows with the rank
-SWEEP_SIZES = {
-    "unimodular": ("matrix entries", lambda n: root_count(LieType("C", n)) ** 2),
-    "comm": ("exterior-power table rows", comm_table_rows),
+# name -> (function, help text, unit, size); a sized sweep holds the largest
+# table it builds at one rank, always in type C, against --max-dim
+SWEEPS = {
+    "unimodular": (
+        unimodular_sweep,
+        "determinant sweep",
+        "matrix entries",
+        lambda n: root_count(LieType("C", n)) ** 2,
+    ),
+    "fold": (fold_sweep, "translation folding sweep", None, None),
+    "comm": (
+        comm_sweep,
+        "commutation equivalence sweep",
+        "exterior-power table rows",
+        comm_table_rows,
+    ),
 }
 
 
@@ -211,12 +223,12 @@ def _cmd_verify_main(args) -> int:
 def _cmd_verify_sweep(args) -> int:
     if args.max_rank < 1:
         raise UsageError("--max-rank must be at least 1")
-    if args.subcommand in SWEEP_SIZES:
-        unit, size = SWEEP_SIZES[args.subcommand]
+    sweep, _, unit, size = SWEEPS[args.subcommand]
+    if size:
         # sizes grow with the rank: the first rank above the budget is refused
         for rank in range(1, args.max_rank + 1):
             _check_size(f"{LieType('C', rank)} {unit}", size(rank), args.max_dim)
-    lines, failures = SWEEPS[args.subcommand](args.max_rank)
+    lines, failures = sweep(args.max_rank)
     print("\n".join(lines))
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
 
@@ -253,15 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
     )
 
-    for name, text in (
-        ("unimodular", "determinant sweep"),
-        ("fold", "translation folding sweep"),
-        ("comm", "commutation equivalence sweep"),
-    ):
+    for name, (_, text, unit, _) in SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
         sweep.add_argument("--max-rank", type=int, required=True)
-        if name in SWEEP_SIZES:
-            _add_max_dim(sweep, f"refuse a rank whose {SWEEP_SIZES[name][0]} exceed this")
+        if unit:
+            _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
     return parser
 
 

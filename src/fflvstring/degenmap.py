@@ -1,9 +1,10 @@
 """The affine lattice map between the two point families.
 
 The linear part is an N x N integer matrix in the descending label basis
-with entries in {0,-1} (family A) resp. {0,-1,-2} (family C) and
-determinant of absolute value 1; the translation part depends linearly on
-the dominant weight.  The affine map walks only the support of a point.
+with entries in {0,-1} (family A) resp. {0,-1,-2} (family C), upper
+triangular with -1 on the diagonal and so unimodular; the translation part
+depends linearly on the dominant weight.  The affine map walks only the
+support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver runs one integer elimination over
@@ -26,7 +27,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import VerificationError
-from .exact import det_int
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -49,7 +49,8 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     e_{c,b} for c < a).  Family C sends e_{a,b} to -(sum of e_{a,c} for
     columns c from b up to a-bar in the column order, plus e_{c,b} + e_{c,a-bar}
     for c < a); when b equals a-bar the two lower sums coincide and produce
-    the -2 entries.  Unimodularity and the entry range are enforced here.
+    the -2 entries.  The entry range and the upper-triangular form with -1 on
+    the diagonal, which gives det = (-1)^N, are enforced here.
     """
     n = lt.rank
     labels = build_labels(lt)
@@ -81,9 +82,12 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
         raise VerificationError(
             "degenmap.entry_range", f"{lt}: entries {sorted(bad)} outside {sorted(allowed)}"
         )
-    det = det_int(mat)
-    if det not in (1, -1):
-        raise VerificationError("degenmap.unimodular", f"{lt}: determinant {det}")
+    for r, row in enumerate(mat):
+        if any(row[:r]) or row[r] != -1:
+            raise VerificationError(
+                "degenmap.unimodular",
+                f"{lt}: row {r} is not upper triangular with -1 on the diagonal",
+            )
     return tuple(tuple(row) for row in mat)
 
 

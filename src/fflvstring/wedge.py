@@ -11,15 +11,15 @@ through the same elementary step; ``_steps`` holds that unfolding for
 ``act_simple`` and ``power_action`` alike.  ``power_action`` tabulates each
 generator on the basis of one exterior power, one pass over the basis per
 generator straight from its elementary steps; the equivalence test composes
-its rows into one sparse product per generator sequence.  On top
-of the action sit the proportionality test, the non-annihilation check, and
-the fully independent reconstruction of the type-A string points; the
+its rows into one sparse product per generator sequence and compares the
+images of two products by integer cross-multiplication.  On top of the
+action sit that equivalence test, the non-annihilation check, and the
+fully independent reconstruction of the type-A string points; the
 minimality check is membership in that reconstruction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -137,17 +137,18 @@ def power_action(family: str, rank: int, i: int) -> tuple[dict[int, Terms], ...]
 
 def _product_images(
     ops: Sequence[int], i: int, family: str, rank: int
-) -> dict[int, WedgeVector]:
+) -> dict[int, Terms]:
     """Nonzero images of the basis wedges of the i-th power under a written product.
 
     Rightmost factor first, one table row per surviving term; a basis wedge
-    whose image dies is dropped.  The empty product is the identity.
+    whose image dies is dropped.  The empty product is the identity.  An
+    image lists each key once, with a positive coefficient.
     """
     for j in ops:
         if not 1 <= j <= rank:
             raise ValueError(f"operator index {j} out of range")
     if not ops:
-        return {key: {key: 1} for key in _basis_keys(natural_dim(family, rank), i)}
+        return {key: ((key, 1),) for key in _basis_keys(natural_dim(family, rank), i)}
     rows = power_action(family, rank, i)
     images = rows[ops[-1] - 1]
     for j in reversed(ops[:-1]):
@@ -161,7 +162,7 @@ def _product_images(
             if out:
                 step[base] = tuple(out.items())
         images = step
-    return {base: dict(terms) for base, terms in images.items()}
+    return images
 
 
 def monomial_ops(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
@@ -180,45 +181,34 @@ def act_monomial(lt: LieType, x: Sequence[int], v: WedgeVector) -> WedgeVector:
     return act_sequence(monomial_ops(lt, x), v, lt.family, lt.target_rank)
 
 
-def proportionality_ratio(f: WedgeVector, g: WedgeVector) -> Fraction | None:
-    """The scalar r with r*f = g, or None if the two are not proportional.
-
-    Both zero yields 1 by convention; exactly one zero yields None.
-    """
-    if not f and not g:
-        return Fraction(1)
-    if not f or not g:
-        return None
-    if set(f) != set(g):
-        return None
-    keys = iter(f)
-    first = next(keys)
-    for key in keys:
-        if f[key] * g[first] != g[key] * f[first]:
-            return None
-    return Fraction(g[first], f[first])
-
-
 def sim_check_ops(
     ops_x: Sequence[int], ops_y: Sequence[int], i: int, family: str, rank: int
 ) -> bool:
     """Equivalence of two generator products on the i-th exterior power.
 
     Requires one shared positive rational scalar r with r * x(v) = y(v) on
-    every basis wedge v; sign-mismatched proportionality does not count.
+    every basis wedge v.  The sorted terms of x(v) and y(v) must pair up key
+    by key; r = num/den is read off the first pair and checked on every
+    other by cross-multiplication.  No sign test is needed: every
+    coefficient is a positive integer, so r > 0 whenever it exists.
     """
     fx = _product_images(ops_x, i, family, rank)
     fy = _product_images(ops_y, i, family, rank)
     # a basis wedge that only one product kills has no scalar
     if fx.keys() != fy.keys():
         return False
-    r: Fraction | None = None
-    for base, image in fx.items():
-        ratio = proportionality_ratio(image, fy[base])
-        if ratio is None or (r is not None and r != ratio):
+    num = den = 0  # r is unset while den is 0
+    for base, terms in fx.items():
+        if len(terms) != len(fy[base]):
             return False
-        r = ratio
-    return r is None or r > 0
+        for (key, c), (k, d) in zip(sorted(terms), sorted(fy[base])):
+            if key != k:
+                return False
+            if not den:
+                num, den = d, c
+            elif d * den != c * num:
+                return False
+    return True
 
 
 def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflvstring import degenmap
 from fflvstring.degenmap import (
     WeightTwist,
     apply_T,
@@ -18,6 +19,7 @@ from fflvstring.degenmap import (
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
+from fflvstring.exact import det_int
 from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType,
@@ -40,6 +42,22 @@ C3 = LieType("C", 3)
 def test_matrix_rank_one_base_cases():
     assert build_matrix(A1) == ((-1,),)
     assert build_matrix(C1) == ((-1,),)
+
+
+def test_unimodular_gate_rejects_lower_triangular_conjugate(monkeypatch):
+    # in the ascending label order the same map has a lower-triangular
+    # matrix with determinant 1: |det| = 1 holds, the stronger gate does not
+    conjugate = [row[::-1] for row in build_matrix(A3)[::-1]]
+    assert det_int(conjugate) == 1
+    assert all(not any(row[r + 1 :]) for r, row in enumerate(conjugate))
+    labels = build_labels(A3)[::-1]
+    monkeypatch.setattr(degenmap, "build_labels", lambda lt: labels)
+    monkeypatch.setattr(
+        degenmap, "label_index", lambda lt: {lab: k for k, lab in enumerate(labels)}
+    )
+    with pytest.raises(VerificationError) as info:
+        build_matrix.__wrapped__(A3)
+    assert info.value.gate == "degenmap.unimodular"
 
 
 def test_translation_c2_omega2_fixture():

@@ -25,6 +25,24 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_package_module_imports_exact():
+    # every gate is integer-only; exact.det_int stays only for the benchmark
+    # to bind, so deleting exact.py touches no other package module
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[-1]]
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                continue
+            if "exact" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _perfbench_tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 

@@ -1,4 +1,4 @@
-"""Exact wedge actions, the proportionality relation, and the oracle points."""
+"""Exact wedge actions, the equivalence test, and the oracle points."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,7 +31,6 @@ from fflvstring.wedge import (
     minimality_check_A,
     nonannihilation_check,
     oracle_string_points_A,
-    proportionality_ratio,
     restriction_block,
     sim_check,
     sim_check_ops,
@@ -127,24 +126,6 @@ def test_sim_counterexample_wedge():
     assert lhs == {} and rhs
 
 
-def test_proportionality_reports_signed_ratio():
-    f = {(1, 2): Fraction(2)}
-    g = {(1, 2): Fraction(-3)}
-    assert proportionality_ratio(f, g) == Fraction(-3, 2)
-    assert proportionality_ratio(f, {}) is None
-    assert proportionality_ratio({}, {}) == Fraction(1)
-    assert proportionality_ratio(f, {(1, 3): Fraction(1)}) is None
-
-
-def test_proportionality_ratio_is_exact():
-    r = proportionality_ratio({(1, 2): 2}, {(1, 2): 3})
-    assert r == Fraction(3, 2)
-    assert type(r) is Fraction
-    f = {(1, 2): 2, (1, 3): 4}
-    assert proportionality_ratio(f, {(1, 2): 3, (1, 3): 6}) == Fraction(3, 2)
-    assert proportionality_ratio(f, {(1, 2): 3, (1, 3): 5}) is None
-
-
 def test_coefficients_are_integers():
     # f_1 f_1 on e_1 ^ e_3 of C2: both unfolded paths reach e_2 ^ e_4
     out = act_sequence([1, 1], wedge_basis((1, 3)), "C", 2)
@@ -164,6 +145,14 @@ def test_act_elementary_moves_one_slot():
         act_elementary(4, v, 4)
 
 
+def _ratio(f, g):
+    """The Fraction r with r * f = g for wedge vectors not both zero, or None."""
+    if f.keys() != g.keys():
+        return None
+    ratios = {Fraction(g[key], f[key]) for key in f}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
 def _stepwise_sim(ops_x, ops_y, i, family, rank):
     """Reference: both products acted out on every basis wedge, one at a time."""
     r = None
@@ -172,7 +161,7 @@ def _stepwise_sim(ops_x, ops_y, i, family, rank):
         fy = act_sequence(ops_y, wedge_basis(t), family, rank)
         if not fx and not fy:
             continue
-        ratio = proportionality_ratio(fx, fy)
+        ratio = _ratio(fx, fy)
         if ratio is None or (r is not None and r != ratio):
             return False
         r = ratio
@@ -201,6 +190,25 @@ def test_sim_check_ops_matches_stepwise_reference(case):
     assert sim_check_ops(*case) == expected
     # the commutation sweep tests each unordered pair once on this symmetry
     assert sim_check_ops(ops_y, ops_x, i, family, rank) == expected
+
+
+def test_sim_check_ops_shared_ratio_other_than_one():
+    # on C3, f1 f1 f2 f3 and f1 f2 f1 f3 send e1 ^ e3 to 2 and 1 times
+    # e2 ^ e6 and kill every other basis wedge of the second power
+    x, y = (1, 1, 2, 3), (1, 2, 1, 3)
+    v = wedge_basis((1, 3))
+    assert act_sequence(x, v, "C", 3) == {key: 2 for key in wedge_basis((2, 6))}
+    assert act_sequence(y, v, "C", 3) == wedge_basis((2, 6))
+    assert sim_check_ops(x, y, 2, "C", 3) and sim_check_ops(y, x, 2, "C", 3)
+    assert _stepwise_sim(x, y, 2, "C", 3)
+
+
+def test_sim_check_ops_needs_one_shared_ratio(monkeypatch):
+    # each basis wedge on its own is proportional, with ratios 2 and 1
+    (e2,), (e3,), (e4,) = wedge_basis((2,)), wedge_basis((3,)), wedge_basis((4,))
+    images = iter([{e2: ((e3, 1),), e3: ((e4, 1),)}, {e2: ((e3, 2),), e3: ((e4, 1),)}])
+    monkeypatch.setattr(wedge, "_product_images", lambda *args: next(images))
+    assert not sim_check_ops([1], [1], 1, "A", 3)
 
 
 def test_sim_check_ops_rejects_out_of_range_operator():
