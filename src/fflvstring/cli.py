@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import comb
 
 from .crystal import string_points
@@ -233,6 +234,7 @@ def _cmd_verify_sweep(args) -> int:
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fflvstring",

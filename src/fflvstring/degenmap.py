@@ -12,9 +12,8 @@ all weight pairs and all source coordinates and keeps only a row basis of
 at most 2n rows; its answer is the free-variables-zero solution of the full
 system, the same as solving every coordinate over every pair, because the
 reduced row echelon form of a consistent system depends only on its row
-space.  Its rows come from one of two builders, ``Fraction`` weight pairs
-scaled by the lcm of their denominators or integer weight deltas against
-the base pair, which give the same rows up to a positive factor.
+space.  Its rows are the ``Fraction`` weight pairs scaled by the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from .rootsys import (
     build_labels,
     check_dominant,
     column_key,
-    fundamental_weight_roots,
     label_index,
-    lifted_coeffs,
 )
 
 
@@ -251,50 +248,6 @@ def weight_twist_solve(lt: LieType, weight, pairs):
         return _scaled(pair[1], scale) + [scale] + _scaled(pair[0], scale)
 
     return _twist_eliminate(lt, uniq, row)
-
-
-def delta_twist_solve(lt: LieType, weight, deltas):
-    """``weight_twist_solve`` for pairs given by their integer deltas.
-
-    A pair is (``root_delta`` of a chain point, ``letter_histogram`` of its
-    image): its weights are the base pair ``(lambda, lifted lambda)`` minus
-    the deltas.  With the base pair in integer numerators over a fixed scale
-    D, each row ``D*base - D*delta`` is the row ``weight_twist_solve`` builds
-    times one positive factor: same primitive basis, twist and witness.  The
-    distinct deltas are the distinct pairs, in the same order; only a
-    witness is turned back into ``Fraction`` weights.
-    """
-    w = check_dominant(lt, weight)
-    # the fundamental weights of rank r have denominator r+1 (A) or 2 (C)
-    scale = lcm(lt.rank + 1, 2 * lt.rank) if lt.family == "A" else 2
-
-    def numerators(rank: int, coeffs) -> list[int]:
-        out = [0] * rank
-        for k, a in enumerate(coeffs, start=1):
-            if a:
-                omega = _scaled(fundamental_weight_roots(lt.family, rank, k), scale)
-                out = [x + a * y for x, y in zip(out, omega)]
-        return out
-
-    base_src = numerators(lt.rank, w)
-    base_tgt = numerators(lt.target_rank, lifted_coeffs(lt, w))
-
-    def row(delta):
-        ds, dt = delta
-        return (
-            [b - scale * d for b, d in zip(base_tgt, dt)]
-            + [scale]
-            + [b - scale * d for b, d in zip(base_src, ds)]
-        )
-
-    twist, witness = _twist_eliminate(lt, list(dict.fromkeys(deltas)), row)
-    if witness is None:
-        return twist, None
-    ds, dt = witness
-    return None, (
-        tuple(Fraction(b - scale * d, scale) for b, d in zip(base_src, ds)),
-        tuple(Fraction(b - scale * d, scale) for b, d in zip(base_tgt, dt)),
-    )
 
 
 def _scaled(v, scale: int) -> list[int]:

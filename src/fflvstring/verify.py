@@ -3,8 +3,9 @@
 Each report compares the mapped chain points with the string points of the
 same weight, records both cardinalities and the Weyl dimension, up to ten
 witnesses per direction together with exact totals, and the affine weight
-twist fitted to all weight pairs of the case.  A report stores only this
-evidence: its verdict is derived from it, so no report can contradict
+twist fitted to the weight pairs of the zero and unit chain points, which
+fix the same twist as all weight pairs of the case.  A report stores only
+this evidence: its verdict is derived from it, so no report can contradict
 itself.  Grid runs are deterministic: results are ordered by case,
 independent of thread count, and the JSON rendering contains no timing
 data.  The supporting sweeps return the lines the CLI prints and a list of
@@ -27,20 +28,20 @@ from .degenmap import (
     build_matrix,
     build_translation,
     check_nonnegative,
-    delta_twist_solve,
     fold_vector,
+    weight_twist_solve,
 )
 from .errors import VerificationError
 from .fflv import points
 from .rootsys import (
     ExponentVector,
     LieType,
-    _label_roots,
     check_dominant,
     dominant_weights,
+    fflv_weight,
     fundamental_weight,
     natural_dim,
-    reduced_word,
+    string_weight,
     weyl_dim,
 )
 from .wedge import act_sequence, power_action, sim_check_ops, wedge_basis
@@ -111,10 +112,10 @@ def check_main(
 ) -> VerificationReport:
     """Compare mapped chain points against string points for one weight.
 
-    One integer walk over the support of each point (``_point_table``) gives
-    its image and the deltas (``root_delta`` of the point, ``letter_histogram``
-    of the image) that ``delta_twist_solve`` fits: the report of the staged
-    ``apply_affine`` and ``weight_twist_solve`` pipeline.
+    One walk over the support of each point, through the sparse columns of
+    the matrix, gives its image.  The twist is ``weight_twist_solve`` on the
+    weight pairs of the zero point and the unit points of ``P(lambda)``,
+    which give the twist and the witness of the fit to every point.
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports mismatches as witnesses instead of raising the
@@ -127,22 +128,20 @@ def check_main(
     chain_pts = points(lt, w)
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else matrix
-    size, n = len(mat), lt.rank
-    first, table = _point_table(lt, mat, build_translation(lt, w))
+    trans = build_translation(lt, w)
+    columns = [[(r, e) for r, e in enumerate(col) if e] for col in zip(*mat)]
 
     images = []
-    deltas = []
     for p in chain_pts:
-        acc = first[:]
+        acc = list(trans)
         for k, x in enumerate(p):
             if x:
-                for i, e in table[k]:
-                    acc[i] += e * x
-        v = tuple(acc[:size])
+                for r, e in columns[k]:
+                    acc[r] += e * x
+        v = tuple(acc)
         if trusted and min(v) < 0:
             check_nonnegative(lt, w, p, v)
         images.append(v)
-        deltas.append((tuple(acc[size : size + n]), tuple(acc[size + n :])))
     image_set = set(images)
     strings = string_points(lt, w)
     string_set = set(strings)
@@ -150,7 +149,22 @@ def check_main(
     missing = tuple(s for s in strings if s not in image_set)
     extra = tuple(sorted(v for v in image_set if v not in string_set))
 
-    twist, witness = delta_twist_solve(lt, w, deltas)
+    # Affine rows: T(p) is affine in p for any matrix, so is each weight
+    # pair, and so is each row of the fit.
+    # Same row space: a label in a chain's support is a chain of P(omega_i),
+    # and P(lambda) sums sets holding 0, so its unit points and 0 lie in P
+    # and span the rows of all of P.
+    # Same witness: points are lex-sorted and e_k <=lex p when p_k >= 1, so
+    # every other row combines earlier subset rows and never breaks first.
+    twist, witness = weight_twist_solve(
+        lt,
+        w,
+        [
+            (fflv_weight(lt, w, p), string_weight(lt, w, v))
+            for p, v in zip(chain_pts, images)
+            if sum(p) <= 1
+        ],
+    )
 
     return VerificationReport(
         family=lt.family,
@@ -167,22 +181,6 @@ def check_main(
         twist_witness=witness,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _point_table(lt: LieType, mat, trans):
-    """Start and per-label entries of the accumulator [image | root delta |
-    letter histogram]: label k adds its matrix column, root and letters."""
-    size, n = len(mat), lt.rank
-    letter = [size + n + i - 1 for i in reduced_word(lt)]
-    first = list(trans) + [0] * (n + lt.target_rank)
-    for r, x in enumerate(trans):
-        first[letter[r]] += x
-    table = []
-    for column, root in zip(zip(*mat), _label_roots(lt)):
-        image = [(r, e) for r, e in enumerate(column) if e]
-        letters = [(letter[r], e) for r, e in image]
-        table.append(image + [(size + c, e) for c, e in root] + letters)
-    return first, table
 
 
 @dataclass(frozen=True)

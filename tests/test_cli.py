@@ -497,3 +497,51 @@ def test_library_value_error_is_internal_fault(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert "internal error: at least one weight pair is required" in err
+
+
+ARGV_VALUES = {
+    "--type": ("A", "C", "B", ""),
+    "--rank": ("-1", "0", "1", "2", "3", "two"),
+    "--weight": ("0", "1,0", "0,2", "1,0,1", "2,-1", "1,,0", "x"),
+    "--max-level": ("-1", "0", "1", "2", "x"),
+    "--max-rank": ("-1", "0", "1", "2", "3"),
+    "--max-dim": ("0", "8", "100"),
+}
+POINTS_FLAGS = ("--type", "--rank", "--weight", "--max-dim")
+ARGV_COMMANDS = {
+    (): (),
+    ("verify",): (),
+    ("fflv", "points"): POINTS_FLAGS,
+    ("stringpoly", "points"): POINTS_FLAGS,
+    ("verify", "main"): ("--type", "--rank", "--max-level", "--max-dim"),
+    ("verify", "unimodular"): ("--max-rank", "--max-dim"),
+    ("verify", "fold"): ("--max-rank",),
+    ("verify", "comm"): ("--max-rank", "--max-dim"),
+}
+ARGV_NOISE = ("--corrupt-matrix", "--help", "--rank", "--weight", "verify", "stray", "3")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command with most of its own flags, each with a value from a small
+    vocabulary, and up to two stray tokens put anywhere."""
+    head, flags = draw(st.sampled_from(list(ARGV_COMMANDS.items())))
+    argv = list(head)
+    for flag in flags:
+        if draw(st.integers(0, 5)):
+            argv += [flag, draw(st.sampled_from(ARGV_VALUES[flag]))]
+    for token in draw(st.lists(st.sampled_from(ARGV_NOISE), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fuzzed_argv())
+def test_argv_fuzz_exits_with_a_code(argv):
+    # ranks, levels and --max-rank stay at most 3, so every accepted run is
+    # small; every call goes through the one cached parser
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in stderr.getvalue(), argv

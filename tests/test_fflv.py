@@ -88,8 +88,15 @@ def test_fundamental_points_are_chains(family, max_rank):
         lt = LieType(family, n)
         labels = build_labels(lt)
         for i in range(1, n + 1):
+            pts = set(fundamental_points(lt, i))
             for p in fundamental_points(lt, i):
                 assert set(p) <= {0, 1}
+                # each label of a chain is a chain itself, so the unit points
+                # of P(lambda) span it (the premise of check_main's twist fit)
+                assert all(
+                    tuple(int(j == k) for j in range(len(p))) in pts
+                    for k, x in enumerate(p) if x
+                )
                 support = [lab for x, lab in zip(p, labels) if x]
                 support.sort(key=lambda lab: column_key(lab, n))
                 rows = [lab.row for lab in support]
