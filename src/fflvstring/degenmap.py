@@ -12,8 +12,11 @@ all weight pairs and all source coordinates and keeps only a row basis of
 at most 2n rows; its answer is the free-variables-zero solution of the full
 system, the same as solving every coordinate over every pair, because the
 reduced row echelon form of a consistent system depends only on its row
-space.  Its rows are the ``Fraction`` weight pairs scaled by the lcm of
-their denominators.
+space.  Its rows are integer weight pairs over one denominator D: the
+pipeline passes them over ``weight_denominator(lt)``, and
+``weight_twist_solve`` scales ``Fraction`` pairs by the lcm of their
+denominators.  ``Fraction`` appears only where the twist or a witness is
+read off.
 """
 
 from __future__ import annotations
@@ -231,75 +234,76 @@ class WeightTwist:
 def weight_twist_solve(lt: LieType, weight, pairs):
     """One affine map fitting every (source weight, companion weight) pair.
 
-    Solves twist * companion_weight + shift = source_weight for all pairs and
-    all n source coordinates in one exact elimination (``_twist_eliminate``).
-    The distinct pairs are scaled to integers by the lcm D of their
-    denominators; each gives the augmented row ``[D*companion, D | D*source]``.
-
-    Returns ``(twist, None)`` on success or ``(None, witness_pair)`` when no
-    single affine map fits; the witness is the first pair that breaks
-    consistency of the lowest inconsistent source coordinate.
+    The distinct ``Fraction`` pairs are scaled to integers by the lcm D of
+    their denominators and fitted by ``scaled_twist_solve``.  Returns
+    ``(twist, None)``, or ``(None, witness)`` where the witness is the first
+    pair that breaks consistency of the lowest inconsistent source
+    coordinate, with the values it was given.
     """
     check_dominant(lt, weight)
-    uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
+    uniq = dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs)
     scale = lcm(*{x.denominator for src, tgt in uniq for x in src + tgt})
-
-    def row(pair):
-        return _scaled(pair[1], scale) + [scale] + _scaled(pair[0], scale)
-
-    return _twist_eliminate(lt, uniq, row)
+    return scaled_twist_solve(
+        lt, scale, [(_scaled(s, scale), _scaled(t, scale)) for s, t in uniq]
+    )
 
 
-def _scaled(v, scale: int) -> list[int]:
+def _scaled(v, scale: int) -> tuple[int, ...]:
     """scale * v as integers; scale is a multiple of every denominator of v."""
-    return [x.numerator * (scale // x.denominator) for x in v]
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
 
 
-def _twist_eliminate(lt: LieType, items, row_of):
-    """The twist fitting the integer rows ``row_of(item)``, each of the form
-    ``[D*companion, D | D*source]``, or the witness item.
+def scaled_twist_solve(lt: LieType, scale: int, pairs):
+    """The twist fitting the integer pairs ``(D*source, D*companion)``, D = scale.
 
-    The basis of at most m+1 rows is kept in reduced echelon form and, as
-    B_c, at one common pivot value L.  The residual ``L*row - sum row[c]*B_c``
-    is a nonzero multiple of the reduced row: a row is dependent iff it
-    vanishes in every companion column, consistent in a source coordinate
-    iff it vanishes there, and only a row that joins the basis is reduced.
+    Solves twist * companion_weight + shift = source_weight for all pairs and
+    all n source coordinates in one exact elimination.  Each pair gives the
+    augmented row ``[D*companion, D | D*source]``.  The basis of at most
+    m+1 rows is kept in reduced echelon form and, as B_c, at one common
+    pivot value L.  The residual ``L*row - sum row[c]*B_c`` is a nonzero
+    multiple of the reduced row: a row is dependent iff it vanishes in every
+    companion column, consistent in a source coordinate iff it vanishes
+    there, and only a row that joins the basis is reduced.
 
     The twist is read off the basis with free variables set to zero.
-    Scaling a row by D leaves its row space alone, and the reduced row
-    echelon form of a consistent system depends only on its row space,
-    which the basis rows span; so this is exactly the free-variables-zero
-    solution of the full system, coordinate by coordinate.  ``unique``
-    holds iff the basis has m+1 rows.
+    Scaling a row by a positive factor leaves its row space, its dependence
+    and its consistency alone, joined rows are made primitive, and the
+    reduced row echelon form of a consistent system depends only on its row
+    space, which the basis rows span; so this is exactly the
+    free-variables-zero solution of the full system, coordinate by
+    coordinate, for any D.  ``unique`` holds iff the basis has m+1 rows.
 
-    Returns ``(twist, None)``, or ``(None, item)`` for the first item whose
-    row breaks consistency of the lowest inconsistent source coordinate.
+    Returns ``(twist, None)``, or ``(None, witness)`` for the first pair
+    whose row breaks consistency of the lowest inconsistent source
+    coordinate, read off as a ``(source, companion)`` pair of ``Fraction``s.
     It is found in the same pass: until a coordinate breaks, the basis
     spans every earlier row in the companion part and in that coordinate (a
     dependent row had a zero residual there), so the first dependent row
     with a nonzero residual in it is the first row whose prefix of the
     system is inconsistent.
     """
-    if not items:
+    if not pairs:
         raise ValueError("at least one weight pair is required")
     n = lt.rank
     m = lt.target_rank
     # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    # source coordinate -> first item whose residual in it is nonzero
-    breaks: dict[int, object] = {}
+    # source coordinate -> first pair whose residual in it is nonzero
+    breaks: dict[int, tuple] = {}
     common, checks = 1, [(j, ()) for j in range(m + 1 + n)]
-    for item in items:
-        row = row_of(item)
+    for pair in pairs:
+        row = [*pair[1], scale, *pair[0]]
         head = [row[c] for c in basis]
         for j, col in checks:
             if common * row[j] != sum(map(mul, head, col)):
                 if j <= m:
                     common, checks = _join(basis, row, m)
                     break
-                breaks.setdefault(j - m - 1, item)
+                breaks.setdefault(j - m - 1, pair)
     if breaks:
-        return None, breaks[min(breaks)]
+        return None, tuple(
+            tuple(Fraction(x, scale) for x in v) for v in breaks[min(breaks)]
+        )
     sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):

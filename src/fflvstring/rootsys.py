@@ -16,9 +16,14 @@ Conventions:
 * Labels are ordered column-first, with rows compared in reverse inside a
   column.  ``build_labels`` returns the descending chain; that sequence is
   the basis all dense vectors and matrices in this package are written in.
-* Weights live in simple-root coordinates as exact rationals.  Dominant
-  weights enter as tuples of nonnegative fundamental-weight coefficients.
-  The weight of a point is its base weight minus an integer delta:
+* Weights live in simple-root coordinates as integer numerators over one
+  fixed denominator.  Every weight of A_n has a denominator dividing n+1,
+  every weight of C_n one dividing 2; ``weight_denominator(lt)`` is the
+  common one of a source algebra and its companion, lcm(n+1, 2n) for A_n
+  and 2 for C_n.  The ``Fraction`` weights (``weight_roots``,
+  ``fflv_weight``, ...) are views of these numerators.  Dominant weights
+  enter as tuples of nonnegative fundamental-weight coefficients.  The
+  weight of a point is its base weight minus an integer delta:
   ``root_delta`` of a chain point, ``letter_histogram`` of a string point.
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import VerificationError
@@ -208,25 +214,39 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-@lru_cache(maxsize=None)
-def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
-    """The k-th fundamental weight in simple-root coordinates (exact rationals).
+def fundamental_denominator(family: str, rank: int) -> int:
+    """A common denominator of the fundamental weights in simple-root
+    coordinates: rank + 1 for family A, 2 for family C."""
+    return rank + 1 if family == "A" else 2
 
-    Closed forms: (omega_k)_i = min(i,k)(n+1-max(i,k))/(n+1) for family A,
-    and min(i,k) for i < n, k/2 for i = n for family C.  The gate checks the
-    defining property: the Cartan matrix sends omega_k to the k-th unit vector.
+
+def weight_denominator(lt: LieType) -> int:
+    """D(lt), a common denominator of the source and the companion weights:
+    lcm(n+1, 2n) for A_n, 2 for C_n."""
+    return lcm(
+        fundamental_denominator(lt.family, lt.rank),
+        fundamental_denominator(lt.family, lt.target_rank),
+    )
+
+
+@lru_cache(maxsize=None)
+def fundamental_weight_numerators(family: str, rank: int, k: int) -> ExponentVector:
+    """d * omega_k in simple-root coordinates, d = ``fundamental_denominator``.
+
+    Closed forms: (d omega_k)_i = min(i,k)(n+1-max(i,k)) for family A, and
+    2 min(i,k) for i < n, k for i = n for family C.  The gate checks the
+    defining property: the Cartan matrix sends d omega_k to d e_k.
     """
     if not 1 <= k <= rank:
         raise ValueError(f"fundamental index {k} out of range for rank {rank}")
     n = rank
     if family == "A":
-        w = tuple(
-            Fraction(min(i, k) * (n + 1 - max(i, k)), n + 1) for i in range(1, n + 1)
-        )
+        w = tuple(min(i, k) * (n + 1 - max(i, k)) for i in range(1, n + 1))
     else:
-        w = tuple(Fraction(min(i, k)) for i in range(1, n)) + (Fraction(k, 2),)
+        w = tuple(2 * min(i, k) for i in range(1, n)) + (k,)
+    d = fundamental_denominator(family, rank)
     for i, row in enumerate(cartan_matrix(family, rank)):
-        if sum(a * x for a, x in zip(row, w)) != (1 if i == k - 1 else 0):
+        if sum(a * x for a, x in zip(row, w)) != (d if i == k - 1 else 0):
             raise VerificationError(
                 "rootsys.cartan_invertible",
                 f"{family}{rank}: the Cartan matrix does not send omega_{k} to e_{k}",
@@ -234,16 +254,35 @@ def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
     return w
 
 
-def weight_roots(family: str, rank: int, coeffs: Sequence[int]) -> WeightVector:
-    """Simple-root coordinates of sum_i coeffs[i] * omega_{i+1}."""
+def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
+    """The k-th fundamental weight in simple-root coordinates (exact rationals)."""
+    d = fundamental_denominator(family, rank)
+    return tuple(Fraction(x, d) for x in fundamental_weight_numerators(family, rank, k))
+
+
+def weight_numerators(
+    family: str, rank: int, coeffs: Sequence[int], scale: int
+) -> ExponentVector:
+    """scale * sum_i coeffs[i] * omega_{i+1} in simple-root coordinates.
+
+    ``scale`` must be a multiple of ``fundamental_denominator(family, rank)``,
+    so that every entry is an integer.
+    """
     if len(coeffs) != rank:
         raise ValueError("coefficient vector length must equal the rank")
-    out = [Fraction(0)] * rank
+    f = scale // fundamental_denominator(family, rank)
+    out = [0] * rank
     for i, a in enumerate(coeffs, start=1):
         if a:
-            w = fundamental_weight_roots(family, rank, i)
-            out = [x + a * y for x, y in zip(out, w)]
+            w = fundamental_weight_numerators(family, rank, i)
+            out = [x + a * f * y for x, y in zip(out, w)]
     return tuple(out)
+
+
+def weight_roots(family: str, rank: int, coeffs: Sequence[int]) -> WeightVector:
+    """Simple-root coordinates of sum_i coeffs[i] * omega_{i+1}."""
+    d = fundamental_denominator(family, rank)
+    return tuple(Fraction(x, d) for x in weight_numerators(family, rank, coeffs, d))
 
 
 def check_dominant(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
@@ -305,9 +344,14 @@ def weyl_dim(lt: LieType, weight: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def base_weights(lt: LieType, weight: tuple[int, ...]):
-    """The base pair: lambda in the source lattice and the lifted weight in the
-    companion lattice, both in simple-root coordinates."""
-    return weight_roots(lt.family, lt.rank, weight), lifted_weight_roots(lt, weight)
+    """The base pair times D = ``weight_denominator(lt)``, as integers: D*lambda
+    in the source lattice and D times the lifted weight in the companion
+    lattice, both in simple-root coordinates."""
+    d = weight_denominator(lt)
+    return (
+        weight_numerators(lt.family, lt.rank, weight, d),
+        weight_numerators(lt.family, lt.target_rank, lifted_coeffs(lt, weight), d),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -347,13 +391,15 @@ def letter_histogram(lt: LieType, q: Sequence[int]) -> tuple[int, ...]:
 def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:
     """Weight of the exponent vector p in the source lattice: lambda - sum p * alpha."""
     base, _ = base_weights(lt, check_dominant(lt, weight))
-    return tuple(b - d for b, d in zip(base, root_delta(lt, p)))
+    d = weight_denominator(lt)
+    return tuple(Fraction(b - d * x, d) for b, x in zip(base, root_delta(lt, p)))
 
 
 def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> WeightVector:
     """Weight of the word monomial with exponents q, in the companion lattice."""
     _, base = base_weights(lt, check_dominant(lt, weight))
-    return tuple(b - d for b, d in zip(base, letter_histogram(lt, q)))
+    d = weight_denominator(lt)
+    return tuple(Fraction(b - d * x, d) for b, x in zip(base, letter_histogram(lt, q)))
 
 
 def apply_word(

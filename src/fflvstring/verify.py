@@ -29,19 +29,21 @@ from .degenmap import (
     build_translation,
     check_nonnegative,
     fold_vector,
-    weight_twist_solve,
+    scaled_twist_solve,
 )
 from .errors import VerificationError
 from .fflv import points
 from .rootsys import (
     ExponentVector,
     LieType,
+    base_weights,
     check_dominant,
     dominant_weights,
-    fflv_weight,
     fundamental_weight,
+    letter_histogram,
     natural_dim,
-    string_weight,
+    root_delta,
+    weight_denominator,
     weyl_dim,
 )
 from .wedge import act_sequence, power_action, sim_check_ops, wedge_basis
@@ -113,9 +115,15 @@ def check_main(
     """Compare mapped chain points against string points for one weight.
 
     One walk over the support of each point, through the sparse columns of
-    the matrix, gives its image.  The twist is ``weight_twist_solve`` on the
+    the matrix, gives its image.  The twist is ``scaled_twist_solve`` on the
     weight pairs of the zero point and the unit points of ``P(lambda)``,
-    which give the twist and the witness of the fit to every point.
+    which give the twist and the witness of the fit to every point.  The
+    pairs are integers over D = ``weight_denominator(lt)``: the base pair
+    times D minus D times ``root_delta`` of the point and D times
+    ``letter_histogram`` of its image.  The fit returns the same twist and
+    witness as ``weight_twist_solve`` on the ``Fraction`` weights
+    (``fflv_weight``, ``string_weight``), and only its read-off builds
+    ``Fraction``s.
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports mismatches as witnesses instead of raising the
@@ -156,11 +164,16 @@ def check_main(
     # and span the rows of all of P.
     # Same witness: points are lex-sorted and e_k <=lex p when p_k >= 1, so
     # every other row combines earlier subset rows and never breaks first.
-    twist, witness = weight_twist_solve(
+    d = weight_denominator(lt)
+    src, tgt = base_weights(lt, w)
+    twist, witness = scaled_twist_solve(
         lt,
-        w,
+        d,
         [
-            (fflv_weight(lt, w, p), string_weight(lt, w, v))
+            (
+                tuple(b - d * x for b, x in zip(src, root_delta(lt, p))),
+                tuple(b - d * x for b, x in zip(tgt, letter_histogram(lt, v))),
+            )
             for p, v in zip(chain_pts, images)
             if sum(p) <= 1
         ],

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -12,12 +13,14 @@ from fflvstring.rootsys import (
     LieType,
     RootLabel,
     apply_word,
+    base_weights,
     build_labels,
     cartan_matrix,
     column_key,
     dominant_weights,
     fflv_weight,
     fundamental_weight,
+    fundamental_weight_numerators,
     fundamental_weight_roots,
     lifted_coeffs,
     lifted_weight_roots,
@@ -26,6 +29,7 @@ from fflvstring.rootsys import (
     root_expansion,
     string_weight,
     vector_from_labels,
+    weight_denominator,
     weight_roots,
     weyl_dim,
     word_is_reduced,
@@ -185,8 +189,27 @@ def test_cartan_inverse_consistency():
 def test_singular_cartan_matrix_is_a_named_gate(monkeypatch):
     monkeypatch.setattr(rootsys, "cartan_matrix", lambda family, rank: ((1, 1), (1, 1)))
     with pytest.raises(VerificationError) as exc:
-        fundamental_weight_roots.__wrapped__("A", 2, 1)
+        fundamental_weight_numerators.__wrapped__("A", 2, 1)
     assert exc.value.gate == "rootsys.cartan_invertible"
+
+
+@pytest.mark.parametrize("family, ranks", [("A", range(1, 9)), ("C", range(1, 7))])
+def test_base_weights_satisfy_the_cartan_property(family, ranks):
+    # independent of the closed forms: the Cartan matrix sends the integer
+    # numerators to D times the fundamental coefficients, in the source
+    # lattice and in the companion one
+    for rank in ranks:
+        lt = LieType(family, rank)
+        d = weight_denominator(lt)
+        for w in dominant_weights(rank, 2):
+            src, tgt = base_weights(lt, w)
+            for m, v, coeffs in (
+                (rank, src, w),
+                (lt.target_rank, tgt, lifted_coeffs(lt, w)),
+            ):
+                assert all(type(x) is int for x in v)
+                image = tuple(sum(map(mul, row, v)) for row in cartan_matrix(family, m))
+                assert image == tuple(d * a for a in coeffs)
 
 
 def test_fflv_weight_examples():

@@ -25,22 +25,33 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _imports(path):
+    """(line, module and names) of every import statement of a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[-1]]
+            yield node.lineno, names + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            yield node.lineno, [alias.name.split(".")[-1] for alias in node.names]
+
+
 def test_no_package_module_imports_exact():
     # every gate is integer-only; exact.det_int stays only for the benchmark
     # to bind, so deleting exact.py touches no other package module
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [(node.module or "").split(".")[-1]]
-                names += [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name.split(".")[-1] for alias in node.names]
-            else:
-                continue
-            if "exact" in names:
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, names in _imports(path)
+        if "exact" in names
+    ]
     assert found == []
+
+
+def test_verify_imports_nothing_from_fractions():
+    # check_main fits the twist on integer weight pairs; only the read-off
+    # of the twist or a witness, in degenmap, builds a Fraction
+    path = SRC / "verify.py"
+    assert [line for line, names in _imports(path) if "fractions" in names] == []
 
 
 def _perfbench_tree(name):

@@ -1,12 +1,14 @@
 """Verification pipelines: reports, containments, dilations, grids."""
 
+import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflvstring import degenmap, verify
+from fflvstring import crystal, degenmap, rootsys, verify
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import (
     apply_affine,
@@ -14,11 +16,14 @@ from fflvstring.degenmap import (
     build_translation,
     weight_twist_solve,
 )
+from fflvstring.errors import VerificationError
 from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType,
+    build_labels,
     dominant_weights,
     fflv_weight,
+    reduced_word,
     string_weight,
     weyl_dim,
 )
@@ -85,6 +90,93 @@ def test_corrupted_a4_matrix_twist_witness():
     assert src == (1, 2, 2, 1)
     assert tgt == (1, 1, 0, 0, 0, 1, 1)
     assert all(type(x) is Fraction for x in src + tgt)
+
+
+def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
+    # the weight pairs are integers over weight_denominator(lt); the only
+    # Fractions of a passing case are the entries of the twist
+    callers = []
+    new = Fraction.__new__
+
+    def recording(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", recording)
+    for lt, w in ((A3, (1, 0, 1)), (C3, (0, 1, 1))):
+        assert check_main(lt, w).status == "ok"
+    assert callers and set(callers) == {"scaled_twist_solve"}
+
+
+def _shift_translation(monkeypatch, k, step):
+    real = verify.build_translation
+
+    def shifted(lt, weight):
+        t = list(real(lt, weight))
+        t[k] += step
+        return tuple(t)
+
+    monkeypatch.setattr(verify, "build_translation", shifted)
+
+
+@pytest.mark.parametrize("lt, w", [(A3, (1, 0, 1)), (C2, (1, 1))])
+def test_translation_plus_one_fails_with_witnesses_while_the_twist_fits(
+    monkeypatch, lt, w
+):
+    # T(P) moves off Q by a unit vector: both sides have witnesses, and the
+    # companion weights move by one constant, which the shift absorbs
+    for k in range(len(build_labels(lt))):
+        _shift_translation(monkeypatch, k, 1)
+        rep = check_main(lt, w)
+        assert rep.status == "failed"
+        assert rep.missing and rep.extra
+        assert rep.weight_twist is not None and rep.twist_witness is None
+
+
+@pytest.mark.parametrize("lt, w", [(A3, (1, 0, 1)), (C2, (0, 1))])
+def test_translation_minus_one_on_a_zero_coordinate_trips_the_gate(
+    monkeypatch, lt, w
+):
+    # the zero chain point maps to the translation itself
+    zeros = [k for k, x in enumerate(build_translation(lt, w)) if x == 0]
+    assert zeros
+    for k in zeros:
+        _shift_translation(monkeypatch, k, -1)
+        with pytest.raises(VerificationError) as exc:
+            check_main(lt, w)
+        assert exc.value.gate == "degenmap.nonnegative_image"
+
+
+def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch):
+    # two adjacent letters that do not commute, swapped, name another Weyl
+    # group element.  Weights are chosen whose Demazure crystals tell the
+    # two apart: for some weights of a small stabilizer both agree and the
+    # case rightly passes, as for A3 (1,0,0) swapped at position 1
+    outcomes = set()
+    try:
+        for lt, w in ((A2, (1, 1)), (A3, (1, 1, 1)), (C2, (1, 0)), (C3, (1, 1, 1))):
+            word = reduced_word(lt)
+            for k in range(len(word) - 1):
+                if abs(word[k] - word[k + 1]) != 1:
+                    continue
+                swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
+                for module in (rootsys, crystal):
+                    monkeypatch.setattr(module, "reduced_word", lambda lt, s=swapped: s)
+                string_points.cache_clear()
+                try:
+                    rep = check_main(lt, w)
+                except VerificationError as exc:
+                    outcomes.add(exc.gate)
+                    continue
+                assert rep.status == "failed"
+                assert rep.missing or rep.extra or rep.twist_witness
+                outcomes.add("witnesses")
+    finally:
+        string_points.cache_clear()
+    assert outcomes == {"crystal.demazure_dimension", "witnesses"}
 
 
 def test_check_minkowski_trivial_and_small():
@@ -169,6 +261,16 @@ def test_report_json_shape():
     assert '"elapsed"' not in text
 
 
+def test_report_json_digest_fixture():
+    # pins the reported twists, whose values the fit checks do not compare
+    # with anything fixed: a weight denominator too small for the companion
+    # moves every shift of A3 and still fits
+    text = reports_to_json(run_grid([(A3, 2), (C2, 2)]))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba7d08b2ae4f5c526dfdbad66ff148a37f1562a4272cf5edd5c05c5c8304d372"
+    )
+
+
 def _reference_report(lt, w, matrix):
     """``check_main`` stage by stage on the dense matrix and ``Fraction``
     weights: the report dict and the twist witness it must produce."""
@@ -218,9 +320,10 @@ KERNEL_CASES = [
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_integer_kernel_matches_staged_reference(data):
-    # check_main fits the twist on the zero and unit points; the reference
-    # fits it on every chain point, as the benchmark replays it.  A lowered
-    # matrix entry exercises the witness path, which must also agree
+    # check_main fits the twist on integer pairs of the zero and unit
+    # points; the reference fits the Fraction pairs of every chain point, as
+    # the benchmark replays it.  A lowered matrix entry exercises the
+    # witness path, which must also agree
     lt, w = data.draw(st.sampled_from(KERNEL_CASES))
     matrix = None
     if data.draw(st.booleans()):
