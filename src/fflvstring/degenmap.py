@@ -7,9 +7,9 @@ depends linearly on the dominant weight.  The affine map walks only the
 support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
-solver for the weight twist.  The solver runs one integer elimination over
-all weight pairs and all source coordinates and keeps only a row basis of
-at most 2n rows; its answer is the free-variables-zero solution of the full
+solver for the weight twist.  The solver reduces every weight pair against
+a row basis of at most 2n rows in one integer elimination over all source
+coordinates; its answer is the free-variables-zero solution of the full
 system, the same as solving every coordinate over every pair, because the
 reduced row echelon form of a consistent system depends only on its row
 space.  Its rows are integer weight pairs over one denominator D: the
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 from .errors import VerificationError
@@ -258,15 +257,15 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
 
     Solves twist * companion_weight + shift = source_weight for all pairs and
     all n source coordinates in one exact elimination.  Each pair gives the
-    augmented row ``[D*companion, D | D*source]``.  The basis of at most
-    m+1 rows is kept in reduced echelon form and, as B_c, at one common
-    pivot value L.  The residual ``L*row - sum row[c]*B_c`` is a nonzero
-    multiple of the reduced row: a row is dependent iff it vanishes in every
-    companion column, consistent in a source coordinate iff it vanishes
-    there, and only a row that joins the basis is reduced.
+    augmented row ``[D*companion, D | D*source]``, cleared in every pivot
+    column of the basis.  A row still nonzero in a companion or scale
+    column joins the basis at the first such column, made primitive and
+    cleared out of the other basis rows, so the basis of at most m+1 rows
+    stays in reduced echelon form.  Any other row is dependent, and
+    consistent in a source coordinate iff its reduced row is zero there.
 
     The twist is read off the basis with free variables set to zero.
-    Scaling a row by a positive factor leaves its row space, its dependence
+    Scaling a row by a nonzero factor leaves its row space, its dependence
     and its consistency alone, joined rows are made primitive, and the
     reduced row echelon form of a consistent system depends only on its row
     space, which the basis rows span; so this is exactly the
@@ -277,10 +276,10 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
     whose row breaks consistency of the lowest inconsistent source
     coordinate, read off as a ``(source, companion)`` pair of ``Fraction``s.
     It is found in the same pass: until a coordinate breaks, the basis
-    spans every earlier row in the companion part and in that coordinate (a
-    dependent row had a zero residual there), so the first dependent row
-    with a nonzero residual in it is the first row whose prefix of the
-    system is inconsistent.
+    spans every earlier row in the companion part and in that coordinate
+    (each dependent row reduced to zero there), so the first dependent row
+    that reduces to a nonzero entry in it is the first row whose prefix of
+    the system is inconsistent.
     """
     if not pairs:
         raise ValueError("at least one weight pair is required")
@@ -288,18 +287,24 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
     m = lt.target_rank
     # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    # source coordinate -> first pair whose residual in it is nonzero
+    # source coordinate -> first pair whose reduced row is nonzero in it
     breaks: dict[int, tuple] = {}
-    common, checks = 1, [(j, ()) for j in range(m + 1 + n)]
     for pair in pairs:
         row = [*pair[1], scale, *pair[0]]
-        head = [row[c] for c in basis]
-        for j, col in checks:
-            if common * row[j] != sum(map(mul, head, col)):
-                if j <= m:
-                    common, checks = _join(basis, row, m)
-                    break
-                breaks.setdefault(j - m - 1, pair)
+        for c, b in basis.items():
+            if row[c]:
+                row = _clear(row, b, c)
+        pivot = next((c for c in range(m + 1) if row[c]), None)
+        if pivot is None:
+            for r, x in enumerate(row[m + 1 :]):
+                if x:
+                    breaks.setdefault(r, pair)
+            continue
+        row = _primitive(row)
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _primitive(_clear(b, row, pivot))
+        basis[pivot] = row
     if breaks:
         return None, tuple(
             tuple(Fraction(x, scale) for x in v) for v in breaks[min(breaks)]
@@ -311,22 +316,6 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
     matrix = tuple(tuple(row[:m]) for row in sol)
     shift = tuple(row[m] for row in sol)
     return WeightTwist(matrix, shift, len(basis) == m + 1), None
-
-
-def _join(basis: dict[int, list[int]], row: list[int], m: int):
-    """Reduce a row into the basis; return L and the non-pivot columns (j, B_*[j])."""
-    for c, b in basis.items():
-        if row[c]:
-            row = _clear(row, b, c)
-    pivot = next(c for c in range(m + 1) if row[c])
-    row = _primitive(row)
-    for c, b in basis.items():
-        if b[pivot]:
-            basis[c] = _primitive(_clear(b, row, pivot))
-    basis[pivot] = row
-    common = lcm(*(b[c] for c, b in basis.items()))
-    scaled = [[common // b[c] * x for x in b] for c, b in basis.items()]
-    return common, [(j, col) for j, col in enumerate(zip(*scaled)) if j not in basis]
 
 
 def _clear(row: list[int], b: list[int], c: int) -> list[int]:

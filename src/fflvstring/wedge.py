@@ -53,16 +53,6 @@ def highest_wedge(k: int) -> WedgeVector:
     return wedge_basis(range(1, k + 1))
 
 
-def act_elementary(t: int, v: WedgeVector, dim: int) -> WedgeVector:
-    """Leibniz action of the lowering step e_t -> e_{t+1} on a wedge vector."""
-    if not 1 <= t < dim:
-        raise ValueError(f"step index {t} out of range for dimension {dim}")
-    # in a key holding t but not t+1, t+1 takes the slot of t, so no sign is
-    # picked up; a key already holding t+1 vanishes.  The move is injective,
-    # so no two terms merge.
-    return {key + (1 << t): coeff for key, coeff in v.items() if key >> t & 3 == 1}
-
-
 def _steps(j: int, family: str, rank: int) -> tuple[int, ...]:
     """Elementary steps of the generator with index j: j, and 2*rank - j in type C."""
     if not 1 <= j <= rank:
@@ -75,9 +65,11 @@ def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
     """Action of the rank-``rank`` generator with index j on a wedge vector.
 
     Family A acts on the (rank+1)-dimensional natural module, family C on
-    the 2*rank-dimensional one through the unfolded operator: the sum of
-    ``act_elementary`` over the generator's steps, which all lie below the
-    dimension.
+    the 2*rank-dimensional one through the unfolded operator: the sum over
+    the generator's steps t, which all lie below the dimension, of the
+    Leibniz action of e_t -> e_{t+1}.  In a key holding t but not t+1, t+1
+    takes the slot of t, so no sign is picked up; a key already holding t+1
+    vanishes.
     """
     # the steps are inlined: on the one-term vectors of the oracle and the
     # sweeps, a call per step costs more than the move itself

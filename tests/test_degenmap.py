@@ -2,6 +2,7 @@
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -234,9 +235,9 @@ def _twist_oracle(lt, pairs):
 
 
 TWIST_CASES = [
-    (A1, (2,)), (A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)), (A3, (0, 1, 0)),
-    (A3, (1, 0, 1)), (A3, (1, 1, 0)), (A3, (1, 1, 1)), (C2, (0, 1)), (C2, (1, 1)),
-    (C2, (2, 0)),
+    (A1, (2,)), (A2, (0, 0)), (A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)),
+    (A3, (0, 1, 0)), (A3, (1, 0, 1)), (A3, (1, 1, 0)), (A3, (1, 1, 1)),
+    (C2, (0, 1)), (C2, (1, 1)), (C2, (2, 0)),
 ]
 _PAIRS = {}
 
@@ -266,7 +267,14 @@ def test_weight_twist_matches_full_system_oracle(data):
         pair = list(pairs[k])
         pair[side] = tuple(vec)
         pairs[k] = tuple(pair)
-    assert weight_twist_solve(lt, w, pairs) == _twist_oracle(lt, pairs)
+    expected = _twist_oracle(lt, pairs)
+    assert weight_twist_solve(lt, w, pairs) == expected
+    # the integer entry at any multiple k * L of the lcm L of the denominators
+    scale = data.draw(st.sampled_from([1, 2, 3, 5])) * lcm(
+        *(x.denominator for pair in pairs for v in pair for x in v)
+    )
+    scaled = [tuple(tuple(int(x * scale) for x in v) for v in pair) for pair in pairs]
+    assert degenmap.scaled_twist_solve(lt, scale, scaled) == expected
 
 
 def test_fundamental_translation_index_range():

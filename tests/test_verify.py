@@ -111,6 +111,25 @@ def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
     assert callers and set(callers) == {"scaled_twist_solve"}
 
 
+def test_check_main_fits_the_twist_on_at_most_the_unit_points(monkeypatch):
+    # the zero point and the unit points of P(lambda) span the rows of all
+    # of P, so the fit never sees more than N + 1 pairs per case
+    real = verify.scaled_twist_solve
+    seen = []
+
+    def recording(lt, scale, pairs):
+        seen.append(len(pairs))
+        return real(lt, scale, pairs)
+
+    monkeypatch.setattr(verify, "scaled_twist_solve", recording)
+    for lt in (A1, A2, A3, A4, C2, C3):
+        for w in dominant_weights(lt.rank, 2):
+            seen.clear()
+            assert check_main(lt, w).status == "ok"
+            (count,) = seen
+            assert count <= rootsys.root_count(lt) + 1
+
+
 def _shift_translation(monkeypatch, k, step):
     real = verify.build_translation
 

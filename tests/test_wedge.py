@@ -23,7 +23,6 @@ from fflvstring.rootsys import (
     vector_from_labels,
 )
 from fflvstring.wedge import (
-    act_elementary,
     act_monomial,
     act_sequence,
     act_simple,
@@ -59,6 +58,9 @@ def test_act_simple_on_leading_wedge():
 
 def test_act_simple_single_slot():
     assert act_simple(2, wedge_basis((1, 2)), "A", 3) == wedge_basis((1, 3))
+    # generator 4 of A3 would step off the 4-dimensional module
+    with pytest.raises(ValueError):
+        act_simple(4, wedge_basis((1, 3)), "A", 3)
 
 
 def test_act_simple_repeated_index_vanishes():
@@ -131,18 +133,6 @@ def test_coefficients_are_integers():
     out = act_sequence([1, 1], wedge_basis((1, 3)), "C", 2)
     assert out == {key: 2 for key in wedge_basis((2, 4))}
     assert all(type(coeff) is int for coeff in out.values())
-
-
-def test_act_elementary_moves_one_slot():
-    # dimension 4: t moves to t + 1 in its own slot; a key that already
-    # holds t + 1, or does not hold t, vanishes
-    v = wedge_basis((1, 3))
-    assert act_elementary(1, v, 4) == wedge_basis((2, 3))
-    assert act_elementary(3, v, 4) == wedge_basis((1, 4))
-    assert act_elementary(2, v, 4) == {}
-    assert act_elementary(1, wedge_basis((1, 2)), 4) == {}
-    with pytest.raises(ValueError):
-        act_elementary(4, v, 4)
 
 
 def _ratio(f, g):
