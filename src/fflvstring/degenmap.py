@@ -1,10 +1,10 @@
 """The affine lattice map between the two point families.
 
-The linear part is an N x N integer matrix in the descending label basis
-with entries in {0,-1} (family A) resp. {0,-1,-2} (family C), upper
-triangular with -1 on the diagonal and so unimodular; the translation part
-depends linearly on the dominant weight.  The affine map walks only the
-support of a point.
+T(p) = R^{-1}(c(lifted weight) - p), one integer walk along the reduced word
+for both families: R is Littelmann's slack matrix of the word, unitriangular,
+and c_k = <lifted weight, alpha_{i_k}^vee>.  Its linear part -R^{-1} is upper
+triangular with -1 on the diagonal, so unimodular; its translation part is
+linear in the dominant weight.  The affine map walks only the support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -32,102 +32,72 @@ from .rootsys import (
     ExponentVector,
     LieType,
     RootLabel,
-    all_columns,
     build_labels,
+    cartan_matrix,
     check_dominant,
-    column_key,
     label_index,
+    lifted_coeffs,
+    reduced_word,
 )
 
 
 @lru_cache(maxsize=None)
-def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the linear part in the descending label basis.
+def _simple_roots(family: str, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (j, <alpha_i, alpha_j^vee>) of each alpha_i in fundamental
+    coordinates: column i of the Cartan matrix (its row is wrong in type C)."""
+    m = cartan_matrix(family, rank)
+    return tuple(tuple((j, r[i]) for j, r in enumerate(m) if r[i]) for i in range(rank))
 
-    Family A sends e_{a,b} to -(sum of e_{a,c} for c from b to n, plus
-    e_{c,b} for c < a).  Family C sends e_{a,b} to -(sum of e_{a,c} for
-    columns c from b up to a-bar in the column order, plus e_{c,b} + e_{c,a-bar}
-    for c < a); when b equals a-bar the two lower sums coincide and produce
-    the -2 entries.  The entry range and the upper-triangular form with -1 on
-    the diagonal, which gives det = (-1)^N, are enforced here.
+
+def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int], start: int) -> list[int]:
+    """q = R^{-1}(c(nu) - p) on positions start, start-1, ..., 0 of the word.
+
+    Runs right to left with a companion weight nu in fundamental coordinates:
+    q_k = nu[i_k] - p_k, then q_k * alpha_{i_k} leaves nu.  Only p[:start+1]
+    is read, and q is 0 after start.
     """
-    n = lt.rank
-    labels = build_labels(lt)
-    idx = label_index(lt)
-    size = len(labels)
-    mat = [[0] * size for _ in range(size)]
+    word = reduced_word(lt)
+    roots = _simple_roots(lt.family, lt.target_rank)
+    nu = list(nu)
+    q = [0] * len(word)
+    for k in range(start, -1, -1):
+        i = word[k] - 1
+        x = q[k] = nu[i] - p[k]
+        if x:
+            for j, e in roots[i]:
+                nu[j] -= x * e
+    return q
 
-    for col_pos, lab in enumerate(labels):
-        a, b_col, b_barred = lab.row, lab.col, lab.barred
-        if lt.family == "A":
-            for c in range(b_col, n + 1):
-                mat[idx[RootLabel(a, c)]][col_pos] -= 1
-            for c in range(1, a):
-                mat[idx[RootLabel(c, b_col)]][col_pos] -= 1
-        else:
-            abar_col, abar_barred = (a, True) if a < n else (n, False)
-            key_b = column_key(lab, n)
-            key_abar = 2 * n - a
-            for key, col, barred in all_columns(lt):
-                if key_b <= key <= key_abar:
-                    mat[idx[RootLabel(a, col, barred)]][col_pos] -= 1
-            for c in range(1, a):
-                mat[idx[RootLabel(c, b_col, b_barred)]][col_pos] -= 1
-                mat[idx[RootLabel(c, abar_col, abar_barred)]][col_pos] -= 1
 
+@lru_cache(maxsize=None)
+def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
+    """-R^{-1}, the linear part in the descending label basis.
+
+    Column j is the walk with nu = 0 and p = e_j from position j, as every
+    position after j is zero: -1 at j and 0 below it by construction.  The
+    entry range, {0,-1} for family A and {0,-1,-2} for family C, is gated.
+    """
+    size = len(reduced_word(lt))
+    zero = [0] * lt.target_rank
+    cols = [_walk(lt, zero, [0] * j + [1], j) for j in range(size)]
+    mat = tuple(zip(*cols))
     allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
     bad = {x for row in mat for x in row} - allowed
     if bad:
         raise VerificationError(
             "degenmap.entry_range", f"{lt}: entries {sorted(bad)} outside {sorted(allowed)}"
         )
-    for r, row in enumerate(mat):
-        if any(row[:r]) or row[r] != -1:
-            raise VerificationError(
-                "degenmap.unimodular",
-                f"{lt}: row {r} is not upper triangular with -1 on the diagonal",
-            )
-    return tuple(tuple(row) for row in mat)
-
-
-def _translation_coefficient_A(n: int, i: int, lab: RootLabel) -> int:
-    return 1 if lab.col >= i and lab.row <= i else 0
-
-
-def _translation_coefficient_C(n: int, i: int, lab: RootLabel) -> int:
-    kj = column_key(lab, n)
-    ki = i
-    ki_bar = 2 * n - i
-    kl_bar = 2 * n - lab.row
-    if ki <= kj < ki_bar and lab.row <= i:
-        return 1
-    if kl_bar == kj and lab.row <= i:
-        return 1
-    if kl_bar > kj and ki_bar <= kj:
-        return 2
-    return 0
-
-
-@lru_cache(maxsize=None)
-def fundamental_translation(lt: LieType, i: int) -> ExponentVector:
-    """Translation vector for the i-th fundamental weight."""
-    if not 1 <= i <= lt.rank:
-        raise ValueError(f"fundamental index {i} out of range")
-    coeff = (
-        _translation_coefficient_A if lt.family == "A" else _translation_coefficient_C
-    )
-    return tuple(coeff(lt.rank, i, lab) for lab in build_labels(lt))
+    return mat
 
 
 def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
-    """Translation vector for a dominant weight, linear in the weight."""
-    w = check_dominant(lt, weight)
-    out = [0] * len(build_labels(lt))
-    for i, a in enumerate(w, start=1):
-        if a:
-            t = fundamental_translation(lt, i)
-            out = [x + a * y for x, y in zip(out, t)]
-    return tuple(out)
+    """R^{-1} c(lifted weight): the walk with nu the lifted weight and p = 0.
+
+    q_k is the string of the extremal element,
+    <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>.
+    """
+    size = len(reduced_word(lt))
+    return tuple(_walk(lt, lifted_coeffs(lt, weight), [0] * size, size - 1))
 
 
 def apply_affine(

@@ -3,7 +3,7 @@
 Everything in this package is an exact combinatorial identity, so no floats
 appear anywhere: determinants come from exact Gaussian elimination that
 touches only the rows with a nonzero entry in the pivot column.  No other
-package module imports this one: the matrix gate reads the triangular form.
+package module imports this one: the matrix is triangular by construction.
 """
 
 from __future__ import annotations

@@ -316,9 +316,9 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
     """Determinant, entries and triangularity of the linear part, ranks <= max_rank.
 
-    ``build_matrix`` gates the entry range and the upper-triangular form with
-    -1 on the diagonal, so every matrix it returns has determinant (-1)^size;
-    a rank that fails a gate prints a FAILED line.
+    ``build_matrix`` builds an upper triangular matrix with -1 on the diagonal
+    by construction, so its determinant is (-1)^size, and gates the entry
+    range; a rank that fails the gate prints a FAILED line.
     """
     lines, failures = [], []
     for family in ("A", "C"):

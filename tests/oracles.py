@@ -1,14 +1,18 @@
-"""Independent test oracles: dimension counts that share no code with the package.
+"""Independent test oracles that share no code with what they check.
 
-Two routes: triangular-pattern enumeration for family A and Freudenthal's
-multiplicity recursion for both families.  Everything is exact integer
-arithmetic.
+Dimension counts by two routes: triangular-pattern enumeration for family A
+and Freudenthal's multiplicity recursion for both families.  The paper's
+label formulas for the linear part and the fundamental translations of the
+affine map, which read only the label order of ``build_labels``.  Everything
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+from fflvstring.rootsys import build_labels
 
 
 def gt_dim(coeffs: tuple[int, ...]) -> int:
@@ -121,3 +125,58 @@ def freudenthal_dim(family: str, rank: int, coeffs: tuple[int, ...]) -> int:
                 total += num
         depth += 1
     return total
+
+
+def _column_key(lab, n: int) -> int:
+    # the column order 1 < ... < n = n-bar < ... < 1-bar
+    return 2 * n - lab.col if lab.barred else lab.col
+
+
+def label_matrix(lt) -> tuple[tuple[int, ...], ...]:
+    """The linear part by the paper's label formulas, descending label basis.
+
+    Family A sends e_{a,b} to -(sum of e_{a,c} for c from b to n, plus
+    e_{c,b} for c < a).  Family C sends e_{a,b} to -(sum of e_{a,c} for
+    columns c from b up to a-bar in the column order, plus e_{c,b} +
+    e_{c,a-bar} for c < a); when b equals a-bar the two lower sums coincide
+    and produce the -2 entries.
+    """
+    n = lt.rank
+    labels = build_labels(lt)
+    idx = {(lab.row, lab.col, lab.barred): k for k, lab in enumerate(labels)}
+    columns = [(j, j, False) for j in range(1, n + 1)]
+    if lt.family == "C":
+        columns += [(2 * n - j, j, True) for j in range(1, n)]
+    mat = [[0] * len(labels) for _ in labels]
+    for pos, lab in enumerate(labels):
+        a, b = lab.row, lab.col
+        if lt.family == "A":
+            for c in range(b, n + 1):
+                mat[idx[a, c, False]][pos] -= 1
+            for c in range(1, a):
+                mat[idx[c, b, False]][pos] -= 1
+            continue
+        abar = (a, True) if a < n else (n, False)
+        for key, col, barred in columns:
+            if _column_key(lab, n) <= key <= 2 * n - a:
+                mat[idx[a, col, barred]][pos] -= 1
+        for c in range(1, a):
+            mat[idx[c, b, lab.barred]][pos] -= 1
+            mat[idx[(c,) + abar]][pos] -= 1
+    return tuple(tuple(row) for row in mat)
+
+
+def label_translation(lt, i: int) -> tuple[int, ...]:
+    """The translation of the i-th fundamental weight by the paper's label
+    formulas, descending label basis."""
+    n = lt.rank
+
+    def coeff(lab) -> int:
+        if lt.family == "A":
+            return 1 if lab.row <= i <= lab.col else 0
+        key, key_bar = _column_key(lab, n), 2 * n - lab.row
+        if lab.row <= i and (i <= key < 2 * n - i or key == key_bar):
+            return 1
+        return 2 if 2 * n - i <= key < key_bar else 0
+
+    return tuple(coeff(lab) for lab in build_labels(lt))

@@ -31,6 +31,7 @@ from fflvstring.verify import (
     unimodular_sweep,
 )
 from fflvstring.wedge import restriction_block, unfold_dominates
+from oracles import label_matrix, label_translation
 
 A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", n), 2) for n in (5, 6)]
 C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
@@ -76,7 +77,21 @@ def test_criterion_02_main_theorem_type_c(grid):
 def test_criterion_03_unimodularity():
     lines, failures = unimodular_sweep(12)
     ok = not failures and len(lines) == 24
-    record(3, "unimodularity, entries, triangularity, n <= 12", ok)
+    # the walk along the word against the paper's label formulas; on the
+    # formulas' matrix the triangular form with -1 on the diagonal is a claim
+    for family in ("A", "C"):
+        for n in range(1, 13):
+            lt = LieType(family, n)
+            mat = label_matrix(lt)
+            ok = ok and build_matrix(lt) == mat
+            ok = ok and all(
+                row[r] == -1 and not any(row[:r]) for r, row in enumerate(mat)
+            )
+            ok = ok and all(
+                build_translation(lt, fundamental_weight(n, i)) == label_translation(lt, i)
+                for i in range(1, n + 1)
+            )
+    record(3, "unimodularity, entries, triangularity, label formulas, n <= 12", ok)
 
 
 def test_criterion_04_printed_fixtures():

@@ -267,13 +267,13 @@ def test_verify_unimodular_failure_path(capsys, monkeypatch):
 
     def broken(lt):
         if lt == LieType("C", 2):
-            raise VerificationError("degenmap.unimodular", f"{lt}: determinant 3")
+            raise VerificationError("degenmap.entry_range", f"{lt}: entries [1]")
         return real(lt)
 
     monkeypatch.setattr(verify, "build_matrix", broken)
     code, out, _ = run_cli(capsys, "verify", "unimodular", "--max-rank", "2")
     assert code == 1
-    assert "C2: FAILED (degenmap.unimodular: C2: determinant 3)\n" in out
+    assert "C2: FAILED (degenmap.entry_range: C2: entries [1])\n" in out
     assert verify.unimodular_sweep(2)[1] == ["C2"]
 
 

@@ -16,11 +16,9 @@ from fflvstring.degenmap import (
     build_translation,
     fold_label,
     fold_vector,
-    fundamental_translation,
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
-from fflvstring.exact import det_int
 from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType,
@@ -28,6 +26,7 @@ from fflvstring.rootsys import (
     build_labels,
     dominant_weights,
     fflv_weight,
+    reduced_word,
     string_weight,
     vector_from_labels,
 )
@@ -45,20 +44,16 @@ def test_matrix_rank_one_base_cases():
     assert build_matrix(C1) == ((-1,),)
 
 
-def test_unimodular_gate_rejects_lower_triangular_conjugate(monkeypatch):
-    # in the ascending label order the same map has a lower-triangular
-    # matrix with determinant 1: |det| = 1 holds, the stronger gate does not
-    conjugate = [row[::-1] for row in build_matrix(A3)[::-1]]
-    assert det_int(conjugate) == 1
-    assert all(not any(row[r + 1 :]) for r, row in enumerate(conjugate))
-    labels = build_labels(A3)[::-1]
-    monkeypatch.setattr(degenmap, "build_labels", lambda lt: labels)
-    monkeypatch.setattr(
-        degenmap, "label_index", lambda lt: {lab: k for k, lab in enumerate(labels)}
-    )
+@pytest.mark.parametrize("lt", [A3, C2])
+def test_entry_range_gate_rejects_repeated_letter(monkeypatch, lt):
+    # a word that repeats its second letter is not reduced, and the walk
+    # along it leaves the allowed entries (A3 gives [1, 2])
+    word = reduced_word(lt)
+    bad = word[:2] + (word[1],) + word[3:]
+    monkeypatch.setattr(degenmap, "reduced_word", lambda lt: bad)
     with pytest.raises(VerificationError) as info:
-        build_matrix.__wrapped__(A3)
-    assert info.value.gate == "degenmap.unimodular"
+        build_matrix.__wrapped__(lt)
+    assert info.value.gate == "degenmap.entry_range"
 
 
 def test_translation_c2_omega2_fixture():
@@ -84,6 +79,9 @@ def test_translation_zero_weight_and_linearity():
                     )
                 )
                 assert build_translation(lt, total) == lin
+    for bad in ((0, 0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            build_translation(A2, bad)
 
 
 def test_apply_T_zero_point_gives_translation():
@@ -275,8 +273,3 @@ def test_weight_twist_matches_full_system_oracle(data):
     )
     scaled = [tuple(tuple(int(x * scale) for x in v) for v in pair) for pair in pairs]
     assert degenmap.scaled_twist_solve(lt, scale, scaled) == expected
-
-
-def test_fundamental_translation_index_range():
-    with pytest.raises(ValueError):
-        fundamental_translation(A2, 3)

@@ -54,6 +54,18 @@ def test_verify_imports_nothing_from_fractions():
     assert [line for line, names in _imports(path) if "fractions" in names] == []
 
 
+def test_degenmap_imports_no_label_formula_helpers():
+    # one walk along the reduced word builds the matrix and every
+    # translation; the per-family label formulas are test oracles now
+    path = SRC / "degenmap.py"
+    found = [
+        line
+        for line, names in _imports(path)
+        if {"all_columns", "column_key"} & set(names)
+    ]
+    assert found == []
+
+
 def _perfbench_tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 
