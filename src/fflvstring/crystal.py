@@ -162,7 +162,6 @@ def extract_string(
     return tuple(q)
 
 
-@lru_cache(maxsize=None)
 def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
     """String vectors of the Demazure crystal, as a canonical point set.
 

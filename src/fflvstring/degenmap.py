@@ -193,12 +193,6 @@ class WeightTwist:
     shift: tuple[Fraction, ...]
     unique: bool
 
-    def apply(self, companion: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(a * x for a, x in zip(row, companion)) + s
-            for row, s in zip(self.matrix, self.shift)
-        )
-
 
 def weight_twist_solve(lt: LieType, weight, pairs):
     """One affine map fitting every (source weight, companion weight) pair.

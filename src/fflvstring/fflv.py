@@ -17,7 +17,6 @@ from .rootsys import (
     ExponentVector,
     LieType,
     RootLabel,
-    all_columns,
     build_labels,
     check_dominant,
     column_key,
@@ -41,7 +40,9 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
     if not 1 <= i <= n:
         raise ValueError(f"fundamental index {i} out of range for rank {n}")
     idx = label_index(lt)
-    cols = [entry for entry in all_columns(lt) if entry[0] >= i]
+    # (key, col, barred) of the columns from key i on, ascending by key
+    columns = {(column_key(lab, n), lab.col, lab.barred) for lab in build_labels(lt)}
+    cols = [entry for entry in sorted(columns) if entry[0] >= i]
     out: set[ExponentVector] = set()
     vec = [0] * len(idx)
 
@@ -66,7 +67,6 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
     return pts
 
 
-@lru_cache(maxsize=None)
 def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
     """Lattice points for a dominant weight: Minkowski sums of fundamental sets.
 

@@ -20,8 +20,8 @@ Conventions:
   fixed denominator.  Every weight of A_n has a denominator dividing n+1,
   every weight of C_n one dividing 2; ``weight_denominator(lt)`` is the
   common one of a source algebra and its companion, lcm(n+1, 2n) for A_n
-  and 2 for C_n.  The ``Fraction`` weights (``weight_roots``,
-  ``fflv_weight``, ...) are views of these numerators.  Dominant weights
+  and 2 for C_n.  The ``Fraction`` weights ``fflv_weight`` and
+  ``string_weight`` are views of these numerators.  Dominant weights
   enter as tuples of nonnegative fundamental-weight coefficients.  The
   weight of a point is its base weight minus an integer delta:
   ``root_delta`` of a chain point, ``letter_histogram`` of a string point.
@@ -125,17 +125,6 @@ def label_index(lt: LieType) -> Mapping[RootLabel, int]:
     return {lab: k for k, lab in enumerate(build_labels(lt))}
 
 
-@lru_cache(maxsize=None)
-def all_columns(lt: LieType) -> tuple[tuple[int, int, bool], ...]:
-    """All (key, col, barred) column descriptors, ascending by key."""
-    n = lt.rank
-    cols = [(j, j, False) for j in range(1, n + 1)]
-    if lt.family == "C":
-        cols += [(2 * n - j, j, True) for j in range(1, n)]
-    cols.sort()
-    return tuple(cols)
-
-
 def vector_from_labels(lt: LieType, assignment: Mapping[RootLabel, int]) -> ExponentVector:
     """Dense exponent vector from a {label: coefficient} mapping."""
     idx = label_index(lt)
@@ -164,21 +153,6 @@ def reduced_word(lt: LieType) -> tuple[int, ...]:
     for j in range(n, 0, -1):
         word.extend(range(j, 2 * j))
     return tuple(word)
-
-
-def word_is_reduced(family: str, rank: int, word: Sequence[int]) -> bool:
-    """Whether ``word`` is a reduced expression in the rank-``rank`` Weyl group.
-
-    Root criterion (Humphreys 1990, Reflection Groups and Coxeter Groups,
-    1.6-1.7): the word i_1 ... i_N is reduced iff every root
-    s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) is positive.  A root has all its
-    simple-root coordinates of one sign, so one negative coordinate decides.
-    """
-    for k, i in enumerate(word):
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(rank))
-        if min(apply_word(family, rank, word[:k], alpha)) < 0:
-            return False
-    return True
 
 
 def root_expansion(lt: LieType, label: RootLabel) -> tuple[int, ...]:
@@ -254,12 +228,6 @@ def fundamental_weight_numerators(family: str, rank: int, k: int) -> ExponentVec
     return w
 
 
-def fundamental_weight_roots(family: str, rank: int, k: int) -> WeightVector:
-    """The k-th fundamental weight in simple-root coordinates (exact rationals)."""
-    d = fundamental_denominator(family, rank)
-    return tuple(Fraction(x, d) for x in fundamental_weight_numerators(family, rank, k))
-
-
 def weight_numerators(
     family: str, rank: int, coeffs: Sequence[int], scale: int
 ) -> ExponentVector:
@@ -277,12 +245,6 @@ def weight_numerators(
             w = fundamental_weight_numerators(family, rank, i)
             out = [x + a * f * y for x, y in zip(out, w)]
     return tuple(out)
-
-
-def weight_roots(family: str, rank: int, coeffs: Sequence[int]) -> WeightVector:
-    """Simple-root coordinates of sum_i coeffs[i] * omega_{i+1}."""
-    d = fundamental_denominator(family, rank)
-    return tuple(Fraction(x, d) for x in weight_numerators(family, rank, coeffs, d))
 
 
 def check_dominant(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
@@ -305,11 +267,6 @@ def lifted_coeffs(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
     for i, a in enumerate(w, start=1):
         out[2 * i - 2] = a
     return tuple(out)
-
-
-def lifted_weight_roots(lt: LieType, weight: Sequence[int]) -> WeightVector:
-    """Simple-root coordinates of the lifted weight in the companion lattice."""
-    return weight_roots(lt.family, lt.target_rank, lifted_coeffs(lt, weight))
 
 
 def weyl_dim(lt: LieType, weight: Sequence[int]) -> int:
@@ -400,21 +357,6 @@ def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> Weigh
     _, base = base_weights(lt, check_dominant(lt, weight))
     d = weight_denominator(lt)
     return tuple(Fraction(b - d * x, d) for b, x in zip(base, letter_histogram(lt, q)))
-
-
-def apply_word(
-    family: str, rank: int, word: Sequence[int], mu: WeightVector
-) -> WeightVector:
-    """Apply s_{i_1} ... s_{i_k} to mu (rightmost reflection acts first).
-
-    In simple-root coordinates s_i subtracts <mu, alpha_i^vee> from entry i.
-    """
-    cartan = cartan_matrix(family, rank)
-    for i in reversed(word):
-        out = list(mu)
-        out[i - 1] -= sum(a * x for a, x in zip(cartan[i - 1], mu))
-        mu = tuple(out)
-    return mu
 
 
 def dominant_weights(rank: int, max_level: int) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,8 @@
 """Independent test oracles that share no code with what they check.
 
 Dimension counts by two routes: triangular-pattern enumeration for family A
-and Freudenthal's multiplicity recursion for both families.  The paper's
+and Freudenthal's multiplicity recursion for both families.  Reducedness of
+a word by the root criterion, on the same root data.  The paper's
 label formulas for the linear part and the fundamental translations of the
 affine map, which read only the label order of ``build_labels``.  Everything
 is exact integer arithmetic.
@@ -125,6 +126,22 @@ def freudenthal_dim(family: str, rank: int, coeffs: tuple[int, ...]) -> int:
                 total += num
         depth += 1
     return total
+
+
+def word_is_reduced(family: str, rank: int, word) -> bool:
+    """Root criterion (Humphreys 1990, Reflection Groups and Coxeter Groups,
+    1.6-1.7): i_1 ... i_N is reduced iff every s_{i_1} ... s_{i_{k-1}}(alpha_{i_k})
+    is a positive root.  Roots in the orthonormal basis of ``_root_data``."""
+    simple, positive, _ = _root_data(family, rank)
+    for k, i in enumerate(word):
+        v = simple[i - 1]
+        for j in reversed(word[:k]):
+            a = simple[j - 1]
+            c = 2 * _dot(v, a) // _dot(a, a)
+            v = tuple(x - c * y for x, y in zip(v, a))
+        if v not in positive:
+            return False
+    return True
 
 
 def _column_key(lab, n: int) -> int:

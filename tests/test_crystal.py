@@ -21,13 +21,14 @@ from fflvstring.degenmap import build_translation
 from fflvstring.errors import VerificationError
 from fflvstring.rootsys import (
     LieType,
+    base_weights,
     dominant_weights,
     fundamental_weight,
     lifted_coeffs,
-    lifted_weight_roots,
     natural_dim,
     reduced_word,
     string_weight,
+    weight_denominator,
     weyl_dim,
 )
 
@@ -235,7 +236,8 @@ def _letter_weight(lt, w, b):
     else:
         roots = [Fraction(sum(delta[:k])) for k in range(1, m)]
         roots.append(Fraction(sum(delta), 2))
-    return tuple(x - d for x, d in zip(lifted_weight_roots(lt, w), roots))
+    d = weight_denominator(lt)
+    return tuple(Fraction(y, d) - r for y, r in zip(base_weights(lt, w)[1], roots))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +150,8 @@ def test_weight_twist_rank2_fundamental_fits_all_pairs():
     twist, witness = weight_twist_solve(A2, (1, 0), _twist_pairs(A2, (1, 0)))
     assert witness is None
     for src, tgt in _twist_pairs(A2, (1, 0)):
-        assert twist.apply(tgt) == src
+        rows = zip(twist.matrix, twist.shift)
+        assert tuple(sum(map(mul, row, tgt)) + s for row, s in rows) == src
 
 
 def test_weight_twist_trivial_weight():
@@ -172,7 +174,8 @@ def test_weight_twist_regular_a3():
     twist, witness = weight_twist_solve(A3, w, _twist_pairs(A3, w))
     assert witness is None
     for src, tgt in _twist_pairs(A3, w):
-        assert twist.apply(tgt) == src
+        rows = zip(twist.matrix, twist.shift)
+        assert tuple(sum(map(mul, row, tgt)) + s for row, s in rows) == src
 
 
 def test_weight_twist_reports_witness_on_corrupted_pairs():

@@ -5,7 +5,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from fflvstring import degenmap, rootsys, verify
+from fflvstring import crystal, degenmap, fflv, rootsys, verify
 from fflvstring.rootsys import LieType
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fflvstring"
@@ -61,9 +61,16 @@ def test_degenmap_imports_no_label_formula_helpers():
     found = [
         line
         for line, names in _imports(path)
-        if {"all_columns", "column_key"} & set(names)
+        if "column_key" in names
     ]
     assert found == []
+
+
+def test_point_sets_are_not_memoized():
+    # P(lambda) and Q_w(lambda~) are per-case sets that no caller reads
+    # twice; a memo would only keep every case's set alive to the end
+    assert not hasattr(fflv.points, "cache_info")
+    assert not hasattr(crystal.string_points, "cache_info")
 
 
 def _perfbench_tree(name):
