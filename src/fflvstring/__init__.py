@@ -30,7 +30,6 @@ from .rootsys import (
 )
 from .verify import (
     VerificationReport,
-    check_lattice_corollary,
     check_main,
     check_minkowski,
     run_grid,
@@ -57,7 +56,6 @@ __all__ = [
     "build_labels",
     "build_matrix",
     "build_translation",
-    "check_lattice_corollary",
     "check_main",
     "check_minkowski",
     "demazure_set",

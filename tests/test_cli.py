@@ -307,20 +307,6 @@ def test_verify_comm_failure_path(capsys, monkeypatch):
     assert verify.comm_sweep(2)[1] == [("C", 2, 1, 2, "sim i=1")]
 
 
-def test_verify_comm_pointwise_failure_path(capsys, monkeypatch):
-    real = verify.act_sequence
-
-    def dead(ops, v, family, rank):
-        return {} if (family, rank) == ("A", 2) else real(ops, v, family, rank)
-
-    monkeypatch.setattr(verify, "act_sequence", dead)
-    assert verify.comm_sweep(2)[1] == [("A", 2, 1, 2, "pointwise")]
-    code, out, _ = run_cli(capsys, "verify", "comm", "--max-rank", "2")
-    assert code == 1
-    assert "A2: commutation table FAILED\n" in out
-    assert "C2: commutation table ok\n" in out
-
-
 def test_usage_error_wrong_weight_length(capsys):
     code, _, err = run_cli(
         capsys, "fflv", "points", "--type", "A", "--rank", "3", "--weight", "1,0"

@@ -307,6 +307,14 @@ def test_closure_order_gate(monkeypatch):
     assert info.value.gate == "crystal.demazure_dimension"
 
 
+def test_string_injectivity_gate(monkeypatch):
+    # two Demazure elements with one string vector
+    monkeypatch.setattr("fflvstring.crystal._walk", lambda lt, w: {(1,): (0,), (2,): (0,)})
+    with pytest.raises(VerificationError) as info:
+        string_points(A1, (1,))
+    assert info.value.gate == "crystal.string_injectivity"
+
+
 def test_signature_convention_gate():
     # a right-to-left bracketing scan is the left-to-right scan of the
     # mirrored word; it breaks the highest-weight property of the

@@ -57,6 +57,26 @@ def test_entry_range_gate_rejects_repeated_letter(monkeypatch, lt):
     assert info.value.gate == "degenmap.entry_range"
 
 
+@pytest.fixture
+def fresh_simple_roots():
+    # the walk reads the Cartan matrix through this cache
+    degenmap._simple_roots.cache_clear()
+    yield
+    degenmap._simple_roots.cache_clear()
+
+
+@pytest.mark.parametrize("lt", [A2, A3, LieType("A", 4)])
+def test_entry_range_gate_rejects_minus_two_in_type_a(monkeypatch, fresh_simple_roots, lt):
+    # the type-C Cartan matrix puts -2 entries into a type-A matrix, which
+    # lie in the type-C range but not in the type-A one
+    real = degenmap.cartan_matrix
+    monkeypatch.setattr(degenmap, "cartan_matrix", lambda family, rank: real("C", rank))
+    with pytest.raises(VerificationError) as info:
+        build_matrix.__wrapped__(lt)
+    assert info.value.gate == "degenmap.entry_range"
+    assert "entries [-2]" in str(info.value)
+
+
 def test_translation_c2_omega2_fixture():
     expected = vector_from_labels(
         C2,

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from fflvstring import fflv
+from fflvstring.errors import VerificationError
 from fflvstring.fflv import (
     dyck_check_A,
     embed_point_in_a,
@@ -80,6 +82,14 @@ def test_fundamental_cardinality_gate(family, max_rank):
             assert len(pts) == weyl_dim(lt, fundamental_weight(lt.rank, i))
 
 
+def test_fundamental_cardinality_gate_trips(monkeypatch):
+    # the uncached enumeration against a dimension one too large
+    monkeypatch.setattr(fflv, "weyl_dim", lambda lt, w: weyl_dim(lt, w) + 1)
+    with pytest.raises(VerificationError) as info:
+        fundamental_points.__wrapped__(A2, 1)
+    assert info.value.gate == "fflv.fundamental_cardinality"
+
+
 @pytest.mark.parametrize("family,max_rank", [("A", 4), ("C", 3)])
 def test_fundamental_points_are_chains(family, max_rank):
     # support must read as pairs with rows strictly decreasing below i
@@ -129,6 +139,16 @@ def test_points_cardinality_gate(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
         assert len(points(lt, w)) == weyl_dim(lt, w)
+
+
+def test_minkowski_cardinality_gate_trips_on_a_short_sum(monkeypatch):
+    # the fundamental sets are cached first, so only the sum meets the
+    # dimension one too large, and comes out one point short of it
+    fundamental_points(A2, 1), fundamental_points(A2, 2)
+    monkeypatch.setattr(fflv, "weyl_dim", lambda lt, w: weyl_dim(lt, w) + 1)
+    with pytest.raises(VerificationError) as info:
+        points(A2, (1, 1))
+    assert info.value.gate == "fflv.minkowski_cardinality"
 
 
 @pytest.mark.parametrize("family,rank,level", [("A", 3, 2), ("C", 2, 1)])

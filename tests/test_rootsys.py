@@ -86,6 +86,13 @@ def test_label_count_matches_word_length(family, rank):
     assert len(reduced_word(lt)) == expected
 
 
+def test_label_count_gate_trips(monkeypatch):
+    monkeypatch.setattr(rootsys, "root_count", lambda lt: 4)
+    with pytest.raises(VerificationError) as info:
+        build_labels.__wrapped__(A2)
+    assert info.value.gate == "rootsys.label_count"
+
+
 @pytest.mark.parametrize("family", ["A", "C"])
 @pytest.mark.parametrize("rank", range(1, 11))
 def test_word_is_reduced(family, rank):
@@ -157,6 +164,14 @@ def test_weyl_dim_against_freudenthal(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
         assert weyl_dim(lt, w) == freudenthal_dim(family, rank, w)
+
+
+def test_weyl_dim_integral_gate_trips(monkeypatch):
+    # a half-integral coefficient gives the fractional dimension 3/2 for A1
+    monkeypatch.setattr(rootsys, "check_dominant", lambda lt, w: (Fraction(1, 2),))
+    with pytest.raises(VerificationError) as info:
+        weyl_dim(A1, (0,))
+    assert info.value.gate == "rootsys.weyl_dim_integral"
 
 
 def test_root_expansion():

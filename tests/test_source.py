@@ -8,7 +8,8 @@ from pathlib import Path
 from fflvstring import crystal, degenmap, fflv, rootsys, verify
 from fflvstring.rootsys import LieType
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fflvstring"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fflvstring"
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 
@@ -23,6 +24,31 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _trees(paths):
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+def test_every_gate_is_named_by_a_test():
+    # the gate name is the first argument of each VerificationError(...);
+    # a gate that no test names could be dead or broken unseen
+    calls = [
+        node
+        for tree in _trees(sorted(SRC.glob("*.py")))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VerificationError"
+    ]
+    gates = {getattr(node.args[0], "value", None) for node in calls}
+    assert calls and all(isinstance(gate, str) for gate in gates)
+    tests = sorted(p for p in TESTS.glob("*.py") if p.name != "test_source.py")
+    strings = [
+        node.value
+        for tree in _trees(tests)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert [gate for gate in sorted(gates) if not any(gate in s for s in strings)] == []
 
 
 def _imports(path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from fflvstring.rootsys import (
 from fflvstring.verify import (
     WITNESS_CAP,
     all_passed,
-    check_lattice_corollary,
     check_main,
     check_minkowski,
     comm_sweep,
@@ -71,6 +71,13 @@ def test_check_main_small_cases():
 def test_check_main_report_witness_invariant():
     rep = check_main(A2, (1, 1))
     assert rep.equal == (rep.missing_total == 0 and rep.extra_total == 0)
+
+
+def test_report_fails_when_both_counts_miss_the_weyl_dimension():
+    rep = check_main(A2, (1, 1))
+    assert rep.status == "ok"
+    # T(P) = Q and |P| = |Q|, but not the dimension of the module
+    assert replace(rep, weyl_dim=rep.weyl_dim + 1).status == "failed"
 
 
 def test_check_main_with_corrupted_matrix_reports_witnesses():
@@ -198,27 +205,21 @@ def test_check_minkowski_trivial_and_small():
     rep = check_minkowski(A3, (1, 0, 0), (0, 0, 0))
     assert rep.ok
     rep = check_minkowski(A3, (1, 0, 0), (0, 1, 0))
-    assert rep.ok and not rep.fflv_witnesses and not rep.string_witnesses
+    assert rep.ok and not rep.string_witnesses
     rep = check_minkowski(C2, (1, 0), (1, 0))
     assert rep.ok
 
 
-def test_check_lattice_corollary_trivial():
-    rep = check_lattice_corollary(A2, (0, 0), 3)
-    assert rep.ok
-    assert all(row[1] == row[2] == row[3] == 1 for row in rep.rows)
-
-
-def test_check_lattice_corollary_a2_counts():
-    rep = check_lattice_corollary(A2, (1, 0), 3)
-    assert rep.ok
-    assert [row[1] for row in rep.rows] == [3, 6, 10]
-
-
-def test_check_lattice_corollary_c2_count():
-    rep = check_lattice_corollary(C2, (0, 1), 2)
-    assert rep.ok
-    assert rep.rows[1][1] == 14
+def test_check_minkowski_reports_capped_witnesses(monkeypatch):
+    real = verify.string_points
+    monkeypatch.setattr(
+        verify, "string_points", lambda lt, w: () if w == (2, 1) else real(lt, w)
+    )
+    rep = check_minkowski(A2, (1, 1), (1, 0))
+    assert not rep.ok
+    # every one of the 8 * 3 sums is missing; the first ten are reported
+    sums = [tuple(map(sum, zip(p, q))) for p in real(A2, (1, 1)) for q in real(A2, (1, 0))]
+    assert rep.string_witnesses == tuple(sums[:WITNESS_CAP])
 
 
 def test_run_grid_empty():

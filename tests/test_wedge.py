@@ -346,6 +346,17 @@ def test_unfold_dominance_exhaustive_rank2():
             assert unfold_dominates(bits, 2, 2 * i - 1)
 
 
+def test_unfold_dimension_gate_trips(monkeypatch):
+    # companion modules of A_{2m-1} and C_m of different dimensions
+    monkeypatch.setattr(
+        "fflvstring.rootsys.natural_dim",
+        lambda family, rank: rank + 1 if family == "A" else 2 * rank + 1,
+    )
+    with pytest.raises(VerificationError) as info:
+        unfold_dominates((0,), 1, 1)
+    assert info.value.gate == "wedge.unfold_dimension"
+
+
 def test_wedge_basis_validates_input():
     with pytest.raises(ValueError):
         wedge_basis((2, 1))
