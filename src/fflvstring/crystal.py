@@ -14,7 +14,8 @@ letters done so far.  By the string property (Kashiwara 1993) the set meets
 every j-string in nothing, its head alone or the whole string, so at letter
 j each head b with string s gives f_j^k(b) with string (k,) + s, k = 0..c,
 and every other element is made again by its head.  Were the property to
-fail, elements would be lost and the dimension gate would fire.
+fail, elements would be lost and the dimension gate would fire.  Strings are
+packed (``rootsys.pack``): prepending k adds k times the letter's digit.
 ``extract_string``, raising an element back along the whole word, is the
 independent reference.  The gate also pins the scan direction and the walk
 order, as the tests show: a forward walk loses an element of A2 omega_1, and
@@ -31,7 +32,9 @@ from .rootsys import (
     LieType,
     check_dominant,
     natural_dim,
+    pack_width,
     reduced_word,
+    unpack,
     weyl_dim,
 )
 
@@ -93,23 +96,25 @@ def build_highest(lt: LieType, weight) -> TensorWord:
     return tuple(word)
 
 
-def _walk(lt: LieType, w: tuple[int, ...]) -> dict[TensorWord, ExponentVector]:
-    """Each Demazure element with its string vector, for a checked weight.
+def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[TensorWord, int]:
+    """Each Demazure element with its string vector packed in b-bit digits.
 
     A set whose size is not the dimension of the source module is a hard failure.
     """
     table = letter_classes(lt.family, lt.target_rank)
-    strings: dict[TensorWord, ExponentVector] = {build_highest(lt, w): ()}
-    for j in reversed(reduced_word(lt)):
-        grown: dict[TensorWord, ExponentVector] = {}
-        for b, s in strings.items():
-            if (minus := _lowerable(table[j], b)) is None:
+    strings: dict[TensorWord, int] = {build_highest(lt, w): 0}
+    for k, j in enumerate(reversed(reduced_word(lt))):
+        grown: dict[TensorWord, int] = {}
+        place = 1 << (b * k)  # the digit of position N-1-k
+        for elem, s in strings.items():
+            if (minus := _lowerable(table[j], elem)) is None:
                 continue
-            grown[b] = (0,) + s
-            x = list(b)
-            for k, pos in enumerate(minus, start=1):
+            grown[elem] = s
+            x = list(elem)
+            for pos in minus:
                 x[pos] += 1
-                grown[tuple(x)] = (k,) + s
+                s += place
+                grown[tuple(x)] = s
         strings = grown
     expected = weyl_dim(lt, w)
     if len(strings) != expected:
@@ -122,7 +127,8 @@ def _walk(lt: LieType, w: tuple[int, ...]) -> dict[TensorWord, ExponentVector]:
 
 def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
     """The Demazure crystal of the reduced word, as sorted tensor words."""
-    return tuple(sorted(_walk(lt, check_dominant(lt, weight))))
+    w = check_dominant(lt, weight)
+    return tuple(sorted(_walk(lt, w, pack_width(len(build_highest(lt, w))))))
 
 
 def extract_string(
@@ -162,18 +168,25 @@ def extract_string(
     return tuple(q)
 
 
-def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
-    """String vectors of the Demazure crystal, as a canonical point set.
+def packed_strings(lt: LieType, w: tuple[int, ...], b: int) -> set[int]:
+    """Packed string vectors of a checked weight; ``b`` must hold its letter
+    count, as f_j^k lowers k distinct letters.  Two elements sharing one
+    string vector is a hard failure."""
+    elements = _walk(lt, w, b)
+    packed = set(elements.values())
+    if len(packed) != len(elements):
+        owner = {q: word for word, q in elements.items()}
+        word, q = next((word, q) for word, q in elements.items() if owner[q] != word)
+        (vec,) = unpack([q], len(reduced_word(lt)), b)
+        raise VerificationError(
+            "crystal.string_injectivity",
+            f"{lt} {w}: elements {word} and {owner[q]} share string vector {vec}",
+        )
+    return packed
 
-    Two elements sharing one string vector is a hard failure.
-    """
+
+def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
+    """String vectors of the Demazure crystal, as a canonical point set."""
     w = check_dominant(lt, weight)
-    seen: dict[ExponentVector, TensorWord] = {}
-    for b, q in _walk(lt, w).items():
-        if q in seen:
-            raise VerificationError(
-                "crystal.string_injectivity",
-                f"{lt} {w}: elements {seen[q]} and {b} share string vector {q}",
-            )
-        seen[q] = b
-    return tuple(sorted(seen))
+    b = pack_width(len(build_highest(lt, w)))
+    return tuple(unpack(sorted(packed_strings(lt, w, b)), len(reduced_word(lt)), b))

@@ -74,13 +74,15 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     """-R^{-1}, the linear part in the descending label basis.
 
     Column j is the walk with nu = 0 and p = e_j from position j, as every
-    position after j is zero: -1 at j and 0 below it by construction.  The
-    entry range, {0,-1} for family A and {0,-1,-2} for family C, is gated.
+    position after j is zero.  Gated: -1 at j and 0 below it, so unimodular
+    and injective, and the entries, {0,-1} for family A and {0,-1,-2} for C.
     """
     size = len(reduced_word(lt))
     zero = [0] * lt.target_rank
     cols = [_walk(lt, zero, [0] * j + [1], j) for j in range(size)]
     mat = tuple(zip(*cols))
+    if any(col[j] != -1 or any(col[j + 1 :]) for j, col in enumerate(cols)):
+        raise VerificationError("degenmap.unitriangular", f"{lt}: not -1 on the diagonal, 0 below")
     allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
     bad = {x for row in mat for x in row} - allowed
     if bad:

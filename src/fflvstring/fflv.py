@@ -10,7 +10,6 @@ mismatch is a hard failure, never silently accepted.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 
 from .errors import VerificationError
 from .rootsys import (
@@ -22,6 +21,9 @@ from .rootsys import (
     column_key,
     fundamental_weight,
     label_index,
+    pack,
+    pack_width,
+    unpack,
     weyl_dim,
 )
 
@@ -67,24 +69,30 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
     return pts
 
 
+def packed_sum(lt: LieType, w: tuple[int, ...], start: int, columns: list[int]) -> set[int]:
+    """``start`` plus a_i copies of each P(omega_i), a chain vector mapped to
+    the sum of its packed ``columns``: one int add per Minkowski pair."""
+    current = {start}
+    for i, a in enumerate(w, start=1):
+        if a:
+            step = [sum(c for c, x in zip(columns, p) if x) for p in fundamental_points(lt, i)]
+            for _ in range(a):
+                current = {x + y for x in current for y in step}
+    return current
+
+
 def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
     """Lattice points for a dominant weight: Minkowski sums of fundamental sets.
 
     The coefficient a_i contributes a_i pointwise copies of the i-th
-    fundamental set.  The result must have exactly the Weyl dimension many
-    points; a mismatch would falsify the lattice-level Minkowski identity
-    and raises immediately.
+    fundamental set, summed packed.  The result must have exactly the Weyl
+    dimension many points; a mismatch would falsify the lattice-level
+    Minkowski identity and raises immediately.
     """
     w = check_dominant(lt, weight)
-    n_coords = len(build_labels(lt))
-    current: set[ExponentVector] = {tuple([0] * n_coords)}
-    for i, a in enumerate(w, start=1):
-        for _ in range(a):
-            fund = fundamental_points(lt, i)
-            current = {
-                tuple(map(add, p, q)) for p in current for q in fund
-            }
-    pts = tuple(sorted(current))
+    n, b = len(build_labels(lt)), pack_width(sum(w))
+    units = [pack([int(r == k) for r in range(n)], b) for k in range(n)]
+    pts = tuple(unpack(sorted(packed_sum(lt, w, 0, units)), n, b))
     expected = weyl_dim(lt, w)
     if len(pts) != expected:
         raise VerificationError(

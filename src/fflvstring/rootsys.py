@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import VerificationError
 
@@ -343,6 +343,32 @@ def letter_histogram(lt: LieType, q: Sequence[int]) -> tuple[int, ...]:
         if x:
             delta[letter - 1] += x
     return tuple(delta)
+
+
+def pack_width(bound: int) -> int:
+    """The least multiple of 8 bits whose balanced digits hold |x| <= bound."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def pack(v: Sequence[int], b: int) -> int:
+    """sum v_r * 2^(b*(N-1-r)), one balanced b-bit digit per coordinate: linear,
+    and injective and monotone for lex order on coordinates in +-(2^(b-1)-1)."""
+    x = 0
+    for c in v:
+        x = (x << b) + c
+    return x
+
+
+def unpack(xs: Iterable[int], n: int, b: int) -> list[ExponentVector]:
+    """Inverse of ``pack`` on n coordinates.  Only a nonnegative vector has the
+    top bit of every digit clear, and at b = 8 one ``to_bytes`` reads it off."""
+    half = 1 << (b - 1)
+    tops, mask = pack((half,) * n, b), 2 * half - 1
+    return [
+        tuple(x.to_bytes(n, "big")) if b == 8 and not x & tops
+        else tuple(((x + tops) >> (b * r) & mask) - half for r in reversed(range(n)))
+        for x in xs
+    ]
 
 
 def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:

@@ -1,18 +1,19 @@
 """End-to-end theorem pipelines with machine-readable reports.
 
-Each report compares the mapped chain points with the string points of the
-same weight, records both cardinalities and the Weyl dimension, up to ten
-witnesses per direction together with exact totals, and the affine weight
-twist fitted to the weight pairs of the zero and unit chain points, which
-fix the same twist as all weight pairs of the case.  A report stores only
-this evidence: its verdict is derived from it, so no report can contradict
-itself.  Grid runs are deterministic: results are ordered by case,
-independent of thread count, and the JSON rendering contains no timing
-data.  The Minkowski containment is checked on the string side only: the
-chain side is an identity of sets by the construction of ``fflv.points``.
-The supporting sweeps return the lines the CLI prints and a list of their
-failing cases.  Nothing here bounds the work; the CLI refuses an oversized
-weight, matrix or table before it calls this module.
+Each report compares the image of the chain points, a Minkowski sum of
+packed fundamental images, with the packed string points of the same weight,
+records both cardinalities and the Weyl dimension, up to ten witnesses per
+direction together with exact totals, and the affine weight twist fitted to
+the weight pairs of the zero and unit chain points, which fix the same twist
+as all weight pairs of the case.  A report stores only this evidence: its
+verdict is derived from it, so no report can contradict itself.  Grid runs
+are deterministic: results are ordered by case, independent of thread count,
+and the JSON rendering contains no timing data.  The Minkowski containment
+is checked on the string side only: the chain side is an identity of sets by
+the construction of ``fflv.points``.  The supporting sweeps return the lines
+the CLI prints and a list of their failing cases.  Nothing here bounds the
+work; the CLI refuses an oversized weight, matrix or table before it calls
+this module.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from itertools import combinations, islice
 from operator import add
 from typing import Sequence
 
-from .crystal import string_points
+from .crystal import build_highest, packed_strings, string_points
 from .degenmap import (
     WeightTwist,
+    apply_affine,
     build_matrix,
     build_translation,
     check_nonnegative,
@@ -35,7 +37,7 @@ from .degenmap import (
     scaled_twist_solve,
 )
 from .errors import VerificationError
-from .fflv import points
+from .fflv import fundamental_points, packed_sum, points
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -44,7 +46,10 @@ from .rootsys import (
     dominant_weights,
     fundamental_weight,
     letter_histogram,
+    pack,
+    pack_width,
     root_delta,
+    unpack,
     weight_denominator,
     weyl_dim,
 )
@@ -114,70 +119,66 @@ def check_main(
     weight: Sequence[int],
     matrix=None,
 ) -> VerificationReport:
-    """Compare mapped chain points against string points for one weight.
+    """Compare the image of the chain points with the string points of one weight.
 
-    One walk over the support of each point, through the sparse columns of
-    the matrix, gives its image.  The twist is ``scaled_twist_solve`` on the
-    weight pairs of the zero point and the unit points of ``P(lambda)``,
-    which give the twist and the witness of the fit to every point.  The
-    pairs are integers over D = ``weight_denominator(lt)``: the base pair
-    times D minus D times ``root_delta`` of the point and D times
-    ``letter_histogram`` of its image.  The fit returns the same twist and
-    witness as ``weight_twist_solve`` on the ``Fraction`` weights
-    (``fflv_weight``, ``string_weight``), and only its read-off builds
-    ``Fraction``s.
+    ``P(lambda)`` is the Minkowski sum of a_i copies of each ``P(omega_i)``
+    (Feigin-Fourier-Littelmann 2011), so for any matrix ``T(P(lambda))`` is
+    t_lambda plus that sum of the fundamental images, packed at a width that
+    holds every image, |t_r| + level * sum_k |M_rk|, and every string entry,
+    at most the letter count.  The trusted matrix is gated unitriangular, so
+    ``fflv_count = |T(P)| = |P|``; under an override it is ``len(points)``.
+
+    The twist is ``scaled_twist_solve`` on the integer weight pairs over D =
+    ``weight_denominator(lt)`` of 0 and the unit points of ``P(lambda)``.
+    It returns the same twist and witness as ``weight_twist_solve`` on the
+    ``Fraction`` weights of every point (``fflv_weight``, ``string_weight``).
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
-    override path reports mismatches as witnesses instead of raising the
-    nonnegativity gate.  Every case runs to the end; a caller that must
-    bound the work checks ``weyl_dim`` first, as the CLI does.
+    override path reports a negative image, never a string, as a witness
+    instead of raising the nonnegativity gate.  Every case runs to the end; a
+    caller that must bound the work checks ``weyl_dim`` first, as the CLI does.
     """
     start = time.perf_counter()
     w = check_dominant(lt, weight)
 
-    chain_pts = points(lt, w)
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else matrix
     trans = build_translation(lt, w)
-    columns = [[(r, e) for r, e in enumerate(col) if e] for col in zip(*mat)]
+    n, level = len(trans), sum(w)
+    bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
+    b = pack_width(max(len(build_highest(lt, w)), *bounds))
+    images = packed_sum(lt, w, pack(trans, b), [pack(col, b) for col in zip(*mat)])
+    strings = packed_strings(lt, w, b)
 
-    images = []
-    for p in chain_pts:
-        acc = list(trans)
-        for k, x in enumerate(p):
-            if x:
-                for r, e in columns[k]:
-                    acc[r] += e * x
-        v = tuple(acc)
-        if trusted and min(v) < 0:
-            check_nonnegative(lt, w, p, v)
-        images.append(v)
-    image_set = set(images)
-    strings = string_points(lt, w)
-    string_set = set(strings)
-
-    missing = tuple(s for s in strings if s not in image_set)
-    extra = tuple(sorted(v for v in image_set if v not in string_set))
+    missing = sorted(strings - images)
+    extra = unpack(sorted(images - strings), n, b)
+    if trusted and any(min(v) < 0 for v in extra):
+        for p in points(lt, w):
+            check_nonnegative(lt, w, p, apply_affine(mat, trans, p))
 
     # Affine rows: T(p) is affine in p for any matrix, so is each weight
     # pair, and so is each row of the fit.
     # Same row space: a label in a chain's support is a chain of P(omega_i),
     # and P(lambda) sums sets holding 0, so its unit points and 0 lie in P
     # and span the rows of all of P.
-    # Same witness: points are lex-sorted and e_k <=lex p when p_k >= 1, so
-    # every other row combines earlier subset rows and never breaks first.
+    # Same witness: 0, then e_k by descending k, is lex order, and e_k <=lex p
+    # when p_k >= 1, so every other row combines earlier subset rows.
     d = weight_denominator(lt)
     src, tgt = base_weights(lt, w)
+    fund = [fundamental_points(lt, i) for i, a in enumerate(w, start=1) if a]
+    units = sorted({p for pts in fund for p in pts if sum(p) == 1})
+    pairs = [((0,) * n, trans)] + [
+        (p, tuple(t + row[p.index(1)] for t, row in zip(trans, mat))) for p in units
+    ]
     twist, witness = scaled_twist_solve(
         lt,
         d,
         [
             (
-                tuple(b - d * x for b, x in zip(src, root_delta(lt, p))),
-                tuple(b - d * x for b, x in zip(tgt, letter_histogram(lt, v))),
+                tuple(y - d * x for y, x in zip(src, root_delta(lt, p))),
+                tuple(y - d * x for y, x in zip(tgt, letter_histogram(lt, v))),
             )
-            for p, v in zip(chain_pts, images)
-            if sum(p) <= 1
+            for p, v in pairs
         ],
     )
 
@@ -185,12 +186,12 @@ def check_main(
         family=lt.family,
         rank=lt.rank,
         weight=w,
-        fflv_count=len(chain_pts),
+        fflv_count=len(images) if trusted else len(points(lt, w)),
         string_count=len(strings),
         weyl_dim=weyl_dim(lt, w),
-        missing=missing[:WITNESS_CAP],
+        missing=tuple(unpack(missing[:WITNESS_CAP], n, b)),
         missing_total=len(missing),
-        extra=extra[:WITNESS_CAP],
+        extra=tuple(extra[:WITNESS_CAP]),
         extra_total=len(extra),
         weight_twist=twist,
         twist_witness=witness,
@@ -270,9 +271,9 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
     """Determinant, entries and triangularity of the linear part, ranks <= max_rank.
 
-    ``build_matrix`` builds an upper triangular matrix with -1 on the diagonal
-    by construction, so its determinant is (-1)^size, and gates the entry
-    range; a rank that fails the gate prints a FAILED line.
+    ``build_matrix`` gates -1 on the diagonal and 0 below it, so the
+    determinant is (-1)^size and the matrix triangular, and gates the entry
+    range; a rank that fails a gate prints a FAILED line.
     """
     lines, failures = [], []
     for family in ("A", "C"):

@@ -15,6 +15,7 @@ from fflvstring.crystal import (
     demazure_set,
     extract_string,
     letter_classes,
+    packed_strings,
     string_points,
 )
 from fflvstring.degenmap import build_translation
@@ -26,8 +27,11 @@ from fflvstring.rootsys import (
     fundamental_weight,
     lifted_coeffs,
     natural_dim,
+    pack,
+    pack_width,
     reduced_word,
     string_weight,
+    unpack,
     weight_denominator,
     weyl_dim,
 )
@@ -37,6 +41,13 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
+
+
+def _strings(lt, w):
+    """The walk's elements with their string vectors, decoded by ``unpack``."""
+    b = pack_width(len(build_highest(lt, w)))
+    elements = _walk(lt, w, b)
+    return dict(zip(elements, unpack(elements.values(), len(reduced_word(lt)), b)))
 
 
 def _lower(vc, j, letter):
@@ -202,7 +213,7 @@ def test_string_round_trip(family, rank, level):
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         top = build_highest(lt, w)
-        for b, q in _walk(lt, w).items():
+        for b, q in _strings(lt, w).items():
             assert extract_string(letter_classes(*vc), b, word, top) == q
             if sum(w) > 4 - rank:
                 continue
@@ -246,7 +257,7 @@ def _letter_weight(lt, w, b):
 def test_string_weight_matches_letter_counts(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
-        for b, q in _walk(lt, w).items():
+        for b, q in _strings(lt, w).items():
             assert string_weight(lt, w, q) == _letter_weight(lt, w, b)
 
 
@@ -309,10 +320,24 @@ def test_closure_order_gate(monkeypatch):
 
 def test_string_injectivity_gate(monkeypatch):
     # two Demazure elements with one string vector
-    monkeypatch.setattr("fflvstring.crystal._walk", lambda lt, w: {(1,): (0,), (2,): (0,)})
-    with pytest.raises(VerificationError) as info:
+    monkeypatch.setattr("fflvstring.crystal._walk", lambda lt, w, b: {(1,): 0, (2,): 0})
+    with pytest.raises(VerificationError, match=r"share string vector \(0,\)") as info:
         string_points(A1, (1,))
     assert info.value.gate == "crystal.string_injectivity"
+
+
+@pytest.mark.parametrize(
+    "family,rank,level",
+    [("A", 1, 3), ("A", 2, 3), ("A", 3, 3), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)],
+)
+def test_sorted_packed_strings_decode_in_lex_order(family, rank, level):
+    lt = LieType(family, rank)
+    for w in dominant_weights(rank, level):
+        b = pack_width(len(build_highest(lt, w)))
+        packed = sorted(packed_strings(lt, w, b))
+        vecs = unpack(packed, len(reduced_word(lt)), b)
+        assert vecs == sorted(vecs) and len(set(vecs)) == len(vecs)
+        assert [pack(v, b) for v in vecs] == packed
 
 
 def test_signature_convention_gate():

@@ -77,6 +77,27 @@ def test_entry_range_gate_rejects_minus_two_in_type_a(monkeypatch, fresh_simple_
     assert "entries [-2]" in str(info.value)
 
 
+@pytest.mark.parametrize("lt", [A2, C2])
+@pytest.mark.parametrize("cell", ["diagonal", "below"])
+def test_unitriangular_gate(monkeypatch, lt, cell):
+    # entries in the allowed range, but a 0 on the diagonal or a -1 below
+    # it: the matrix is then not unimodular, and need not be injective
+    real = degenmap._walk
+
+    def walk(lt, nu, p, start):
+        q = real(lt, nu, p, start)
+        if cell == "diagonal":
+            q[start] = 0
+        elif start + 1 < len(q):
+            q[start + 1] = -1
+        return q
+
+    monkeypatch.setattr(degenmap, "_walk", walk)
+    with pytest.raises(VerificationError) as info:
+        build_matrix.__wrapped__(lt)
+    assert info.value.gate == "degenmap.unitriangular"
+
+
 def test_translation_c2_omega2_fixture():
     expected = vector_from_labels(
         C2,

@@ -155,12 +155,15 @@ def test_minkowski_cardinality_gate_trips_on_a_short_sum(monkeypatch):
 def test_minkowski_monotonicity(family, rank, level):
     lt = LieType(family, rank)
     grid = list(dominant_weights(rank, level))
-    for w1 in grid:
-        for w2 in grid:
+    # the sum is symmetric, so w1 <= w2 covers every ordered pair
+    for k, w1 in enumerate(grid):
+        small1 = points(lt, w1)
+        for w2 in grid[k:]:
             total = tuple(a + b for a, b in zip(w1, w2))
             big = set(points(lt, total))
-            for p in points(lt, w1):
-                for q in points(lt, w2):
+            small2 = points(lt, w2)
+            for p in small1:
+                for q in small2:
                     assert tuple(x + y for x, y in zip(p, q)) in big
 
 

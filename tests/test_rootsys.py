@@ -5,6 +5,8 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fflvstring.rootsys as rootsys
 from fflvstring.errors import VerificationError
@@ -21,9 +23,12 @@ from fflvstring.rootsys import (
     fundamental_weight_numerators,
     lifted_coeffs,
     natural_dim,
+    pack,
+    pack_width,
     reduced_word,
     root_expansion,
     string_weight,
+    unpack,
     vector_from_labels,
     weight_denominator,
     weyl_dim,
@@ -294,3 +299,26 @@ def test_dominant_weights_enumeration():
         (2, 0),
     ]
     assert len(list(dominant_weights(4, 3))) == 35
+
+
+@st.composite
+def _balanced_vectors(draw):
+    bound = draw(st.sampled_from([0, 1, 3, 127, 128, 40000]))
+    coord = st.integers(-bound, bound)
+    n = draw(st.integers(1, 6))
+    return bound, draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_balanced_vectors())
+def test_pack_is_linear_injective_and_lex_monotone(case):
+    # |x| <= bound fits the width; 127 is the last bound of one byte
+    bound, vecs = case
+    b = pack_width(bound)
+    assert b % 8 == 0 and bound < 2 ** (b - 1) and (b == 8 or bound >= 2 ** (b - 9))
+    vecs = [tuple(v) for v in vecs]
+    packed = [pack(v, b) for v in vecs]
+    assert unpack(packed, len(vecs[0]) if vecs else 1, b) == vecs
+    assert sorted(packed) == [pack(v, b) for v in sorted(vecs)]
+    if len(vecs) >= 2 and all(abs(x + y) <= bound for x, y in zip(vecs[0], vecs[1])):
+        assert packed[0] + packed[1] == pack(tuple(map(sum, zip(vecs[0], vecs[1]))), b)

@@ -162,6 +162,19 @@ def test_translation_plus_one_fails_with_witnesses_while_the_twist_fits(
         assert rep.weight_twist is not None and rep.twist_witness is None
 
 
+def test_translation_past_one_byte_widens_the_digits(monkeypatch):
+    # an image entry of 200 needs 16-bit digits: the extra witnesses are the
+    # strings moved by 200 in one coordinate, decoded exactly
+    strings = string_points(A3, (1, 0, 1))
+    for k in range(len(build_labels(A3))):
+        with monkeypatch.context() as patch:
+            _shift_translation(patch, k, 200)
+            rep = check_main(A3, (1, 0, 1))
+        moved = sorted(s[:k] + (s[k] + 200,) + s[k + 1 :] for s in strings)
+        assert rep.extra == tuple(moved[:WITNESS_CAP]) and rep.extra_total == len(strings)
+        assert rep.missing_total == len(strings) and rep.weight_twist is not None
+
+
 @pytest.mark.parametrize("lt, w", [(A3, (1, 0, 1)), (C2, (0, 1))])
 def test_translation_minus_one_on_a_zero_coordinate_trips_the_gate(
     monkeypatch, lt, w
@@ -338,28 +351,31 @@ KERNEL_CASES = [
 def test_integer_kernel_matches_staged_reference(data):
     # check_main fits the twist on integer pairs of the zero and unit
     # points; the reference fits the Fraction pairs of every chain point, as
-    # the benchmark replays it.  A lowered matrix entry exercises the
-    # witness path, which must also agree
+    # the benchmark replays it.  A moved matrix entry exercises the witness
+    # path, which must also agree: it gives negative images and, on the
+    # diagonal, can make the map non-injective
     lt, w = data.draw(st.sampled_from(KERNEL_CASES))
     matrix = None
     if data.draw(st.booleans()):
         size = len(build_matrix(lt))
         r, c = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
         mat = [list(row) for row in build_matrix(lt)]
-        mat[r][c] -= 1
+        mat[r][c] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         matrix = tuple(tuple(row) for row in mat)
     rep = check_main(lt, w, matrix)
     assert (rep.to_dict(), rep.twist_witness) == _reference_report(lt, w, matrix)
 
 
 def test_check_main_shares_no_stage_with_the_staged_reference(monkeypatch):
-    # the reference above maps points with apply_affine; check_main must
-    # not.  The twist stage is shared: the solver, the weights and the
+    # the reference above builds P and maps each point with apply_affine; a
+    # passing trusted case must do neither, as it sums packed fundamental
+    # images.  The twist stage is shared: the solver, the weights and the
     # letter counts have their own tests against independent oracles
     def refuse(*args, **kwargs):
         raise AssertionError("check_main called a staged-reference function")
 
     for module in (degenmap, verify):
         monkeypatch.setattr(module, "apply_affine", refuse, raising=False)
+    monkeypatch.setattr(verify, "points", refuse)
     for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
         assert check_main(lt, w).status == "ok"
