@@ -8,6 +8,16 @@ are plain tuples of letters.  One left-to-right bracket scan per operator
 index j (Kashiwara's signature rule) leaves a signature +^a -^c; a word with
 a = 0 is a j-head, and f_j^k lowers the first k of its c minus positions.
 
+The highest word is a run of columns 1, 2, ..., 2i-1, and each column stays
+strictly increasing under the operators (Kashiwara-Nakashima 1994): f_j
+cannot lower a letter whose successor is in the same column, as the two
+cancel in the scan.  So the walk packs an element into one int, one
+width-bit mask per column, and the scan of operator j needs only the bits of
+the letters it classes: a per-type table maps that key to None (not a head)
+or to the xor deltas ``3 << bit`` of its surviving minus letters, and f_j^k
+is k xors.  The table is filled by the bracket scan of each key's letters,
+so ``letter_classes`` and ``_lowerable`` stay the one statement of the rule.
+
 One walk along the reduced word, right to left, builds the Demazure set with
 the string vector (Littelmann's string coordinates) of each element over the
 letters done so far.  By the string property (Kashiwara 1993) the set meets
@@ -16,10 +26,11 @@ j each head b with string s gives f_j^k(b) with string (k,) + s, k = 0..c,
 and every other element is made again by its head.  Were the property to
 fail, elements would be lost and the dimension gate would fire.  Strings are
 packed (``rootsys.pack``): prepending k adds k times the letter's digit.
-``extract_string``, raising an element back along the whole word, is the
-independent reference.  The gate also pins the scan direction and the walk
-order, as the tests show: a forward walk loses an element of A2 omega_1, and
-a right-to-left scan (a mirrored word) over-fills A2 (1,1).
+``demazure_set`` and the gate messages decode elements back to tensor words,
+and ``extract_string``, raising a tensor word back along the whole word, is
+the independent reference.  The gate also pins the scan direction and the
+walk order, as the tests show: a forward walk loses an element of A2
+omega_1, and a right-to-left scan (a mirrored word) over-fills A2 (1,1).
 """
 
 from __future__ import annotations
@@ -96,25 +107,74 @@ def build_highest(lt: LieType, weight) -> TensorWord:
     return tuple(word)
 
 
-def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[TensorWord, int]:
-    """Each Demazure element with its string vector packed in b-bit digits.
+Signature = tuple[int, ...] | None
 
-    A set whose size is not the dimension of the source module is a hard failure.
+
+@lru_cache(maxsize=None)
+def _signature_tables(family: str, rank: int) -> tuple[tuple[int, dict[int, Signature]], ...]:
+    """Per operator index j: the letters it classes, as a one-column bitmask,
+    and its key table, filled by ``_key_signature`` as the walk meets each key."""
+    return tuple(
+        (sum(1 << (letter - 1) for letter, c in enumerate(row) if c), {})
+        for row in letter_classes(family, rank)
+    )
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    bits = []
+    while x:
+        low = x & -x
+        bits.append(low.bit_length() - 1)
+        x ^= low
+    return bits
+
+
+def _key_signature(row: tuple[int, ...], key: int, width: int) -> Signature:
+    """None if the classed letters ``key`` of a packed element are not a head
+    of the operator of ``row``, else the xor deltas ``3 << bit`` that lower
+    its surviving minus letters, in scan order."""
+    bits = _bits(key)
+    minus = _lowerable(row, [bit % width + 1 for bit in bits])
+    return None if minus is None else tuple(3 << bits[pos] for pos in minus)
+
+
+def _decode(elem: int, width: int) -> TensorWord:
+    """The tensor word of a packed element: its letters in bit order."""
+    return tuple(bit % width + 1 for bit in _bits(elem))
+
+
+def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[int, int]:
+    """Each packed Demazure element with its string vector in b-bit digits.
+
+    Column c of the highest word holds bits width*c .. width*c + width - 1,
+    letter L at bit width*c + L - 1.  A set whose size is not the dimension
+    of the source module is a hard failure.
     """
-    table = letter_classes(lt.family, lt.target_rank)
-    strings: dict[TensorWord, int] = {build_highest(lt, w): 0}
+    family, m = lt.family, lt.target_rank
+    rows, tables = letter_classes(family, m), _signature_tables(family, m)
+    width = natural_dim(family, m)
+    sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
+    unit = sum(1 << (width * c) for c in range(len(sizes)))
+    strings = {sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)): 0}
     for k, j in enumerate(reversed(reduced_word(lt))):
-        grown: dict[TensorWord, int] = {}
+        grown: dict[int, int] = {}
         place = 1 << (b * k)  # the digit of position N-1-k
+        letters, table = tables[j]
+        classed = letters * unit
         for elem, s in strings.items():
-            if (minus := _lowerable(table[j], elem)) is None:
+            key = elem & classed
+            if key in table:
+                deltas = table[key]
+            else:
+                deltas = table[key] = _key_signature(rows[j], key, width)
+            if deltas is None:
                 continue
             grown[elem] = s
-            x = list(elem)
-            for pos in minus:
-                x[pos] += 1
+            for delta in deltas:
+                elem ^= delta
                 s += place
-                grown[tuple(x)] = s
+                grown[elem] = s
         strings = grown
     expected = weyl_dim(lt, w)
     if len(strings) != expected:
@@ -128,7 +188,9 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[TensorWord, int]:
 def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
     """The Demazure crystal of the reduced word, as sorted tensor words."""
     w = check_dominant(lt, weight)
-    return tuple(sorted(_walk(lt, w, pack_width(len(build_highest(lt, w))))))
+    width = natural_dim(lt.family, lt.target_rank)
+    elements = _walk(lt, w, pack_width(len(build_highest(lt, w))))
+    return tuple(sorted(_decode(elem, width) for elem in elements))
 
 
 def extract_string(
@@ -175,12 +237,14 @@ def packed_strings(lt: LieType, w: tuple[int, ...], b: int) -> set[int]:
     elements = _walk(lt, w, b)
     packed = set(elements.values())
     if len(packed) != len(elements):
-        owner = {q: word for word, q in elements.items()}
-        word, q = next((word, q) for word, q in elements.items() if owner[q] != word)
+        owner = {q: elem for elem, q in elements.items()}
+        elem, q = next((elem, q) for elem, q in elements.items() if owner[q] != elem)
         (vec,) = unpack([q], len(reduced_word(lt)), b)
+        width = natural_dim(lt.family, lt.target_rank)
         raise VerificationError(
             "crystal.string_injectivity",
-            f"{lt} {w}: elements {word} and {owner[q]} share string vector {vec}",
+            f"{lt} {w}: elements {_decode(elem, width)} and"
+            f" {_decode(owner[q], width)} share string vector {vec}",
         )
     return packed
 

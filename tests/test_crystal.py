@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from fflvstring.crystal import (
     LOWER,
     RAISE,
+    _decode,
     _lowerable,
+    _key_signature,
+    _signature_tables,
     _walk,
     build_highest,
     demazure_set,
@@ -44,10 +47,13 @@ C3 = LieType("C", 3)
 
 
 def _strings(lt, w):
-    """The walk's elements with their string vectors, decoded by ``unpack``."""
+    """The walk's elements as tensor words with their string vectors, decoded
+    by ``_decode`` and ``unpack``."""
     b = pack_width(len(build_highest(lt, w)))
     elements = _walk(lt, w, b)
-    return dict(zip(elements, unpack(elements.values(), len(reduced_word(lt)), b)))
+    width = natural_dim(lt.family, lt.target_rank)
+    words = [_decode(elem, width) for elem in elements]
+    return dict(zip(words, unpack(elements.values(), len(reduced_word(lt)), b)))
 
 
 def _lower(vc, j, letter):
@@ -203,11 +209,15 @@ def test_support_restriction_type_a(rank):
 
 @pytest.mark.parametrize(
     "family,rank,level",
-    [("A", 2, 2), ("A", 3, 1), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)],
+    [
+        ("A", 1, 3), ("A", 2, 2), ("A", 3, 1), ("A", 4, 3), ("A", 5, 2),
+        ("C", 1, 3), ("C", 2, 2), ("C", 3, 2), ("C", 4, 2),
+    ],
 )
 def test_string_round_trip(family, rank, level):
-    # the walk's strings are the extracted ones, and lowering the highest
-    # word by them (stepwise rule, cheap up to level 4 - rank) gives b back
+    # the column walk agrees with the letter-level reference: its strings are
+    # the extracted ones, and lowering the highest word by them (stepwise
+    # rule, cheap up to level 4 - rank) gives the decoded element back
     lt = LieType(family, rank)
     vc = (family, lt.target_rank)
     word = reduced_word(lt)
@@ -319,9 +329,11 @@ def test_closure_order_gate(monkeypatch):
 
 
 def test_string_injectivity_gate(monkeypatch):
-    # two Demazure elements with one string vector
-    monkeypatch.setattr("fflvstring.crystal._walk", lambda lt, w, b: {(1,): 0, (2,): 0})
-    with pytest.raises(VerificationError, match=r"share string vector \(0,\)") as info:
+    # two packed Demazure elements of A1 omega_1, the words (1,) and (2,),
+    # with one string vector; the message names them as tensor words
+    monkeypatch.setattr("fflvstring.crystal._walk", lambda lt, w, b: {0b01: 0, 0b10: 0})
+    pattern = r"elements \(1,\) and \(2,\) share string vector \(0,\)"
+    with pytest.raises(VerificationError, match=pattern) as info:
         string_points(A1, (1,))
     assert info.value.gate == "crystal.string_injectivity"
 
@@ -420,3 +432,42 @@ def test_bracket_scan_matches_stepwise_rule(case):
             x = _ref_step(vc, j, x, lower=True)
             assert x == _moved(word, minus[:k], 1)
         assert _ref_step(vc, j, x, lower=True) is None
+
+
+@st.composite
+def _column_elements(draw):
+    """A packed element of up to 4 strictly increasing columns, with its word."""
+    vc = (draw(st.sampled_from("AC")), draw(st.integers(1, 4)))
+    width = natural_dim(*vc)
+    columns = draw(
+        st.lists(st.sets(st.sampled_from(_letters(vc)), min_size=1), min_size=1, max_size=4)
+    )
+    elem = sum(1 << (width * c + letter - 1) for c, col in enumerate(columns) for letter in col)
+    word = tuple(letter for col in columns for letter in sorted(col))
+    return vc, len(columns), elem, word
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_column_elements())
+def test_signature_table_matches_letter_scan(case):
+    # the table entry of each operator's key, j = m of type C included, filled
+    # as the walk fills it, agrees with the letter scan of the decoded word:
+    # the same heads, and f_j^k gives the word lowered at the first k
+    # surviving minus positions
+    vc, columns, elem, word = case
+    width = natural_dim(*vc)
+    assert _decode(elem, width) == word
+    unit = sum(1 << (width * c) for c in range(columns))
+    rows = letter_classes(*vc)
+    for j in range(1, vc[1] + 1):
+        letters, _ = _signature_tables(*vc)[j]
+        deltas = _key_signature(rows[j], elem & letters * unit, width)
+        minus = _lowerable(rows[j], word)
+        assert (deltas is None) == (minus is None)
+        if minus is None:
+            continue
+        assert len(deltas) == len(minus)
+        x = elem
+        for k, delta in enumerate(deltas, start=1):
+            x ^= delta
+            assert _decode(x, width) == _moved(word, minus[:k], 1)

@@ -99,6 +99,27 @@ def test_point_sets_are_not_memoized():
     assert not hasattr(crystal.string_points, "cache_info")
 
 
+def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
+    # an element is one int of column bitmasks, and each operator reads a
+    # per-type table keyed by its classed letters: the letter scan runs once
+    # per new table entry, never once per element
+    elements = crystal._walk(LieType("A", 3), (1, 1, 0), 8)
+    assert elements and all(type(elem) is int for elem in elements)
+    calls = []
+    real = crystal._lowerable
+
+    def counted(row, word):
+        calls.append(word)
+        return real(row, word)
+
+    monkeypatch.setattr(crystal, "_lowerable", counted)
+    crystal._signature_tables.cache_clear()
+    lt = LieType("A", 4)
+    walked = sum(len(crystal._walk(lt, w, 8)) for w in rootsys.dominant_weights(4, 2))
+    entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
+    assert 0 < len(calls) <= entries < walked
+
+
 def _perfbench_tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 

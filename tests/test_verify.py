@@ -138,6 +138,8 @@ def test_check_main_fits_the_twist_on_at_most_the_unit_points(monkeypatch):
 
 
 def _shift_translation(monkeypatch, k, step):
+    """Patch the translation of check_main to t + step * e_k; patch inside a
+    fresh ``monkeypatch.context()``, or shifts compound across calls."""
     real = verify.build_translation
 
     def shifted(lt, weight):
@@ -155,8 +157,9 @@ def test_translation_plus_one_fails_with_witnesses_while_the_twist_fits(
     # T(P) moves off Q by a unit vector: both sides have witnesses, and the
     # companion weights move by one constant, which the shift absorbs
     for k in range(len(build_labels(lt))):
-        _shift_translation(monkeypatch, k, 1)
-        rep = check_main(lt, w)
+        with monkeypatch.context() as patch:
+            _shift_translation(patch, k, 1)
+            rep = check_main(lt, w)
         assert rep.status == "failed"
         assert rep.missing and rep.extra
         assert rep.weight_twist is not None and rep.twist_witness is None
@@ -183,9 +186,10 @@ def test_translation_minus_one_on_a_zero_coordinate_trips_the_gate(
     zeros = [k for k, x in enumerate(build_translation(lt, w)) if x == 0]
     assert zeros
     for k in zeros:
-        _shift_translation(monkeypatch, k, -1)
-        with pytest.raises(VerificationError) as exc:
-            check_main(lt, w)
+        with monkeypatch.context() as patch:
+            _shift_translation(patch, k, -1)
+            with pytest.raises(VerificationError) as exc:
+                check_main(lt, w)
         assert exc.value.gate == "degenmap.nonnegative_image"
 
 
