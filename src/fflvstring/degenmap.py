@@ -13,10 +13,10 @@ coordinates; its answer is the free-variables-zero solution of the full
 system, the same as solving every coordinate over every pair, because the
 reduced row echelon form of a consistent system depends only on its row
 space.  Its rows are integer weight pairs over one denominator D: the
-pipeline passes them over ``weight_denominator(lt)``, and
-``weight_twist_solve`` scales ``Fraction`` pairs by the lcm of their
-denominators.  ``Fraction`` appears only where the twist or a witness is
-read off.
+pipeline joins the zero row of a case, over ``weight_denominator(lt)``, to a
+cached basis of per-label rows, and ``weight_twist_solve`` scales
+``Fraction`` pairs by the lcm of their denominators.  ``Fraction`` appears
+only where the twist or a witness is read off.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import VerificationError
+from .fflv import fundamental_points
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -36,8 +37,11 @@ from .rootsys import (
     cartan_matrix,
     check_dominant,
     label_index,
+    letter_histogram,
     lifted_coeffs,
     reduced_word,
+    root_expansion,
+    weight_denominator,
 )
 
 
@@ -222,8 +226,9 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
     """The twist fitting the integer pairs ``(D*source, D*companion)``, D = scale.
 
     Solves twist * companion_weight + shift = source_weight for all pairs and
-    all n source coordinates in one exact elimination.  Each pair gives the
-    augmented row ``[D*companion, D | D*source]``, cleared in every pivot
+    all n source coordinates in one exact elimination, ``_eliminate``, which
+    ``support_twist_solve`` shares with a precomputed basis.  Each pair gives
+    the augmented row ``[D*companion, D | D*source]``, cleared in every pivot
     column of the basis.  A row still nonzero in a companion or scale
     column joins the basis at the first such column, made primitive and
     cleared out of the other basis rows, so the basis of at most m+1 rows
@@ -249,14 +254,57 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
     """
     if not pairs:
         raise ValueError("at least one weight pair is required")
-    n = lt.rank
-    m = lt.target_rank
-    # pivot column -> basis row; every basis row is zero at the other pivots
     basis: dict[int, list[int]] = {}
-    # source coordinate -> first pair whose reduced row is nonzero in it
-    breaks: dict[int, tuple] = {}
-    for pair in pairs:
-        row = [*pair[1], scale, *pair[0]]
+    rows = ((pair, [*pair[1], scale, *pair[0]]) for pair in pairs)
+    return _read_off(lt, scale, basis, _eliminate(lt.target_rank, rows, basis))
+
+
+@lru_cache(maxsize=None)
+def label_rows(lt: LieType, mat: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """delta_k = [D*hist(column k of mat), 0 | D*alpha_k] per label k, D =
+    ``weight_denominator(lt)``: T and the weights are affine, so for every
+    weight the pair row of e_k is the pair row of 0 minus delta_k."""
+    d = weight_denominator(lt)
+    return tuple(
+        (*(d * x for x in letter_histogram(lt, col)), 0, *(d * x for x in root_expansion(lt, lab)))
+        for col, lab in zip(zip(*mat), build_labels(lt))
+    )
+
+
+@lru_cache(maxsize=None)
+def support_basis(lt: LieType, mat, support: tuple[int, ...]):
+    """The label rows of the unit points of each ``P(omega_i)``, i in support,
+    eliminated by descending label index: the basis as (pivot, row) pairs,
+    and the label first breaking the lowest broken source coordinate, or None."""
+    units = {p.index(1) for i in support for p in fundamental_points(lt, i) if sum(p) == 1}
+    rows, basis = label_rows(lt, mat), {}
+    broken = _eliminate(lt.target_rank, ((k, rows[k]) for k in sorted(units, reverse=True)), basis)
+    return tuple((c, tuple(b)) for c, b in basis.items()), broken
+
+
+def support_twist_solve(lt: LieType, mat, support: tuple[int, ...], row0: Sequence[int]):
+    """``scaled_twist_solve`` on the pair row ``row0`` of 0, then ``row0 - delta_k``
+    for the units k of the support.  Both lists span the rows ``row0`` and
+    ``delta_k``, and only ``row0`` is nonzero in the scale column, so a prefix
+    of the pairs is inconsistent in a source coordinate iff that prefix of
+    the ``delta_k`` is: ``support_basis`` names the witness, read off this
+    weight's row.  Otherwise ``row0`` joins a copy of the basis."""
+    basis, broken = support_basis(lt, mat, support)
+    m = lt.target_rank
+    if broken is not None:
+        row = [x - y for x, y in zip(row0, label_rows(lt, mat)[broken])]
+        return _read_off(lt, row0[m], {}, (row[m + 1 :], row[:m]))
+    basis = dict(basis)
+    _eliminate(m, [(None, row0)], basis)
+    return _read_off(lt, row0[m], basis, None)
+
+
+def _eliminate(m: int, rows, basis: dict):
+    """Reduce each ``(key, row)`` into ``basis`` (pivot -> row, zero at the
+    other pivots) in place; return the key of the first dependent row left
+    nonzero in the lowest source coordinate any is left nonzero in, or None."""
+    breaks = {}
+    for key, row in rows:
         for c, b in basis.items():
             if row[c]:
                 row = _clear(row, b, c)
@@ -264,17 +312,22 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
         if pivot is None:
             for r, x in enumerate(row[m + 1 :]):
                 if x:
-                    breaks.setdefault(r, pair)
+                    breaks.setdefault(r, key)
             continue
         row = _primitive(row)
         for c, b in basis.items():
             if b[pivot]:
                 basis[c] = _primitive(_clear(b, row, pivot))
         basis[pivot] = row
-    if breaks:
-        return None, tuple(
-            tuple(Fraction(x, scale) for x in v) for v in breaks[min(breaks)]
-        )
+    return breaks[min(breaks)] if breaks else None
+
+
+def _read_off(lt: LieType, scale: int, basis: dict, witness):
+    """``(twist, None)`` from a consistent basis with free variables zero, or
+    ``(None, witness)`` with the integer witness pair over scale."""
+    if witness is not None:
+        return None, tuple(tuple(Fraction(x, scale) for x in v) for v in witness)
+    n, m = lt.rank, lt.target_rank
     sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):

@@ -4,16 +4,16 @@ Each report compares the image of the chain points, a Minkowski sum of
 packed fundamental images, with the packed string points of the same weight,
 records both cardinalities and the Weyl dimension, up to ten witnesses per
 direction together with exact totals, and the affine weight twist fitted to
-the weight pairs of the zero and unit chain points, which fix the same twist
-as all weight pairs of the case.  A report stores only this evidence: its
-verdict is derived from it, so no report can contradict itself.  Grid runs
-are deterministic: results are ordered by case, independent of thread count,
-and the JSON rendering contains no timing data.  The Minkowski containment
-is checked on the string side only: the chain side is an identity of sets by
-the construction of ``fflv.points``.  The supporting sweeps return the lines
-the CLI prints and a list of their failing cases.  Nothing here bounds the
-work; the CLI refuses an oversized weight, matrix or table before it calls
-this module.
+the zero point's pair row and the per-type label rows of the unit chain
+points, which fix the same twist as all weight pairs of the case.  A report
+stores only this evidence: its verdict is derived from it, so no report can
+contradict itself.  Grid runs are deterministic: results are ordered by
+case, independent of thread count, and the JSON rendering contains no
+timing data.  The Minkowski containment is checked on the string side
+only: the chain side is an identity of sets by the construction of
+``fflv.points``.  The supporting sweeps return the lines the CLI prints and
+a list of their failing cases.  Nothing here bounds the work; the CLI
+refuses an oversized weight, matrix or table before it calls this module.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .degenmap import (
     build_translation,
     check_nonnegative,
     fold_vector,
-    scaled_twist_solve,
+    support_twist_solve,
 )
 from .errors import VerificationError
-from .fflv import fundamental_points, packed_sum, points
+from .fflv import packed_sum, points
 from .rootsys import (
     ExponentVector,
     LieType,
@@ -48,7 +48,6 @@ from .rootsys import (
     letter_histogram,
     pack,
     pack_width,
-    root_delta,
     unpack,
     weight_denominator,
     weyl_dim,
@@ -128,10 +127,12 @@ def check_main(
     at most the letter count.  The trusted matrix is gated unitriangular, so
     ``fflv_count = |T(P)| = |P|``; under an override it is ``len(points)``.
 
-    The twist is ``scaled_twist_solve`` on the integer weight pairs over D =
-    ``weight_denominator(lt)`` of 0 and the unit points of ``P(lambda)``.
-    It returns the same twist and witness as ``weight_twist_solve`` on the
-    ``Fraction`` weights of every point (``fflv_weight``, ``string_weight``).
+    The twist is ``support_twist_solve``: this case's integer pair row of 0
+    over D = ``weight_denominator(lt)`` joins the cached basis of the label
+    rows of the unit points of ``P(lambda)``, a fact of the type, matrix and
+    support.  It returns the same twist and witness as ``weight_twist_solve``
+    on the ``Fraction`` weights of every point (``fflv_weight`` and
+    ``string_weight``).
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports a negative image, never a string, as a witness
@@ -142,7 +143,7 @@ def check_main(
     w = check_dominant(lt, weight)
 
     trusted = matrix is None
-    mat = build_matrix(lt) if trusted else matrix
+    mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
     trans = build_translation(lt, w)
     n, level = len(trans), sum(w)
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
@@ -156,31 +157,16 @@ def check_main(
         for p in points(lt, w):
             check_nonnegative(lt, w, p, apply_affine(mat, trans, p))
 
-    # Affine rows: T(p) is affine in p for any matrix, so is each weight
-    # pair, and so is each row of the fit.
+    # Affine rows: T is affine for any matrix, so e_k has the row row0 - delta_k.
     # Same row space: a label in a chain's support is a chain of P(omega_i),
     # and P(lambda) sums sets holding 0, so its unit points and 0 lie in P
-    # and span the rows of all of P.
-    # Same witness: 0, then e_k by descending k, is lex order, and e_k <=lex p
-    # when p_k >= 1, so every other row combines earlier subset rows.
+    # and span the rows of all of P.  Same witness: 0, then e_k by descending
+    # k, is lex order, and e_k <=lex p when p_k >= 1.
     d = weight_denominator(lt)
     src, tgt = base_weights(lt, w)
-    fund = [fundamental_points(lt, i) for i, a in enumerate(w, start=1) if a]
-    units = sorted({p for pts in fund for p in pts if sum(p) == 1})
-    pairs = [((0,) * n, trans)] + [
-        (p, tuple(t + row[p.index(1)] for t, row in zip(trans, mat))) for p in units
-    ]
-    twist, witness = scaled_twist_solve(
-        lt,
-        d,
-        [
-            (
-                tuple(y - d * x for y, x in zip(src, root_delta(lt, p))),
-                tuple(y - d * x for y, x in zip(tgt, letter_histogram(lt, v))),
-            )
-            for p, v in pairs
-        ],
-    )
+    row0 = (*(y - d * x for y, x in zip(tgt, letter_histogram(lt, trans))), d, *src)
+    support = tuple(i for i, a in enumerate(w, start=1) if a)
+    twist, witness = support_twist_solve(lt, mat, support, row0)
 
     return VerificationReport(
         family=lt.family,

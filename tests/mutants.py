@@ -1,0 +1,156 @@
+"""A catalog of one-edit mutants of the package and the tests that kill them.
+
+Each entry is ``(file, old, new, killers)``: ``old`` occurs exactly once in
+``file`` (a path from the repository root), the mutant replaces it with
+``new``, and each of ``killers`` (pytest node ids) fails on the mutant.
+``tests/test_source.py`` checks the first fact in every tier-1 run, so the
+catalog cannot rot unseen.
+
+Run as a script, ``python tests/mutants.py`` copies the repository to a
+temporary directory per mutant, applies it and runs ``pytest -x`` there on
+each killer, then, if every killer passes, on the whole suite.  It prints
+one verdict per mutant and exits nonzero if a mutant survives the suite or
+a killer passes on its mutant.  A killed mutant costs a few seconds, a
+survivor a whole tier-1 run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEGENMAP = "src/fflvstring/degenmap.py"
+VERIFY = "src/fflvstring/verify.py"
+
+MUTANTS = [
+    # the twist fit on per-type label rows
+    (
+        DEGENMAP,
+        "for i in support for p in fundamental_points(lt, i)",
+        "for i in range(1, lt.rank + 1) for p in fundamental_points(lt, i)",
+        (
+            "tests/test_verify.py::test_report_json_digest_fixture",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "rows, basis = label_rows(lt, mat), {}",
+        "rows, basis = label_rows(lt, build_matrix(lt)), {}",
+        (
+            "tests/test_verify.py::test_corrupted_a4_matrix_twist_witness",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "for k in sorted(units, reverse=True)",
+        "for k in sorted(units)",
+        (
+            "tests/test_verify.py::"
+            "test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "breaks[min(breaks)] if breaks else None",
+        "breaks[max(breaks)] if breaks else None",
+        # both fits share the elimination: only the independent oracle sees it
+        ("tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",),
+    ),
+    # gates and verdicts that once survived tier-1
+    (
+        DEGENMAP,
+        'allowed = {0, -1} if lt.family == "A" else {0, -1, -2}',
+        'allowed = {0, -1, -2} if lt.family == "A" else {0, -1, -2}',
+        ("tests/test_degenmap.py::test_entry_range_gate_rejects_minus_two_in_type_a",),
+    ),
+    (
+        "src/fflvstring/crystal.py",
+        "    if len(packed) != len(elements):\n",
+        "    if False:\n",
+        ("tests/test_crystal.py::test_string_injectivity_gate",),
+    ),
+    (
+        "src/fflvstring/fflv.py",
+        '    if len(pts) != expected:\n        raise VerificationError(\n'
+        '            "fflv.minkowski_cardinality"',
+        '    if len(pts) > expected:\n        raise VerificationError(\n'
+        '            "fflv.minkowski_cardinality"',
+        ("tests/test_fflv.py::test_minkowski_cardinality_gate_trips_on_a_short_sum",),
+    ),
+    (
+        "src/fflvstring/rootsys.py",
+        '    if rem:\n        raise VerificationError(\n'
+        '            "rootsys.weyl_dim_integral"',
+        '    if False:\n        raise VerificationError(\n'
+        '            "rootsys.weyl_dim_integral"',
+        ("tests/test_rootsys.py::test_weyl_dim_integral_gate_trips",),
+    ),
+    (
+        VERIFY,
+        "counted = self.fflv_count == self.string_count == self.weyl_dim",
+        "counted = self.fflv_count == self.string_count",
+        ("tests/test_verify.py::test_report_fails_when_both_counts_miss_the_weyl_dimension",),
+    ),
+    # the packed image engine
+    (
+        VERIFY,
+        "fflv_count=len(images) if trusted else len(points(lt, w)),",
+        "fflv_count=len(images),",
+        ("tests/test_verify.py::test_integer_kernel_matches_staged_reference",),
+    ),
+    (
+        VERIFY,
+        "    missing = sorted(strings - images)\n",
+        "    missing = []\n",
+        ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
+    ),
+]
+
+
+def _passes(where: Path, *args: str) -> bool:
+    """True iff ``pytest -x`` passes on args in the copy at ``where``."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    return subprocess.run(cmd, cwd=where, env=env, capture_output=True).returncode == 0
+
+
+def verdict(file: str, old: str, new: str, killers) -> str:
+    """Apply one mutant to a fresh copy of the repository and test it."""
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".*cache", ".hypothesis", ".perfbench")
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp) / "repo"
+        shutil.copytree(ROOT, where, ignore=ignore)
+        path = where / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return "STALE: the old text does not occur exactly once"
+        path.write_text(text.replace(old, new))
+        passing = [k for k in killers if _passes(where, k)]
+        if not passing:
+            return "killed"
+        if len(passing) < len(killers):
+            return f"killed, but these killers pass: {passing}"
+        return "killed, but by none of its killers" if not _passes(where, "tests") else "SURVIVED"
+
+
+def main() -> int:
+    faults = 0
+    for number, mutant in enumerate(MUTANTS, start=1):
+        result = verdict(*mutant)
+        faults += result != "killed"
+        print(f"{number:2d} {mutant[0]}: {result}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {faults} faults")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from fflvstring import degenmap
 from fflvstring.degenmap import (
     WeightTwist,
     apply_T,
+    apply_affine,
     build_matrix,
     build_translation,
     fold_label,
@@ -24,12 +25,16 @@ from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
+    base_weights,
     build_labels,
     dominant_weights,
     fflv_weight,
+    letter_histogram,
     reduced_word,
+    root_delta,
     string_weight,
     vector_from_labels,
+    weight_denominator,
 )
 
 A1 = LieType("A", 1)
@@ -317,3 +322,52 @@ def test_weight_twist_matches_full_system_oracle(data):
     )
     scaled = [tuple(tuple(int(x * scale) for x in v) for v in pair) for pair in pairs]
     assert degenmap.scaled_twist_solve(lt, scale, scaled) == expected
+
+
+def _unit_pairs(lt, w, mat):
+    """The integer pairs over weight_denominator(lt) of 0 and of each unit
+    point of P(w), in lex order, each weighed through its own image."""
+    d = weight_denominator(lt)
+    src, tgt = base_weights(lt, w)
+    trans = build_translation(lt, w)
+    return [
+        (
+            tuple(y - d * x for y, x in zip(src, root_delta(lt, p))),
+            tuple(
+                y - d * x for y, x in zip(tgt, letter_histogram(lt, apply_affine(mat, trans, p)))
+            ),
+        )
+        for p in sorted(p for p in points(lt, w) if sum(p) <= 1)
+    ]
+
+
+SUPPORT_TYPES = (A1, A2, A3, LieType("A", 4), C2, C3)
+_SUPPORT_WITNESSES = []
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def _support_path_matches_full_pair_list(data):
+    lt = data.draw(st.sampled_from(SUPPORT_TYPES))
+    w = data.draw(st.sampled_from(list(dominant_weights(lt.rank, 3))))
+    mat = [list(row) for row in build_matrix(lt)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        r, c = data.draw(st.tuples(st.integers(0, len(mat) - 1), st.integers(0, len(mat) - 1)))
+        mat[r][c] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    mat = tuple(map(tuple, mat))
+    d, pairs = weight_denominator(lt), _unit_pairs(lt, w, mat)
+    src0, tgt0 = pairs[0]
+    support = tuple(i for i, a in enumerate(w, start=1) if a)
+    fit = degenmap.support_twist_solve(lt, mat, support, (*tgt0, d, *src0))
+    assert fit == degenmap.scaled_twist_solve(lt, d, pairs)
+    _SUPPORT_WITNESSES.append(fit[1] is not None)
+
+
+def test_support_path_matches_the_full_pair_list(fresh_twist_memos):
+    # the cached per-support basis with this case's zero row gives the twist
+    # and witness of the whole list of 0 and the unit points, on the trusted
+    # matrix and on matrices moved by +-1..3 in up to four entries
+    _SUPPORT_WITNESSES.clear()
+    _support_path_matches_full_pair_list()
+    assert 4 * sum(_SUPPORT_WITNESSES) >= len(_SUPPORT_WITNESSES) > 0
+    assert not all(_SUPPORT_WITNESSES)

@@ -3,8 +3,10 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
+import fflvstring
 from fflvstring import crystal, degenmap, fflv, rootsys, verify
 from fflvstring.rootsys import LieType
 
@@ -192,3 +194,37 @@ def test_benchmark_replay_parameters_pinned():
         home = module.__name__.rsplit(".", 1)[1]
         assert calls[home, name] == len(params), name
         assert tuple(inspect.signature(getattr(module, name)).parameters) == params
+
+
+def test_twist_memos_are_package_caches_the_benchmark_clears():
+    # perfbench's clear_caches empties every functools.lru_cache that a
+    # package module defines, found by scanning the module's names
+    memos = (degenmap.label_rows, degenmap.support_basis)
+    found = {
+        value
+        for module in (importlib.import_module(f"fflvstring.{info.name}")
+                       for info in pkgutil.iter_modules(fflvstring.__path__))
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and hasattr(value, "cache_info")
+        and getattr(value, "__module__", None) == module.__name__
+    }
+    assert set(memos) <= found
+    assert all(type(memo) is type(rootsys.build_labels) for memo in memos)
+    assert verify.check_main(LieType("A", 2), (1, 1)).status == "ok"
+    assert all(memo.cache_info().currsize for memo in memos)
+    for memo in memos:
+        memo.cache_clear()
+    assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_every_cataloged_mutant_applies_exactly_once():
+    # tests/mutants.py runs each (file, old, new, killers) mutant outside
+    # tier-1; an old text edited away would silently stop testing anything
+    from mutants import MUTANTS
+
+    root = SRC.parent.parent
+    counts = [(root / file).read_text().count(old) for file, old, _, _ in MUTANTS]
+    assert counts == [1] * len(MUTANTS)
+    for _, old, new, killers in MUTANTS:
+        assert old != new and killers
+        assert all((root / k.split("::")[0]).is_file() for k in killers)

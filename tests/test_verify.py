@@ -100,8 +100,9 @@ def test_corrupted_a4_matrix_twist_witness():
 
 
 def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
-    # the weight pairs are integers over weight_denominator(lt); the only
-    # Fractions of a passing case are the entries of the twist
+    # the weight rows are integers over weight_denominator(lt); the only
+    # Fractions of a passing case are the entries of the twist, built where
+    # degenmap reads the twist off its basis
     callers = []
     new = Fraction.__new__
 
@@ -115,26 +116,47 @@ def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", recording)
     for lt, w in ((A3, (1, 0, 1)), (C3, (0, 1, 1))):
         assert check_main(lt, w).status == "ok"
-    assert callers and set(callers) == {"scaled_twist_solve"}
+    assert callers and set(callers) == {"_read_off"}
 
 
-def test_check_main_fits_the_twist_on_at_most_the_unit_points(monkeypatch):
+def test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case(
+    monkeypatch, fresh_twist_memos
+):
     # the zero point and the unit points of P(lambda) span the rows of all
-    # of P, so the fit never sees more than N + 1 pairs per case
-    real = verify.scaled_twist_solve
+    # of P; the unit rows are per type and support, so a grid eliminates at
+    # most N label rows, by descending label index, once per (type, support),
+    # and one zero row per case
+    real = degenmap._eliminate
     seen = []
 
-    def recording(lt, scale, pairs):
-        seen.append(len(pairs))
-        return real(lt, scale, pairs)
+    def recording(m, rows, basis):
+        rows = list(rows)
+        seen.append([key for key, _ in rows])
+        return real(m, rows, basis)
 
-    monkeypatch.setattr(verify, "scaled_twist_solve", recording)
+    monkeypatch.setattr(degenmap, "_eliminate", recording)
     for lt in (A1, A2, A3, A4, C2, C3):
+        supports = set()
         for w in dominant_weights(lt.rank, 2):
             seen.clear()
             assert check_main(lt, w).status == "ok"
-            (count,) = seen
-            assert count <= rootsys.root_count(lt) + 1
+            support = tuple(i for i, a in enumerate(w, start=1) if a)
+            *labels, zero = seen
+            assert zero == [None]
+            assert len(labels) == (support not in supports)
+            supports.add(support)
+            for keys in labels:
+                assert len(keys) <= rootsys.root_count(lt)
+                assert keys == sorted(keys, reverse=True) and None not in keys
+
+
+def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
+    # an override given as lists fits like the same tuples, and the memos
+    # are keyed on tuples of tuples
+    mat = corrupted_matrix(A3)
+    rep = check_main(A3, (1, 1, 0), matrix=[list(row) for row in mat])
+    assert rep == replace(check_main(A3, (1, 1, 0), matrix=mat), elapsed=rep.elapsed)
+    assert degenmap.support_basis.cache_info().currsize == 1
 
 
 def _shift_translation(monkeypatch, k, step):
@@ -193,7 +215,7 @@ def test_translation_minus_one_on_a_zero_coordinate_trips_the_gate(
         assert exc.value.gate == "degenmap.nonnegative_image"
 
 
-def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch):
+def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch, fresh_twist_memos):
     # two adjacent letters that do not commute, swapped, name another Weyl
     # group element.  Weights are chosen whose Demazure crystals tell the
     # two apart: for some weights of a small stabilizer both agree and the
@@ -201,17 +223,28 @@ def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch):
     outcomes = set()
     for lt, w in ((A2, (1, 1)), (A3, (1, 1, 1)), (C2, (1, 0)), (C3, (1, 1, 1))):
         word = reduced_word(lt)
+        d, mat = rootsys.weight_denominator(lt), build_matrix(lt)
         for k in range(len(word) - 1):
             if abs(word[k] - word[k + 1]) != 1:
                 continue
             swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
             for module in (rootsys, crystal):
                 monkeypatch.setattr(module, "reduced_word", lambda lt, s=swapped: s)
+            degenmap.label_rows.cache_clear()
+            degenmap.support_basis.cache_clear()
             try:
                 rep = check_main(lt, w)
             except VerificationError as exc:
                 outcomes.add(exc.gate)
                 continue
+            # the fit read its label rows over the swapped word
+            assert degenmap.label_rows.cache_info().misses == 1
+            counts = [
+                tuple(d * sum(x for x, letter in zip(col, swapped) if letter == j)
+                      for j in range(1, lt.target_rank + 1))
+                for col in zip(*mat)
+            ]
+            assert [row[: lt.target_rank] for row in degenmap.label_rows(lt, mat)] == counts
             assert rep.status == "failed"
             assert rep.missing or rep.extra or rep.twist_witness
             outcomes.add("witnesses")
