@@ -84,7 +84,13 @@ def comm_table_rows(m: int) -> int:
     """Rows of the exterior-power tables of the type-C generators at acting rank m.
 
     Type C acts on the larger module (2m against m + 1), so this bounds the
-    tables ``comm_sweep`` builds for both families at that rank.
+    work of ``comm_sweep`` for both families at that rank.  The sweep holds
+    no rows: it packs each power into ints of 2^(2m+1) digits, one per key
+    below 2^(2m+1), and sum_{1<=i<=m} C(2m, i) >= 4^m / 2, so that span is
+    at most four times the rows of one generator over the m powers.  Each
+    power holds up to 2m + 1 such ints and takes a fixed number of big-int
+    operations per tested pair, so memory and work grow as this count
+    times a factor linear in m.
     """
     return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
 

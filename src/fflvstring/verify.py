@@ -52,7 +52,7 @@ from .rootsys import (
     weight_denominator,
     weyl_dim,
 )
-from .wedge import power_action, sim_check_ops
+from .wedge import packed_power, sim_check_ops
 
 WITNESS_CAP = 10
 
@@ -319,7 +319,7 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
             status = "ok" if len(failures) == before else "FAILED"
             lines.append(f"{family}{m}: commutation table {status}")
             # no later rank reads the tables of this one
-            power_action.cache_clear()
+            packed_power.cache_clear()
     if failures:
         lines.append(f"failing cases: {failures[:10]}")
     return lines, failures

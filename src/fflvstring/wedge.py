@@ -8,14 +8,15 @@ elementary lowering e_j -> e_{j+1} on the natural module of the companion
 algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
 through the same elementary step; ``_steps`` holds that unfolding for
-``act_simple`` and ``power_action`` alike.  ``power_action`` tabulates each
-generator on the basis of one exterior power, one pass over the basis per
-generator straight from its elementary steps; the equivalence test composes
-its rows into one sparse product per generator sequence and compares the
-images of two products by integer cross-multiplication.  On top of the
-action sit that equivalence test, the non-annihilation check, and the
-fully independent reconstruction of the type-A string points; the
-minimality check is membership in that reconstruction.
+``act_simple`` and the packed products alike.  The equivalence test acts
+on a whole exterior power at once: a product is a map from the offset o of
+a term to one int whose digit v holds the coefficient of e_{v+o} in the
+image of e_v, and a step moves every basis wedge it applies to with one
+masked AND (``packed_power`` holds the basis and the step masks).  Two
+products are compared offset by offset, by integer cross-multiplication.
+On top of the action sit that equivalence test, the non-annihilation
+check, and the fully independent reconstruction of the type-A string
+points; the minimality check is membership in that reconstruction.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .rootsys import (
 )
 
 WedgeVector = dict[int, int]
-# the terms of one image, in the order ``act_simple`` produced them
-Terms = tuple[tuple[int, int], ...]
 
 
 def wedge_basis(indices: Iterable[int]) -> WedgeVector:
@@ -94,67 +93,61 @@ def act_sequence(
     return v
 
 
-def _basis_keys(dim: int, i: int) -> list[int]:
-    """Keys of the basis wedges of the i-th exterior power of a dim-space."""
-    return [sum(1 << k for k in t) for t in combinations(range(1, dim + 1), i)]
-
-
 @lru_cache(maxsize=None)
-def power_action(family: str, rank: int, i: int) -> tuple[dict[int, Terms], ...]:
-    """The action of every generator on the basis of the i-th exterior power.
+def packed_power(
+    family: str, rank: int, i: int, width: int
+) -> tuple[int, tuple[int, ...]]:
+    """The basis of the i-th exterior power and the step masks, packed.
 
-    Entry j - 1 maps the key of every basis wedge that generator j does not
-    kill to the terms of its image, in ``act_simple``'s order.  Each row is
-    made in one pass over the basis from the generator's elementary steps:
-    a step moves a key with coefficient 1, and the two steps of a type-C
-    generator never reach the same key.  Equal terms of different rows share
-    one tuple object, so the terms take memory in proportion to the basis,
-    not to the number of rows.
+    Digit v, ``width`` bits wide, stands for the key v.  The basis holds a 1
+    at every key of the power, built by doubling over the bits 1..dim: the
+    keys that use bit b are those without it, shifted by 2^b digits.  Mask t
+    holds all-ones digits at the keys with bit t set and bit t + 1 clear,
+    the keys that step t moves; bit 0 of a key is never set, so mask 0 is 0.
     """
-    keys = _basis_keys(natural_dim(family, rank), i)
-    # a step moves a basis wedge onto another one of the same power
-    unit = {key: (key, 1) for key in keys}
-    rows = []
-    for j in range(1, rank + 1):
-        # step t applies to a key holding t but not t + 1
-        masks = [(3 << t, 1 << t) for t in _steps(j, family, rank)]
-        row = {}
-        for key in keys:
-            terms = tuple(unit[key + bit] for mask, bit in masks if key & mask == bit)
-            if terms:
-                row[key] = terms
-        rows.append(row)
-    return tuple(rows)
+    if i < 0:
+        raise ValueError(f"exterior power {i} is negative")
+    dim = natural_dim(family, rank)
+    ones = [1] + [0] * i  # ones[k]: the keys of k bits among the bits done
+    for b in range(1, dim + 1):
+        ones = [1] + [ones[k] | ones[k - 1] << (width << b) for k in range(1, i + 1)]
+    full = ones[i] * ((1 << width) - 1)
+    # has[b]: all-ones digits at every v < 2^(dim+1) with bit b set
+    has = []
+    for b in range(dim + 1):
+        pattern, span = (1 << (width << b)) - 1 << (width << b), 2 << b
+        while span < 2 << dim:
+            pattern |= pattern << width * span
+            span *= 2
+        has.append(pattern)
+    return ones[i], tuple(full & has[t] & ~has[t + 1] for t in range(dim))
 
 
-def _product_images(
-    ops: Sequence[int], i: int, family: str, rank: int
-) -> dict[int, Terms]:
-    """Nonzero images of the basis wedges of the i-th power under a written product.
+def _packed_product(
+    ops: Sequence[int], i: int, family: str, rank: int, width: int
+) -> dict[int, int]:
+    """A written product on the i-th power as offset o -> packed coefficients.
 
-    Rightmost factor first, one table row per surviving term; a basis wedge
-    whose image dies is dropped.  The empty product is the identity.  An
-    image lists each key once, with a positive coefficient.
+    Digit v of the entry at o holds the coefficient of e_{v+o} in X(e_v).
+    Rightmost factor first, step t of a factor moves the digits its mask
+    selects, read at the keys v + o, on to offset o + 2^t; terms that land on
+    one offset are summed.  The empty product is the identity {0: basis},
+    or {} on a power above the dimension, which is 0.
     """
-    for j in ops:
-        if not 1 <= j <= rank:
-            raise ValueError(f"operator index {j} out of range")
-    if not ops:
-        return {key: ((key, 1),) for key in _basis_keys(natural_dim(family, rank), i)}
-    rows = power_action(family, rank, i)
-    images = rows[ops[-1] - 1]
-    for j in reversed(ops[:-1]):
-        image_of = rows[j - 1].get
-        step = {}
-        for base, terms in images.items():
-            out: WedgeVector = {}
-            for key, coeff in terms:
-                for moved, c in image_of(key, ()):
-                    out[moved] = out.get(moved, 0) + coeff * c
-            if out:
-                step[base] = tuple(out.items())
-        images = step
-    return images
+    # every factor is checked before any work
+    steps = [_steps(j, family, rank) for j in reversed(ops)]
+    basis, masks = packed_power(family, rank, i, width)
+    terms = {0: basis} if basis else {}
+    for factor in steps:
+        out: dict[int, int] = {}
+        for o, c in terms.items():
+            for t in factor:
+                moved = c & (masks[t] >> width * o)
+                if moved:
+                    o_t = o + (1 << t)
+                    out[o_t] = out.get(o_t, 0) + moved
+        terms = out
+    return terms
 
 
 def monomial_ops(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
@@ -179,28 +172,32 @@ def sim_check_ops(
     """Equivalence of two generator products on the i-th exterior power.
 
     Requires one shared positive rational scalar r with r * x(v) = y(v) on
-    every basis wedge v.  The sorted terms of x(v) and y(v) must pair up key
-    by key; r = num/den is read off the first pair and checked on every
-    other by cross-multiplication.  No sign test is needed: every
-    coefficient is a positive integer, so r > 0 whenever it exists.
+    every basis wedge v.  Both packed products must have the same offsets;
+    r = num/den is read off the lowest nonzero digits of one offset and
+    checked on every offset at once as num * x_o == den * y_o.  A
+    coefficient of a product of length k counts at most 2^k step paths, and
+    so num, den <= 2^k: a digit of either side is at most 4^k, so with digits
+    2k + 2 bits wide nothing carries and integer equality is digitwise
+    equality.  No sign test is needed: every coefficient is a positive
+    integer, so r > 0 whenever it exists.
     """
-    fx = _product_images(ops_x, i, family, rank)
-    fy = _product_images(ops_y, i, family, rank)
-    # a basis wedge that only one product kills has no scalar
+    width = 2 * max(len(ops_x), len(ops_y)) + 2
+    fx = _packed_product(ops_x, i, family, rank, width)
+    fy = _packed_product(ops_y, i, family, rank, width)
+    # a term that only one product has admits no scalar
     if fx.keys() != fy.keys():
         return False
-    num = den = 0  # r is unset while den is 0
-    for base, terms in fx.items():
-        if len(terms) != len(fy[base]):
-            return False
-        for (key, c), (k, d) in zip(sorted(terms), sorted(fy[base])):
-            if key != k:
-                return False
-            if not den:
-                num, den = d, c
-            elif d * den != c * num:
-                return False
-    return True
+    if not fx:
+        return True
+    first = next(iter(fx))
+    num, den = _lowest_digit(fy[first], width), _lowest_digit(fx[first], width)
+    return all(num * fx[o] == den * c for o, c in fy.items())
+
+
+def _lowest_digit(c: int, width: int) -> int:
+    """The lowest nonzero digit of a positive packed int."""
+    low = (c & -c).bit_length() - 1
+    return (c >> low - low % width) & ((1 << width) - 1)
 
 
 def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:

@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEGENMAP = "src/fflvstring/degenmap.py"
 VERIFY = "src/fflvstring/verify.py"
+WEDGE = "src/fflvstring/wedge.py"
 
 MUTANTS = [
     # the twist fit on per-type label rows
@@ -99,6 +100,31 @@ MUTANTS = [
         "counted = self.fflv_count == self.string_count == self.weyl_dim",
         "counted = self.fflv_count == self.string_count",
         ("tests/test_verify.py::test_report_fails_when_both_counts_miss_the_weyl_dimension",),
+    ),
+    (
+        VERIFY,
+        "WITNESS_CAP = 10",
+        "WITNESS_CAP = 11",
+        ("tests/test_verify.py::test_report_lists_ten_witnesses_per_direction",),
+    ),
+    # the packed generator products
+    (
+        WEDGE,
+        "full & has[t] & ~has[t + 1]",
+        "full & has[t]",
+        (
+            "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
+            "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
+        ),
+    ),
+    (
+        WEDGE,
+        "num * fx[o] == den * c",
+        "den * fx[o] == num * c",
+        (
+            "tests/test_wedge.py::test_sim_check_ops_shared_ratio_other_than_one",
+            "tests/test_wedge.py::test_sim_check_ops_digits_hold_the_largest_coefficient",
+        ),
     ),
     # the packed image engine
     (

@@ -37,7 +37,7 @@ from fflvstring.verify import (
     reports_to_json,
     run_grid,
 )
-from fflvstring.wedge import power_action
+from fflvstring.wedge import packed_power
 
 A1 = LieType("A", 1)
 A2 = LieType("A", 2)
@@ -97,6 +97,15 @@ def test_corrupted_a4_matrix_twist_witness():
     assert src == (1, 2, 2, 1)
     assert tgt == (1, 1, 0, 0, 0, 1, 1)
     assert all(type(x) is Fraction for x in src + tgt)
+
+
+def test_report_lists_ten_witnesses_per_direction():
+    # the corrupted A3 matrix at (1, 1, 1) has 24 witnesses each way; the
+    # cap is the literal 10, not the constant the report is built from
+    rep = check_main(A3, (1, 1, 1), matrix=corrupted_matrix(A3))
+    assert (rep.missing_total, rep.extra_total) == (24, 24)
+    assert len(rep.missing) == len(rep.extra) == 10
+    assert len(rep.to_dict()["missing"]) == len(rep.to_dict()["extra"]) == 10
 
 
 def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
@@ -300,7 +309,7 @@ def test_run_grid_corrupted_matrix_fails_with_witness():
 def test_comm_sweep_frees_the_tables_of_each_rank():
     # no acting rank reads the exterior-power tables of another
     assert comm_sweep(2)[1] == []
-    assert power_action.cache_info().currsize == 0
+    assert packed_power.cache_info().currsize == 0
 
 
 def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):

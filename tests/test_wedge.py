@@ -193,11 +193,28 @@ def test_sim_check_ops_shared_ratio_other_than_one():
     assert _stepwise_sim(x, y, 2, "C", 3)
 
 
+def test_sim_check_ops_digits_hold_the_largest_coefficient():
+    # on C3, f1 f1 f2 f2 reaches coefficient 4 on the third power, where
+    # f1 f2 f1 f2 reaches 2: ratio 1/2, longer than the strategy's products
+    x, y = (1, 1, 2, 2), (1, 2, 1, 2)
+    bases = [wedge_basis(t) for t in combinations(range(1, 7), 3)]
+    assert max(c for v in bases for c in act_sequence(x, v, "C", 3).values()) == 4
+    assert max(c for v in bases for c in act_sequence(y, v, "C", 3).values()) == 2
+    expected = _stepwise_sim(x, y, 3, "C", 3)
+    assert expected
+    assert sim_check_ops(x, y, 3, "C", 3) == expected
+    assert sim_check_ops(y, x, 3, "C", 3) == expected
+
+
 def test_sim_check_ops_needs_one_shared_ratio(monkeypatch):
-    # each basis wedge on its own is proportional, with ratios 2 and 1
+    # each offset on its own is proportional, with ratios 2 and 1: e2 -> e3
+    # sits at offset e3 - e2, e3 -> e4 at offset e4 - e3, digits 4 bits wide
     (e2,), (e3,), (e4,) = wedge_basis((2,)), wedge_basis((3,)), wedge_basis((4,))
-    images = iter([{e2: ((e3, 1),), e3: ((e4, 1),)}, {e2: ((e3, 2),), e3: ((e4, 1),)}])
-    monkeypatch.setattr(wedge, "_product_images", lambda *args: next(images))
+    images = iter([
+        {e3 - e2: 1 << 4 * e2, e4 - e3: 1 << 4 * e3},
+        {e3 - e2: 2 << 4 * e2, e4 - e3: 1 << 4 * e3},
+    ])
+    monkeypatch.setattr(wedge, "_packed_product", lambda *args: next(images))
     assert not sim_check_ops([1], [1], 1, "A", 3)
 
 
@@ -206,24 +223,38 @@ def test_sim_check_ops_rejects_out_of_range_operator():
         sim_check_ops([0], [1], 1, "A", 2)
 
 
+def test_sim_check_ops_outside_the_powers():
+    # a power above the dimension is the zero space, where every product agrees
+    assert sim_check_ops([], [], 4, "A", 2) and sim_check_ops([1], [2], 4, "A", 2)
+    with pytest.raises(ValueError):
+        sim_check_ops([], [], -1, "A", 2)
+
+
 @pytest.mark.parametrize("family", ["A", "C"])
-def test_power_action_rows_are_act_simple(family):
-    rank = 3
-    dim = natural_dim(family, rank)
-    for i in range(dim + 1):
-        rows = wedge.power_action(family, rank, i)
-        assert len(rows) == rank
-        for j, row in enumerate(rows, start=1):
-            for t in combinations(range(1, dim + 1), i):
-                (key,) = wedge_basis(t)
-                assert dict(row.get(key, ())) == act_simple(j, wedge_basis(t), family, rank)
+def test_packed_generators_decode_to_act_simple(family):
+    # digit v of the entry at offset o is the coefficient of e_{v+o} in f_j(e_v);
+    # packing act_simple on every basis wedge must give every digit, zeros too
+    width = 4
+    for rank in (1, 2, 3):
+        dim = natural_dim(family, rank)
+        for i in range(dim + 1):
+            for j in range(1, rank + 1):
+                expected = {}
+                for t in combinations(range(1, dim + 1), i):
+                    (v,) = wedge_basis(t)
+                    for key, c in act_simple(j, wedge_basis(t), family, rank).items():
+                        expected[key - v] = expected.get(key - v, 0) + (c << width * v)
+                assert wedge._packed_product([j], i, family, rank, width) == expected
+            # the rank generators are all there are
+            with pytest.raises(ValueError):
+                wedge._packed_product([rank + 1], i, family, rank, width)
 
 
-def test_power_action_is_the_only_memo():
+def test_packed_power_is_the_only_memo():
     # the benchmark empties every lru_cache defined in a package module
     # between operations; a memo held in a module dict or a closure would
     # survive that and carry work from one operation into the next
-    fn = wedge.power_action
+    fn = wedge.packed_power
     assert fn.__module__ == "fflvstring.wedge"
     fn.cache_clear()
     assert sim_check_ops([1, 3], [3, 1], 2, "C", 3)
