@@ -12,23 +12,26 @@ exterior-power table that holds more entries or rows than that.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
 from functools import lru_cache
 from math import comb
 
-from .crystal import string_points
+from .crystal import packed_string_points
 from .degenmap import build_matrix
 from .errors import VerificationError
-from .fflv import points
+from .fflv import packed_points
 from .rootsys import (
     LieType,
     build_labels,
+    byte_digits,
     dominant_weights,
     natural_dim,
     reduced_word,
     root_count,
+    unpack,
     weyl_dim,
 )
 from .verify import all_passed, comm_sweep, fold_sweep, reports_to_json, run_grid
@@ -146,8 +149,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def polytope_document(lt: LieType, weight, kind: str) -> dict:
-    """Stable JSON document for one lattice-point set."""
-    pts = points(lt, weight) if kind == "fflv" else string_points(lt, weight)
+    """Stable JSON document for one lattice-point set, its points packed.
+
+    ``points`` is the triple (sorted ints, n, b) of ``packed_points`` or
+    ``packed_string_points``: ``render_document`` writes the rows from it,
+    and ``rootsys.unpack(*doc["points"])`` decodes it.
+    """
+    packed = packed_points if kind == "fflv" else packed_string_points
     doc = {
         "type": lt.family,
         "rank": lt.rank,
@@ -160,26 +168,45 @@ def polytope_document(lt: LieType, weight, kind: str) -> dict:
     }
     if kind == "string":
         doc["word"] = list(reduced_word(lt))
-    doc["points"] = pts
+    doc["points"] = packed(lt, weight)
     return doc
 
 
+# the text after a coordinate: after the last one of a point it closes the
+# row and opens the next, after the last one of the document it closes all
+_NEXT_ROW = "\n    ],\n    [\n      "
+_CLOSE = "\n    ]\n  ]\n}\n"
+# a byte of a point's blob -> its coordinate and the text after it; the top
+# bit flags the last coordinate of the point
+_CELLS = {v: f"{v},\n      " for v in range(128)} | {
+    128 + v: f"{v}{_NEXT_ROW}" for v in range(128)
+}
+
+
 def render_document(doc: dict) -> str:
-    """What ``json.dumps(doc, indent=2)`` plus a newline writes, byte for byte.
+    """What ``json.dumps(doc, indent=2)`` plus a newline writes, byte for
+    byte, with the packed points decoded into lists.
 
     json's indented encoder is pure Python and visits every coordinate, so
-    only the small keys before ``points`` go through it.  Each point fills
-    one row template of its width; ``%s`` writes an ``int`` as json does
-    and, unlike ``%d``, never truncates a coordinate that is not one.
+    only the small keys before ``points`` go through it.  On byte digits
+    (``rootsys.byte_digits``) every coordinate is below 128, so each point,
+    the top bit of its last byte set by ``x | 128``, is n bytes of one blob.
+    One charmap decode through ``_CELLS`` writes every coordinate with the
+    text after it into one string, with no tuple per point and no list of
+    cells; the last byte, which closes the document, is written apart.
+    Wider digits decode with ``unpack`` and fill one row template per
+    point; ``%s`` writes an ``int`` as json does.
     """
-    pts = doc["points"]
+    ints, n, b = doc["points"]
     # points is the last key, so the text ends with its empty list
-    text = json.dumps(dict(doc, points=[]), indent=2) + "\n"
-    row = "    [\n" + ",\n".join(["      %s"] * len(pts[0])) + "\n    ]"
-    rows = [row % p for p in pts]
-    rows[0] = text[: -len("[]\n}\n")] + "[\n" + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+    text = json.dumps(dict(doc, points=[]), indent=2)
+    head = text[: -len("[]\n}")] + "[\n    [\n      "
+    if byte_digits(b):
+        blob = b"".join([(x | 128).to_bytes(n, "big") for x in ints])
+        rows, _ = codecs.charmap_decode(blob[:-1], "strict", _CELLS)
+        return "".join([head, rows, str(blob[-1] & 127), _CLOSE])
+    row = ",\n      ".join(["%s"] * n)
+    return head + _NEXT_ROW.join([row % p for p in unpack(ints, n, b)]) + _CLOSE
 
 
 def _cmd_points(args, kind: str) -> int:

@@ -249,8 +249,16 @@ def packed_strings(lt: LieType, w: tuple[int, ...], b: int) -> set[int]:
     return packed
 
 
-def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
-    """String vectors of the Demazure crystal, as a canonical point set."""
+def packed_string_points(
+    lt: LieType, weight: tuple[int, ...]
+) -> tuple[list[int], int, int]:
+    """String vectors of the Demazure crystal, packed: (sorted ints, N, b),
+    at the width ``pack_width`` gives the letter count."""
     w = check_dominant(lt, weight)
     b = pack_width(len(build_highest(lt, w)))
-    return tuple(unpack(sorted(packed_strings(lt, w, b)), len(reduced_word(lt)), b))
+    return sorted(packed_strings(lt, w, b)), len(reduced_word(lt)), b
+
+
+def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:
+    """String vectors of the Demazure crystal, as a canonical point set."""
+    return tuple(unpack(*packed_string_points(lt, weight)))

@@ -81,25 +81,31 @@ def packed_sum(lt: LieType, w: tuple[int, ...], start: int, columns: list[int]) 
     return current
 
 
-def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
-    """Lattice points for a dominant weight: Minkowski sums of fundamental sets.
+def packed_points(lt: LieType, weight: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """Lattice points for a dominant weight, packed: (sorted ints, n, b).
 
     The coefficient a_i contributes a_i pointwise copies of the i-th
-    fundamental set, summed packed.  The result must have exactly the Weyl
-    dimension many points; a mismatch would falsify the lattice-level
+    fundamental set, summed packed at the width ``pack_width`` gives the
+    level, which bounds every coordinate.  The result must have exactly the
+    Weyl dimension many points; a mismatch would falsify the lattice-level
     Minkowski identity and raises immediately.
     """
     w = check_dominant(lt, weight)
     n, b = len(build_labels(lt)), pack_width(sum(w))
     units = [pack([int(r == k) for r in range(n)], b) for k in range(n)]
-    pts = tuple(unpack(sorted(packed_sum(lt, w, 0, units)), n, b))
+    pts = sorted(packed_sum(lt, w, 0, units))
     expected = weyl_dim(lt, w)
     if len(pts) != expected:
         raise VerificationError(
             "fflv.minkowski_cardinality",
             f"{lt} {w}: Minkowski sum has {len(pts)} points, Weyl dimension {expected}",
         )
-    return pts
+    return pts, n, b
+
+
+def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
+    """Lattice points for a dominant weight, decoded from ``packed_points``."""
+    return tuple(unpack(*packed_points(lt, weight)))
 
 
 @lru_cache(maxsize=None)

@@ -359,13 +359,22 @@ def pack(v: Sequence[int], b: int) -> int:
     return x
 
 
+def byte_digits(b: int) -> bool:
+    """True iff ``pack`` at width b writes each coordinate as one byte, so
+    that ``to_bytes`` reads off a nonnegative vector, every coordinate at
+    most 127: the fast paths of ``unpack`` and ``cli.render_document``."""
+    return b == 8
+
+
 def unpack(xs: Iterable[int], n: int, b: int) -> list[ExponentVector]:
     """Inverse of ``pack`` on n coordinates.  Only a nonnegative vector has the
-    top bit of every digit clear, and at b = 8 one ``to_bytes`` reads it off."""
+    top bit of every digit clear, and on byte digits one ``to_bytes`` reads
+    it off."""
     half = 1 << (b - 1)
     tops, mask = pack((half,) * n, b), 2 * half - 1
+    fast = byte_digits(b)
     return [
-        tuple(x.to_bytes(n, "big")) if b == 8 and not x & tops
+        tuple(x.to_bytes(n, "big")) if fast and not x & tops
         else tuple(((x + tops) >> (b * r) & mask) - half for r in reversed(range(n)))
         for x in xs
     ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import add
@@ -238,6 +237,9 @@ def run_grid(
         for w in dominant_weights(lt.rank, level)
     ]
     if threads > 1:
+        # imported here: the pool loads logging, queue and traceback
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(
                 pool.map(lambda t: check_main(t[0], t[1], matrix), tasks)

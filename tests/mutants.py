@@ -25,7 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+CLI = "src/fflvstring/cli.py"
 DEGENMAP = "src/fflvstring/degenmap.py"
+ROOTSYS = "src/fflvstring/rootsys.py"
 VERIFY = "src/fflvstring/verify.py"
 WEDGE = "src/fflvstring/wedge.py"
 
@@ -63,8 +65,12 @@ MUTANTS = [
         DEGENMAP,
         "breaks[min(breaks)] if breaks else None",
         "breaks[max(breaks)] if breaks else None",
-        # both fits share the elimination: only the independent oracle sees it
-        ("tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",),
+        # both references fit by the Gauss-Jordan oracle, not the package's
+        # elimination
+        (
+            "tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",
+            "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
+        ),
     ),
     # gates and verdicts that once survived tier-1
     (
@@ -88,7 +94,7 @@ MUTANTS = [
         ("tests/test_fflv.py::test_minkowski_cardinality_gate_trips_on_a_short_sum",),
     ),
     (
-        "src/fflvstring/rootsys.py",
+        ROOTSYS,
         '    if rem:\n        raise VerificationError(\n'
         '            "rootsys.weyl_dim_integral"',
         '    if False:\n        raise VerificationError(\n'
@@ -138,6 +144,40 @@ MUTANTS = [
         "    missing = sorted(strings - images)\n",
         "    missing = []\n",
         ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
+    ),
+    (
+        ROOTSYS,
+        "    return 8 * (bound.bit_length() // 8 + 1)",
+        "    return 2",
+        (
+            "tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",
+            "tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",
+        ),
+    ),
+    (
+        ROOTSYS,
+        "if fast and not x & tops",
+        "if fast",
+        (
+            "tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",
+            "tests/test_verify.py::test_check_main_with_corrupted_matrix_reports_witnesses",
+        ),
+    ),
+    # point documents rendered from the packed ints
+    (
+        CLI,
+        "(x | 128).to_bytes",
+        "x.to_bytes",
+        (
+            "tests/test_cli.py::test_document_digest_fixture",
+            "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+        ),
+    ),
+    (
+        CLI,
+        "    if byte_digits(b):",
+        "    if byte_digits(b) or b == 16:",
+        ("tests/test_cli.py::test_document_at_the_byte_width_boundary",),
     ),
 ]
 

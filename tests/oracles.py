@@ -4,13 +4,17 @@ Dimension counts by two routes: triangular-pattern enumeration for family A
 and Freudenthal's multiplicity recursion for both families.  Reducedness of
 a word by the root criterion, on the same root data.  The paper's
 label formulas for the linear part and the fundamental translations of the
-affine map, which read only the label order of ``build_labels``.  Everything
-is exact integer arithmetic.
+affine map, which read only the label order of ``build_labels``.  The
+weight twist by Gauss-Jordan elimination on the whole system.  Everything is
+exact integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from itertools import product
 
 from fflvstring.rootsys import build_labels
@@ -197,3 +201,60 @@ def label_translation(lt, i: int) -> tuple[int, ...]:
         return 2 if 2 * n - i <= key < key_bar else 0
 
     return tuple(coeff(lab) for lab in build_labels(lt))
+
+
+def _gauss_jordan(rows, rhs):
+    """Rank of rows * x = rhs and, per right-hand side column, its
+    free-variables-zero solution, or None where it is inconsistent.  Each
+    row is scaled to integers and reduced fraction-free, cut by its gcd."""
+    width = len(rows[0])
+    mat = []
+    for row, ys in zip(rows, rhs):
+        xs = [Fraction(x) for x in [*row, *ys]]
+        d = lcm(*(x.denominator for x in xs))
+        mat.append([int(x * d) for x in xs])
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        top = mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f, g = top[c], mat[i][c]
+                row = [f * a - g * b for a, b in zip(mat[i], top)]
+                k = gcd(*row)
+                mat[i] = [a // k for a in row] if k > 1 else row
+        pivots.append(c)
+    sols = []
+    for t in range(width, len(mat[0])):
+        sol = [Fraction(0)] * width
+        for i, c in enumerate(pivots):
+            sol[c] = Fraction(mat[i][t], mat[i][c])
+        consistent = not any(row[t] for row in mat[len(pivots):])
+        sols.append(sol if consistent else None)
+    return len(pivots), sols
+
+
+def twist_oracle(m: int, pairs):
+    """source = matrix * companion + shift over (source, companion) weight
+    pairs of a rank-m companion, solved on the full system coordinate by
+    coordinate, no basis, no scaling.  Returns ((matrix, shift, unique),
+    None), ``unique`` when the system has full rank, or (None, the first
+    distinct pair after which some coordinate has no solution)."""
+    uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
+    rows = [list(t) + [1] for _, t in uniq]
+    rhs = [s for s, _ in uniq]
+    rank, sols = _gauss_jordan(rows, rhs)
+    for r, sol in enumerate(sols):
+        if sol is None:
+            # a prefix stays inconsistent once it is: bisect for the first
+            def broken(k):
+                return _gauss_jordan(rows[:k], [(s[r],) for s in rhs[:k]])[1] == [None]
+
+            k = bisect_left(range(1, len(uniq) + 1), True, key=broken)
+            return None, uniq[k]
+    matrix = tuple(tuple(sol[:m]) for sol in sols)
+    return (matrix, tuple(sol[m] for sol in sols), rank == m + 1), None

@@ -133,12 +133,41 @@ def assert_json_layout(out, doc, case):
     assert same, f"{case}: not json.dumps(doc, indent=2) plus a newline"
 
 
+def with_point_set(doc, command, lt, weight):
+    """``doc`` with its points from the tuple API, not from the packed triple
+    that the renderer reads."""
+    point_set = points if command == "fflv" else string_points
+    return dict(doc, points=[list(p) for p in point_set(lt, weight)])
+
+
 @pytest.mark.parametrize("command, lt, weight", DOCUMENT_CASES)
 def test_document_round_trip(capsys, command, lt, weight):
     code, out, _ = run_cli(capsys, *points_argv(command, lt, weight))
     assert code == 0
     doc = cli.polytope_document(lt, weight, KINDS[command])
-    assert_json_layout(out, doc, f"{command} {lt} {weight}")
+    reference = with_point_set(doc, command, lt, weight)
+    assert_json_layout(out, reference, f"{command} {lt} {weight}")
+
+
+# the level and the letter count set the digit width of both kinds: up to
+# 127 a coordinate is one byte and the rows come from one charmap decode,
+# from 128 on the digits are 16 bits wide and decode through unpack
+@pytest.mark.parametrize("command", KINDS)
+@pytest.mark.parametrize(
+    "lt, weight, width",
+    [
+        pytest.param(LieType("A", 1), (127,), 8, id="A1-127"),
+        pytest.param(LieType("A", 1), (128,), 16, id="A1-128"),
+        pytest.param(LieType("A", 2), (127, 1), 16, id="A2-127,1"),
+    ],
+)
+def test_document_at_the_byte_width_boundary(capsys, command, lt, weight, width):
+    doc = cli.polytope_document(lt, weight, KINDS[command])
+    assert doc["points"][2] == width
+    code, out, _ = run_cli(capsys, *points_argv(command, lt, weight))
+    assert code == 0
+    reference = with_point_set(doc, command, lt, weight)
+    assert_json_layout(out, reference, f"{command} {lt} {weight}")
 
 
 # sha256 of documents as json.dumps(doc, indent=2) + "\n" wrote them
@@ -344,7 +373,7 @@ def test_gate_failure_exits_three(capsys, monkeypatch):
     def explode(lt, weight):
         raise VerificationError("fflv.minkowski_cardinality", "forced by test")
 
-    monkeypatch.setattr(cli, "points", explode)
+    monkeypatch.setattr(cli, "packed_points", explode)
     code, out, err = run_cli(
         capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0"
     )
@@ -378,7 +407,7 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the output path was checked")
 
-    for name in ("run_grid", "points", "string_points"):
+    for name in ("run_grid", "packed_points", "packed_string_points"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
     assert (code, out) == (2, "")
@@ -403,7 +432,7 @@ def test_max_dim_refused_before_enumeration(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the dimension was checked")
 
-    for name in ("run_grid", "points", "string_points"):
+    for name in ("run_grid", "packed_points", "packed_string_points"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

@@ -1,6 +1,5 @@
 """The affine map: matrices, translations, folding, weight twist."""
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -36,6 +35,7 @@ from fflvstring.rootsys import (
     vector_from_labels,
     weight_denominator,
 )
+from oracles import twist_oracle
 
 A1 = LieType("A", 1)
 A2 = LieType("A", 2)
@@ -234,53 +234,6 @@ def test_weight_twist_reports_witness_on_corrupted_pairs():
     assert witness == (bad, tgt)
 
 
-def _gauss_jordan(rows, rhs):
-    """Rank of rows * x = rhs and, per right-hand side column, its
-    free-variables-zero solution, or None where it is inconsistent."""
-    width = len(rows[0])
-    mat = [[Fraction(x) for x in row + list(ys)] for row, ys in zip(rows, rhs)]
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-    sols = []
-    for t in range(width, len(mat[0])):
-        sol = [Fraction(0)] * width
-        for i, c in enumerate(pivots):
-            sol[c] = mat[i][t]
-        consistent = not any(row[t] for row in mat[len(pivots):])
-        sols.append(sol if consistent else None)
-    return len(pivots), sols
-
-
-def _twist_oracle(lt, pairs):
-    """The full system solved coordinate by coordinate, no basis, no scaling."""
-    uniq = list(dict.fromkeys((tuple(s), tuple(t)) for s, t in pairs))
-    rows = [list(t) + [1] for _, t in uniq]
-    rhs = [s for s, _ in uniq]
-    m = lt.target_rank
-    rank, sols = _gauss_jordan(rows, rhs)
-    for r, sol in enumerate(sols):
-        if sol is None:
-            # a prefix stays inconsistent once it is: bisect for the first
-            def broken(k):
-                return _gauss_jordan(rows[:k], [(s[r],) for s in rhs[:k]])[1] == [None]
-
-            k = bisect_left(range(1, len(uniq) + 1), True, key=broken)
-            return None, uniq[k]
-    matrix = tuple(tuple(sol[:m]) for sol in sols)
-    return WeightTwist(matrix, tuple(sol[m] for sol in sols), rank == m + 1), None
-
-
 TWIST_CASES = [
     (A1, (2,)), (A2, (0, 0)), (A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)),
     (A3, (0, 1, 0)), (A3, (1, 0, 1)), (A3, (1, 1, 0)), (A3, (1, 1, 1)),
@@ -314,7 +267,8 @@ def test_weight_twist_matches_full_system_oracle(data):
         pair = list(pairs[k])
         pair[side] = tuple(vec)
         pairs[k] = tuple(pair)
-    expected = _twist_oracle(lt, pairs)
+    fit, witness = twist_oracle(lt.target_rank, pairs)
+    expected = (fit and WeightTwist(*fit), witness)
     assert weight_twist_solve(lt, w, pairs) == expected
     # the integer entry at any multiple k * L of the lcm L of the denominators
     scale = data.draw(st.sampled_from([1, 2, 3, 5])) * lcm(
