@@ -4,7 +4,12 @@ T(p) = R^{-1}(c(lifted weight) - p), one integer walk along the reduced word
 for both families: R is Littelmann's slack matrix of the word, unitriangular,
 and c_k = <lifted weight, alpha_{i_k}^vee>.  Its linear part -R^{-1} is upper
 triangular with -1 on the diagonal, so unimodular; its translation part is
-linear in the dominant weight.  The affine map walks only the support of a point.
+linear in the dominant weight.  The linear part is one walk too, on packed
+ints: with p_k = 2^(b*(N-1-k)) the walk returns row k of -R^{-1} as one int
+of b-bit balanced digits, gated and decoded at a width with 2^(b-1) >
+2 + 2*N*max|a_ij|, which makes a decode that passes the gates exactly
+-R^{-1} for any word and any Cartan matrix.  The affine map walks only the
+support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -21,6 +26,7 @@ only where the twist or a witness is read off.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,19 +83,42 @@ def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int], start: int) -> list[
 def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     """-R^{-1}, the linear part in the descending label basis.
 
-    Column j is the walk with nu = 0 and p = e_j from position j, as every
-    position after j is zero.  Gated: -1 at j and 0 below it, so unimodular
-    and injective, and the entries, {0,-1} for family A and {0,-1,-2} for C.
+    The walk with nu = 0 is linear in p and q = -R^{-1} p, so one walk with
+    p_k = 2^(b*(N-1-k)) returns every row at once: q_k is row k packed as in
+    ``rootsys.pack``, entry (k, j) its balanced digit j.  Gated on the packed
+    rows: q_k lies in the band that digit -1 at k with zeros above it allows,
+    |q_k + p_k| < p_k / 2, so -1 on the diagonal and 0 below, unimodular and
+    injective (``degenmap.unitriangular``); and the digits of -q_k, read with
+    masks, lie in {0, 1} for family A and {0, 1, 2} for C
+    (``degenmap.entry_range``).  The rows are decoded once, by ``to_bytes``
+    and ``struct``.
+
+    The width holds for any word and any Cartan matrix (a_ij): b is a struct
+    integer size with 2^(b-1) > 2 + 2*N*max|a_ij|.  R is unitriangular with
+    entries a_ij above the diagonal, and R q = -p.  For decoded digits d that
+    pass both gates, each digit of R d is at most 2 + (N-1)*max|a_ij|*2 in
+    size, below 2^(b-1), where balanced digits are unique; so R d = -I digit
+    by digit, and d is exactly -R^{-1}.
     """
-    size = len(reduced_word(lt))
-    zero = [0] * lt.target_rank
-    cols = [_walk(lt, zero, [0] * j + [1], j) for j in range(size)]
-    mat = tuple(zip(*cols))
-    if any(col[j] != -1 or any(col[j + 1 :]) for j, col in enumerate(cols)):
+    size, m = len(reduced_word(lt)), lt.target_rank
+    top = max(max(map(abs, row)) for row in cartan_matrix(lt.family, m))
+    b = 8
+    while 1 << (b - 1) <= 2 + 2 * size * top:
+        b *= 2
+    places = [1 << (b * r) for r in reversed(range(size))]
+    rows = _walk(lt, [0] * m, places, size - 1)
+    if any(2 * abs(q + p) >= p for q, p in zip(rows, places)):
         raise VerificationError("degenmap.unitriangular", f"{lt}: not -1 on the diagonal, 0 below")
-    allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
-    bad = {x for row in mat for x in row} - allowed
-    if bad:
+    # per digit, (d + 2^(b-1)) ^ 2^(b-1) is d in two's complement; struct's
+    # signed codes of 1, 2, 4 and 8 bytes read it back
+    ones = sum(places)
+    tops = ones << (b - 1)
+    blob = b"".join(((q + tops) ^ tops).to_bytes(size * b // 8, "big") for q in rows)
+    mat = tuple(struct.iter_unpack(f">{size}{'bhiq'[b.bit_length() - 4]}", blob))
+    keep = ones if lt.family == "A" else 3 * ones
+    if any(-q & ~keep or -q & -q >> 1 & ones for q in rows):
+        allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
+        bad = set().union(*mat) - allowed
         raise VerificationError(
             "degenmap.entry_range", f"{lt}: entries {sorted(bad)} outside {sorted(allowed)}"
         )

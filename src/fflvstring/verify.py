@@ -261,7 +261,9 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
 
     ``build_matrix`` gates -1 on the diagonal and 0 below it, so the
     determinant is (-1)^size and the matrix triangular, and gates the entry
-    range; a rank that fails a gate prints a FAILED line.
+    range, both on the rows of one packed walk; its digit width, 2^(b-1) >
+    2 + 2*N*max|a_ij|, makes a decode that passes both gates exactly
+    -R^{-1}.  A rank that fails a gate prints a FAILED line.
     """
     lines, failures = [], []
     for family in ("A", "C"):
@@ -273,7 +275,7 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
                 lines.append(f"{lt}: FAILED ({exc})")
                 failures.append(str(lt))
                 continue
-            entries = sorted({x for row in mat for x in row})
+            entries = sorted(set().union(*mat))
             lines.append(
                 f"{lt}: det = {(-1) ** len(mat)}, entries = {entries}, triangular = True"
             )

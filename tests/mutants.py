@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CLI = "src/fflvstring/cli.py"
+CRYSTAL = "src/fflvstring/crystal.py"
 DEGENMAP = "src/fflvstring/degenmap.py"
 ROOTSYS = "src/fflvstring/rootsys.py"
 VERIFY = "src/fflvstring/verify.py"
@@ -75,12 +76,12 @@ MUTANTS = [
     # gates and verdicts that once survived tier-1
     (
         DEGENMAP,
-        'allowed = {0, -1} if lt.family == "A" else {0, -1, -2}',
-        'allowed = {0, -1, -2} if lt.family == "A" else {0, -1, -2}',
+        'keep = ones if lt.family == "A" else 3 * ones',
+        'keep = 3 * ones if lt.family == "A" else 3 * ones',
         ("tests/test_degenmap.py::test_entry_range_gate_rejects_minus_two_in_type_a",),
     ),
     (
-        "src/fflvstring/crystal.py",
+        CRYSTAL,
         "    if len(packed) != len(elements):\n",
         "    if False:\n",
         ("tests/test_crystal.py::test_string_injectivity_gate",),
@@ -112,6 +113,25 @@ MUTANTS = [
         "WITNESS_CAP = 10",
         "WITNESS_CAP = 11",
         ("tests/test_verify.py::test_report_lists_ten_witnesses_per_direction",),
+    ),
+    # the column-tableau crystal walk
+    (
+        CRYSTAL,
+        "    bits = _bits(key)\n",
+        "    bits = _bits(key)[::-1]\n",
+        (
+            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "for letter, c in enumerate(row) if c",
+        "for letter, c in enumerate(row[: rank + 2]) if c",
+        (
+            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
     ),
     # the packed generator products
     (
@@ -162,6 +182,46 @@ MUTANTS = [
             "tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",
             "tests/test_verify.py::test_check_main_with_corrupted_matrix_reports_witnesses",
         ),
+    ),
+    (
+        VERIFY,
+        "bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))",
+        "bounds = (level * sum(map(abs, row)) for row in mat)",
+        ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
+    ),
+    (
+        VERIFY,
+        "    if trusted and any(min(v) < 0 for v in extra):\n",
+        "    if False:\n",
+        (
+            "tests/test_verify.py::"
+            "test_translation_minus_one_on_a_zero_coordinate_trips_the_gate",
+        ),
+    ),
+    # the linear part from one packed walk
+    (
+        DEGENMAP,
+        "    if any(2 * abs(q + p) >= p for q, p in zip(rows, places)):\n",
+        "    if False:\n",
+        ("tests/test_degenmap.py::test_unitriangular_gate",),
+    ),
+    (
+        DEGENMAP,
+        "2 * abs(q + p) >= p",
+        "abs(q + p) >= p",
+        ("tests/test_degenmap.py::test_unitriangular_gate",),
+    ),
+    (
+        DEGENMAP,
+        "-q & ~keep or -q & -q >> 1 & ones",
+        "-q & ~keep",
+        ("tests/test_degenmap.py::test_entry_range_gate_names_the_true_entries",),
+    ),
+    (
+        DEGENMAP,
+        "<= 2 + 2 * size * top:",
+        "<= 2:",
+        ("tests/test_degenmap.py::test_entry_range_gate_names_the_true_entries",),
     ),
     # point documents rendered from the packed ints
     (

@@ -5,6 +5,7 @@ and Freudenthal's multiplicity recursion for both families.  Reducedness of
 a word by the root criterion, on the same root data.  The paper's
 label formulas for the linear part and the fundamental translations of the
 affine map, which read only the label order of ``build_labels``.  The
+linear part for any word and Cartan matrix, by back substitution.  The
 weight twist by Gauss-Jordan elimination on the whole system.  Everything is
 exact integer or ``Fraction`` arithmetic.
 """
@@ -201,6 +202,22 @@ def label_translation(lt, i: int) -> tuple[int, ...]:
         return 2 if 2 * n - i <= key < key_bar else 0
 
     return tuple(coeff(lab) for lab in build_labels(lt))
+
+
+def slack_inverse(word, cartan) -> tuple[tuple[int, ...], ...]:
+    """-R^{-1} column by column, for the slack matrix R of any word over any
+    Cartan matrix (cartan[i][j] = <alpha_{j+1}, alpha_{i+1}^vee>): 1 on the
+    diagonal and R[k][l] = cartan[i_k - 1][i_l - 1] for l > k.  Column j
+    solves R x = -e_j by back substitution."""
+    size = len(word)
+    cols = []
+    for j in range(size):
+        x = [0] * size
+        for k in range(j, -1, -1):
+            row = cartan[word[k] - 1]
+            x[k] = -(k == j) - sum(row[word[l] - 1] * x[l] for l in range(k + 1, j + 1))
+        cols.append(x)
+    return tuple(zip(*cols))
 
 
 def _gauss_jordan(rows, rhs):

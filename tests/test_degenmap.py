@@ -35,7 +35,7 @@ from fflvstring.rootsys import (
     vector_from_labels,
     weight_denominator,
 )
-from oracles import twist_oracle
+from oracles import slack_inverse, twist_oracle
 
 A1 = LieType("A", 1)
 A2 = LieType("A", 2)
@@ -82,25 +82,49 @@ def test_entry_range_gate_rejects_minus_two_in_type_a(monkeypatch, fresh_simple_
     assert "entries [-2]" in str(info.value)
 
 
+@pytest.mark.parametrize("lt, old, new", [(A3, -1, -100), (C2, -1, -100), (C2, -2, -3)])
+def test_entry_range_gate_names_the_true_entries(monkeypatch, fresh_simple_roots, lt, old, new):
+    # a Cartan matrix of no finite type: the digit width rests on
+    # 2 + 2*N*max|a_ij|, not on the entries being root pairings, so the gate
+    # names the true entries of a column-by-column walk (with -100, A3 and
+    # C2 reach -19998 and -10000, past one byte; C2 with -3 for -2 leaves
+    # one digit 3)
+    real = degenmap.cartan_matrix
+    word = reduced_word(lt)
+    assert slack_inverse(word, real(lt.family, lt.target_rank)) == build_matrix(lt)
+
+    def cartan(family, rank):
+        return tuple(tuple(new if a == old else a for a in row) for row in real(family, rank))
+
+    monkeypatch.setattr(degenmap, "cartan_matrix", cartan)
+    degenmap._simple_roots.cache_clear()
+    allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
+    bad = set().union(*slack_inverse(word, cartan(lt.family, lt.target_rank))) - allowed
+    with pytest.raises(VerificationError) as info:
+        build_matrix.__wrapped__(lt)
+    assert info.value.gate == "degenmap.entry_range"
+    assert f"entries {sorted(bad)} outside" in str(info.value)
+
+
 @pytest.mark.parametrize("lt", [A2, C2])
 @pytest.mark.parametrize("cell", ["diagonal", "below"])
 def test_unitriangular_gate(monkeypatch, lt, cell):
     # entries in the allowed range, but a 0 on the diagonal or a -1 below
-    # it: the matrix is then not unimodular, and need not be injective
+    # it, in one row at a time: the matrix is then not unimodular, and need
+    # not be injective.  The one walk returns row k packed, with digit j at
+    # the place p[j] it was given.
     real = degenmap._walk
+    for k in range(1 if cell == "below" else 0, len(reduced_word(lt))):
 
-    def walk(lt, nu, p, start):
-        q = real(lt, nu, p, start)
-        if cell == "diagonal":
-            q[start] = 0
-        elif start + 1 < len(q):
-            q[start + 1] = -1
-        return q
+        def walk(lt, nu, p, start, k=k):
+            q = real(lt, nu, p, start)
+            q[k] += p[k] if cell == "diagonal" else -p[k - 1]
+            return q
 
-    monkeypatch.setattr(degenmap, "_walk", walk)
-    with pytest.raises(VerificationError) as info:
-        build_matrix.__wrapped__(lt)
-    assert info.value.gate == "degenmap.unitriangular"
+        monkeypatch.setattr(degenmap, "_walk", walk)
+        with pytest.raises(VerificationError) as info:
+            build_matrix.__wrapped__(lt)
+        assert info.value.gate == "degenmap.unitriangular"
 
 
 def test_translation_c2_omega2_fixture():

@@ -122,6 +122,23 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
     assert 0 < len(calls) <= entries < walked
 
 
+def test_build_matrix_walks_once_per_type(monkeypatch):
+    # one walk over packed places returns every row of -R^{-1}, so the
+    # number of walks does not grow with the number of columns
+    calls = []
+    real = degenmap._walk
+
+    def counted(lt, *args):
+        calls.append(lt)
+        return real(lt, *args)
+
+    monkeypatch.setattr(degenmap, "_walk", counted)
+    types = [LieType("A", 4), LieType("C", 3)]
+    for lt in types:
+        degenmap.build_matrix.__wrapped__(lt)
+    assert calls == types
+
+
 def _perfbench_tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 
