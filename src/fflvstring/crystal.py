@@ -15,20 +15,25 @@ cancel in the scan.  So the walk packs an element into one int, one
 width-bit mask per column, and the scan of operator j needs only the bits of
 the letters it classes: a per-type table maps that key to None (not a head)
 or to the xor deltas ``3 << bit`` of its surviving minus letters, and f_j^k
-is k xors.  The table is filled by the bracket scan of each key's letters,
-so ``letter_classes`` and ``_lowerable`` stay the one statement of the rule.
+is k xors.  The table is filled by ``_key_signature``, one pass over the
+key's bits, lowest first, which with ``letter_classes`` is the one statement
+of the bracket rule.
 
 One walk along the reduced word, right to left, builds the Demazure set with
 the string vector (Littelmann's string coordinates) of each element over the
 letters done so far.  By the string property (Kashiwara 1993) the set meets
 every j-string in nothing, its head alone or the whole string, so at letter
 j each head b with string s gives f_j^k(b) with string (k,) + s, k = 0..c,
-and every other element is made again by its head.  Were the property to
-fail, elements would be lost and the dimension gate would fire.  Strings are
-packed (``rootsys.pack``): prepending k adds k times the letter's digit.
+and every other element is one of these.  Strings are packed
+(``rootsys.pack``): prepending k adds k times the letter's digit, so a head
+keeps its entry and each f_j^k(b) is written over the stale entry of the
+element it meets, in one dict grown in place.  Were the property to fail, an
+element that no head made would keep its stale entry: the set would hold
+more or fewer elements than its heads made at that letter, and that count
+is a gate, as is the dimension of the final set.
 ``demazure_set`` and the gate messages decode elements back to tensor words,
 and ``extract_string``, raising a tensor word back along the whole word, is
-the independent reference.  The gate also pins the scan direction and the
+the independent reference.  The gates also pin the scan direction and the
 walk order, as the tests show: a forward walk loses an element of A2
 omega_1, and a right-to-left scan (a mirrored word) over-fills A2 (1,1).
 """
@@ -75,25 +80,6 @@ def letter_classes(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _lowerable(row: tuple[int, ...], word: TensorWord) -> list[int] | None:
-    """Surviving minus positions of the signature of ``word``, ascending.
-
-    ``row`` is the ``letter_classes`` row of the operator.  A plus cancels
-    the nearest unmatched minus to its left; a plus that meets none
-    survives, so ``word`` is not a head and the scan returns None.
-    """
-    minus: list[int] = []
-    for pos, letter in enumerate(word):
-        c = row[letter]
-        if c == LOWER:
-            minus.append(pos)
-        elif c:
-            if not minus:
-                return None
-            minus.pop()
-    return minus
-
-
 def build_highest(lt: LieType, weight) -> TensorWord:
     """Highest-weight tensor word for the lifted weight.
 
@@ -120,6 +106,29 @@ def _signature_tables(family: str, rank: int) -> tuple[tuple[int, dict[int, Sign
     )
 
 
+def _key_signature(row: tuple[int, ...], key: int, width: int) -> Signature:
+    """None if the letters ``key`` of a packed element are not a head of the
+    operator of ``row``, else the xor deltas ``3 << bit`` that lower its
+    surviving minus letters, in scan order.
+
+    One pass over the set bits, lowest first, is the left-to-right bracket
+    scan: a plus cancels the nearest unmatched minus to its left, and a plus
+    that meets none survives, so the element is not a head.
+    """
+    minus: list[int] = []
+    while key:
+        low = key & -key
+        key ^= low
+        c = row[(low.bit_length() - 1) % width + 1]
+        if c == LOWER:
+            minus.append(3 * low)
+        elif c:
+            if not minus:
+                return None
+            minus.pop()
+    return tuple(minus)
+
+
 def _bits(x: int) -> list[int]:
     """Positions of the set bits of x, ascending."""
     bits = []
@@ -128,15 +137,6 @@ def _bits(x: int) -> list[int]:
         bits.append(low.bit_length() - 1)
         x ^= low
     return bits
-
-
-def _key_signature(row: tuple[int, ...], key: int, width: int) -> Signature:
-    """None if the classed letters ``key`` of a packed element are not a head
-    of the operator of ``row``, else the xor deltas ``3 << bit`` that lower
-    its surviving minus letters, in scan order."""
-    bits = _bits(key)
-    minus = _lowerable(row, [bit % width + 1 for bit in bits])
-    return None if minus is None else tuple(3 << bits[pos] for pos in minus)
 
 
 def _decode(elem: int, width: int) -> TensorWord:
@@ -148,8 +148,12 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[int, int]:
     """Each packed Demazure element with its string vector in b-bit digits.
 
     Column c of the highest word holds bits width*c .. width*c + width - 1,
-    letter L at bit width*c + L - 1.  A set whose size is not the dimension
-    of the source module is a hard failure.
+    letter L at bit width*c + L - 1.  One dict is grown in place: at each
+    letter a head keeps its entry (digit 0 adds nothing to a packed string)
+    and writes f_j^k of itself over whatever entry it meets, so every
+    element of the set must be written by a head.  A set whose size after
+    a letter is not the count its heads made, or at the end is not the
+    dimension of the source module, is a hard failure.
     """
     family, m = lt.family, lt.target_rank
     rows, tables = letter_classes(family, m), _signature_tables(family, m)
@@ -157,12 +161,13 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[int, int]:
     sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
     unit = sum(1 << (width * c) for c in range(len(sizes)))
     strings = {sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)): 0}
-    for k, j in enumerate(reversed(reduced_word(lt))):
-        grown: dict[int, int] = {}
+    word = reduced_word(lt)
+    for k, j in enumerate(reversed(word)):
         place = 1 << (b * k)  # the digit of position N-1-k
         letters, table = tables[j]
         classed = letters * unit
-        for elem, s in strings.items():
+        made = 0
+        for elem in list(strings):
             key = elem & classed
             if key in table:
                 deltas = table[key]
@@ -170,12 +175,18 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[int, int]:
                 deltas = table[key] = _key_signature(rows[j], key, width)
             if deltas is None:
                 continue
-            grown[elem] = s
+            made += 1 + len(deltas)
+            s = strings[elem]
             for delta in deltas:
                 elem ^= delta
                 s += place
-                grown[elem] = s
-        strings = grown
+                strings[elem] = s
+        if len(strings) != made:
+            raise VerificationError(
+                "crystal.demazure_dimension",
+                f"{lt} {w}: letter {j} at position {len(word) - 1 - k} leaves"
+                f" {len(strings)} elements, its heads made {made}",
+            )
     expected = weyl_dim(lt, w)
     if len(strings) != expected:
         raise VerificationError(

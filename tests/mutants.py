@@ -117,21 +117,40 @@ MUTANTS = [
     # the column-tableau crystal walk
     (
         CRYSTAL,
-        "    bits = _bits(key)\n",
-        "    bits = _bits(key)[::-1]\n",
-        (
-            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
-            "tests/test_crystal.py::test_string_round_trip",
-        ),
-    ),
-    (
-        CRYSTAL,
         "for letter, c in enumerate(row) if c",
         "for letter, c in enumerate(row[: rank + 2]) if c",
         (
             "tests/test_crystal.py::test_signature_table_matches_letter_scan",
             "tests/test_crystal.py::test_string_round_trip",
         ),
+    ),
+    # its key scan reading the highest bit first
+    (
+        CRYSTAL,
+        "        low = key & -key\n",
+        "        low = 1 << key.bit_length() >> 1\n",
+        (
+            "tests/test_crystal.py::test_bracket_scan_matches_stepwise_rule",
+            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
+    ),
+    # a plus cancels the first unmatched minus, not the nearest
+    (
+        CRYSTAL,
+        "            minus.pop()\n",
+        "            minus.pop(0)\n",
+        (
+            "tests/test_crystal.py::test_bracket_scan_matches_stepwise_rule",
+            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
+        ),
+    ),
+    # the in-place walk without its per-letter count
+    (
+        CRYSTAL,
+        "        if len(strings) != made:\n",
+        "        if False:\n",
+        ("tests/test_crystal.py::test_per_letter_count_gate",),
     ),
     # the packed generator products
     (

@@ -1,5 +1,6 @@
 """Letter moves, the bracketing rule, the Demazure walk and string extraction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from fflvstring.crystal import (
     LOWER,
     RAISE,
     _decode,
-    _lowerable,
     _key_signature,
     _signature_tables,
     _walk,
@@ -366,6 +366,58 @@ def test_signature_convention_gate():
     assert len(_saturate(vc, mirrored, order)) == 18
 
 
+def _descending_key_signature(row, key, width):
+    """The key scan run highest bit first: a plus cancels the nearest
+    unmatched minus to its right."""
+    minus = []
+    for bit in reversed(range(key.bit_length())):
+        if key >> bit & 1:
+            c = row[bit % width + 1]
+            if c == LOWER:
+                minus.append(3 << bit)
+            elif c:
+                if not minus:
+                    return None
+                minus.pop()
+    return tuple(minus)
+
+
+def test_per_letter_count_gate(monkeypatch):
+    # under a descending key scan the highest word of C3 omega_3 is no head
+    # at the walk's first letter, so no head writes its entry; the final
+    # gates pass on that walk (14 elements, distinct strings, wrong ones),
+    # and the count of what the heads made at the letter catches it
+    monkeypatch.setattr("fflvstring.crystal._key_signature", _descending_key_signature)
+    _signature_tables.cache_clear()
+    pattern = "letter 1 at position 8 leaves 1 elements, its heads made 0"
+    try:
+        with pytest.raises(VerificationError, match=pattern) as info:
+            string_points(C3, (0, 0, 1))
+    finally:
+        _signature_tables.cache_clear()
+    assert info.value.gate == "crystal.demazure_dimension"
+
+
+@pytest.mark.parametrize(
+    "lt,w",
+    [(C3, (0, 2, 2)), (LieType("C", 5), (0, 0, 1, 1, 0))],
+    ids=["C3-0,2,2", "C5-0,0,1,1,0"],
+)
+def test_walk_peak_memory_stays_near_its_result(lt, w):
+    # the walk grows one dict in place: with its tables filled, its traced
+    # peak is at most 1.3 times the dict it returns (two dicts read 1.55)
+    b = pack_width(len(build_highest(lt, w)))
+    _walk(lt, w, b)
+    tracemalloc.start()
+    try:
+        result = _walk(lt, w, b)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == weyl_dim(lt, w)
+    assert peak <= 1.3 * size
+
+
 def _signature(vc, j, word):
     """Reference rule: delete adjacent (-, +) pairs of the signature until none."""
     sig = []
@@ -413,11 +465,17 @@ def _tensor_words(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_tensor_words())
 def test_bracket_scan_matches_stepwise_rule(case):
+    # the one-pass key scan reads any tensor word packed one letter per
+    # column, untouched letters included
     vc, word = case
     table = letter_classes(*vc)
+    width = natural_dim(*vc)
+    bit = [width * c + letter - 1 for c, letter in enumerate(word)]
+    elem = sum(1 << x for x in bit)
     for j in range(1, vc[1] + 1):
         plus, minus = _signature(vc, j, word)
-        assert _lowerable(table[j], word) == (None if plus else minus)
+        deltas = _key_signature(table[j], elem, width)
+        assert deltas == (None if plus else tuple(3 << bit[p] for p in minus))
         assert all(p < q for p in plus for q in minus)
         # one scan raises exactly the surviving + positions, each once,
         # which is raising until None by the stepwise rule
@@ -451,7 +509,7 @@ def _column_elements(draw):
 @given(_column_elements())
 def test_signature_table_matches_letter_scan(case):
     # the table entry of each operator's key, j = m of type C included, filled
-    # as the walk fills it, agrees with the letter scan of the decoded word:
+    # as the walk fills it, agrees with the stepwise rule on the decoded word:
     # the same heads, and f_j^k gives the word lowered at the first k
     # surviving minus positions
     vc, columns, elem, word = case
@@ -462,9 +520,9 @@ def test_signature_table_matches_letter_scan(case):
     for j in range(1, vc[1] + 1):
         letters, _ = _signature_tables(*vc)[j]
         deltas = _key_signature(rows[j], elem & letters * unit, width)
-        minus = _lowerable(rows[j], word)
-        assert (deltas is None) == (minus is None)
-        if minus is None:
+        plus, minus = _signature(vc, j, word)
+        assert (deltas is None) == bool(plus)
+        if plus:
             continue
         assert len(deltas) == len(minus)
         x = elem

@@ -108,18 +108,18 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
     elements = crystal._walk(LieType("A", 3), (1, 1, 0), 8)
     assert elements and all(type(elem) is int for elem in elements)
     calls = []
-    real = crystal._lowerable
+    real = crystal._key_signature
 
-    def counted(row, word):
-        calls.append(word)
-        return real(row, word)
+    def counted(row, key, width):
+        calls.append(key)
+        return real(row, key, width)
 
-    monkeypatch.setattr(crystal, "_lowerable", counted)
+    monkeypatch.setattr(crystal, "_key_signature", counted)
     crystal._signature_tables.cache_clear()
     lt = LieType("A", 4)
     walked = sum(len(crystal._walk(lt, w, 8)) for w in rootsys.dominant_weights(4, 2))
     entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
-    assert 0 < len(calls) <= entries < walked
+    assert 0 < len(calls) == entries < walked
 
 
 def test_build_matrix_walks_once_per_type(monkeypatch):
