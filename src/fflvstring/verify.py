@@ -147,8 +147,9 @@ def check_main(
     n, level = len(trans), sum(w)
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
     b = pack_width(max(len(build_highest(lt, w)), *bounds))
-    images = packed_sum(lt, w, pack(trans, b), [pack(col, b) for col in zip(*mat)])
+    # strings first: the walk and its string-set copy peak before the images live
     strings = packed_strings(lt, w, b)
+    images = packed_sum(lt, w, pack(trans, b), [pack(col, b) for col in zip(*mat)])
 
     missing = sorted(strings - images)
     extra = unpack(sorted(images - strings), n, b)

@@ -16,13 +16,16 @@ masked AND (``packed_power`` holds the basis and the step masks).  Two
 products are compared offset by offset, by integer cross-multiplication.
 On top of the action sit that equivalence test, the non-annihilation
 check, and the fully independent reconstruction of the type-A string
-points; the minimality check is membership in that reconstruction.
+points: a depth-first walk over the 0/1 monomials on the restriction block
+that carries each prefix's image of the highest wedge, so a product is built
+one factor from its parent and a zero image prunes every extension.  The
+minimality check is membership in that reconstruction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .degenmap import apply_T, fold_vector
@@ -242,27 +245,44 @@ def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
 def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
     """Type-A string points rebuilt from the wedge action alone.
 
-    Enumerates all 0/1 monomials on the restriction block, groups them by
-    letter histogram (the weight class), and keeps the neglex-minimal
-    nonzero actor of each class.  Completely independent of the crystal
-    construction.
+    Walks the 0/1 monomials on the restriction block depth first, one block
+    position per level from the last to the first, since the rightmost
+    factor of a written product acts first.  Each node carries the image of
+    the highest wedge under the factors taken so far: skipping a position
+    keeps it, taking position k applies the generator of word[k] once.  A
+    zero image prunes its subtree, as every product that extends an
+    annihilating one annihilates too, so each leaf is a nonzero actor built
+    in one step from its parent.  The leaves are grouped by letter
+    histogram (the weight class), and the neglex-minimal actor of each
+    class is kept.  Completely independent of the crystal construction.
     """
     if lt.family != "A":
         raise ValueError("the oracle is a type-A construction")
     if not 1 <= i <= lt.rank:
         raise ValueError(f"fundamental index {i} out of range")
-    block = restriction_block(lt, i)
     word = reduced_word(lt)
-    v = highest_wedge(2 * i - 1)
-    classes: dict[tuple[int, ...], list[ExponentVector]] = {}
-    for bits in product((0, 1), repeat=len(block)):
-        ones = [k for k, bit in zip(block, bits) if bit]
-        x = tuple(1 if k in ones else 0 for k in range(len(word)))
-        if act_monomial(lt, x, v):
-            # the letter histogram of a 0/1 monomial is its sorted letters
-            classes.setdefault(tuple(sorted(word[k] for k in ones)), []).append(x)
-    # the neglex minimum: a larger first differing entry is smaller
-    return tuple(sorted(max(group) for group in classes.values()))
+    size = len(word)
+    order = restriction_block(lt, i)[::-1]
+    # a node carries its image, its positions as bits (position k at bit
+    # size - 1 - k, so a larger int is a lex-larger 0/1 vector) and its letter
+    # histogram as digits base size + 1, where no letter count carries
+    unit = [(1 << size - 1 - k, (size + 1) ** letter) for k, letter in enumerate(word)]
+    best: dict[int, int] = {}
+    stack = [(0, highest_wedge(2 * i - 1), 0, 0)]
+    while stack:
+        depth, v, bits, hist = stack.pop()
+        if depth == len(order):
+            # the neglex minimum: a larger first differing entry is smaller
+            best[hist] = max(best.get(hist, bits), bits)
+            continue
+        k = order[depth]
+        stack.append((depth + 1, v, bits, hist))
+        taken = act_simple(word[k], v, lt.family, lt.target_rank)
+        if taken:
+            stack.append((depth + 1, taken, bits | unit[k][0], hist + unit[k][1]))
+    return tuple(
+        sorted(tuple(bits >> size - 1 - k & 1 for k in range(size)) for bits in best.values())
+    )
 
 
 def unfold_dominates(a_vec: Sequence[int], m: int, wedge_power: int) -> bool:

@@ -171,6 +171,34 @@ MUTANTS = [
             "tests/test_wedge.py::test_sim_check_ops_digits_hold_the_largest_coefficient",
         ),
     ),
+    # the pruned walk of the type-A oracle
+    (
+        WEDGE,
+        "    order = restriction_block(lt, i)[::-1]\n",
+        "    order = restriction_block(lt, i)\n",
+        (
+            "tests/test_wedge.py::test_oracle_matches_exhaustive_block_enumeration",
+            "tests/test_wedge.py::test_oracle_equals_crystal_string_points",
+        ),
+    ),
+    (
+        WEDGE,
+        "best[hist] = max(best.get(hist, bits), bits)",
+        "best[hist] = min(best.get(hist, bits), bits)",
+        (
+            "tests/test_wedge.py::test_oracle_matches_exhaustive_block_enumeration",
+            "tests/test_wedge.py::test_oracle_equals_crystal_string_points",
+        ),
+    ),
+    (
+        WEDGE,
+        "        if taken:\n",
+        "        if True:\n",
+        (
+            "tests/test_wedge.py::test_oracle_matches_exhaustive_block_enumeration",
+            "tests/test_wedge.py::test_oracle_equals_crystal_string_points",
+        ),
+    ),
     # the packed image engine
     (
         VERIFY,

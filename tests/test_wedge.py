@@ -28,6 +28,7 @@ from fflvstring.wedge import (
     act_simple,
     highest_wedge,
     minimality_check_A,
+    monomial_ops,
     nonannihilation_check,
     oracle_string_points_A,
     restriction_block,
@@ -359,7 +360,25 @@ def test_minimality_matches_reference(lt):
             assert minimality_check_A(lt, i, p) == minimal
 
 
-@pytest.mark.parametrize("rank", range(1, 5))
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_oracle_matches_exhaustive_block_enumeration(rank):
+    # reference: every 0/1 vector on the block, acted out in full through
+    # act_sequence with no pruning, and the lex-max nonzero actor per histogram
+    lt = LieType("A", rank)
+    word = reduced_word(lt)
+    for i in range(1, rank + 1):
+        block, v = restriction_block(lt, i), highest_wedge(2 * i - 1)
+        best = {}
+        for bits in product((0, 1), repeat=len(block)):
+            ones = {k for k, bit in zip(block, bits) if bit}
+            x = tuple(int(k in ones) for k in range(len(word)))
+            if act_sequence(monomial_ops(lt, x), v, "A", lt.target_rank):
+                hist = tuple(sorted(word[k] for k in ones))
+                best[hist] = max(best.get(hist, x), x)
+        assert oracle_string_points_A(lt, i) == tuple(sorted(best.values()))
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
 def test_oracle_equals_crystal_string_points(rank):
     lt = LieType("A", rank)
     for i in range(1, rank + 1):
