@@ -8,8 +8,8 @@ linear in the dominant weight.  The linear part is one walk too, on packed
 ints: with p_k = 2^(b*(N-1-k)) the walk returns row k of -R^{-1} as one int
 of b-bit balanced digits, gated and decoded at a width with 2^(b-1) >
 2 + 2*N*max|a_ij|, which makes a decode that passes the gates exactly
--R^{-1} for any word and any Cartan matrix.  The affine map walks only the
-support of a point.
+-R^{-1} for any word and any tridiagonal Cartan matrix.  The affine map
+walks only the support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -42,7 +42,6 @@ from .rootsys import (
     build_labels,
     cartan_matrix,
     check_dominant,
-    label_index,
     letter_histogram,
     lifted_coeffs,
     reduced_word,
@@ -54,9 +53,14 @@ from .rootsys import (
 @lru_cache(maxsize=None)
 def _simple_roots(family: str, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The nonzero (j, <alpha_i, alpha_j^vee>) of each alpha_i in fundamental
-    coordinates: column i of the Cartan matrix (its row is wrong in type C)."""
+    coordinates: column i of the Cartan matrix (its row is wrong in type C).
+    The Dynkin diagrams of A and C are paths, so only the band j = i - 1,
+    i, i + 1 of the column is read."""
     m = cartan_matrix(family, rank)
-    return tuple(tuple((j, r[i]) for j, r in enumerate(m) if r[i]) for i in range(rank))
+    return tuple(
+        tuple((j, m[j][i]) for j in range(max(i - 1, 0), min(i + 2, rank)) if m[j][i])
+        for i in range(rank)
+    )
 
 
 def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int], start: int) -> list[int]:
@@ -93,9 +97,10 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     (``degenmap.entry_range``).  The rows are decoded once, by ``to_bytes``
     and ``struct``.
 
-    The width holds for any word and any Cartan matrix (a_ij): b is a struct
-    integer size with 2^(b-1) > 2 + 2*N*max|a_ij|.  R is unitriangular with
-    entries a_ij above the diagonal, and R q = -p.  For decoded digits d that
+    The width holds for any word and any tridiagonal Cartan matrix (a_ij),
+    the band that ``_simple_roots`` reads: b is a struct integer size with
+    2^(b-1) > 2 + 2*N*max|a_ij|.  R is unitriangular with entries a_ij
+    above the diagonal, and R q = -p.  For decoded digits d that
     pass both gates, each digit of R d is at most 2 + (N-1)*max|a_ij|*2 in
     size, below 2^(b-1), where balanced digits are unique; so R d = -I digit
     by digit, and d is exactly -R^{-1}.
@@ -129,10 +134,38 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
     """R^{-1} c(lifted weight): the walk with nu the lifted weight and p = 0.
 
     q_k is the string of the extremal element,
-    <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>.
+    <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>.  Cached per
+    type and dominant weight tuple, so a weight given as a list works too.
     """
+    return _translation(lt, check_dominant(lt, weight))
+
+
+@lru_cache(maxsize=None)
+def _translation(lt: LieType, w: tuple[int, ...]) -> ExponentVector:
     size = len(reduced_word(lt))
-    return tuple(_walk(lt, lifted_coeffs(lt, weight), [0] * size, size - 1))
+    return tuple(_walk(lt, lifted_coeffs(lt, w), [0] * size, size - 1))
+
+
+def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
+    """``build_translation(lt, omega_i)`` for i = 1..n, from one walk.
+
+    The lift and the walk are linear in the weight, so the weight with
+    a_i = 2^(8(i-1)) walks every omega_i at once: digit i - 1 of q_k, 8
+    bits wide and balanced, is entry k of t(omega_i).  The digits decode
+    exactly.  The walk moves nu by simple reflections, so entry k of
+    t(omega_i) is a fundamental coordinate of a weight in the Weyl orbit of
+    the lifted omega_i: in {-1, 0, 1} in type A, where it is minuscule, and
+    within +-2 in type C, a signed permutation of a 0/1 vector in the
+    epsilon basis.  A balanced byte holds -128..127.
+    """
+    n, size = lt.rank, len(reduced_word(lt))
+    nu = lifted_coeffs(lt, [1 << 8 * d for d in range(n)])
+    # per digit, (d + 128) ^ 128 is d in two's complement, as in build_matrix
+    tops = sum(128 << 8 * d for d in range(n))
+    walk = _walk(lt, nu, [0] * size, size - 1)
+    blob = b"".join(((q + tops) ^ tops).to_bytes(n, "little") for q in walk)
+    flat = struct.unpack(f"{len(blob)}b", blob)
+    return tuple(flat[d::n] for d in range(n))
 
 
 def apply_affine(
@@ -198,18 +231,30 @@ def fold_label(row: int, col: int, m: int) -> RootLabel:
     return RootLabel(row, 2 * m - col, True)
 
 
+@lru_cache(maxsize=None)
+def fold_index(m: int) -> tuple[int, ...]:
+    """Per label of H(A_{2m-1}), the index of its fold (``fold_label``) in H(C_m).
+
+    A label of H(C_m) is fixed by its row and column key, and those pairs
+    are exactly the labels (row, col) of H(A_{2m-1}) with row + col <= 2m.
+    Both label orders sort by descending column (key), then by row, so
+    H(C_m) lists these in their order in H(A_{2m-1}).  A label with
+    row + col > 2m first reflects to (2m - col, 2m - row).
+    """
+    labels = [(lab.row, lab.col) for lab in build_labels(LieType("A", 2 * m - 1))]
+    pos = {rc: k for k, rc in enumerate(rc for rc in labels if sum(rc) <= 2 * m)}
+    return tuple(pos[(r, c) if r + c <= 2 * m else (2 * m - c, 2 * m - r)] for r, c in labels)
+
+
 def fold_vector(vec: Sequence[int], m: int) -> ExponentVector:
     """Fold a dense H(A_{2m-1}) exponent vector onto H(C_m), summing fibers."""
-    src = LieType("A", 2 * m - 1)
-    dst = LieType("C", m)
-    src_labels = build_labels(src)
-    if len(vec) != len(src_labels):
-        raise ValueError(f"vector must have length {len(src_labels)}")
-    out = [0] * len(build_labels(dst))
-    dst_idx = label_index(dst)
-    for x, lab in zip(vec, src_labels):
+    index = fold_index(m)
+    if len(vec) != len(index):
+        raise ValueError(f"vector must have length {len(index)}")
+    out = [0] * m * m  # H(C_m) has m^2 labels
+    for x, k in zip(vec, index):
         if x:
-            out[dst_idx[fold_label(lab.row, lab.col, m)]] += x
+            out[k] += x
     return tuple(out)
 
 

@@ -4,7 +4,9 @@ Fundamental sets are produced by direct enumeration of the defining chains
 (rows strictly decreasing below i, columns strictly increasing above i in the
 column order), general weights by pointwise Minkowski sums of the fundamental
 sets.  Both constructions are gated on the Weyl dimension: a cardinality
-mismatch is a hard failure, never silently accepted.
+mismatch is a hard failure, never silently accepted.  The type-A cross-check
+against the Dyck path inequalities fills the bounding box depth first, with
+every path's slack one digit of a single packed int.
 """
 
 from __future__ import annotations
@@ -136,6 +138,28 @@ def dyck_paths(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(paths)
 
 
+@lru_cache(maxsize=None)
+def _dyck_digits(
+    rank: int, width: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The path digits of ``dyck_paths(rank)``, path p at bits width*p on.
+
+    Per label, in ``build_labels`` order, the mask with a 1 in the digit of
+    every path through it (a monotone path meets a label at most once); per
+    (l, j), the triple (l, j, sum of the 1s of the paths from (l,l) to (j,j)).
+    """
+    pos = {(lab.row, lab.col): k for k, lab in enumerate(build_labels(LieType("A", rank)))}
+    masks = [0] * len(pos)
+    ends: dict[tuple[int, int], int] = {}
+    for p, path in enumerate(dyck_paths(rank)):
+        digit = 1 << width * p
+        span = path[0][0], path[-1][1]
+        ends[span] = ends.get(span, 0) | digit
+        for label in path:
+            masks[pos[label]] |= digit
+    return tuple(masks), tuple((l, j, ones) for (l, j), ones in ends.items())
+
+
 def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bool:
     """Cross-check a type-A point set against the path inequality system.
 
@@ -144,47 +168,44 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
     a_l + ... + a_j.  These lie in the bounding box, so a point outside it,
     a negative entry included, fails the check.  The box is filled depth-first,
     and a value that breaks a path through its label ends that label's range.
-    Each path keeps a running slack, its bound minus its sum so far: a unit
-    of label k lowers the slack of every path through k, and the range ends
-    when one of them turns negative.
+
+    Every path's slack, its bound minus its sum so far, is one digit of a
+    packed register, ``width`` bits wide with a guard bit g = 2^(width-1) on
+    top, so a digit holds g + slack.  A unit of label k subtracts the mask
+    of k (``_dyck_digits``), and the range of k ends when a guard clears.
+    The width holds: every slack is at most its bound s <= sum(w) <
+    2^(width-1), so g + s < 2^width; and a digit is lowered, by one, only
+    while every guard is set, from g or more, so it never drops below
+    g - 1 >= 0.  No borrow ever crosses digits, and a digit reads g + slack
+    exactly.
     """
     lt = LieType("A", rank)
     w = check_dominant(lt, weight)
-    idx = label_index(lt)
-    through: list[list[int]] = [[] for _ in idx]  # per label: the paths through it
-    slack = []  # per path: its bound minus the sum over it so far
-    for path in dyck_paths(rank):
-        for a, b in path:
-            through[idx[RootLabel(a, b)]].append(len(slack))
-        slack.append(sum(w[path[0][0] - 1 : path[-1][1]]))
+    width = sum(w).bit_length() + 1  # sum(w): the bound of the paths from 1 to rank
+    masks, ends = _dyck_digits(rank, width)
+    guards = sum(ones for _, _, ones in ends) << width - 1
+    start = guards + sum(sum(w[l - 1 : j]) * ones for l, j, ones in ends)
 
     # box bound per label: the straight path through (a,b) alone
     bounds = [sum(w[lab.row - 1 : lab.col]) for lab in build_labels(lt)]
     feasible = set()
     vec = [0] * len(bounds)
 
-    def fill(k: int) -> None:
+    def fill(k: int, reg: int) -> None:
         if k == len(vec):
             feasible.add(tuple(vec))
             return
-        mine = through[k]
         # value 0 leaves every slack as it was, and all of them are >= 0
-        fill(k + 1)
+        fill(k + 1, reg)
         for x in range(1, bounds[k] + 1):
-            vec[k] = x
-            broken = False
-            for p in mine:
-                slack[p] -= 1
-                if slack[p] < 0:
-                    broken = True
-            if broken:
+            reg -= masks[k]
+            if reg & guards != guards:
                 break
-            fill(k + 1)
-        for p in mine:
-            slack[p] += vec[k]
+            vec[k] = x
+            fill(k + 1, reg)
         vec[k] = 0
 
-    fill(0)
+    fill(0, start)
     return feasible == set(pts)
 
 

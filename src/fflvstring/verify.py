@@ -33,6 +33,7 @@ from .degenmap import (
     build_translation,
     check_nonnegative,
     fold_vector,
+    fundamental_translations,
     support_twist_solve,
 )
 from .errors import VerificationError
@@ -43,7 +44,6 @@ from .rootsys import (
     base_weights,
     check_dominant,
     dominant_weights,
-    fundamental_weight,
     letter_histogram,
     pack,
     pack_width,
@@ -51,7 +51,7 @@ from .rootsys import (
     weight_denominator,
     weyl_dim,
 )
-from .wedge import packed_power, sim_check_ops
+from .wedge import commutation_table, packed_power
 
 WITNESS_CAP = 10
 
@@ -264,7 +264,10 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
     determinant is (-1)^size and the matrix triangular, and gates the entry
     range, both on the rows of one packed walk; its digit width, 2^(b-1) >
     2 + 2*N*max|a_ij|, makes a decode that passes both gates exactly
-    -R^{-1}.  A rank that fails a gate prints a FAILED line.
+    -R^{-1}.  So the entries are read off the gates too: -1, 0 whenever
+    there is a place below the diagonal, and -2 if a row holds one, the
+    only other entry the range gate lets through (type C).  A rank that
+    fails a gate prints a FAILED line.
     """
     lines, failures = [], []
     for family in ("A", "C"):
@@ -276,7 +279,7 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
                 lines.append(f"{lt}: FAILED ({exc})")
                 failures.append(str(lt))
                 continue
-            entries = sorted(set().union(*mat))
+            entries = [-2] * any(-2 in row for row in mat) + [-1] + [0] * (len(mat) > 1)
             lines.append(
                 f"{lt}: det = {(-1) ** len(mat)}, entries = {entries}, triangular = True"
             )
@@ -284,13 +287,17 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
 
 
 def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
-    """t(A_{2n-1}, omega_i) must fold onto t(C_n, omega_i), ranks n <= max_rank."""
+    """t(A_{2n-1}, omega_i) must fold onto t(C_n, omega_i), ranks n <= max_rank.
+
+    Each type's translations of every omega_i come from one walk
+    (``fundamental_translations``), and each fold reads the cached label
+    map of its rank (``fold_vector``).
+    """
     lines, failures = [], []
     for n in range(1, max_rank + 1):
         source, target = LieType("A", 2 * n - 1), LieType("C", n)
-        for i in range(1, n + 1):
-            t_a = build_translation(source, fundamental_weight(2 * n - 1, i))
-            t_c = build_translation(target, fundamental_weight(n, i))
+        pairs = zip(fundamental_translations(source), fundamental_translations(target))
+        for i, (t_a, t_c) in enumerate(pairs, start=1):
             ok = fold_vector(t_a, n) == t_c
             lines.append(f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {ok}")
             if not ok:
@@ -303,23 +310,25 @@ def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
 def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     """Commutation table: l, j commute iff |l - j| != 1 on every exterior power.
 
-    Each unordered pair l < j is tested once.  That covers the whole table:
-    a diagonal entry compares a product with itself, and the test is
-    symmetric in the two products (equal keys, and r * x(v) = y(v) with
-    r > 0 holds iff (1/r) * y(v) = x(v)).  At i = 1 it is pointwise
-    equality: each generator kills e_t or sends it to e_{t+1}, so every
-    product sends a basis vector to 0 or to one basis vector with
-    coefficient 1, which forces r = 1.  A failing pair is recorded as
-    (family, m, l, j, "sim i=<i>") with l < j.
+    Each unordered pair l < j is tested once, by ``commutation_table``,
+    which builds the image of each generator once per power.  That covers
+    the whole table: a diagonal entry compares a product with itself, and
+    the test is symmetric in the two products (equal keys, and
+    r * x(v) = y(v) with r > 0 holds iff (1/r) * y(v) = x(v)).  At i = 1
+    it is pointwise equality: each generator kills e_t or sends it to
+    e_{t+1}, so every product sends a basis vector to 0 or to one basis
+    vector with coefficient 1, which forces r = 1.  A failing pair is
+    recorded as (family, m, l, j, "sim i=<i>") with l < j.
     """
     lines, failures = [], []
     for family in ("A", "C"):
         for m in range(1, max_rank + 1):
             before = len(failures)
+            tables = [commutation_table(family, m, i) for i in range(1, m + 1)]
             for l, j in combinations(range(1, m + 1), 2):
                 expected = j - l != 1
-                for i in range(1, m + 1):
-                    if sim_check_ops([l, j], [j, l], i, family, m) != expected:
+                for i, table in enumerate(tables, start=1):
+                    if table[l, j] != expected:
                         failures.append((family, m, l, j, f"sim i={i}"))
             status = "ok" if len(failures) == before else "FAILED"
             lines.append(f"{family}{m}: commutation table {status}")

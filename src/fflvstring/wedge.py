@@ -13,7 +13,9 @@ on a whole exterior power at once: a product is a map from the offset o of
 a term to one int whose digit v holds the coefficient of e_{v+o} in the
 image of e_v, and a step moves every basis wedge it applies to with one
 masked AND (``packed_power`` holds the basis and the step masks).  Two
-products are compared offset by offset, by integer cross-multiplication.
+products are compared offset by offset, by integer cross-multiplication;
+the commutation table builds each generator's image once and shares it
+between the pairs.
 On top of the action sit that equivalence test, the non-annihilation
 check, and the fully independent reconstruction of the type-A string
 points: a depth-first walk over the 0/1 monomials on the restriction block
@@ -142,15 +144,22 @@ def _packed_product(
     basis, masks = packed_power(family, rank, i, width)
     terms = {0: basis} if basis else {}
     for factor in steps:
-        out: dict[int, int] = {}
-        for o, c in terms.items():
-            for t in factor:
-                moved = c & (masks[t] >> width * o)
-                if moved:
-                    o_t = o + (1 << t)
-                    out[o_t] = out.get(o_t, 0) + moved
-        terms = out
+        terms = _step(terms, factor, masks, width)
     return terms
+
+
+def _step(
+    terms: dict[int, int], factor: tuple[int, ...], masks: tuple[int, ...], width: int
+) -> dict[int, int]:
+    """One factor, given by its steps, applied to a packed product."""
+    out: dict[int, int] = {}
+    for o, c in terms.items():
+        for t in factor:
+            moved = c & (masks[t] >> width * o)
+            if moved:
+                o_t = o + (1 << t)
+                out[o_t] = out.get(o_t, 0) + moved
+    return out
 
 
 def monomial_ops(lt: LieType, x: Sequence[int]) -> tuple[int, ...]:
@@ -185,16 +194,46 @@ def sim_check_ops(
     integer, so r > 0 whenever it exists.
     """
     width = 2 * max(len(ops_x), len(ops_y)) + 2
-    fx = _packed_product(ops_x, i, family, rank, width)
-    fy = _packed_product(ops_y, i, family, rank, width)
+    return _proportional(
+        _packed_product(ops_x, i, family, rank, width),
+        _packed_product(ops_y, i, family, rank, width),
+        width,
+    )
+
+
+def _proportional(fx: dict[int, int], fy: dict[int, int], width: int) -> bool:
+    """r * fx = fy for one positive rational r, digits ``width`` bits wide."""
+    if fx == fy:
+        return True  # r = 1, or both products are 0
     # a term that only one product has admits no scalar
     if fx.keys() != fy.keys():
         return False
-    if not fx:
-        return True
     first = next(iter(fx))
     num, den = _lowest_digit(fy[first], width), _lowest_digit(fx[first], width)
     return all(num * fx[o] == den * c for o, c in fy.items())
+
+
+def commutation_table(family: str, rank: int, i: int) -> dict[tuple[int, int], bool]:
+    """``sim_check_ops([l, j], [j, l], i, family, rank)`` for every pair l < j.
+
+    The rightmost factor acts first, so [l, j] is step l on the image of j
+    and [j, l] step j on the image of l: each generator's first-factor image
+    is built once and shared by every pair, at the width of products of
+    length 2.
+    """
+    width = 2 * 2 + 2
+    basis, masks = packed_power(family, rank, i, width)
+    start = {0: basis} if basis else {}
+    steps = {j: _steps(j, family, rank) for j in range(1, rank + 1)}
+    first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}
+    return {
+        (l, j): _proportional(
+            _step(first[j], steps[l], masks, width),
+            _step(first[l], steps[j], masks, width),
+            width,
+        )
+        for l, j in combinations(range(1, rank + 1), 2)
+    }
 
 
 def _lowest_digit(c: int, width: int) -> int:

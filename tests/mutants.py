@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/fflvstring/cli.py"
 CRYSTAL = "src/fflvstring/crystal.py"
 DEGENMAP = "src/fflvstring/degenmap.py"
+FFLV = "src/fflvstring/fflv.py"
 ROOTSYS = "src/fflvstring/rootsys.py"
 VERIFY = "src/fflvstring/verify.py"
 WEDGE = "src/fflvstring/wedge.py"
@@ -87,7 +88,7 @@ MUTANTS = [
         ("tests/test_crystal.py::test_string_injectivity_gate",),
     ),
     (
-        "src/fflvstring/fflv.py",
+        FFLV,
         '    if len(pts) != expected:\n        raise VerificationError(\n'
         '            "fflv.minkowski_cardinality"',
         '    if len(pts) > expected:\n        raise VerificationError(\n'
@@ -269,6 +270,33 @@ MUTANTS = [
         "<= 2 + 2 * size * top:",
         "<= 2:",
         ("tests/test_degenmap.py::test_entry_range_gate_names_the_true_entries",),
+    ),
+    # the packed slack register of the Dyck check, one bit short
+    (
+        FFLV,
+        "    width = sum(w).bit_length() + 1",
+        "    width = sum(w).bit_length()",
+        ("tests/test_fflv.py::test_dyck_register_width_boundaries",),
+    ),
+    # the commutation table's shared first-factor images
+    (
+        WEDGE,
+        "_step(first[j], steps[l], masks, width)",
+        "_step(first[l], steps[l], masks, width)",
+        (
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
+            "tests/test_acceptance.py::test_criterion_06_proposition_sweeps",
+        ),
+    ),
+    # the fold's label map without its reflection
+    (
+        DEGENMAP,
+        "pos[(r, c) if r + c <= 2 * m else (2 * m - c, 2 * m - r)]",
+        "pos[r, c]",
+        (
+            "tests/test_degenmap.py::test_fold_index_is_fold_label",
+            "tests/test_degenmap.py::test_fold_vector_doubles_colliding_fiber",
+        ),
     ),
     # point documents rendered from the packed ints
     (

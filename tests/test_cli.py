@@ -322,13 +322,15 @@ def test_verify_fold_failure_path(capsys, monkeypatch):
 
 
 def test_verify_comm_failure_path(capsys, monkeypatch):
-    real = verify.sim_check_ops
+    real = verify.commutation_table
 
-    def wrong(ops_x, ops_y, i, family, rank):
-        ok = real(ops_x, ops_y, i, family, rank)
-        return not ok if (family, rank, tuple(ops_x), i) == ("C", 2, (1, 2), 1) else ok
+    def wrong(family, rank, i):
+        table = real(family, rank, i)
+        if (family, rank, i) == ("C", 2, 1):
+            table[1, 2] = not table[1, 2]
+        return table
 
-    monkeypatch.setattr(verify, "sim_check_ops", wrong)
+    monkeypatch.setattr(verify, "commutation_table", wrong)
     code, out, _ = run_cli(capsys, "verify", "comm", "--max-rank", "2")
     assert code == 1
     assert "C2: commutation table FAILED\n" in out

@@ -15,8 +15,10 @@ from fflvstring.degenmap import (
     apply_affine,
     build_matrix,
     build_translation,
+    fold_index,
     fold_label,
     fold_vector,
+    fundamental_translations,
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
@@ -26,8 +28,11 @@ from fflvstring.rootsys import (
     RootLabel,
     base_weights,
     build_labels,
+    cartan_matrix,
     dominant_weights,
     fflv_weight,
+    fundamental_weight,
+    label_index,
     letter_histogram,
     reduced_word,
     root_delta,
@@ -207,6 +212,53 @@ def test_fold_vector_doubles_colliding_fiber():
     # t for (A3, omega_2) folds onto t for (C2, omega_2), doubling e_{1,2}
     folded = fold_vector(build_translation(A3, (0, 1, 0)), 2)
     assert folded == build_translation(C2, (0, 1))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_fold_index_is_fold_label(m):
+    target = label_index(LieType("C", m))
+    labels = build_labels(LieType("A", 2 * m - 1))
+    assert fold_index(m) == tuple(target[fold_label(lab.row, lab.col, m)] for lab in labels)
+
+
+@pytest.mark.parametrize(
+    "lt", [LieType("A", n) for n in range(1, 13)] + [LieType("C", n) for n in range(1, 9)]
+)
+def test_fundamental_translations_walk_every_omega_at_once(lt):
+    n = lt.rank
+    expected = tuple(build_translation(lt, fundamental_weight(n, i)) for i in range(1, n + 1))
+    assert fundamental_translations(lt) == expected
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_simple_roots_read_the_whole_cartan_column(family):
+    # the band read of _simple_roots misses no nonzero entry of a column
+    for rank in range(1, 11):
+        m = cartan_matrix(family, rank)
+        column = tuple(
+            tuple((j, row[i]) for j, row in enumerate(m) if row[i]) for i in range(rank)
+        )
+        assert degenmap._simple_roots(family, rank) == column
+
+
+def test_apply_T_walks_each_translation_once(monkeypatch):
+    # the translation is cached per type and dominant weight tuple, so the
+    # points of one weight share one walk, and a list weight hits it too
+    build_matrix(A3)
+    degenmap._translation.cache_clear()
+    calls = []
+    real = degenmap._walk
+
+    def counted(lt, *args):
+        calls.append(lt)
+        return real(lt, *args)
+
+    monkeypatch.setattr(degenmap, "_walk", counted)
+    w = (0, 1, 0)
+    images = [apply_T(A3, w, p) for p in points(A3, w)]
+    assert apply_T(A3, list(w), points(A3, w)[0]) == images[0]
+    assert build_translation(A3, [0, 1, 0]) == build_translation(A3, w)
+    assert calls == [A3]
 
 
 def _twist_pairs(lt, w):

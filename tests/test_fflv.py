@@ -232,6 +232,33 @@ def test_dyck_check_matches_brute_force_box(rank):
         assert dyck_check_A(rank, w, tuple(sorted(truth)))
 
 
+def _pushed_past_a_bound(lt, w, pts):
+    """A point of the set plus one unit at a label, inside the bounding box
+    and off the set: it breaks some path bound by exactly one."""
+    labels = build_labels(lt)
+    bounds = [sum(w[lab.row - 1 : lab.col]) for lab in labels]
+    found = set(pts)
+    for p in pts:
+        for k in range(len(labels)):
+            q = p[:k] + (p[k] + 1,) + p[k + 1 :]
+            if q[k] <= bounds[k] and q not in found:
+                return q
+    raise AssertionError("every unit push stays in the set")
+
+
+@pytest.mark.parametrize("w", [(0, 1, 0), (1, 1, 1), (1, 2, 1), (2, 3, 2), (4, 0, 4)])
+def test_dyck_register_width_boundaries(w):
+    # the largest path bound, sum(w), is 1, 3, 4, 7 and 8: the largest
+    # bound of a digit width of the slack register (1, 3, 7) or the
+    # smallest (1, 4, 8)
+    pts = points(A3, w)
+    pushed = _pushed_past_a_bound(A3, w, pts)
+    assert not _meets_path_bounds(3, w, pushed)
+    assert dyck_check_A(3, w, pts)
+    assert dyck_check_A(3, w, pts + (pushed,)) is False
+    assert dyck_check_A(3, w, pts[1:] + (pushed,)) is False
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_c_fundamentals_embed_into_a_fundamentals(rank):
     ltc = LieType("C", rank)

@@ -35,6 +35,7 @@ from fflvstring.verify import (
     comm_sweep,
     reports_to_json,
     run_grid,
+    unimodular_sweep,
 )
 from fflvstring.wedge import packed_power
 from oracles import twist_oracle
@@ -315,17 +316,30 @@ def test_comm_sweep_frees_the_tables_of_each_rank():
 def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
     # m * C(m, 2) equivalence tests per family and rank m <= 4: the full
     # table of ordered pairs, diagonal included, would make 200
-    real = verify.sim_check_ops
-    calls = []
+    real = verify.commutation_table
+    pairs = []
 
     def counted(*args):
-        calls.append(args)
-        return real(*args)
+        table = real(*args)
+        pairs.extend(table)
+        return table
 
-    monkeypatch.setattr(verify, "sim_check_ops", counted)
+    monkeypatch.setattr(verify, "commutation_table", counted)
     assert comm_sweep(4)[1] == []
-    assert len(calls) == 70
-    assert all(ops_x[0] < ops_x[1] for ops_x, *_ in calls)
+    assert len(pairs) == 70
+    assert all(l < j for l, j in pairs)
+
+
+def test_unimodular_sweep_reads_the_entries_off_the_gates():
+    # -1, 0 below the diagonal and -2 where a row holds it: every entry of
+    # the matrix, as a pass over all of them finds
+    lines, failures = unimodular_sweep(8)
+    assert failures == []
+    types = [LieType(f, n) for f in "AC" for n in range(1, 9)]
+    for line, lt in zip(lines, types, strict=True):
+        mat = build_matrix(lt)
+        entries = sorted(set().union(*mat))
+        assert line == f"{lt}: det = {(-1) ** len(mat)}, entries = {entries}, triangular = True"
 
 
 def test_report_json_shape():

@@ -26,6 +26,7 @@ from fflvstring.wedge import (
     act_monomial,
     act_sequence,
     act_simple,
+    commutation_table,
     highest_wedge,
     minimality_check_A,
     monomial_ops,
@@ -118,6 +119,18 @@ def test_sim_check_matches_commutation(family):
             expected = abs(l - j) != 1
             for i in range(1, m + 1):
                 assert sim_check_ops([l, j], [j, l], i, family, m) == expected
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_commutation_table_matches_sim_check_ops(family):
+    # the shared first-factor images give the verdict of every pair l < j
+    for m in range(1, 6):
+        for i in range(1, m + 1):
+            expected = {
+                (l, j): sim_check_ops([l, j], [j, l], i, family, m)
+                for l, j in combinations(range(1, m + 1), 2)
+            }
+            assert commutation_table(family, m, i) == expected
 
 
 def test_sim_counterexample_wedge():
