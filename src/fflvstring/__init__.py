@@ -31,7 +31,6 @@ from .rootsys import (
 from .verify import (
     VerificationReport,
     check_main,
-    check_minkowski,
     run_grid,
 )
 from .wedge import (
@@ -57,7 +56,6 @@ __all__ = [
     "build_matrix",
     "build_translation",
     "check_main",
-    "check_minkowski",
     "demazure_set",
     "dyck_check_A",
     "extract_string",

@@ -19,27 +19,30 @@ is k xors.  The table is filled by ``_key_signature``, one pass over the
 key's bits, lowest first, which with ``letter_classes`` is the one statement
 of the bracket rule.
 
-One walk along the reduced word, right to left, builds the Demazure set with
-the string vector (Littelmann's string coordinates) of each element over the
-letters done so far.  By the string property (Kashiwara 1993) the set meets
-every j-string in nothing, its head alone or the whole string, so at letter
-j each head b with string s gives f_j^k(b) with string (k,) + s, k = 0..c,
-and every other element is one of these.  Strings are packed
-(``rootsys.pack``): prepending k adds k times the letter's digit, so a head
-keeps its entry and each f_j^k(b) is written over the stale entry of the
-element it meets, in one dict grown in place.  Were the property to fail, an
-element that no head made would keep its stale entry: the set would hold
-more or fewer elements than its heads made at that letter, and that count
-is a gate, as is the dimension of the final set.
-``demazure_set`` and the gate messages decode elements back to tensor words,
+One depth-first walk from the highest element, taking the letters of the
+reduced word last first, yields the Demazure set with the string vector
+(Littelmann's string coordinates) of each element.  By the string property
+(Kashiwara 1993) the set built from the letters done so far meets every
+j-string in nothing, its head alone or the whole string, so the next set is
+the f_j^t(h), t = 0..c, of its j-heads h, and the recursion is a tree: the
+walk expands each head into these children and drops every non-head.  At the
+last letter it yields the children as leaves.  A leaf's path is its string,
+since the bracket rule gives epsilon_j(f_j^t(h)) = t: so distinct leaves have
+distinct strings and are distinct elements of the Demazure set, and a leaf
+count equal to the dimension of the source module makes the leaves the whole
+set.  That count is the one gate; the walk's only live state is its stack.
+Strings are packed (``rootsys.pack``): prepending t adds t times the
+letter's digit.  ``demazure_set`` decodes the elements back to tensor words,
 and ``extract_string``, raising a tensor word back along the whole word, is
-the independent reference.  The gates also pin the scan direction and the
+the independent reference.  The gate also pins the scan direction and the
 walk order, as the tests show: a forward walk loses an element of A2
-omega_1, and a right-to-left scan (a mirrored word) over-fills A2 (1,1).
+omega_1, and a descending key scan leaves C3 omega_3 no head at its first
+letter.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
 from functools import lru_cache
 
 from .errors import VerificationError
@@ -144,64 +147,66 @@ def _decode(elem: int, width: int) -> TensorWord:
     return tuple(bit % width + 1 for bit in _bits(elem))
 
 
-def _walk(lt: LieType, w: tuple[int, ...], b: int) -> dict[int, int]:
+def _walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
     """Each packed Demazure element with its string vector in b-bit digits.
 
     Column c of the highest word holds bits width*c .. width*c + width - 1,
-    letter L at bit width*c + L - 1.  One dict is grown in place: at each
-    letter a head keeps its entry (digit 0 adds nothing to a packed string)
-    and writes f_j^k of itself over whatever entry it meets, so every
-    element of the set must be written by a head.  A set whose size after
-    a letter is not the count its heads made, or at the end is not the
-    dimension of the source module, is a hard failure.
+    letter L at bit width*c + L - 1.  A stack node is an element, its string
+    so far and the number of letters done.  A head of the next letter pushes
+    its children f_j^t, t >= 1, and walks on as its own child t = 0; at the
+    last letter it yields them all instead.  A leaf count that is not the
+    dimension of the source module is a hard failure, raised after the last
+    leaf.
     """
     family, m = lt.family, lt.target_rank
     rows, tables = letter_classes(family, m), _signature_tables(family, m)
     width = natural_dim(family, m)
     sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
     unit = sum(1 << (width * c) for c in range(len(sizes)))
-    strings = {sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)): 0}
-    word = reduced_word(lt)
-    for k, j in enumerate(reversed(word)):
-        place = 1 << (b * k)  # the digit of position N-1-k
-        letters, table = tables[j]
-        classed = letters * unit
-        made = 0
-        for elem in list(strings):
+    steps = [
+        (1 << (b * k), tables[j][0] * unit, tables[j][1], rows[j])  # digit of N-1-k
+        for k, j in enumerate(reversed(reduced_word(lt)))
+    ]
+    last, leaves = len(steps) - 1, 0
+    stack = [(sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)), 0, 0)]
+    while stack:
+        elem, s, k = stack.pop()
+        while True:
+            place, classed, table, row = steps[k]
             key = elem & classed
-            if key in table:
-                deltas = table[key]
-            else:
-                deltas = table[key] = _key_signature(rows[j], key, width)
+            deltas = table.get(key, row)  # row: never a table value
+            if deltas is row:
+                deltas = table[key] = _key_signature(row, key, width)
             if deltas is None:
-                continue
-            made += 1 + len(deltas)
-            s = strings[elem]
+                break
+            if k == last:
+                leaves += 1 + len(deltas)
+                yield elem, s
+                for delta in deltas:
+                    elem ^= delta
+                    s += place
+                    yield elem, s
+                break
+            k += 1
+            child, x = elem, s
             for delta in deltas:
-                elem ^= delta
-                s += place
-                strings[elem] = s
-        if len(strings) != made:
-            raise VerificationError(
-                "crystal.demazure_dimension",
-                f"{lt} {w}: letter {j} at position {len(word) - 1 - k} leaves"
-                f" {len(strings)} elements, its heads made {made}",
-            )
+                child ^= delta
+                x += place
+                stack.append((child, x, k))
     expected = weyl_dim(lt, w)
-    if len(strings) != expected:
+    if leaves != expected:
         raise VerificationError(
             "crystal.demazure_dimension",
-            f"{lt} {w}: closure has {len(strings)} elements, expected {expected}",
+            f"{lt} {w}: closure has {leaves} elements, expected {expected}",
         )
-    return strings
 
 
 def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
     """The Demazure crystal of the reduced word, as sorted tensor words."""
     w = check_dominant(lt, weight)
     width = natural_dim(lt.family, lt.target_rank)
-    elements = _walk(lt, w, pack_width(len(build_highest(lt, w))))
-    return tuple(sorted(_decode(elem, width) for elem in elements))
+    walk = _walk(lt, w, pack_width(len(build_highest(lt, w))))
+    return tuple(sorted(_decode(elem, width) for elem, _ in walk))
 
 
 def extract_string(
@@ -243,21 +248,8 @@ def extract_string(
 
 def packed_strings(lt: LieType, w: tuple[int, ...], b: int) -> set[int]:
     """Packed string vectors of a checked weight; ``b`` must hold its letter
-    count, as f_j^k lowers k distinct letters.  Two elements sharing one
-    string vector is a hard failure."""
-    elements = _walk(lt, w, b)
-    packed = set(elements.values())
-    if len(packed) != len(elements):
-        owner = {q: elem for elem, q in elements.items()}
-        elem, q = next((elem, q) for elem, q in elements.items() if owner[q] != elem)
-        (vec,) = unpack([q], len(reduced_word(lt)), b)
-        width = natural_dim(lt.family, lt.target_rank)
-        raise VerificationError(
-            "crystal.string_injectivity",
-            f"{lt} {w}: elements {_decode(elem, width)} and"
-            f" {_decode(owner[q], width)} share string vector {vec}",
-        )
-    return packed
+    count, as f_j^k lowers k distinct letters."""
+    return {s for _, s in _walk(lt, w, b)}
 
 
 def packed_string_points(
@@ -267,7 +259,7 @@ def packed_string_points(
     at the width ``pack_width`` gives the letter count."""
     w = check_dominant(lt, weight)
     b = pack_width(len(build_highest(lt, w)))
-    return sorted(packed_strings(lt, w, b)), len(reduced_word(lt)), b
+    return sorted(s for _, s in _walk(lt, w, b)), len(reduced_word(lt)), b
 
 
 def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:

@@ -9,9 +9,7 @@ points, which fix the same twist as all weight pairs of the case.  A report
 stores only this evidence: its verdict is derived from it, so no report can
 contradict itself.  Grid runs are deterministic: results are ordered by
 case, independent of thread count, and the JSON rendering contains no
-timing data.  The Minkowski containment is checked on the string side
-only: the chain side is an identity of sets by the construction of
-``fflv.points``.  The supporting sweeps return the lines the CLI prints and
+timing data.  The supporting sweeps return the lines the CLI prints and
 a list of their failing cases.  Nothing here bounds the work; the CLI
 refuses an oversized weight, matrix or table before it calls this module.
 """
@@ -21,11 +19,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
-from operator import add
+from itertools import combinations
 from typing import Sequence
 
-from .crystal import build_highest, packed_strings, string_points
+from .crystal import build_highest, packed_strings
 from .degenmap import (
     WeightTwist,
     apply_affine,
@@ -147,7 +144,7 @@ def check_main(
     n, level = len(trans), sum(w)
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
     b = pack_width(max(len(build_highest(lt, w)), *bounds))
-    # strings first: the walk and its string-set copy peak before the images live
+    # strings first: the walk's stack is gone before the images live
     strings = packed_strings(lt, w, b)
     images = packed_sum(lt, w, pack(trans, b), [pack(col, b) for col in zip(*mat)])
 
@@ -182,43 +179,6 @@ def check_main(
         weight_twist=twist,
         twist_witness=witness,
         elapsed=time.perf_counter() - start,
-    )
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Minkowski containment of two string point sets inside the sum's set."""
-
-    family: str
-    rank: int
-    weight1: tuple[int, ...]
-    weight2: tuple[int, ...]
-    string_witnesses: tuple[ExponentVector, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.string_witnesses
-
-
-def check_minkowski(lt: LieType, weight1, weight2) -> ContainmentReport:
-    """Pointwise sums of two string point sets must land in the sum's set.
-
-    Only the string side is checked.  ``fflv.points`` builds P(w1 + w2) as
-    the Minkowski sum of the same fundamental sets as P(w1) + P(w2), so the
-    chain side is an identity of sets by construction.
-    """
-    w1 = check_dominant(lt, weight1)
-    w2 = check_dominant(lt, weight2)
-    big = set(string_points(lt, tuple(map(add, w1, w2))))
-    small2 = string_points(lt, w2)
-    sums = (tuple(map(add, p, q)) for p in string_points(lt, w1) for q in small2)
-    bad = tuple(islice((s for s in sums if s not in big), WITNESS_CAP))
-    return ContainmentReport(
-        family=lt.family,
-        rank=lt.rank,
-        weight1=w1,
-        weight2=w2,
-        string_witnesses=bad,
     )
 
 

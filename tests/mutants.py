@@ -82,12 +82,6 @@ MUTANTS = [
         ("tests/test_degenmap.py::test_entry_range_gate_rejects_minus_two_in_type_a",),
     ),
     (
-        CRYSTAL,
-        "    if len(packed) != len(elements):\n",
-        "    if False:\n",
-        ("tests/test_crystal.py::test_string_injectivity_gate",),
-    ),
-    (
         FFLV,
         '    if len(pts) != expected:\n        raise VerificationError(\n'
         '            "fflv.minkowski_cardinality"',
@@ -146,12 +140,61 @@ MUTANTS = [
             "tests/test_crystal.py::test_signature_table_matches_letter_scan",
         ),
     ),
-    # the in-place walk without its per-letter count
+    # the depth-first walk: a non-head expanded as a head, t up to c - 1,
+    # no final count, the letters walked first to last
     (
         CRYSTAL,
-        "        if len(strings) != made:\n",
-        "        if False:\n",
-        ("tests/test_crystal.py::test_per_letter_count_gate",),
+        "            if deltas is None:\n                break\n",
+        "            if deltas is None:\n                deltas = ()\n",
+        (
+            "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "            for delta in deltas:\n                child ^= delta\n",
+        "            for delta in deltas[:-1]:\n                child ^= delta\n",
+        (
+            "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "    if leaves != expected:\n",
+        "    if False:\n",
+        (
+            "tests/test_crystal.py::test_closure_order_gate",
+            "tests/test_crystal.py::test_per_letter_count_gate",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "for k, j in enumerate(reversed(reduced_word(lt)))",
+        "for k, j in enumerate(reduced_word(lt))",
+        (
+            "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_string_round_trip",
+        ),
+    ),
+    # criterion 07 read off the grid: a translation off by one only on
+    # non-fundamental weights, and a sum that skips the last copy of a
+    # fundamental set
+    (
+        DEGENMAP,
+        "lifted_coeffs(lt, w), [0] * size",
+        "lifted_coeffs(lt, w), [-(sum(w) > 1)] + [0] * (size - 1)",
+        (
+            "tests/test_acceptance.py::test_translation_is_linear_in_the_weight",
+            "tests/test_acceptance.py::test_criterion_07_minkowski_containments",
+        ),
+    ),
+    (
+        FFLV,
+        "            for _ in range(a):\n",
+        "            for _ in range(a - 1 or 1):\n",
+        ("tests/test_acceptance.py::test_criterion_07_minkowski_containments",),
     ),
     # the packed generator products
     (

@@ -16,13 +16,13 @@ from fflvstring.rootsys import (
     LieType,
     RootLabel,
     build_labels,
+    dominant_weights,
     fundamental_weight,
     reduced_word,
     vector_from_labels,
 )
 from fflvstring.verify import (
     all_passed,
-    check_minkowski,
     comm_sweep,
     fold_sweep,
     reports_to_json,
@@ -38,7 +38,7 @@ C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
 
 @pytest.fixture(scope="module")
 def grid():
-    """One serial run of the whole grid, shared by criteria 01, 02, 08, 09 and 10."""
+    """One serial run of the whole grid, shared by criteria 01, 02, 07, 08, 09 and 10."""
     return run_grid(A_GRID + C_GRID)
 
 
@@ -191,17 +191,31 @@ def test_criterion_06_proposition_sweeps():
     record(6, "proposition sweeps (comm, support, fold, summands)", ok)
 
 
-def test_criterion_07_minkowski_containments():
-    # the containment is symmetric in i and j, so each pair is tested once
-    witnesses = 0
-    for cases in (A_GRID, C_GRID):
-        for lt, _ in cases:
-            for i in range(1, lt.rank + 1):
-                for j in range(i, lt.rank + 1):
-                    w_i = fundamental_weight(lt.rank, i)
-                    rep = check_minkowski(lt, w_i, fundamental_weight(lt.rank, j))
-                    witnesses += len(rep.string_witnesses)
-    record(7, "Minkowski containment, all fundamental pairs", witnesses == 0)
+def test_translation_is_linear_in_the_weight():
+    # t_lambda = sum a_i t(omega_i) on every grid type and level, which
+    # criterion 07 reads off the grid
+    for lt, level in A_GRID + C_GRID:
+        n = lt.rank
+        units = [build_translation(lt, fundamental_weight(n, i)) for i in range(1, n + 1)]
+        for w in dominant_weights(n, level):
+            total = tuple(sum(a * t for a, t in zip(w, col)) for col in zip(*units))
+            assert build_translation(lt, w) == total, (lt, w)
+
+
+def test_criterion_07_minkowski_containments(grid):
+    # t_lambda is linear and P(omega_i + omega_j) = P(omega_i) + P(omega_j),
+    # so T(P) = Q on omega_i, omega_j and omega_i + omega_j (all grid cases,
+    # every grid level being at least 2) gives Q(omega_i) + Q(omega_j) =
+    # Q(omega_i + omega_j), stronger than containment; symmetric in i and j
+    status = {(r.family, r.rank, r.weight): r.status for r in grid}
+    ok = True
+    for lt, _ in A_GRID + C_GRID:
+        for i in range(1, lt.rank + 1):
+            for j in range(i, lt.rank + 1):
+                w_i, w_j = fundamental_weight(lt.rank, i), fundamental_weight(lt.rank, j)
+                pair = (w_i, w_j, tuple(a + b for a, b in zip(w_i, w_j)))
+                ok = ok and all(status[lt.family, lt.rank, w] == "ok" for w in pair)
+    record(7, "Minkowski containment, all fundamental pairs", ok)
 
 
 def test_criterion_08_weight_twist_per_case(grid):

@@ -1,4 +1,4 @@
-"""Verification pipelines: reports, containments, dilations, grids."""
+"""Verification pipelines: reports, dilations, grids."""
 
 import hashlib
 import sys
@@ -31,7 +31,6 @@ from fflvstring.verify import (
     WITNESS_CAP,
     all_passed,
     check_main,
-    check_minkowski,
     comm_sweep,
     reports_to_json,
     run_grid,
@@ -259,27 +258,6 @@ def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch, fresh_twist_m
             assert rep.missing or rep.extra or rep.twist_witness
             outcomes.add("witnesses")
     assert outcomes == {"crystal.demazure_dimension", "witnesses"}
-
-
-def test_check_minkowski_trivial_and_small():
-    rep = check_minkowski(A3, (1, 0, 0), (0, 0, 0))
-    assert rep.ok
-    rep = check_minkowski(A3, (1, 0, 0), (0, 1, 0))
-    assert rep.ok and not rep.string_witnesses
-    rep = check_minkowski(C2, (1, 0), (1, 0))
-    assert rep.ok
-
-
-def test_check_minkowski_reports_capped_witnesses(monkeypatch):
-    real = verify.string_points
-    monkeypatch.setattr(
-        verify, "string_points", lambda lt, w: () if w == (2, 1) else real(lt, w)
-    )
-    rep = check_minkowski(A2, (1, 1), (1, 0))
-    assert not rep.ok
-    # every one of the 8 * 3 sums is missing; the first ten are reported
-    sums = [tuple(map(sum, zip(p, q))) for p in real(A2, (1, 1)) for q in real(A2, (1, 0))]
-    assert rep.string_witnesses == tuple(sums[:WITNESS_CAP])
 
 
 def test_run_grid_empty():
