@@ -30,7 +30,8 @@ last letter it yields the children as leaves.  A leaf's path is its string,
 since the bracket rule gives epsilon_j(f_j^t(h)) = t: so distinct leaves have
 distinct strings and are distinct elements of the Demazure set, and a leaf
 count equal to the dimension of the source module makes the leaves the whole
-set.  That count is the one gate; the walk's only live state is its stack.
+set.  That count is the one gate; the walk's only live state is its stack,
+and its step table is cached per type, column count and string width.
 Strings are packed (``rootsys.pack``): prepending t adds t times the
 letter's digit.  ``demazure_set`` decodes the elements back to tensor words,
 and ``extract_string``, raising a tensor word back along the whole word, is
@@ -81,19 +82,6 @@ def letter_classes(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
             row[letter], row[letter + 1] = LOWER, RAISE
         table.append(tuple(row))
     return tuple(table)
-
-
-def build_highest(lt: LieType, weight) -> TensorWord:
-    """Highest-weight tensor word for the lifted weight.
-
-    Concatenates, for each i with a_i > 0, a_i copies of the column word
-    1, 2, ..., 2i-1.
-    """
-    w = check_dominant(lt, weight)
-    word: list[int] = []
-    for i, a in enumerate(w, start=1):
-        word.extend(list(range(1, 2 * i)) * a)
-    return tuple(word)
 
 
 Signature = tuple[int, ...] | None
@@ -147,6 +135,25 @@ def _decode(elem: int, width: int) -> TensorWord:
     return tuple(bit % width + 1 for bit in _bits(elem))
 
 
+def letter_count(w: tuple[int, ...]) -> int:
+    """The length of the highest word: a_i columns 1, 2, ..., 2i - 1."""
+    return sum((2 * i - 1) * a for i, a in enumerate(w, start=1))
+
+
+@lru_cache(maxsize=None)
+def _steps(lt: LieType, columns: int, b: int) -> tuple[tuple, ...]:
+    """Per letter of the reduced word, last first: its string digit place at
+    width b, its classed bits over all columns, its key table and its row."""
+    family, m = lt.family, lt.target_rank
+    rows, tables = letter_classes(family, m), _signature_tables(family, m)
+    width = natural_dim(family, m)
+    unit = sum(1 << (width * c) for c in range(columns))
+    return tuple(
+        (1 << (b * k), tables[j][0] * unit, tables[j][1], rows[j])  # digit of N-1-k
+        for k, j in enumerate(reversed(reduced_word(lt)))
+    )
+
+
 def _walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
     """Each packed Demazure element with its string vector in b-bit digits.
 
@@ -158,15 +165,9 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
     dimension of the source module is a hard failure, raised after the last
     leaf.
     """
-    family, m = lt.family, lt.target_rank
-    rows, tables = letter_classes(family, m), _signature_tables(family, m)
-    width = natural_dim(family, m)
+    width = natural_dim(lt.family, lt.target_rank)
     sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
-    unit = sum(1 << (width * c) for c in range(len(sizes)))
-    steps = [
-        (1 << (b * k), tables[j][0] * unit, tables[j][1], rows[j])  # digit of N-1-k
-        for k, j in enumerate(reversed(reduced_word(lt)))
-    ]
+    steps = _steps(lt, len(sizes), b)
     last, leaves = len(steps) - 1, 0
     stack = [(sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)), 0, 0)]
     while stack:
@@ -205,7 +206,7 @@ def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]
     """The Demazure crystal of the reduced word, as sorted tensor words."""
     w = check_dominant(lt, weight)
     width = natural_dim(lt.family, lt.target_rank)
-    walk = _walk(lt, w, pack_width(len(build_highest(lt, w))))
+    walk = _walk(lt, w, pack_width(letter_count(w)))
     return tuple(sorted(_decode(elem, width) for elem, _ in walk))
 
 
@@ -258,7 +259,7 @@ def packed_string_points(
     """String vectors of the Demazure crystal, packed: (sorted ints, N, b),
     at the width ``pack_width`` gives the letter count."""
     w = check_dominant(lt, weight)
-    b = pack_width(len(build_highest(lt, w)))
+    b = pack_width(letter_count(w))
     return sorted(s for _, s in _walk(lt, w, b)), len(reduced_word(lt)), b
 
 

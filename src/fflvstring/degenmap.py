@@ -1,15 +1,17 @@
 """The affine lattice map between the two point families.
 
 T(p) = R^{-1}(c(lifted weight) - p), one integer walk along the reduced word
-for both families: R is Littelmann's slack matrix of the word, unitriangular,
-and c_k = <lifted weight, alpha_{i_k}^vee>.  Its linear part -R^{-1} is upper
-triangular with -1 on the diagonal, so unimodular; its translation part is
-linear in the dominant weight.  The linear part is one walk too, on packed
-ints: with p_k = 2^(b*(N-1-k)) the walk returns row k of -R^{-1} as one int
-of b-bit balanced digits, gated and decoded at a width with 2^(b-1) >
-2 + 2*N*max|a_ij|, which makes a decode that passes the gates exactly
--R^{-1} for any word and any tridiagonal Cartan matrix.  The affine map
-walks only the support of a point.
+for both families: R is Littelmann's slack matrix of the word,
+unitriangular, and c_k = <lifted weight, alpha_{i_k}^vee>.  Its linear part
+-R^{-1} is upper triangular with -1 on the diagonal, so unimodular; its
+translation part is linear in the dominant weight, so a pipeline sums
+per-type rows of the omega_i (``fundamental_rows``) for it and for the pair
+row of 0 of the twist, whose only other term is D in its scale entry.  The
+linear part is one walk too, on packed ints: with p_k = 2^(b*(N-1-k)) the
+walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated and
+decoded at a width with 2^(b-1) > 2 + 2*N*max|a_ij|, which makes a decode
+that passes the gates exactly -R^{-1} for any word and any tridiagonal
+Cartan matrix.  The affine map walks only the support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -39,9 +41,11 @@ from .rootsys import (
     ExponentVector,
     LieType,
     RootLabel,
+    base_weights,
     build_labels,
     cartan_matrix,
     check_dominant,
+    fundamental_weight,
     letter_histogram,
     lifted_coeffs,
     reduced_word,
@@ -166,6 +170,30 @@ def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
     blob = b"".join(((q + tops) ^ tops).to_bytes(n, "little") for q in walk)
     flat = struct.unpack(f"{len(blob)}b", blob)
     return tuple(flat[d::n] for d in range(n))
+
+
+@lru_cache(maxsize=None)
+def fundamental_rows(lt: LieType) -> tuple[tuple[int, ...], ...]:
+    """The scale row, D = ``weight_denominator(lt)`` in the scale entry, then
+    per i t(omega_i) and ``[D*lifted omega_i - D*hist(t(omega_i)), 0 | D*omega_i]``."""
+    d, n, size = weight_denominator(lt), lt.rank, len(reduced_word(lt))
+    rows = [(0,) * (size + lt.target_rank) + (d,) + (0,) * n]
+    for i, t in enumerate(fundamental_translations(lt), start=1):
+        src, tgt = base_weights(lt, fundamental_weight(n, i))
+        rows.append((*t, *(y - d * x for y, x in zip(tgt, letter_histogram(lt, t))), 0, *src))
+    return tuple(rows)
+
+
+def translation_and_zero_row(lt: LieType, w: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """t_lambda and the pair row of 0 of a checked weight, without a walk: both
+    are linear in the weight but for the scale entry D of the row, so they are
+    the scale row plus a_i times the row of omega_i (``fundamental_rows``)."""
+    rows, size = fundamental_rows(lt), len(reduced_word(lt))
+    out = list(rows[0])
+    for a, v in zip(w, rows[1:]):
+        if a:
+            out = [x + a * y for x, y in zip(out, v)]
+    return out[:size], out[size:]
 
 
 def apply_affine(
@@ -396,13 +424,16 @@ def _eliminate(m: int, rows, basis: dict):
     return breaks[min(breaks)] if breaks else None
 
 
+_ZERO = Fraction(0)
+
+
 def _read_off(lt: LieType, scale: int, basis: dict, witness):
     """``(twist, None)`` from a consistent basis with free variables zero, or
     ``(None, witness)`` with the integer witness pair over scale."""
     if witness is not None:
         return None, tuple(tuple(Fraction(x, scale) for x in v) for v in witness)
     n, m = lt.rank, lt.target_rank
-    sol = [[Fraction(0)] * (m + 1) for _ in range(n)]
+    sol = [[_ZERO] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):
             sol[r][c] = Fraction(b[m + 1 + r], b[c])

@@ -71,15 +71,33 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
     return pts
 
 
-def packed_sum(lt: LieType, w: tuple[int, ...], start: int, columns: list[int]) -> set[int]:
-    """``start`` plus a_i copies of each P(omega_i), a chain vector mapped to
-    the sum of its packed ``columns``: one int add per Minkowski pair."""
+@lru_cache(maxsize=None)
+def fundamental_images(lt: LieType, i: int, mat, b: int) -> tuple[int, ...]:
+    """The chains of P(omega_i) mapped by ``mat`` (None: the identity), each
+    the sum of the columns of its labels packed at width b."""
+    n = len(build_labels(lt))
+    units = ([int(r == k) for r in range(n)] for k in range(n))
+    columns = [pack(col, b) for col in (units if mat is None else zip(*mat))]
+    return tuple(sum(c for c, x in zip(columns, p) if x) for p in fundamental_points(lt, i))
+
+
+def packed_sum(lt: LieType, w: tuple[int, ...], start: int, mat, b: int) -> set[int]:
+    """``start`` plus a_i copies of each ``fundamental_images``, one int add
+    per Minkowski pair.  Each image set holds 0, the empty chain's image, so
+    the sums S_k of one coefficient's copies grow, and S_(k+1) = S_k |
+    ((S_k - S_(k-1)) + step): once a copy has less than doubled the sum,
+    each later copy expands only the points the one before added."""
     current = {start}
     for i, a in enumerate(w, start=1):
-        if a:
-            step = [sum(c for c, x in zip(columns, p) if x) for p in fundamental_points(lt, i)]
-            for _ in range(a):
-                current = {x + y for x in current for y in step}
+        step = fundamental_images(lt, i, mat, b) if a else ()
+        fresh = current
+        for _ in range(a):
+            grown = {x + y for x in fresh for y in step}
+            if fresh is current and 2 * len(current) <= len(grown):
+                fresh = current = grown
+            else:
+                fresh = grown.difference(current)
+                current |= fresh
     return current
 
 
@@ -94,8 +112,7 @@ def packed_points(lt: LieType, weight: tuple[int, ...]) -> tuple[list[int], int,
     """
     w = check_dominant(lt, weight)
     n, b = len(build_labels(lt)), pack_width(sum(w))
-    units = [pack([int(r == k) for r in range(n)], b) for k in range(n)]
-    pts = sorted(packed_sum(lt, w, 0, units))
+    pts = sorted(packed_sum(lt, w, 0, None, b))
     expected = weyl_dim(lt, w)
     if len(pts) != expected:
         raise VerificationError(

@@ -4,8 +4,11 @@ Each report compares the image of the chain points, a Minkowski sum of
 packed fundamental images, with the packed string points of the same weight,
 records both cardinalities and the Weyl dimension, up to ten witnesses per
 direction together with exact totals, and the affine weight twist fitted to
-the zero point's pair row and the per-type label rows of the unit chain
-points, which fix the same twist as all weight pairs of the case.  A report
+the zero point's pair row and the label rows of the unit chain points, which
+fix the same twist as all weight pairs of the case.  Only the points are
+built per weight: t_lambda and the pair row of 0 are linear in lambda (but
+for the row's scale entry) and 0 lies in every P(omega_i), so the rows, the
+fundamental images and the walk's step table are cached per type.  A report
 stores only this evidence: its verdict is derived from it, so no report can
 contradict itself.  Grid runs are deterministic: results are ordered by
 case, independent of thread count, and the JSON rendering contains no
@@ -22,30 +25,27 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .crystal import build_highest, packed_strings
+from .crystal import letter_count, packed_strings
 from .degenmap import (
     WeightTwist,
     apply_affine,
     build_matrix,
-    build_translation,
     check_nonnegative,
     fold_vector,
     fundamental_translations,
     support_twist_solve,
+    translation_and_zero_row,
 )
 from .errors import VerificationError
 from .fflv import packed_sum, points
 from .rootsys import (
     ExponentVector,
     LieType,
-    base_weights,
     check_dominant,
     dominant_weights,
-    letter_histogram,
     pack,
     pack_width,
     unpack,
-    weight_denominator,
     weyl_dim,
 )
 from .wedge import commutation_table, packed_power
@@ -118,17 +118,17 @@ def check_main(
 
     ``P(lambda)`` is the Minkowski sum of a_i copies of each ``P(omega_i)``
     (Feigin-Fourier-Littelmann 2011), so for any matrix ``T(P(lambda))`` is
-    t_lambda plus that sum of the fundamental images, packed at a width that
-    holds every image, |t_r| + level * sum_k |M_rk|, and every string entry,
-    at most the letter count.  The trusted matrix is gated unitriangular, so
-    ``fflv_count = |T(P)| = |P|``; under an override it is ``len(points)``.
+    t_lambda plus that sum of the cached fundamental images, packed at a
+    width that holds every image, |t_r| + level * sum_k |M_rk|, and every
+    string entry, at most the letter count.  The trusted matrix is gated
+    unitriangular, so ``fflv_count = |T(P)| = |P|``; under an override it is
+    ``len(points)``.  t_lambda is the sum of a_i t(omega_i), by linearity.
 
-    The twist is ``support_twist_solve``: this case's integer pair row of 0
-    over D = ``weight_denominator(lt)`` joins the cached basis of the label
-    rows of the unit points of ``P(lambda)``, a fact of the type, matrix and
-    support.  It returns the same twist and witness as ``weight_twist_solve``
-    on the ``Fraction`` weights of every point (``fflv_weight`` and
-    ``string_weight``).
+    The twist is ``support_twist_solve``: the integer pair row of 0 over D =
+    ``weight_denominator(lt)``, a sum of per-type rows, joins the cached basis
+    of the label rows of the unit points of ``P(lambda)``, a fact of the
+    type, matrix and support.  It returns the same twist and witness as
+    ``weight_twist_solve`` on the ``Fraction`` weights of every point.
 
     ``matrix`` overrides the linear part (used by mutation fixtures); the
     override path reports a negative image, never a string, as a witness
@@ -140,13 +140,13 @@ def check_main(
 
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
-    trans = build_translation(lt, w)
+    trans, row0 = translation_and_zero_row(lt, w)
     n, level = len(trans), sum(w)
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
-    b = pack_width(max(len(build_highest(lt, w)), *bounds))
+    b = pack_width(max(letter_count(w), *bounds))
     # strings first: the walk's stack is gone before the images live
     strings = packed_strings(lt, w, b)
-    images = packed_sum(lt, w, pack(trans, b), [pack(col, b) for col in zip(*mat)])
+    images = packed_sum(lt, w, pack(trans, b), mat, b)
 
     missing = sorted(strings - images)
     extra = unpack(sorted(images - strings), n, b)
@@ -159,9 +159,6 @@ def check_main(
     # and P(lambda) sums sets holding 0, so its unit points and 0 lie in P
     # and span the rows of all of P.  Same witness: 0, then e_k by descending
     # k, is lex order, and e_k <=lex p when p_k >= 1.
-    d = weight_denominator(lt)
-    src, tgt = base_weights(lt, w)
-    row0 = (*(y - d * x for y, x in zip(tgt, letter_histogram(lt, trans))), d, *src)
     support = tuple(i for i, a in enumerate(w, start=1) if a)
     twist, witness = support_twist_solve(lt, mat, support, row0)
 

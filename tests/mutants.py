@@ -46,8 +46,8 @@ MUTANTS = [
     ),
     (
         DEGENMAP,
-        "rows, basis = label_rows(lt, mat), {}",
-        "rows, basis = label_rows(lt, build_matrix(lt)), {}",
+        "label_rows(lt, mat), {}",
+        "label_rows(lt, build_matrix(lt)), {}",
         (
             "tests/test_verify.py::test_corrupted_a4_matrix_twist_witness",
             "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
@@ -178,22 +178,23 @@ MUTANTS = [
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
-    # criterion 07 read off the grid: a translation off by one only on
-    # non-fundamental weights, and a sum that skips the last copy of a
-    # fundamental set
+    # criterion 07 read off the grid: a per-weight translation off by one
+    # only on non-fundamental weights (check_main sums the fundamental ones,
+    # and the tests compare the two), and a sum that skips the last copy of
+    # a fundamental set
     (
         DEGENMAP,
         "lifted_coeffs(lt, w), [0] * size",
         "lifted_coeffs(lt, w), [-(sum(w) > 1)] + [0] * (size - 1)",
         (
             "tests/test_acceptance.py::test_translation_is_linear_in_the_weight",
-            "tests/test_acceptance.py::test_criterion_07_minkowski_containments",
+            "tests/test_acceptance.py::test_summed_translation_is_the_per_weight_walk",
         ),
     ),
     (
         FFLV,
-        "            for _ in range(a):\n",
-        "            for _ in range(a - 1 or 1):\n",
+        "        for _ in range(a):\n",
+        "        for _ in range(a - 1 or 1):\n",
         ("tests/test_acceptance.py::test_criterion_07_minkowski_containments",),
     ),
     # the packed generator products
@@ -356,6 +357,58 @@ MUTANTS = [
         "    if byte_digits(b):",
         "    if byte_digits(b) or b == 16:",
         ("tests/test_cli.py::test_document_at_the_byte_width_boundary",),
+    ),
+    # check_main on per-type data: memos keyed without the width, a sum
+    # that drops the last coefficient, a zero row without its scale entry,
+    # a frontier never merged
+    (
+        FFLV,
+        "@lru_cache(maxsize=None)\ndef fundamental_images(",
+        "@lambda f: lambda lt, i, mat, b, memo={}: memo.setdefault((lt, i, mat), f(lt, i, mat, b))"
+        "\ndef fundamental_images(",
+        ("tests/test_acceptance.py::test_cached_fundamental_images_are_a_fresh_packing",),
+    ),
+    # a memo outside functools.lru_cache, which clear_caches cannot empty
+    (
+        FFLV,
+        "@lru_cache(maxsize=None)\ndef fundamental_images(",
+        "_IMAGES = {}\n\n\ndef _memo(f):\n    return lambda *args: _IMAGES.get(args) or"
+        " _IMAGES.setdefault(args, f(*args))\n\n\n@_memo\ndef fundamental_images(",
+        ("tests/test_source.py::test_check_main_keeps_no_memo_outside_lru_caches",),
+    ),
+    (
+        CRYSTAL,
+        "@lru_cache(maxsize=None)\ndef _steps(",
+        "@lambda f: lambda lt, columns, b, memo={}: memo.setdefault((lt, columns), f(lt, columns, b))"
+        "\ndef _steps(",
+        ("tests/test_crystal.py::test_walk_steps_are_kept_per_width",),
+    ),
+    (
+        DEGENMAP,
+        "    for a, v in zip(w, rows[1:]):\n",
+        "    for a, v in zip(w[:-1], rows[1:]):\n",
+        (
+            "tests/test_acceptance.py::test_summed_translation_is_the_per_weight_walk",
+            "tests/test_verify.py::test_report_json_digest_fixture",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "(0,) * (size + lt.target_rank) + (d,) + (0,) * n]",
+        "(0,) * (size + lt.target_rank) + (0,) + (0,) * n]",
+        (
+            "tests/test_acceptance.py::test_zero_row_is_the_per_weight_pair_row",
+            "tests/test_verify.py::test_report_json_digest_fixture",
+        ),
+    ),
+    (
+        FFLV,
+        "                current |= fresh\n",
+        "                current = fresh\n",
+        (
+            "tests/test_fflv.py::test_packed_sum_is_the_copy_by_copy_sum",
+            "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+        ),
     ),
 ]
 

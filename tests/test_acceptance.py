@@ -10,16 +10,27 @@ import time
 import pytest
 
 from fflvstring.crystal import string_points
-from fflvstring.degenmap import apply_T, build_matrix, build_translation, fold_vector
-from fflvstring.fflv import embed_point_in_a, fundamental_points
+from fflvstring.degenmap import (
+    apply_affine,
+    apply_T,
+    build_matrix,
+    build_translation,
+    fold_vector,
+    translation_and_zero_row,
+)
+from fflvstring.fflv import embed_point_in_a, fundamental_images, fundamental_points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
+    base_weights,
     build_labels,
     dominant_weights,
     fundamental_weight,
+    letter_histogram,
+    pack,
     reduced_word,
     vector_from_labels,
+    weight_denominator,
 )
 from fflvstring.verify import (
     all_passed,
@@ -200,6 +211,48 @@ def test_translation_is_linear_in_the_weight():
         for w in dominant_weights(n, level):
             total = tuple(sum(a * t for a, t in zip(w, col)) for col in zip(*units))
             assert build_translation(lt, w) == total, (lt, w)
+
+
+def _grid_weights():
+    """Every weight of the grid types, and A2 (127, 1), packed at 16 bits."""
+    for lt, level in A_GRID + C_GRID:
+        for w in dominant_weights(lt.rank, level):
+            yield lt, w
+    yield LieType("A", 2), (127, 1)
+
+
+def test_summed_translation_is_the_per_weight_walk():
+    # check_main sums the per-type t(omega_i); build_translation walks each
+    # weight on its own
+    for lt, w in _grid_weights():
+        trans, _ = translation_and_zero_row(lt, w)
+        assert trans == list(build_translation(lt, w)), (lt, w)
+
+
+def test_zero_row_is_the_per_weight_pair_row():
+    # check_main sums the per-type rows of the omega_i and puts D in the
+    # scale column; the reference reads the weights of this weight and the
+    # letters of its translation
+    for lt, w in _grid_weights():
+        d = weight_denominator(lt)
+        src, tgt = base_weights(lt, w)
+        hist = letter_histogram(lt, build_translation(lt, w))
+        _, row0 = translation_and_zero_row(lt, w)
+        assert row0 == [*(y - d * x for y, x in zip(tgt, hist)), d, *src], (lt, w)
+
+
+def test_cached_fundamental_images_are_a_fresh_packing():
+    # the images of each P(omega_i) are cached per type, matrix and width:
+    # at both widths the grid uses, for the matrix and for the identity
+    for lt, _ in A_GRID + C_GRID:
+        mat = build_matrix(lt)
+        zero = [0] * len(mat)
+        for b in (8, 16):
+            for i in range(1, lt.rank + 1):
+                chains = fundamental_points(lt, i)
+                images = tuple(pack(apply_affine(mat, zero, p), b) for p in chains)
+                assert fundamental_images(lt, i, mat, b) == images, (lt, i, b)
+                assert fundamental_images(lt, i, None, b) == tuple(pack(p, b) for p in chains)
 
 
 def test_criterion_07_minkowski_containments(grid):

@@ -13,11 +13,12 @@ from fflvstring.crystal import (
     _decode,
     _key_signature,
     _signature_tables,
+    _steps,
     _walk,
-    build_highest,
     demazure_set,
     extract_string,
     letter_classes,
+    letter_count,
     packed_strings,
     string_points,
 )
@@ -43,6 +44,14 @@ A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
+
+
+def build_highest(lt, w):
+    """The highest-weight tensor word of the lifted weight: a_i copies of the
+    column word 1, 2, ..., 2i-1 for each i."""
+    return tuple(
+        letter for i, a in enumerate(w, start=1) for _ in range(a) for letter in range(1, 2 * i)
+    )
 
 
 def _strings(lt, w):
@@ -140,6 +149,10 @@ def test_build_highest():
     assert build_highest(A2, (0, 0)) == ()
     assert build_highest(A2, (1, 1)) == (1, 1, 2, 3)
     assert _is_highest(("A", 3), build_highest(A2, (1, 1)))
+    # the walk starts at the packed highest word, whose length sets its width
+    assert build_highest(A2, (1, 1)) in demazure_set(A2, (1, 1))
+    for w in dominant_weights(3, 3):
+        assert letter_count(w) == len(build_highest(A3, w))
 
 
 def test_demazure_set_rank2_fundamental():
@@ -313,7 +326,7 @@ def _saturate(vc, top, order):
     return current
 
 
-def test_closure_order_gate(monkeypatch):
+def test_closure_order_gate(monkeypatch, fresh_walk_steps):
     # saturating right to left along the word passes; the forward
     # composition loses an element of (A,2) omega_1, and so does the walk
     # run forward, which the dimension gate catches
@@ -323,6 +336,7 @@ def test_closure_order_gate(monkeypatch):
     assert _saturate(vc, top, reversed(word)) == set(demazure_set(A2, (1, 0)))
     assert len(_saturate(vc, top, word)) == 2
     monkeypatch.setattr("fflvstring.crystal.reduced_word", lambda lt: word[::-1])
+    _steps.cache_clear()  # the steps of the forward word
     with pytest.raises(VerificationError, match="closure has 2 elements, expected 3") as info:
         demazure_set(A2, (1, 0))
     assert info.value.gate == "crystal.demazure_dimension"
@@ -372,19 +386,37 @@ def _descending_key_signature(row, key, width):
     return tuple(minus)
 
 
-def test_per_letter_count_gate(monkeypatch):
+def test_per_letter_count_gate(monkeypatch, fresh_walk_steps):
     # under a descending key scan the highest word of C3 omega_3 is no head
     # at the walk's first letter, so the walk drops it there and reaches no
     # leaf: the final count catches what a per-letter count once caught
     monkeypatch.setattr("fflvstring.crystal._key_signature", _descending_key_signature)
-    _signature_tables.cache_clear()
     pattern = "closure has 0 elements, expected 14"
-    try:
-        with pytest.raises(VerificationError, match=pattern) as info:
-            string_points(C3, (0, 0, 1))
-    finally:
-        _signature_tables.cache_clear()
+    with pytest.raises(VerificationError, match=pattern) as info:
+        string_points(C3, (0, 0, 1))
     assert info.value.gate == "crystal.demazure_dimension"
+
+
+@pytest.mark.parametrize("lt,w", [(A2, (1, 1)), (C3, (0, 1, 1))])
+def test_walk_given_a_wrong_count_raises(monkeypatch, lt, w):
+    # the walk counts its leaves against the Weyl dimension; any other
+    # count trips the gate after the last leaf
+    b, dim = pack_width(len(build_highest(lt, w))), weyl_dim(lt, w)
+    assert sum(1 for _ in _walk(lt, w, b)) == dim
+    for wrong in (dim - 1, dim + 1):
+        monkeypatch.setattr("fflvstring.crystal.weyl_dim", lambda lt, w, n=wrong: n)
+        with pytest.raises(VerificationError, match=f"expected {wrong}") as info:
+            sum(1 for _ in _walk(lt, w, b))
+        assert info.value.gate == "crystal.demazure_dimension"
+
+
+def test_walk_steps_are_kept_per_width():
+    # the step table of a type and column count is cached per width: the
+    # strings of one weight at 8 and at 16 bits decode to the same vectors
+    for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
+        n = len(reduced_word(lt))
+        decoded = [sorted(unpack(packed_strings(lt, w, b), n, b)) for b in (8, 16)]
+        assert decoded[0] == decoded[1] == sorted(string_points(lt, w))
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,32 @@ def test_minkowski_cardinality_gate_trips_on_a_short_sum(monkeypatch):
     assert info.value.gate == "fflv.minkowski_cardinality"
 
 
+def _copy_by_copy(lt, w):
+    """Each copy of each P(omega_i) added to the whole sum, as vectors."""
+    current = {(0,) * len(build_labels(lt))}
+    for i, a in enumerate(w, start=1):
+        for _ in range(a):
+            step = fundamental_points(lt, i)
+            current = {tuple(x + y for x, y in zip(p, q)) for p in current for q in step}
+    return current
+
+
+@pytest.mark.parametrize(
+    "lt,weights",
+    [
+        (A2, [(k, 1) for k in range(8)] + [(30, 1), (1, 30)]),
+        (A1, [(k,) for k in range(25)]),
+        (C2, list(dominant_weights(2, 3))),
+    ],
+    ids=["A2", "A1", "C2"],
+)
+def test_packed_sum_is_the_copy_by_copy_sum(lt, weights):
+    # from the copy that less than doubles the sum on, each copy expands only
+    # the points the one before added
+    for w in weights:
+        assert set(points(lt, w)) == _copy_by_copy(lt, w), w
+
+
 @pytest.mark.parametrize("family,rank,level", [("A", 3, 2), ("C", 2, 1)])
 def test_minkowski_monotonicity(family, rank, level):
     lt = LieType(family, rank)

@@ -116,6 +116,7 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
 
     monkeypatch.setattr(crystal, "_key_signature", counted)
     crystal._signature_tables.cache_clear()
+    crystal._steps.cache_clear()
     lt = LieType("A", 4)
     walked = sum(1 for w in rootsys.dominant_weights(4, 2) for _ in crystal._walk(lt, w, 8))
     entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
@@ -232,6 +233,32 @@ def test_twist_memos_are_package_caches_the_benchmark_clears():
     for memo in memos:
         memo.cache_clear()
     assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_check_main_keeps_no_memo_outside_lru_caches():
+    # perfbench's clear_caches empties every functools.lru_cache before a
+    # timed pass; a module-level dict, list or set that check_main grows
+    # would outlive it and let the timed passes run warm
+    modules = [importlib.import_module(f"fflvstring.{info.name}")
+               for info in pkgutil.iter_modules(fflvstring.__path__)]
+
+    def sizes():
+        return {
+            (module.__name__, name): len(value)
+            for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    lt = LieType("A", 3)
+    mat = [list(row) for row in degenmap.build_matrix(lt)]
+    mat[1][4] += 7  # a matrix no other test uses
+    for w in ((2, 1, 2), (0, 1, 3)):
+        assert verify.check_main(lt, w).status == "ok"
+        assert verify.check_main(lt, w, matrix=mat).status == "failed"
+    assert verify.check_main(LieType("C", 3), (1, 1, 1)).status == "ok"
+    assert before and sizes() == before
 
 
 def test_every_cataloged_mutant_applies_exactly_once():

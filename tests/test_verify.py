@@ -25,6 +25,7 @@ from fflvstring.rootsys import (
     fflv_weight,
     reduced_word,
     string_weight,
+    weight_denominator,
     weyl_dim,
 )
 from fflvstring.verify import (
@@ -37,6 +38,7 @@ from fflvstring.verify import (
     unimodular_sweep,
 )
 from fflvstring.wedge import packed_power
+from conftest import TWIST_MEMOS, WALK_MEMOS
 from oracles import twist_oracle
 
 A1 = LieType("A", 1)
@@ -86,6 +88,15 @@ def test_check_main_with_corrupted_matrix_reports_witnesses():
     assert not rep.equal
     assert rep.missing_total + rep.extra_total > 0
     assert rep.missing or rep.extra
+
+
+def test_override_that_merges_images_reports_them():
+    # a zero column maps distinct chain points to one image, so |T(P)| < dim;
+    # the walk still counts against the Weyl dimension, and the case reports
+    mat = tuple((0,) + row[1:] for row in build_matrix(A2))
+    rep = check_main(A2, (1, 1), matrix=mat)
+    assert rep.status == "failed" and rep.missing_total > 0
+    assert rep.fflv_count == rep.string_count == rep.weyl_dim == 8
 
 
 def test_corrupted_a4_matrix_twist_witness():
@@ -169,16 +180,18 @@ def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
 
 
 def _shift_translation(monkeypatch, k, step):
-    """Patch the translation of check_main to t + step * e_k; patch inside a
+    """Patch the translation of check_main to t + step * e_k, and its pair
+    row of 0 with it, as the per-weight walk would move both; patch inside a
     fresh ``monkeypatch.context()``, or shifts compound across calls."""
-    real = verify.build_translation
+    real = verify.translation_and_zero_row
 
     def shifted(lt, weight):
-        t = list(real(lt, weight))
+        t, row0 = real(lt, weight)
         t[k] += step
-        return tuple(t)
+        row0[reduced_word(lt)[k] - 1] -= step * weight_denominator(lt)
+        return t, row0
 
-    monkeypatch.setattr(verify, "build_translation", shifted)
+    monkeypatch.setattr(verify, "translation_and_zero_row", shifted)
 
 
 @pytest.mark.parametrize("lt, w", [(A3, (1, 0, 1)), (C2, (1, 1))])
@@ -224,7 +237,9 @@ def test_translation_minus_one_on_a_zero_coordinate_trips_the_gate(
         assert exc.value.gate == "degenmap.nonnegative_image"
 
 
-def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch, fresh_twist_memos):
+def test_permuted_word_fails_with_witnesses_or_a_gate(
+    monkeypatch, fresh_twist_memos, fresh_walk_steps
+):
     # two adjacent letters that do not commute, swapped, name another Weyl
     # group element.  Weights are chosen whose Demazure crystals tell the
     # two apart: for some weights of a small stabilizer both agree and the
@@ -239,8 +254,8 @@ def test_permuted_word_fails_with_witnesses_or_a_gate(monkeypatch, fresh_twist_m
             swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
             for module in (rootsys, crystal):
                 monkeypatch.setattr(module, "reduced_word", lambda lt, s=swapped: s)
-            degenmap.label_rows.cache_clear()
-            degenmap.support_basis.cache_clear()
+            for memo in TWIST_MEMOS + WALK_MEMOS:
+                memo.cache_clear()
             try:
                 rep = check_main(lt, w)
             except VerificationError as exc:
