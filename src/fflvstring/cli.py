@@ -26,7 +26,6 @@ from .fflv import packed_points
 from .rootsys import (
     LieType,
     build_labels,
-    byte_digits,
     dominant_weights,
     natural_dim,
     reduced_word,
@@ -189,8 +188,8 @@ def render_document(doc: dict) -> str:
 
     json's indented encoder is pure Python and visits every coordinate, so
     only the small keys before ``points`` go through it.  On byte digits
-    (``rootsys.byte_digits``) every coordinate is below 128, so each point,
-    the top bit of its last byte set by ``x | 128``, is n bytes of one blob.
+    every coordinate is below 128, so each point, the top bit of its last
+    byte set by ``x | 128``, is n bytes of one blob.
     One charmap decode through ``_CELLS`` writes every coordinate with the
     text after it into one string, with no tuple per point and no list of
     cells; the last byte, which closes the document, is written apart.
@@ -201,7 +200,9 @@ def render_document(doc: dict) -> str:
     # points is the last key, so the text ends with its empty list
     text = json.dumps(dict(doc, points=[]), indent=2)
     head = text[: -len("[]\n}")] + "[\n    [\n      "
-    if byte_digits(b):
+    # b = 8 iff the level or letter count is at most 127 (``pack_width``); the
+    # points are nonnegative, so each coordinate is one byte, its top bit clear
+    if b == 8:
         blob = b"".join([(x | 128).to_bytes(n, "big") for x in ints])
         rows, _ = codecs.charmap_decode(blob[:-1], "strict", _CELLS)
         return "".join([head, rows, str(blob[-1] & 127), _CLOSE])

@@ -9,9 +9,11 @@ per-type rows of the omega_i (``fundamental_rows``) for it and for the pair
 row of 0 of the twist, whose only other term is D in its scale entry.  The
 linear part is one walk too, on packed ints: with p_k = 2^(b*(N-1-k)) the
 walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated and
-decoded at a width with 2^(b-1) > 2 + 2*N*max|a_ij|, which makes a decode
-that passes the gates exactly -R^{-1} for any word and any tridiagonal
-Cartan matrix.  The affine map walks only the support of a point.
+decoded by ``rootsys.unpack``, the one decoder of packed digits, at the
+width ``pack_width`` gives 2 + 2*N*max|a_ij|, which makes a decode that
+passes the gates exactly -R^{-1} for any word and any tridiagonal Cartan
+matrix.  The fundamental translations decode from one walk the same way.
+The affine map walks only the support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -28,7 +30,6 @@ only where the twist or a witness is read off.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +49,10 @@ from .rootsys import (
     fundamental_weight,
     letter_histogram,
     lifted_coeffs,
+    pack_width,
     reduced_word,
     root_expansion,
+    unpack,
     weight_denominator,
 )
 
@@ -67,18 +70,17 @@ def _simple_roots(family: str, rank: int) -> tuple[tuple[tuple[int, int], ...], 
     )
 
 
-def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int], start: int) -> list[int]:
-    """q = R^{-1}(c(nu) - p) on positions start, start-1, ..., 0 of the word.
+def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int]) -> list[int]:
+    """q = R^{-1}(c(nu) - p), one pass along the word.
 
     Runs right to left with a companion weight nu in fundamental coordinates:
-    q_k = nu[i_k] - p_k, then q_k * alpha_{i_k} leaves nu.  Only p[:start+1]
-    is read, and q is 0 after start.
+    q_k = nu[i_k] - p_k, then q_k * alpha_{i_k} leaves nu.
     """
     word = reduced_word(lt)
     roots = _simple_roots(lt.family, lt.target_rank)
     nu = list(nu)
     q = [0] * len(word)
-    for k in range(start, -1, -1):
+    for k in reversed(range(len(word))):
         i = word[k] - 1
         x = q[k] = nu[i] - p[k]
         if x:
@@ -98,32 +100,26 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     |q_k + p_k| < p_k / 2, so -1 on the diagonal and 0 below, unimodular and
     injective (``degenmap.unitriangular``); and the digits of -q_k, read with
     masks, lie in {0, 1} for family A and {0, 1, 2} for C
-    (``degenmap.entry_range``).  The rows are decoded once, by ``to_bytes``
-    and ``struct``.
+    (``degenmap.entry_range``).  The rows are decoded once, by
+    ``rootsys.unpack``.
 
     The width holds for any word and any tridiagonal Cartan matrix (a_ij),
-    the band that ``_simple_roots`` reads: b is a struct integer size with
-    2^(b-1) > 2 + 2*N*max|a_ij|.  R is unitriangular with entries a_ij
-    above the diagonal, and R q = -p.  For decoded digits d that
-    pass both gates, each digit of R d is at most 2 + (N-1)*max|a_ij|*2 in
+    the band that ``_simple_roots`` reads: b is ``pack_width`` of
+    2 + 2*N*max|a_ij|, so 2^(b-1) > 2 + 2*N*max|a_ij|.  R is unitriangular
+    with entries a_ij above the diagonal, and R q = -p.  For decoded digits
+    d that pass both gates, each digit of R d is at most 2 + (N-1)*max|a_ij|*2 in
     size, below 2^(b-1), where balanced digits are unique; so R d = -I digit
     by digit, and d is exactly -R^{-1}.
     """
     size, m = len(reduced_word(lt)), lt.target_rank
     top = max(max(map(abs, row)) for row in cartan_matrix(lt.family, m))
-    b = 8
-    while 1 << (b - 1) <= 2 + 2 * size * top:
-        b *= 2
+    b = pack_width(2 + 2 * size * top)
     places = [1 << (b * r) for r in reversed(range(size))]
-    rows = _walk(lt, [0] * m, places, size - 1)
+    rows = _walk(lt, [0] * m, places)
     if any(2 * abs(q + p) >= p for q, p in zip(rows, places)):
         raise VerificationError("degenmap.unitriangular", f"{lt}: not -1 on the diagonal, 0 below")
-    # per digit, (d + 2^(b-1)) ^ 2^(b-1) is d in two's complement; struct's
-    # signed codes of 1, 2, 4 and 8 bytes read it back
+    mat = tuple(unpack(rows, size, b))
     ones = sum(places)
-    tops = ones << (b - 1)
-    blob = b"".join(((q + tops) ^ tops).to_bytes(size * b // 8, "big") for q in rows)
-    mat = tuple(struct.iter_unpack(f">{size}{'bhiq'[b.bit_length() - 4]}", blob))
     keep = ones if lt.family == "A" else 3 * ones
     if any(-q & ~keep or -q & -q >> 1 & ones for q in rows):
         allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
@@ -147,7 +143,7 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
 @lru_cache(maxsize=None)
 def _translation(lt: LieType, w: tuple[int, ...]) -> ExponentVector:
     size = len(reduced_word(lt))
-    return tuple(_walk(lt, lifted_coeffs(lt, w), [0] * size, size - 1))
+    return tuple(_walk(lt, lifted_coeffs(lt, w), [0] * size))
 
 
 def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
@@ -155,21 +151,18 @@ def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
 
     The lift and the walk are linear in the weight, so the weight with
     a_i = 2^(8(i-1)) walks every omega_i at once: digit i - 1 of q_k, 8
-    bits wide and balanced, is entry k of t(omega_i).  The digits decode
-    exactly.  The walk moves nu by simple reflections, so entry k of
-    t(omega_i) is a fundamental coordinate of a weight in the Weyl orbit of
-    the lifted omega_i: in {-1, 0, 1} in type A, where it is minuscule, and
-    within +-2 in type C, a signed permutation of a 0/1 vector in the
-    epsilon basis.  A balanced byte holds -128..127.
+    bits wide and balanced, is entry k of t(omega_i).  ``rootsys.unpack``
+    lists digit n - 1, that of omega_n, first, so its rows are transposed
+    and reversed.  The digits decode exactly.  The walk moves nu by simple
+    reflections, so entry k of t(omega_i) is a fundamental coordinate of a
+    weight in the Weyl orbit of the lifted omega_i: in {-1, 0, 1} in type
+    A, where it is minuscule, and within +-2 in type C, a signed
+    permutation of a 0/1 vector in the epsilon basis.  A balanced byte
+    holds -128..127.
     """
     n, size = lt.rank, len(reduced_word(lt))
     nu = lifted_coeffs(lt, [1 << 8 * d for d in range(n)])
-    # per digit, (d + 128) ^ 128 is d in two's complement, as in build_matrix
-    tops = sum(128 << 8 * d for d in range(n))
-    walk = _walk(lt, nu, [0] * size, size - 1)
-    blob = b"".join(((q + tops) ^ tops).to_bytes(n, "little") for q in walk)
-    flat = struct.unpack(f"{len(blob)}b", blob)
-    return tuple(flat[d::n] for d in range(n))
+    return tuple(zip(*unpack(_walk(lt, nu, [0] * size), n, 8)))[::-1]
 
 
 @lru_cache(maxsize=None)

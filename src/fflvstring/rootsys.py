@@ -29,6 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -359,25 +360,18 @@ def pack(v: Sequence[int], b: int) -> int:
     return x
 
 
-def byte_digits(b: int) -> bool:
-    """True iff ``pack`` at width b writes each coordinate as one byte, so
-    that ``to_bytes`` reads off a nonnegative vector, every coordinate at
-    most 127: the fast paths of ``unpack`` and ``cli.render_document``."""
-    return b == 8
-
-
 def unpack(xs: Iterable[int], n: int, b: int) -> list[ExponentVector]:
-    """Inverse of ``pack`` on n coordinates.  Only a nonnegative vector has the
-    top bit of every digit clear, and on byte digits one ``to_bytes`` reads
-    it off."""
-    half = 1 << (b - 1)
-    tops, mask = pack((half,) * n, b), 2 * half - 1
-    fast = byte_digits(b)
-    return [
-        tuple(x.to_bytes(n, "big")) if fast and not x & tops
-        else tuple(((x + tops) >> (b * r) & mask) - half for r in reversed(range(n)))
-        for x in xs
-    ]
+    """Inverse of ``pack`` on n coordinates.  Per digit, (d + 2^(b-1)) ^ 2^(b-1)
+    is d in two's complement, so one ``to_bytes`` per int writes every digit;
+    struct's signed codes read back digits of 1, 2, 4 and 8 bytes, and
+    ``int.from_bytes`` the other multiples of 8 bits."""
+    k = b // 8
+    tops = ((1 << b * n) - 1) // ((1 << b) - 1) << (b - 1)
+    blob = b"".join([((x + tops) ^ tops).to_bytes(n * k, "big") for x in xs])
+    if k in (1, 2, 4, 8):
+        return list(struct.iter_unpack(f">{n}{'bhiq'[k.bit_length() - 1]}", blob))
+    digits = [int.from_bytes(blob[i : i + k], "big", signed=True) for i in range(0, len(blob), k)]
+    return [tuple(digits[i : i + n]) for i in range(0, len(digits), n)]
 
 
 def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:

@@ -242,13 +242,6 @@ def _lowest_digit(c: int, width: int) -> int:
     return (c >> low - low % width) & ((1 << width) - 1)
 
 
-def sim_check(lt: LieType, x: Sequence[int], y: Sequence[int], i: int) -> bool:
-    """Equivalence of two word-aligned monomials on the i-th exterior power."""
-    return sim_check_ops(
-        monomial_ops(lt, x), monomial_ops(lt, y), i, lt.family, lt.target_rank
-    )
-
-
 def nonannihilation_check(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped chain point acts nonzero on the highest wedge."""
     image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)

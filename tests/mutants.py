@@ -266,14 +266,19 @@ MUTANTS = [
             "tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",
         ),
     ),
+    # the one decoder: 4-byte digits read as 2-byte ones, and the from_bytes
+    # path reading each digit one byte short
     (
         ROOTSYS,
-        "if fast and not x & tops",
-        "if fast",
-        (
-            "tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",
-            "tests/test_verify.py::test_check_main_with_corrupted_matrix_reports_witnesses",
-        ),
+        "'bhiq'[k.bit_length() - 1]",
+        "'bhhq'[k.bit_length() - 1]",
+        ("tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",),
+    ),
+    (
+        ROOTSYS,
+        "blob[i : i + k]",
+        "blob[i : i + k - 1]",
+        ("tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",),
     ),
     (
         VERIFY,
@@ -311,8 +316,8 @@ MUTANTS = [
     ),
     (
         DEGENMAP,
-        "<= 2 + 2 * size * top:",
-        "<= 2:",
+        "b = pack_width(2 + 2 * size * top)",
+        "b = pack_width((2 + 2 * size * top) >> 8)",
         ("tests/test_degenmap.py::test_entry_range_gate_names_the_true_entries",),
     ),
     # the packed slack register of the Dyck check, one bit short
@@ -354,8 +359,8 @@ MUTANTS = [
     ),
     (
         CLI,
-        "    if byte_digits(b):",
-        "    if byte_digits(b) or b == 16:",
+        "    if b == 8:\n",
+        "    if b in (8, 16):\n",
         ("tests/test_cli.py::test_document_at_the_byte_width_boundary",),
     ),
     # check_main on per-type data: memos keyed without the width, a sum

@@ -121,8 +121,8 @@ def test_unitriangular_gate(monkeypatch, lt, cell):
     real = degenmap._walk
     for k in range(1 if cell == "below" else 0, len(reduced_word(lt))):
 
-        def walk(lt, nu, p, start, k=k):
-            q = real(lt, nu, p, start)
+        def walk(lt, nu, p, k=k):
+            q = real(lt, nu, p)
             q[k] += p[k] if cell == "diagonal" else -p[k - 1]
             return q
 

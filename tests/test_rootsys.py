@@ -5,7 +5,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fflvstring.rootsys as rootsys
@@ -303,7 +303,7 @@ def test_dominant_weights_enumeration():
 
 @st.composite
 def _balanced_vectors(draw):
-    bound = draw(st.sampled_from([0, 1, 3, 127, 128, 40000]))
+    bound = draw(st.sampled_from([0, 1, 3, 127, 128, 40000, 2**30, 2**62, 2**70]))
     coord = st.integers(-bound, bound)
     n = draw(st.integers(1, 6))
     return bound, draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=8))
@@ -311,8 +311,13 @@ def _balanced_vectors(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_balanced_vectors())
+@example((2**30, [[2**30, -(2**30), 5], [-1, 2**29, 0]]))
+@example((2**62, [[2**62, -(2**62), 5], [-1, 2**61, 0]]))
+@example((2**70, [[2**70, -(2**70), 5], [-1, 2**69, 0]]))
 def test_pack_is_linear_injective_and_lex_monotone(case):
-    # |x| <= bound fits the width; 127 is the last bound of one byte
+    # |x| <= bound fits the width; 127 is the last bound of one byte; the
+    # widths 8, 16, 32 and 64 decode through struct, 24 and 72 through
+    # from_bytes, and the examples pin a nonempty draw at 32, 64 and 72
     bound, vecs = case
     b = pack_width(bound)
     assert b % 8 == 0 and bound < 2 ** (b - 1) and (b == 8 or bound >= 2 ** (b - 9))

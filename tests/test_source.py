@@ -75,6 +75,19 @@ def test_no_package_module_imports_exact():
     assert found == []
 
 
+def test_only_rootsys_imports_struct():
+    # rootsys.unpack is the one decoder of packed digits, so a second one
+    # that reads them through struct fails here
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rootsys.py"
+        for line, names in _imports(path)
+        if "struct" in names
+    ]
+    assert found == []
+
+
 def test_verify_imports_nothing_from_fractions():
     # check_main fits the twist on integer weight pairs; only the read-off
     # of the twist or a witness, in degenmap, builds a Fraction

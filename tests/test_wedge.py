@@ -33,7 +33,6 @@ from fflvstring.wedge import (
     nonannihilation_check,
     oracle_string_points_A,
     restriction_block,
-    sim_check,
     sim_check_ops,
     unfold_dominates,
     wedge_basis,
@@ -108,7 +107,8 @@ def test_serre_free_commutation():
 
 def test_sim_check_reflexive():
     x = (1, 0, 1)
-    assert sim_check(A2, x, x, 1)
+    ops = monomial_ops(A2, x)
+    assert sim_check_ops(ops, ops, 1, A2.family, A2.target_rank)
 
 
 @pytest.mark.parametrize("family", ["A", "C"])
