@@ -19,7 +19,7 @@ is k xors.  The table is filled by ``_key_signature``, one pass over the
 key's bits, lowest first, which with ``letter_classes`` is the one statement
 of the bracket rule.
 
-One depth-first walk from the highest element, taking the letters of the
+The depth-first ``walk`` from the highest element, taking the letters of the
 reduced word last first, yields the Demazure set with the string vector
 (Littelmann's string coordinates) of each element.  By the string property
 (Kashiwara 1993) the set built from the letters done so far meets every
@@ -154,7 +154,7 @@ def _steps(lt: LieType, columns: int, b: int) -> tuple[tuple, ...]:
     )
 
 
-def _walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
+def walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
     """Each packed Demazure element with its string vector in b-bit digits.
 
     Column c of the highest word holds bits width*c .. width*c + width - 1,
@@ -163,7 +163,7 @@ def _walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
     its children f_j^t, t >= 1, and walks on as its own child t = 0; at the
     last letter it yields them all instead.  A leaf count that is not the
     dimension of the source module is a hard failure, raised after the last
-    leaf.
+    leaf.  ``b`` must hold the letter count, as f_j^k lowers k letters.
     """
     width = natural_dim(lt.family, lt.target_rank)
     sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
@@ -206,8 +206,8 @@ def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]
     """The Demazure crystal of the reduced word, as sorted tensor words."""
     w = check_dominant(lt, weight)
     width = natural_dim(lt.family, lt.target_rank)
-    walk = _walk(lt, w, pack_width(letter_count(w)))
-    return tuple(sorted(_decode(elem, width) for elem, _ in walk))
+    leaves = walk(lt, w, pack_width(letter_count(w)))
+    return tuple(sorted(_decode(elem, width) for elem, _ in leaves))
 
 
 def extract_string(
@@ -247,12 +247,6 @@ def extract_string(
     return tuple(q)
 
 
-def packed_strings(lt: LieType, w: tuple[int, ...], b: int) -> set[int]:
-    """Packed string vectors of a checked weight; ``b`` must hold its letter
-    count, as f_j^k lowers k distinct letters."""
-    return {s for _, s in _walk(lt, w, b)}
-
-
 def packed_string_points(
     lt: LieType, weight: tuple[int, ...]
 ) -> tuple[list[int], int, int]:
@@ -260,7 +254,7 @@ def packed_string_points(
     at the width ``pack_width`` gives the letter count."""
     w = check_dominant(lt, weight)
     b = pack_width(letter_count(w))
-    return sorted(s for _, s in _walk(lt, w, b)), len(reduced_word(lt)), b
+    return sorted(s for _, s in walk(lt, w, b)), len(reduced_word(lt)), b
 
 
 def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:

@@ -1,7 +1,7 @@
 """End-to-end theorem pipelines with machine-readable reports.
 
-Each report compares the image of the chain points, a Minkowski sum of
-packed fundamental images, with the packed string points of the same weight,
+Each report takes the packed string points of one weight out of the image
+of the chain points, a Minkowski sum of packed fundamental images, and
 records both cardinalities and the Weyl dimension, up to ten witnesses per
 direction together with exact totals, and the affine weight twist fitted to
 the zero point's pair row and the label rows of the unit chain points, which
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .crystal import letter_count, packed_strings
+from .crystal import letter_count, walk
 from .degenmap import (
     WeightTwist,
     apply_affine,
@@ -123,6 +123,10 @@ def check_main(
     string entry, at most the letter count.  The trusted matrix is gated
     unitriangular, so ``fflv_count = |T(P)| = |P|``; under an override it is
     ``len(points)``.  t_lambda is the sum of a_i t(omega_i), by linearity.
+    Then the walk takes each string out of that one set, or records it
+    missing.  Its strings are distinct (a leaf's path is its string), so the
+    images left are exactly those no string matched, the extras, and
+    ``string_count``, matched plus missing, is the gated leaf count.
 
     The twist is ``support_twist_solve``: the integer pair row of 0 over D =
     ``weight_denominator(lt)``, a sum of per-type rows, joins the cached basis
@@ -144,12 +148,14 @@ def check_main(
     n, level = len(trans), sum(w)
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
     b = pack_width(max(letter_count(w), *bounds))
-    # strings first: the walk's stack is gone before the images live
-    strings = packed_strings(lt, w, b)
     images = packed_sum(lt, w, pack(trans, b), mat, b)
-
-    missing = sorted(strings - images)
-    extra = unpack(sorted(images - strings), n, b)
+    size, missing = len(images), []
+    for _, s in walk(lt, w, b):
+        try:
+            images.remove(s)
+        except KeyError:
+            missing.append(s)
+    extra = unpack(sorted(images), n, b)
     if trusted and any(min(v) < 0 for v in extra):
         for p in points(lt, w):
             check_nonnegative(lt, w, p, apply_affine(mat, trans, p))
@@ -166,10 +172,10 @@ def check_main(
         family=lt.family,
         rank=lt.rank,
         weight=w,
-        fflv_count=len(images) if trusted else len(points(lt, w)),
-        string_count=len(strings),
+        fflv_count=size if trusted else len(points(lt, w)),
+        string_count=size - len(images) + len(missing),
         weyl_dim=weyl_dim(lt, w),
-        missing=tuple(unpack(missing[:WITNESS_CAP], n, b)),
+        missing=tuple(unpack(sorted(missing)[:WITNESS_CAP], n, b)),
         missing_total=len(missing),
         extra=tuple(extra[:WITNESS_CAP]),
         extra_total=len(extra),

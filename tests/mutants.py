@@ -244,18 +244,42 @@ MUTANTS = [
             "tests/test_wedge.py::test_oracle_equals_crystal_string_points",
         ),
     ),
-    # the packed image engine
+    # the packed image engine: one pass of the walk takes each match out of
+    # the image set; a matched image left in it, a missing string not
+    # recorded, the image count on the override path, the leaf count
+    # without the missing strings
     (
         VERIFY,
-        "fflv_count=len(images) if trusted else len(points(lt, w)),",
-        "fflv_count=len(images),",
-        ("tests/test_verify.py::test_integer_kernel_matches_staged_reference",),
+        "images.remove(s)",
+        "images.remove(s) or images.add(s)",
+        (
+            "tests/test_verify.py::test_check_main_small_cases",
+            "tests/test_verify.py::test_report_json_digest_fixture",
+        ),
     ),
     (
         VERIFY,
-        "    missing = sorted(strings - images)\n",
-        "    missing = []\n",
+        "            missing.append(s)\n",
+        "            pass\n",
         ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
+    ),
+    (
+        VERIFY,
+        "fflv_count=size if trusted else len(points(lt, w)),",
+        "fflv_count=size,",
+        (
+            "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
+            "tests/test_verify.py::test_override_that_merges_images_reports_them",
+        ),
+    ),
+    (
+        VERIFY,
+        "string_count=size - len(images) + len(missing),",
+        "string_count=size - len(images),",
+        (
+            "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
+            "tests/test_verify.py::test_override_that_merges_images_reports_them",
+        ),
     ),
     (
         ROOTSYS,

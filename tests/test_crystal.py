@@ -14,13 +14,12 @@ from fflvstring.crystal import (
     _key_signature,
     _signature_tables,
     _steps,
-    _walk,
     demazure_set,
     extract_string,
     letter_classes,
     letter_count,
-    packed_strings,
     string_points,
+    walk,
 )
 from fflvstring.degenmap import build_translation
 from fflvstring.errors import VerificationError
@@ -58,7 +57,7 @@ def _strings(lt, w):
     """The walk's leaves as tensor words with their string vectors, decoded
     by ``_decode`` and ``unpack``."""
     b = pack_width(len(build_highest(lt, w)))
-    elements, strings = zip(*_walk(lt, w, b))
+    elements, strings = zip(*walk(lt, w, b))
     width = natural_dim(lt.family, lt.target_rank)
     words = [_decode(elem, width) for elem in elements]
     assert len(set(words)) == len(words)
@@ -350,7 +349,7 @@ def test_sorted_packed_strings_decode_in_lex_order(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
         b = pack_width(len(build_highest(lt, w)))
-        packed = sorted(packed_strings(lt, w, b))
+        packed = sorted(s for _, s in walk(lt, w, b))
         vecs = unpack(packed, len(reduced_word(lt)), b)
         assert vecs == sorted(vecs) and len(set(vecs)) == len(vecs)
         assert [pack(v, b) for v in vecs] == packed
@@ -402,11 +401,11 @@ def test_walk_given_a_wrong_count_raises(monkeypatch, lt, w):
     # the walk counts its leaves against the Weyl dimension; any other
     # count trips the gate after the last leaf
     b, dim = pack_width(len(build_highest(lt, w))), weyl_dim(lt, w)
-    assert sum(1 for _ in _walk(lt, w, b)) == dim
+    assert sum(1 for _ in walk(lt, w, b)) == dim
     for wrong in (dim - 1, dim + 1):
         monkeypatch.setattr("fflvstring.crystal.weyl_dim", lambda lt, w, n=wrong: n)
         with pytest.raises(VerificationError, match=f"expected {wrong}") as info:
-            sum(1 for _ in _walk(lt, w, b))
+            sum(1 for _ in walk(lt, w, b))
         assert info.value.gate == "crystal.demazure_dimension"
 
 
@@ -415,7 +414,7 @@ def test_walk_steps_are_kept_per_width():
     # strings of one weight at 8 and at 16 bits decode to the same vectors
     for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
         n = len(reduced_word(lt))
-        decoded = [sorted(unpack(packed_strings(lt, w, b), n, b)) for b in (8, 16)]
+        decoded = [sorted(unpack([s for _, s in walk(lt, w, b)], n, b)) for b in (8, 16)]
         assert decoded[0] == decoded[1] == sorted(string_points(lt, w))
 
 
@@ -429,16 +428,16 @@ def test_walk_peak_memory_stays_near_its_result(lt, w):
     # counts the leaves peaks at most 1/20 of the string set it would fill
     # (C3: 4.6 KB against 226 KB; C5: 5.6 KB against 1.03 MB)
     b = pack_width(len(build_highest(lt, w)))
-    sum(1 for _ in _walk(lt, w, b))
+    sum(1 for _ in walk(lt, w, b))
     tracemalloc.start()
     try:
-        leaves = sum(1 for _ in _walk(lt, w, b))
+        leaves = sum(1 for _ in walk(lt, w, b))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     tracemalloc.start()
     try:
-        strings = packed_strings(lt, w, b)
+        strings = {s for _, s in walk(lt, w, b)}
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -118,7 +118,7 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
     # an element is one int of column bitmasks, and each operator reads a
     # per-type table keyed by its classed letters: the letter scan runs once
     # per new table entry, never once per element
-    leaves = list(crystal._walk(LieType("A", 3), (1, 1, 0), 8))
+    leaves = list(crystal.walk(LieType("A", 3), (1, 1, 0), 8))
     assert leaves and all(type(elem) is int for elem, _ in leaves)
     calls = []
     real = crystal._key_signature
@@ -131,7 +131,7 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
     crystal._signature_tables.cache_clear()
     crystal._steps.cache_clear()
     lt = LieType("A", 4)
-    walked = sum(1 for w in rootsys.dominant_weights(4, 2) for _ in crystal._walk(lt, w, 8))
+    walked = sum(1 for w in rootsys.dominant_weights(4, 2) for _ in crystal.walk(lt, w, 8))
     entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
     assert 0 < len(calls) == entries < walked
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -177,6 +178,29 @@ def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
     rep = check_main(A3, (1, 1, 0), matrix=[list(row) for row in mat])
     assert rep == replace(check_main(A3, (1, 1, 0), matrix=mat), elapsed=rep.elapsed)
     assert degenmap.support_basis.cache_info().currsize == 1
+
+
+def _traced_peak(call, *args):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_main_holds_no_point_set_but_the_images(monkeypatch):
+    # the walk takes each match out of the image set, so with the per-type
+    # caches warm a case peaks near packed_sum alone; a string set beside
+    # the images read 1.83-2.01 times it
+    sums = []
+    real = verify.packed_sum
+    monkeypatch.setattr(verify, "packed_sum", lambda *args: sums.append(args) or real(*args))
+    for lt, w in ((C3, (0, 2, 2)), (A4, (1, 1, 1, 1))):
+        assert check_main(lt, w).status == "ok"
+        alone = _traced_peak(real, *sums[-1])
+        assert _traced_peak(check_main, lt, w) <= 1.25 * alone
 
 
 def _shift_translation(monkeypatch, k, step):
