@@ -4,9 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 fault: a failed gate, or a ``ValueError`` that escapes the library after the
 input was validated.  Identical invocations produce byte-identical
 documents.  A command refuses a weight whose module dimension exceeds
-``--max-dim`` before it enumerates anything; ``verify main``, ``verify
-unimodular`` and ``verify comm`` likewise refuse a matrix or an
-exterior-power table that holds more entries or rows than that.
+``--max-dim`` before it enumerates anything; ``verify unimodular`` and
+``verify comm`` likewise refuse a matrix or an exterior-power table that
+holds more entries or rows than that.  ``verify main`` and ``stringpoly
+points`` refuse a type of N labels whose N^2 exceeds both ``--max-dim`` and
+the default: one builds the N x N matrix, the other a step table of
+N(N-1)/2 string digits, even at a weight of dimension 1.  Flags are inputs
+or the settings ``--max-dim``, ``--json`` and ``--out``; none is for tests.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from functools import lru_cache
 from math import comb
 
 from .crystal import packed_string_points
-from .degenmap import build_matrix
 from .errors import VerificationError
 from .fflv import packed_points
 from .rootsys import (
@@ -41,6 +44,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GATE_FAILURE = 3
 DEFAULT_MAX_DIM = 200_000
+_DIM_TEXT = "refuse a weight whose module dimension exceeds this"
 
 
 class UsageError(Exception):
@@ -132,6 +136,15 @@ def _check_size(what: str, size: int, max_dim: int) -> None:
         raise UsageError(f"{what}: {size}, above --max-dim {max_dim}")
 
 
+def _check_type_size(lt: LieType, unit: str, max_dim: int) -> None:
+    """Refuse a type whose label count squared exceeds the budget and the default.
+
+    A budget set below the default to limit the weights does not refuse a
+    type the default admits: A2 at --max-dim 8 keeps its 3 x 3 matrix.
+    """
+    _check_size(f"{lt} {unit}", root_count(lt) ** 2, max(max_dim, DEFAULT_MAX_DIM))
+
+
 def _check_out_path(out_path: str | None) -> None:
     """Refuse an output path that cannot be written, before any work starts."""
     parent = os.path.dirname(os.path.abspath(out_path or "."))
@@ -214,6 +227,8 @@ def _cmd_points(args, kind: str) -> int:
     lt = LieType(_parse_type(args.type), args.rank)
     weight = _parse_weight(args.weight, lt.rank)
     _check_out_path(args.out)
+    if kind == "string":
+        _check_type_size(lt, "labels squared", args.max_dim)
     _check_dim(lt, [weight], args.max_dim)
     doc = polytope_document(lt, weight, kind)
     _emit(render_document(doc), args.out)
@@ -225,18 +240,9 @@ def _cmd_verify_main(args) -> int:
         raise UsageError("--max-level must be nonnegative")
     lt = LieType(_parse_type(args.type), args.rank)
     _check_out_path(args.json)
-    # a budget set below the default to limit the weights does not refuse a
-    # matrix the default admits: A2 at --max-dim 8 keeps its 3 x 3 matrix
-    _check_size(
-        f"{lt} matrix entries", root_count(lt) ** 2, max(args.max_dim, DEFAULT_MAX_DIM)
-    )
+    _check_type_size(lt, "matrix entries", args.max_dim)
     _check_dim(lt, dominant_weights(lt.rank, args.max_level), args.max_dim)
-    matrix = None
-    if args.corrupt_matrix:
-        mat = [list(row) for row in build_matrix(lt)]
-        mat[0][0] -= 1
-        matrix = tuple(tuple(row) for row in mat)
-    reports = run_grid([(lt, args.max_level)], matrix=matrix)
+    reports = run_grid([(lt, args.max_level)])
     header = f"{'case':<16}{'fflv':>6}{'string':>8}{'dim':>6}  {'status':<8}{'twist':<7}"
     print(header)
     for rep in reports:
@@ -282,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     stringpoly = sub.add_parser("stringpoly", help="string polytope lattice points")
     string_sub = stringpoly.add_subparsers(dest="subcommand", required=True)
-    _add_points_args(string_sub.add_parser("points", help="emit a point document"))
+    _add_points_args(
+        string_sub.add_parser("points", help="emit a point document"),
+        f"{_DIM_TEXT}, or a type whose label count squared exceeds both this "
+        f"and {DEFAULT_MAX_DIM}",
+    )
 
     verify = sub.add_parser("verify", help="theorem verification sweeps")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -293,13 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     main_cmd.add_argument("--max-level", type=int, required=True)
     _add_max_dim(
         main_cmd,
-        "refuse a weight whose module dimension exceeds this, or a matrix whose "
-        f"entry count exceeds both this and {DEFAULT_MAX_DIM}",
+        f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
+        f"and {DEFAULT_MAX_DIM}",
     )
     main_cmd.add_argument("--json", default=None)
-    main_cmd.add_argument(
-        "--corrupt-matrix", action="store_true", help=argparse.SUPPRESS
-    )
 
     for name, (_, text, unit, _) in SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
@@ -309,18 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_points_args(cmd: argparse.ArgumentParser) -> None:
+def _add_points_args(cmd: argparse.ArgumentParser, max_dim_text: str = _DIM_TEXT) -> None:
     cmd.add_argument("--type", required=True)
     cmd.add_argument("--rank", type=_positive("--rank"), required=True)
     cmd.add_argument("--weight", required=True)
-    _add_max_dim(cmd)
+    _add_max_dim(cmd, max_dim_text)
     cmd.add_argument("--out", default=None)
 
 
-def _add_max_dim(
-    cmd: argparse.ArgumentParser,
-    text: str = "refuse a weight whose module dimension exceeds this",
-) -> None:
+def _add_max_dim(cmd: argparse.ArgumentParser, text: str = _DIM_TEXT) -> None:
     cmd.add_argument(
         "--max-dim",
         type=_positive("--max-dim"),

@@ -207,22 +207,19 @@ def apply_affine(
     return tuple(out)
 
 
-def apply_T(
-    lt: LieType, weight, p: Sequence[int], expect_nonnegative: bool = False
-) -> ExponentVector:
-    """Image of an exponent vector under the affine map for this weight.
+def apply_T(lt: LieType, weight, p: Sequence[int]) -> ExponentVector:
+    """Image of a chain point under the affine map for this weight.
 
-    With ``expect_nonnegative`` the caller asserts p is a verified chain
-    point, whose image must land in the nonnegative orthant; a negative
-    entry is then a hard failure.
+    The image of a chain point lies in the nonnegative orthant, so a
+    negative entry is a hard failure (``check_nonnegative``); the map of an
+    arbitrary vector is ``apply_affine`` on the matrix and translation.
     """
     w = check_dominant(lt, weight)
     labels = build_labels(lt)
     if len(p) != len(labels):
         raise ValueError(f"exponent vector must have length {len(labels)}")
     image = apply_affine(build_matrix(lt), build_translation(lt, w), p)
-    if expect_nonnegative:
-        check_nonnegative(lt, w, p, image)
+    check_nonnegative(lt, w, p, image)
     return image
 
 

@@ -128,53 +128,37 @@ def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
 
 
 @lru_cache(maxsize=None)
-def dyck_paths(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All monotone label paths from a diagonal label (l,l) to a diagonal (j,j).
-
-    Steps move (a,b) -> (a,b+1) or (a,b) -> (a+1,b) and stay inside the
-    triangle a <= b <= n.
-    """
-    paths: list[tuple[tuple[int, int], ...]] = []
-
-    def walk(a: int, b: int, j: int, acc: list[tuple[int, int]]) -> None:
-        if a == j and b == j:
-            paths.append(tuple(acc))
-            return
-        if b < j:
-            acc.append((a, b + 1))
-            walk(a, b + 1, j, acc)
-            acc.pop()
-        if a < b:
-            acc.append((a + 1, b))
-            walk(a + 1, b, j, acc)
-            acc.pop()
-
-    for l in range(1, n + 1):
-        for j in range(l, n + 1):
-            walk(l, l, j, [(l, l)])
-    return tuple(paths)
-
-
-@lru_cache(maxsize=None)
 def _dyck_digits(
     rank: int, width: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """The path digits of ``dyck_paths(rank)``, path p at bits width*p on.
+    """One digit per monotone label path from a diagonal (l,l) to a diagonal (j,j).
 
-    Per label, in ``build_labels`` order, the mask with a 1 in the digit of
-    every path through it (a monotone path meets a label at most once); per
-    (l, j), the triple (l, j, sum of the 1s of the paths from (l,l) to (j,j)).
+    Steps move (a,b) -> (a,b+1) or (a,b) -> (a+1,b) and stay inside the
+    triangle a <= b <= rank; path p, in the order of a depth-first walk from
+    each (l,l), holds the digit at bits width*p on.  Per label, in
+    ``build_labels`` order, the mask with a 1 in the digit of every path
+    through it (a monotone path meets a label at most once); per (l, j), the
+    triple (l, j, sum of the 1s of the paths from (l,l) to (j,j)).  The walk
+    is a tree, so the paths through a label are the leaves below it, and each
+    label's mask gains their digits as the walk returns through it.
     """
     pos = {(lab.row, lab.col): k for k, lab in enumerate(build_labels(LieType("A", rank)))}
     masks = [0] * len(pos)
-    ends: dict[tuple[int, int], int] = {}
-    for p, path in enumerate(dyck_paths(rank)):
-        digit = 1 << width * p
-        span = path[0][0], path[-1][1]
-        ends[span] = ends.get(span, 0) | digit
-        for label in path:
-            masks[pos[label]] |= digit
-    return tuple(masks), tuple((l, j, ones) for (l, j), ones in ends.items())
+    count = 0
+
+    def walk(a: int, b: int, j: int) -> int:
+        nonlocal count
+        if a == b == j:
+            ones = 1 << width * count
+            count += 1
+        else:
+            ones = (walk(a, b + 1, j) if b < j else 0) | (walk(a + 1, b, j) if a < b else 0)
+        masks[pos[a, b]] |= ones
+        return ones
+
+    spans = [(l, j) for l in range(1, rank + 1) for j in range(l, rank + 1)]
+    ends = tuple((l, j, walk(l, l, j)) for l, j in spans)
+    return tuple(masks), ends
 
 
 def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bool:

@@ -134,7 +134,7 @@ def check_main(
     type, matrix and support.  It returns the same twist and witness as
     ``weight_twist_solve`` on the ``Fraction`` weights of every point.
 
-    ``matrix`` overrides the linear part (used by mutation fixtures); the
+    ``matrix`` overrides the linear part, the package's one fault seam; the
     override path reports a negative image, never a string, as a witness
     instead of raising the nonnegativity gate.  Every case runs to the end; a
     caller that must bound the work checks ``weyl_dim`` first, as the CLI does.
@@ -186,14 +186,14 @@ def check_main(
 
 
 def run_grid(
-    cases: Sequence[tuple[LieType, int]],
-    threads: int = 1,
-    matrix=None,
+    cases: Sequence[tuple[LieType, int]], threads: int = 1
 ) -> list[VerificationReport]:
     """Run check_main over every dominant weight of every case, in order.
 
-    ``cases`` lists (type, max coefficient sum) pairs.  The report list order
-    is deterministic and independent of the thread count.
+    ``cases`` lists (type, max coefficient sum) pairs, each checked against
+    its trusted matrix; a fault is injected through ``check_main``'s
+    ``matrix``.  The report list order is deterministic and independent of
+    the thread count.
     """
     tasks = [
         (lt, w)
@@ -205,10 +205,8 @@ def run_grid(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda t: check_main(t[0], t[1], matrix), tasks)
-            )
-    return [check_main(lt, w, matrix) for lt, w in tasks]
+            return list(pool.map(lambda t: check_main(*t), tasks))
+    return [check_main(lt, w) for lt, w in tasks]
 
 
 def all_passed(reports: Sequence[VerificationReport]) -> bool:

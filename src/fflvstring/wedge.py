@@ -244,7 +244,7 @@ def _lowest_digit(c: int, width: int) -> int:
 
 def nonannihilation_check(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """True iff the mapped chain point acts nonzero on the highest wedge."""
-    image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
+    image = apply_T(lt, fundamental_weight(lt.rank, i), p)
     return bool(act_monomial(lt, image, highest_wedge(2 * i - 1)))
 
 
@@ -269,7 +269,7 @@ def minimality_check_A(lt: LieType, i: int, p: Sequence[int]) -> bool:
     """
     if lt.family != "A":
         raise ValueError("minimality sweep is implemented for type A only")
-    image = apply_T(lt, fundamental_weight(lt.rank, i), p, expect_nonnegative=True)
+    image = apply_T(lt, fundamental_weight(lt.rank, i), p)
     return image in oracle_string_points_A(lt, i)
 
 

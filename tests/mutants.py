@@ -344,12 +344,36 @@ MUTANTS = [
         "b = pack_width((2 + 2 * size * top) >> 8)",
         ("tests/test_degenmap.py::test_entry_range_gate_names_the_true_entries",),
     ),
-    # the packed slack register of the Dyck check, one bit short
+    # the packed slack register of the Dyck check, one bit short, and a
+    # path's mask digit missing at its last label
     (
         FFLV,
         "    width = sum(w).bit_length() + 1",
         "    width = sum(w).bit_length()",
         ("tests/test_fflv.py::test_dyck_register_width_boundaries",),
+    ),
+    (
+        FFLV,
+        "        masks[pos[a, b]] |= ones\n",
+        "        masks[pos[a, b]] |= ones if (a, b) != (j, j) else 0\n",
+        (
+            "tests/test_fflv.py::test_dyck_a2_adjoint_both_directions",
+            "tests/test_fflv.py::test_dyck_check_matches_brute_force_box",
+        ),
+    ),
+    # apply_T without its nonnegativity gate, and stringpoly points without
+    # its type-size refusal
+    (
+        DEGENMAP,
+        "    check_nonnegative(lt, w, p, image)\n",
+        "",
+        ("tests/test_degenmap.py::test_apply_T_nonnegativity_gate",),
+    ),
+    (
+        CLI,
+        '        _check_type_size(lt, "labels squared", args.max_dim)\n',
+        "        pass\n",
+        ("tests/test_cli.py::test_max_dim_refused_before_enumeration",),
     ),
     # the commutation table's shared first-factor images
     (

@@ -244,14 +244,35 @@ def test_verify_main_level_zero(capsys):
     assert code == 0
 
 
-def test_verify_main_corrupted_fixture_fails(capsys):
+# sha256 of the ``verify main --type A --rank 3 --max-level 2 --json`` report
+# against the A3 matrix with its first diagonal entry lowered by one
+CORRUPTED_A3_REPORT_DIGEST = "874d543379ed2ceada54718dd92a9ce3764f84f2ff4fc9fbeb1427e76ea9f125"
+
+
+def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
+    # the one fault seam is check_main's matrix: the grid runs through it
+    mat = [list(row) for row in build_matrix(LieType("A", 3))]
+    mat[0][0] -= 1
+    corrupted = tuple(map(tuple, mat))
+
+    def corrupted_grid(cases):
+        return [
+            verify.check_main(lt, w, corrupted)
+            for lt, level in cases
+            for w in dominant_weights(lt.rank, level)
+        ]
+
+    monkeypatch.setattr(cli, "run_grid", corrupted_grid)
+    path = tmp_path / "report.json"
     code, out, _ = run_cli(
         capsys,
-        "verify", "main", "--type", "A", "--rank", "2", "--max-level", "2",
-        "--corrupt-matrix",
+        "verify", "main", "--type", "A", "--rank", "3", "--max-level", "2",
+        "--json", str(path),
     )
     assert code == 1
-    assert "missing" in out or "unmatched" in out
+    assert out.count("\n  missing string point: [") == 36
+    assert out.count("\n  unmatched image point: [") == 36
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORRUPTED_A3_REPORT_DIGEST
 
 
 def test_verify_main_json_deterministic(tmp_path, capsys):
@@ -426,11 +447,16 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
         ("verify", "main", "--type", "C", "--rank", "5", "--max-level", "3"),
         ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "2",
          "--max-dim", "7"),
+        ("stringpoly", "points", "--type", "C", "--rank", "300", "--weight", "0," * 299 + "0"),
+        ("stringpoly", "points", "--type", "C", "--rank", "22", "--weight", "0," * 21 + "0"),
     ],
 )
 def test_max_dim_refused_before_enumeration(capsys, monkeypatch, argv):
     # A8 (3^8) has dimension 4.7e21: the Weyl dimension is checked before
-    # any enumeration starts, so no point set is ever asked for
+    # any enumeration starts, so no point set is ever asked for.  At the zero
+    # weight of C300 the dimension is 1, but the walk's step table holds
+    # N(N-1)/2 string digits for N = 90,000 labels, gigabytes: stringpoly
+    # refuses a type whose N^2 exceeds the budget, as verify main does
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the dimension was checked")
 
@@ -471,7 +497,6 @@ def test_table_size_refused_before_work(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(wedge, "packed_power", no_work)
     monkeypatch.setattr(verify, "build_matrix", no_work)
-    monkeypatch.setattr(cli, "build_matrix", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "above --max-dim" in err
@@ -485,6 +510,13 @@ def test_table_size_admits_its_bound(capsys):
     assert out == GOLDEN_SWEEPS["unimodular", "3"]
     argv = ("verify", "main", "--type", "A", "--rank", "30", "--max-level", "0")
     assert run_cli(capsys, *argv, "--max-dim", "216225")[0] == 0
+    # C21: 441 labels, 441^2 = 194,481 entries, admitted by the default
+    argv = ("stringpoly", "points", "--type", "C", "--rank", "21", "--weight", "0," * 20 + "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5783ee141126063c13d2c10e7361b570d79961956d91984d4a384646df8d2cb5"
+    )
     # the default budget admits the comm sweep up to acting rank 7
     assert cli.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < cli.comm_table_rows(8)
 
@@ -535,7 +567,7 @@ ARGV_COMMANDS = {
     ("verify", "fold"): ("--max-rank",),
     ("verify", "comm"): ("--max-rank", "--max-dim"),
 }
-ARGV_NOISE = ("--corrupt-matrix", "--help", "--rank", "--weight", "verify", "stray", "3")
+ARGV_NOISE = ("--no-such-flag", "--help", "--rank", "--weight", "verify", "stray", "3")
 
 
 @st.composite

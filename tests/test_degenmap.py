@@ -174,17 +174,18 @@ def test_apply_T_rank2_hand_cases():
 
 def test_apply_T_nonnegativity_gate():
     outside = (5, 0, 0)  # far outside the polytope for omega_1
-    with pytest.raises(VerificationError):
-        apply_T(A2, (1, 0), outside, expect_nonnegative=True)
-    # without the flag the map is still defined
-    assert apply_T(A2, (1, 0), outside) == (-4, 0, 1)
+    with pytest.raises(VerificationError) as info:
+        apply_T(A2, (1, 0), outside)
+    assert info.value.gate == "degenmap.nonnegative_image"
+    # the affine map itself is defined on every vector
+    assert apply_affine(build_matrix(A2), build_translation(A2, (1, 0)), outside) == (-4, 0, 1)
 
 
 def test_images_of_chain_points_are_nonnegative():
     for lt, level in ((A3, 2), (C2, 2), (C3, 1)):
         for w in dominant_weights(lt.rank, level):
             for p in points(lt, w):
-                image = apply_T(lt, w, p, expect_nonnegative=True)
+                image = apply_T(lt, w, p)
                 assert all(x >= 0 for x in image)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fflvstring import wedge
 from fflvstring.crystal import string_points
-from fflvstring.degenmap import apply_T
+from fflvstring.degenmap import apply_T, apply_affine, build_matrix, build_translation
 from fflvstring.errors import VerificationError
 from fflvstring.fflv import fundamental_points
 from fflvstring.rootsys import (
@@ -339,7 +339,8 @@ def test_minimality_false_branches():
     lt, i = A3, 2
     w, wedge = fundamental_weight(lt.rank, i), highest_wedge(2 * i - 1)
     competitor = vector_from_labels(lt, {RootLabel(2, 2): 1})
-    images = {p: apply_T(lt, w, p) for p in product((-1, 0, 1), repeat=6)}
+    mat, trans = build_matrix(lt), build_translation(lt, w)
+    images = {p: apply_affine(mat, trans, p) for p in product((-1, 0, 1), repeat=6)}
     p = next(p for p, im in images.items() if im == competitor)
     q = next(
         q for q, im in images.items() if min(im) >= 0 and not act_monomial(lt, im, wedge)
@@ -363,8 +364,9 @@ def test_minimality_matches_reference(lt):
         for x in product((0, 1), repeat=len(word)):
             if not any(x[k] for k in outside) and act_monomial(lt, x, wedge):
                 best[hist(x)] = max(best.get(hist(x), x), x)
+        mat, trans = build_matrix(lt), build_translation(lt, w)
         for p in product((-1, 0, 1), repeat=len(word)):
-            image = apply_T(lt, w, p)
+            image = apply_affine(mat, trans, p)
             if min(image) < 0:
                 with pytest.raises(VerificationError):
                     minimality_check_A(lt, i, p)
