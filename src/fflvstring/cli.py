@@ -252,6 +252,9 @@ def _cmd_verify_main(args) -> int:
             f"{case:<16}{rep.fflv_count:>6}{rep.string_count:>8}"
             f"{rep.weyl_dim:>6}  {rep.status:<8}{twist:<7}({rep.elapsed:.3f}s)"
         )
+        if rep.weight_twist is None:
+            src, tgt = (", ".join(map(str, v)) for v in rep.twist_witness)
+            print(f"  twist witness: source [{src}], companion [{tgt}]")
         for p in rep.missing:
             print(f"  missing string point: {list(p)}")
         for p in rep.extra:

@@ -271,27 +271,24 @@ def lifted_coeffs(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
 
 
 def weyl_dim(lt: LieType, weight: Sequence[int]) -> int:
-    """Dimension of the rank-n simple module, by the Weyl product formula."""
+    """Dimension of the rank-n simple module, by the Weyl product formula.
+
+    0-based, lambda + rho = v in the epsilon basis, v_k = a_k + ... + a_{n-1} + n - k,
+    rho_k = n - k, v_n = rho_n = 0.  Both families take (v_i - v_j) / (j - i) for i < j
+    (v_i / rho_i at j = n); type C adds (v_i + v_j) / (2n - i - j), j < n.  A 1 is skipped."""
     w = check_dominant(lt, weight)
     n = lt.rank
-    mu = [sum(w[k:]) for k in range(n)]
+    v = [sum(w[k:]) + n - k for k in range(n)] + [0]
+    c = lt.family == "C"
     num = den = 1
-    if lt.family == "A":
-        v = [mu[k] + (n - k) for k in range(n)] + [0]
-        rho = [n - k for k in range(n)] + [0]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            if v[i] - v[j] != j - i:
                 num *= v[i] - v[j]
-                den *= rho[i] - rho[j]
-    else:
-        v = [mu[k] + (n - k) for k in range(n)]
-        rho = [n - k for k in range(n)]
-        for i in range(n):
-            num *= v[i]
-            den *= rho[i]
-            for j in range(i + 1, n):
-                num *= (v[i] - v[j]) * (v[i] + v[j])
-                den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
+                den *= j - i
+            if c and j < n and v[i] + v[j] != 2 * n - i - j:
+                num *= v[i] + v[j]
+                den *= 2 * n - i - j
     q, rem = divmod(num, den)
     if rem:
         raise VerificationError(

@@ -3,15 +3,16 @@
 Each entry is ``(file, old, new, killers)``: ``old`` occurs exactly once in
 ``file`` (a path from the repository root), the mutant replaces it with
 ``new``, and each of ``killers`` (pytest node ids) fails on the mutant.
-``tests/test_source.py`` checks the first fact in every tier-1 run, so the
-catalog cannot rot unseen.
+``tests/test_source.py`` checks the first fact, and that each killer names
+a test function of its file, in every tier-1 run, so the catalog cannot rot
+unseen.
 
 Run as a script, ``python tests/mutants.py`` copies the repository to a
 temporary directory per mutant, applies it and runs ``pytest -x`` there on
 each killer, then, if every killer passes, on the whole suite.  It prints
-one verdict per mutant and exits nonzero if a mutant survives the suite or
-a killer passes on its mutant.  A killed mutant costs a few seconds, a
-survivor a whole tier-1 run.
+one verdict per mutant and exits nonzero if a mutant survives the suite, a
+killer passes on its mutant or a killer names no test (``STALE``).  A
+killed mutant costs a few seconds, a survivor a whole tier-1 run.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ MUTANTS = [
         '    if False:\n        raise VerificationError(\n'
         '            "rootsys.weyl_dim_integral"',
         ("tests/test_rootsys.py::test_weyl_dim_integral_gate_trips",),
+    ),
+    # the one Weyl product: type C without its sum factors, and a skip of
+    # the factors equal to (j - i + 1) / (j - i), not of those equal to 1
+    (
+        ROOTSYS,
+        "            if c and j < n and v[i] + v[j] != 2 * n - i - j:\n",
+        "            if False:\n",
+        (
+            "tests/test_rootsys.py::test_weyl_dim_fundamental_formulas",
+            "tests/test_rootsys.py::test_weyl_dim_against_freudenthal",
+        ),
+    ),
+    (
+        ROOTSYS,
+        "            if v[i] - v[j] != j - i:\n",
+        "            if v[i] - v[j] != j - i + 1:\n",
+        (
+            "tests/test_rootsys.py::test_weyl_dim_fundamental_formulas",
+            "tests/test_rootsys.py::test_weyl_dim_against_pattern_count",
+        ),
     ),
     (
         VERIFY,
@@ -357,7 +378,7 @@ MUTANTS = [
         "        masks[pos[a, b]] |= ones\n",
         "        masks[pos[a, b]] |= ones if (a, b) != (j, j) else 0\n",
         (
-            "tests/test_fflv.py::test_dyck_a2_adjoint_both_directions",
+            "tests/test_fflv.py::test_dyck_full_grid",
             "tests/test_fflv.py::test_dyck_check_matches_brute_force_box",
         ),
     ),
@@ -466,11 +487,12 @@ MUTANTS = [
 ]
 
 
-def _passes(where: Path, *args: str) -> bool:
-    """True iff ``pytest -x`` passes on args in the copy at ``where``."""
+def _pytest(where: Path, *args: str) -> int:
+    """The exit code of ``pytest -x`` on args in the copy at ``where``: 0 if
+    it passes, 4 or 5 if args name no test."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
-    return subprocess.run(cmd, cwd=where, env=env, capture_output=True).returncode == 0
+    return subprocess.run(cmd, cwd=where, env=env, capture_output=True).returncode
 
 
 def verdict(file: str, old: str, new: str, killers) -> str:
@@ -484,12 +506,16 @@ def verdict(file: str, old: str, new: str, killers) -> str:
         if text.count(old) != 1:
             return "STALE: the old text does not occur exactly once"
         path.write_text(text.replace(old, new))
-        passing = [k for k in killers if _passes(where, k)]
+        codes = [_pytest(where, k) for k in killers]
+        stale = [k for k, code in zip(killers, codes) if code in (4, 5)]
+        if stale:
+            return f"STALE: these killers name no test: {stale}"
+        passing = [k for k, code in zip(killers, codes) if code == 0]
         if not passing:
             return "killed"
         if len(passing) < len(killers):
             return f"killed, but these killers pass: {passing}"
-        return "killed, but by none of its killers" if not _passes(where, "tests") else "SURVIVED"
+        return "killed, but by none of its killers" if _pytest(where, "tests") else "SURVIVED"
 
 
 def main() -> int:

@@ -211,6 +211,9 @@ def test_translation_is_linear_in_the_weight():
         for w in dominant_weights(n, level):
             total = tuple(sum(a * t for a, t in zip(w, col)) for col in zip(*units))
             assert build_translation(lt, w) == total, (lt, w)
+    for bad in ((0, 0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            build_translation(LieType("A", 2), bad)
 
 
 def _grid_weights():

@@ -48,65 +48,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_fflv_points_a3(capsys):
-    code, out, _ = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "3", "--weight", "0,1,0"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["type"] == "A" and doc["rank"] == 3 and doc["kind"] == "fflv"
-    assert len(doc["points"]) == 6
-    assert len(doc["labels"]) == 6
-    assert doc["points"] == sorted(doc["points"])
-
-
-def test_fflv_points_rank1_trivial(capsys):
-    code, out, _ = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "1", "--weight", "0"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["points"] == [[0]]
-
-
-def test_fflv_points_c2(capsys):
-    code, out, _ = run_cli(
-        capsys, "fflv", "points", "--type", "C", "--rank", "2", "--weight", "0,1"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["points"]) == 5
-    barred = [lab for lab in doc["labels"] if lab["barred"]]
-    assert barred == [{"row": 1, "col": 1, "barred": True}]
-
-
-def test_stringpoly_points_a2(capsys):
-    code, out, _ = run_cli(
-        capsys, "stringpoly", "points", "--type", "A", "--rank", "2", "--weight", "1,0"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "string"
-    assert doc["word"] == [2, 3, 1]
-    assert len(doc["points"]) == 3
-
-
-def test_stringpoly_points_zero_weight(capsys):
-    code, out, _ = run_cli(
-        capsys, "stringpoly", "points", "--type", "A", "--rank", "2", "--weight", "0,0"
-    )
-    assert code == 0
-    assert json.loads(out)["points"] == [[0, 0, 0]]
-
-
-def test_stringpoly_points_c3(capsys):
-    code, out, _ = run_cli(
-        capsys, "stringpoly", "points", "--type", "C", "--rank", "3", "--weight", "0,1,0"
-    )
-    assert code == 0
-    assert len(json.loads(out)["points"]) == 14
-
-
 def points_argv(command, lt, weight):
     return (
         command, "points", "--type", lt.family, "--rank", str(lt.rank),
@@ -222,42 +163,22 @@ def test_point_sets_and_documents_agree(data):
         assert_json_layout(out, doc, f"{command} {lt} {w}")
 
 
-def test_documents_byte_identical(capsys):
-    args = ("stringpoly", "points", "--type", "A", "--rank", "3", "--weight", "1,0,1")
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
-
-
-def test_verify_main_passes(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "main", "--type", "A", "--rank", "2", "--max-level", "2"
-    )
-    assert code == 0
-    assert "ok" in out
-
-
-def test_verify_main_level_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "main", "--type", "C", "--rank", "2", "--max-level", "0"
-    )
-    assert code == 0
-
-
 # sha256 of the ``verify main --type A --rank 3 --max-level 2 --json`` report
 # against the A3 matrix with its first diagonal entry lowered by one
 CORRUPTED_A3_REPORT_DIGEST = "874d543379ed2ceada54718dd92a9ce3764f84f2ff4fc9fbeb1427e76ea9f125"
 
 
 def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
-    # the one fault seam is check_main's matrix: the grid runs through it
-    mat = [list(row) for row in build_matrix(LieType("A", 3))]
-    mat[0][0] -= 1
-    corrupted = tuple(map(tuple, mat))
+    # the one fault seam is check_main's matrix: the grid runs through it,
+    # each type's matrix with its first diagonal entry lowered by one
+    def corrupted(lt):
+        mat = [list(row) for row in build_matrix(lt)]
+        mat[0][0] -= 1
+        return tuple(map(tuple, mat))
 
     def corrupted_grid(cases):
         return [
-            verify.check_main(lt, w, corrupted)
+            verify.check_main(lt, w, corrupted(lt))
             for lt, level in cases
             for w in dominant_weights(lt.rank, level)
         ]
@@ -273,6 +194,15 @@ def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
     assert out.count("\n  missing string point: [") == 36
     assert out.count("\n  unmatched image point: [") == 36
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CORRUPTED_A3_REPORT_DIGEST
+    # a twist that does not fit prints its witness pair under its case, as
+    # check_main reports it for A4 (1, 1, 1, 1)
+    assert out.count("\n  twist witness: source [") == 4
+    argv = ("verify", "main", "--type", "A", "--rank", "4", "--max-level", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("A4 (1, 1, 1, 1) "))
+    assert code == 1 and "none" in lines[k]
+    assert lines[k + 1] == "  twist witness: source [1, 2, 2, 1], companion [1, 1, 0, 0, 0, 1, 1]"
 
 
 def test_verify_main_json_deterministic(tmp_path, capsys):

@@ -162,10 +162,6 @@ def test_demazure_set_trivial_weight():
     assert demazure_set(A2, (0, 0)) == ((),)
 
 
-def test_demazure_set_a3_omega2_size():
-    assert len(demazure_set(A3, (0, 1, 0))) == 6
-
-
 @pytest.mark.parametrize(
     "family,rank,level", [("A", 2, 2), ("A", 3, 2), ("C", 2, 2), ("C", 3, 1)]
 )

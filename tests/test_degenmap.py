@@ -140,26 +140,6 @@ def test_translation_c2_omega2_fixture():
     assert build_translation(C2, (0, 1)) == expected
 
 
-def test_translation_zero_weight_and_linearity():
-    for lt in (A3, C3):
-        zero = (0,) * lt.rank
-        assert build_translation(lt, zero) == (0,) * len(build_labels(lt))
-        grid = list(dominant_weights(lt.rank, 1))
-        for w1 in grid:
-            for w2 in grid:
-                total = tuple(a + b for a, b in zip(w1, w2))
-                lin = tuple(
-                    x + y
-                    for x, y in zip(
-                        build_translation(lt, w1), build_translation(lt, w2)
-                    )
-                )
-                assert build_translation(lt, total) == lin
-    for bad in ((0, 0, 1), (1, -1)):
-        with pytest.raises(ValueError):
-            build_translation(A2, bad)
-
-
 def test_apply_T_zero_point_gives_translation():
     for lt, w in ((A3, (0, 1, 0)), (C2, (0, 1))):
         zero = (0,) * len(build_labels(lt))

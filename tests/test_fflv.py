@@ -128,10 +128,6 @@ def test_points_fundamental_weight_reduces():
     assert points(C2, (0, 1)) == fundamental_points(C2, 2)
 
 
-def test_points_adjoint_a2():
-    assert len(points(A2, (1, 1))) == 8 == weyl_dim(A2, (1, 1))
-
-
 @pytest.mark.parametrize(
     "family,rank,level", [("A", 2, 3), ("A", 3, 3), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)]
 )
@@ -191,14 +187,6 @@ def test_minkowski_monotonicity(family, rank, level):
             for p in small1:
                 for q in small2:
                     assert tuple(x + y for x, y in zip(p, q)) in big
-
-
-def test_dyck_rank1():
-    assert dyck_check_A(1, (1,), points(A1, (1,)))
-
-
-def test_dyck_a2_adjoint_both_directions():
-    assert dyck_check_A(2, (1, 1), points(A2, (1, 1)))
 
 
 def test_dyck_rejects_added_point():

@@ -284,4 +284,8 @@ def test_every_cataloged_mutant_applies_exactly_once():
     assert counts == [1] * len(MUTANTS)
     for _, old, new, killers in MUTANTS:
         assert old != new and killers
-        assert all((root / k.split("::")[0]).is_file() for k in killers)
+    # a killer that names no test would read as a kill: each names a test
+    # function of its file, without the [...] of a parametrized case
+    killers = [k.split("::") for *_, ks in MUTANTS for k in ks]
+    texts = {path: (root / path).read_text() for path, _ in killers}
+    assert [k for k in killers if f"\ndef {k[1].split('[')[0]}(" not in texts[k[0]]] == []

@@ -38,11 +38,9 @@ from fflvstring.wedge import (
     wedge_basis,
 )
 
-A1 = LieType("A", 1)
 A2 = LieType("A", 2)
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
-C3 = LieType("C", 3)
 
 
 def test_act_simple_on_leading_wedge():
@@ -398,10 +396,6 @@ def test_oracle_equals_crystal_string_points(rank):
     lt = LieType("A", rank)
     for i in range(1, rank + 1):
         assert oracle_string_points_A(lt, i) == string_points(lt, fundamental_weight(rank, i))
-
-
-def test_oracle_rank1():
-    assert oracle_string_points_A(A1, 1) == ((0,), (1,))
 
 
 def test_unfold_dominance_exhaustive_rank2():
