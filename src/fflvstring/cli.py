@@ -193,14 +193,29 @@ _CLOSE = "\n    ]\n  ]\n}\n"
 _CELLS = {v: f"{v},\n      " for v in range(128)} | {
     128 + v: f"{v}{_NEXT_ROW}" for v in range(128)
 }
+# a label of the document's list, as json's indented encoder writes it
+_LABEL = '{\n      "row": %d,\n      "col": %d,\n      "barred": %s\n    }'
+
+
+def _caption(doc: dict) -> str:
+    """What ``json.dumps(doc, indent=2)`` writes before the rows of the last key,
+    ``points``: scalars through json, the labels and (nonempty) int lists by template."""
+    items = []
+    for key, value in list(doc.items())[:-1]:
+        if key == "labels":
+            value = [_LABEL % (v["row"], v["col"], str(v["barred"]).lower()) for v in value]
+        text = json.dumps(value) if not isinstance(value, list) else (
+            "[\n    %s\n  ]" % ",\n    ".join(map(str, value)))
+        items.append(f'"{key}": {text}')
+    return "{\n  " + ",\n  ".join(items) + ',\n  "points": [\n    [\n      '
 
 
 def render_document(doc: dict) -> str:
     """What ``json.dumps(doc, indent=2)`` plus a newline writes, byte for
     byte, with the packed points decoded into lists.
 
-    json's indented encoder is pure Python and visits every coordinate, so
-    only the small keys before ``points`` go through it.  On byte digits
+    json's indented encoder is pure Python and visits every value, so only
+    the scalars of ``_caption`` go through it.  On byte digits
     every coordinate is below 128, so each point, the top bit of its last
     byte set by ``x | 128``, is n bytes of one blob.
     One charmap decode through ``_CELLS`` writes every coordinate with the
@@ -210,9 +225,7 @@ def render_document(doc: dict) -> str:
     point; ``%s`` writes an ``int`` as json does.
     """
     ints, n, b = doc["points"]
-    # points is the last key, so the text ends with its empty list
-    text = json.dumps(dict(doc, points=[]), indent=2)
-    head = text[: -len("[]\n}")] + "[\n    [\n      "
+    head = _caption(doc)
     # b = 8 iff the level or letter count is at most 127 (``pack_width``); the
     # points are nonnegative, so each coordinate is one byte, its top bit clear
     if b == 8:
@@ -277,45 +290,51 @@ def _cmd_verify_sweep(args) -> int:
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
 
 
+def _leaf(argv) -> str | None:
+    """The verify subcommand word ("" if none) of argv, None for another command:
+    argparse dispatches on the first two words of argv that are no option."""
+    words = [a for a in argv if not a.startswith("-")][:2] + [""]
+    return words[1] if words[0] == "verify" else None
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaf: str | None = None) -> argparse.ArgumentParser:
+    """The root and the three commands (usage line, choices, --help), then both
+    ``points`` trees, or for a ``_leaf`` the verify subcommands, only it with options."""
     parser = argparse.ArgumentParser(
         prog="fflvstring",
         description="Exact lattice-point pipelines for chain and string polytopes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     fflv = sub.add_parser("fflv", help="chain polytope lattice points")
-    fflv_sub = fflv.add_subparsers(dest="subcommand", required=True)
-    _add_points_args(fflv_sub.add_parser("points", help="emit a point document"))
-
     stringpoly = sub.add_parser("stringpoly", help="string polytope lattice points")
-    string_sub = stringpoly.add_subparsers(dest="subcommand", required=True)
-    _add_points_args(
-        string_sub.add_parser("points", help="emit a point document"),
-        f"{_DIM_TEXT}, or a type whose label count squared exceeds both this "
-        f"and {DEFAULT_MAX_DIM}",
-    )
-
     verify = sub.add_parser("verify", help="theorem verification sweeps")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
+    if leaf is None:
+        string_text = f"{_DIM_TEXT}, or a type whose label count squared exceeds both this"
+        for cmd, text in ((fflv, _DIM_TEXT), (stringpoly, f"{string_text} and {DEFAULT_MAX_DIM}")):
+            points = cmd.add_subparsers(dest="subcommand", required=True)
+            _add_points_args(points.add_parser("points", help="emit a point document"), text)
+        return parser
 
+    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     main_cmd = verify_sub.add_parser("main", help="set equality over a weight grid")
-    main_cmd.add_argument("--type", required=True)
-    main_cmd.add_argument("--rank", type=_positive("--rank"), required=True)
-    main_cmd.add_argument("--max-level", type=int, required=True)
-    _add_max_dim(
-        main_cmd,
-        f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
-        f"and {DEFAULT_MAX_DIM}",
-    )
-    main_cmd.add_argument("--json", default=None)
+    if leaf == "main":
+        main_cmd.add_argument("--type", required=True)
+        main_cmd.add_argument("--rank", type=_positive("--rank"), required=True)
+        main_cmd.add_argument("--max-level", type=int, required=True)
+        _add_max_dim(
+            main_cmd,
+            f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
+            f"and {DEFAULT_MAX_DIM}",
+        )
+        main_cmd.add_argument("--json", default=None)
 
     for name, (_, text, unit, _) in SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
-        sweep.add_argument("--max-rank", type=int, required=True)
-        if unit:
-            _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
+        if name == leaf:
+            sweep.add_argument("--max-rank", type=int, required=True)
+            if unit:
+                _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
     return parser
 
 
@@ -338,7 +357,7 @@ def _add_max_dim(cmd: argparse.ArgumentParser, text: str = _DIM_TEXT) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_leaf(sys.argv[1:] if argv is None else argv)).parse_args(argv)
         if args.command == "fflv":
             return _cmd_points(args, "fflv")
         if args.command == "stringpoly":

@@ -8,11 +8,11 @@ translation part is linear in the dominant weight, so a pipeline sums
 per-type rows of the omega_i (``fundamental_rows``) for it and for the pair
 row of 0 of the twist, whose only other term is D in its scale entry.  The
 linear part is one walk too, on packed ints: with p_k = 2^(b*(N-1-k)) the
-walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated and
-decoded by ``rootsys.unpack``, the one decoder of packed digits, at the
-width ``pack_width`` gives 2 + 2*N*max|a_ij|, which makes a decode that
-passes the gates exactly -R^{-1} for any word and any tridiagonal Cartan
-matrix.  The fundamental translations decode from one walk the same way.
+walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated
+(``packed_matrix``) and decoded by ``rootsys.unpack``, the one decoder of
+packed digits, at the width ``pack_width`` gives 2 + 2*N*max|a_ij|, which
+makes a decode that passes the gates exactly -R^{-1} for any word and any
+tridiagonal Cartan matrix; so do the fundamental translations.
 The affine map walks only the support of a point.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
@@ -91,7 +91,14 @@ def _walk(lt: LieType, nu: Sequence[int], p: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
-    """-R^{-1}, the linear part in the descending label basis.
+    """-R^{-1} in the descending label basis: ``packed_matrix``, decoded."""
+    rows, b = packed_matrix(lt)
+    return tuple(unpack(rows, len(rows), b))
+
+
+@lru_cache(maxsize=None)
+def packed_matrix(lt: LieType) -> tuple[tuple[int, ...], int]:
+    """The rows of -R^{-1}, packed, and their digit width b, both gates passed.
 
     The walk with nu = 0 is linear in p and q = -R^{-1} p, so one walk with
     p_k = 2^(b*(N-1-k)) returns every row at once: q_k is row k packed as in
@@ -100,8 +107,7 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     |q_k + p_k| < p_k / 2, so -1 on the diagonal and 0 below, unimodular and
     injective (``degenmap.unitriangular``); and the digits of -q_k, read with
     masks, lie in {0, 1} for family A and {0, 1, 2} for C
-    (``degenmap.entry_range``).  The rows are decoded once, by
-    ``rootsys.unpack``.
+    (``degenmap.entry_range``).
 
     The width holds for any word and any tridiagonal Cartan matrix (a_ij),
     the band that ``_simple_roots`` reads: b is ``pack_width`` of
@@ -115,19 +121,18 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     top = max(max(map(abs, row)) for row in cartan_matrix(lt.family, m))
     b = pack_width(2 + 2 * size * top)
     places = [1 << (b * r) for r in reversed(range(size))]
-    rows = _walk(lt, [0] * m, places)
+    rows = tuple(_walk(lt, [0] * m, places))
     if any(2 * abs(q + p) >= p for q, p in zip(rows, places)):
         raise VerificationError("degenmap.unitriangular", f"{lt}: not -1 on the diagonal, 0 below")
-    mat = tuple(unpack(rows, size, b))
     ones = sum(places)
     keep = ones if lt.family == "A" else 3 * ones
     if any(-q & ~keep or -q & -q >> 1 & ones for q in rows):
         allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
-        bad = set().union(*mat) - allowed
+        bad = set().union(*unpack(rows, size, b)) - allowed
         raise VerificationError(
             "degenmap.entry_range", f"{lt}: entries {sorted(bad)} outside {sorted(allowed)}"
         )
-    return mat
+    return rows, b
 
 
 def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
@@ -147,22 +152,20 @@ def _translation(lt: LieType, w: tuple[int, ...]) -> ExponentVector:
 
 
 def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
-    """``build_translation(lt, omega_i)`` for i = 1..n, from one walk.
+    """``build_translation(lt, omega_i)``, i = 1..n, decoded from ``packed_translations``:
+    ``unpack`` lists digit n - 1 first, so its rows are transposed and reversed."""
+    return tuple(zip(*unpack(packed_translations(lt), lt.rank, 8)))[::-1]
 
-    The lift and the walk are linear in the weight, so the weight with
-    a_i = 2^(8(i-1)) walks every omega_i at once: digit i - 1 of q_k, 8
-    bits wide and balanced, is entry k of t(omega_i).  ``rootsys.unpack``
-    lists digit n - 1, that of omega_n, first, so its rows are transposed
-    and reversed.  The digits decode exactly.  The walk moves nu by simple
-    reflections, so entry k of t(omega_i) is a fundamental coordinate of a
-    weight in the Weyl orbit of the lifted omega_i: in {-1, 0, 1} in type
-    A, where it is minuscule, and within +-2 in type C, a signed
-    permutation of a 0/1 vector in the epsilon basis.  A balanced byte
-    holds -128..127.
-    """
-    n, size = lt.rank, len(reduced_word(lt))
-    nu = lifted_coeffs(lt, [1 << 8 * d for d in range(n)])
-    return tuple(zip(*unpack(_walk(lt, nu, [0] * size), n, 8)))[::-1]
+
+def packed_translations(lt: LieType) -> list[int]:
+    """Entry k of t(omega_i), i = 1..n, as balanced byte i - 1 of int k: the
+    walk is linear in the weight, so a_i = 2^(8(i-1)) walks every omega_i at
+    once.  It moves nu by simple reflections, so entry k of t(omega_i) is a
+    fundamental coordinate of a weight in the Weyl orbit of the lifted
+    omega_i: in {-1, 0, 1} in type A, where it is minuscule, and within +-2
+    in type C, a signed permutation of a 0/1 vector in the epsilon basis."""
+    nu = lifted_coeffs(lt, [1 << 8 * d for d in range(lt.rank)])
+    return _walk(lt, nu, [0] * len(reduced_word(lt)))
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -31,8 +32,9 @@ from .degenmap import (
     apply_affine,
     build_matrix,
     check_nonnegative,
-    fold_vector,
-    fundamental_translations,
+    fold_index,
+    packed_matrix,
+    packed_translations,
     support_twist_solve,
     translation_and_zero_row,
 )
@@ -48,7 +50,7 @@ from .rootsys import (
     unpack,
     weyl_dim,
 )
-from .wedge import commutation_table, packed_power
+from .wedge import commutation_table, packed_power, step_masks
 
 WITNESS_CAP = 10
 
@@ -146,7 +148,7 @@ def check_main(
     mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
     trans, row0 = translation_and_zero_row(lt, w)
     n, level = len(trans), sum(w)
-    bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
+    bounds = (abs(t) + level * s for t, s in zip(trans, _row_sums(mat)))
     b = pack_width(max(letter_count(w), *bounds))
     images = packed_sum(lt, w, pack(trans, b), mat, b)
     size, missing = len(images), []
@@ -185,6 +187,12 @@ def check_main(
     )
 
 
+@lru_cache(maxsize=None)
+def _row_sums(mat: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """sum_k |M_rk| of each row r, the matrix's part of ``check_main``'s width bound."""
+    return tuple(sum(map(abs, row)) for row in mat)
+
+
 def run_grid(
     cases: Sequence[tuple[LieType, int]], threads: int = 1
 ) -> list[VerificationReport]:
@@ -221,28 +229,27 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
     """Determinant, entries and triangularity of the linear part, ranks <= max_rank.
 
-    ``build_matrix`` gates -1 on the diagonal and 0 below it, so the
-    determinant is (-1)^size and the matrix triangular, and gates the entry
-    range, both on the rows of one packed walk; its digit width, 2^(b-1) >
-    2 + 2*N*max|a_ij|, makes a decode that passes both gates exactly
-    -R^{-1}.  So the entries are read off the gates too: -1, 0 whenever
-    there is a place below the diagonal, and -2 if a row holds one, the
-    only other entry the range gate lets through (type C).  A rank that
-    fails a gate prints a FAILED line.
+    ``packed_matrix`` gates -1 on the diagonal and 0 below it, so the
+    determinant is (-1)^N and the matrix triangular, and the entry range,
+    at a width where a decode passing both is exactly -R^{-1}.  So the
+    entries are read off the packed rows: -1, 0 if N > 1, and -2 iff bit 1
+    of a digit of some -q_k is set, the only other entry the range gate
+    lets through (type C).  A rank that fails a gate prints a FAILED line.
     """
     lines, failures = [], []
     for family in ("A", "C"):
         for n in range(1, max_rank + 1):
             lt = LieType(family, n)
             try:
-                mat = build_matrix(lt)
+                rows, b = packed_matrix(lt)
             except VerificationError as exc:
                 lines.append(f"{lt}: FAILED ({exc})")
                 failures.append(str(lt))
                 continue
-            entries = [-2] * any(-2 in row for row in mat) + [-1] + [0] * (len(mat) > 1)
+            ones = ((1 << b * len(rows)) - 1) // ((1 << b) - 1)
+            entries = [-2] * any(-q & ones << 1 for q in rows) + [-1] + [0] * (len(rows) > 1)
             lines.append(
-                f"{lt}: det = {(-1) ** len(mat)}, entries = {entries}, triangular = True"
+                f"{lt}: det = {(-1) ** len(rows)}, entries = {entries}, triangular = True"
             )
     return lines, failures
 
@@ -250,16 +257,25 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
 def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
     """t(A_{2n-1}, omega_i) must fold onto t(C_n, omega_i), ranks n <= max_rank.
 
-    Each type's translations of every omega_i come from one walk
-    (``fundamental_translations``), and each fold reads the cached label
-    map of its rank (``fold_vector``).
+    Per label of C_n, the packed A_{2n-1} translations (``packed_translations``)
+    summed over its fiber of ``fold_index(n)`` less the C_n one hold the defect
+    of every omega_i as byte i - 1: a fiber holds at most two A labels, entries
+    in {-1, 0, 1}, and C entries lie within +-2, so no digit leaves +-4 or
+    carries.  Byte i - 1 of their OR, as two's-complement bytes, is zero iff (n, i) folds.
     """
     lines, failures = [], []
     for n in range(1, max_rank + 1):
         source, target = LieType("A", 2 * n - 1), LieType("C", n)
-        pairs = zip(fundamental_translations(source), fundamental_translations(target))
-        for i, (t_a, t_c) in enumerate(pairs, start=1):
-            ok = fold_vector(t_a, n) == t_c
+        mask = (1 << 8 * n) - 1
+        tops = mask // 255 << 7
+        folded = [0] * n * n  # H(C_n) has n^2 labels
+        for q, k in zip(packed_translations(source), fold_index(n)):
+            folded[k] += q
+        defect = 0
+        for x, y in zip(folded, packed_translations(target)):
+            defect |= (x - y + tops ^ tops) & mask
+        for i in range(1, n + 1):
+            ok = not defect >> 8 * (i - 1) & 255
             lines.append(f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {ok}")
             if not ok:
                 failures.append((n, i))
@@ -293,8 +309,9 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
                         failures.append((family, m, l, j, f"sim i={i}"))
             status = "ok" if len(failures) == before else "FAILED"
             lines.append(f"{family}{m}: commutation table {status}")
-            # no later rank reads the tables of this one
+            # no later rank reads the tables or the masks of this one
             packed_power.cache_clear()
+            step_masks.cache_clear()
     if failures:
         lines.append(f"failing cases: {failures[:10]}")
     return lines, failures

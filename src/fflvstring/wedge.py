@@ -12,10 +12,10 @@ through the same elementary step; ``_steps`` holds that unfolding for
 on a whole exterior power at once: a product is a map from the offset o of
 a term to one int whose digit v holds the coefficient of e_{v+o} in the
 image of e_v, and a step moves every basis wedge it applies to with one
-masked AND (``packed_power`` holds the basis and the step masks).  Two
-products are compared offset by offset, by integer cross-multiplication;
-the commutation table builds each generator's image once and shares it
-between the pairs.
+masked AND (``packed_power`` holds the basis, ``step_masks`` the masks of
+every power).  Two products are compared offset by offset, by integer
+cross-multiplication; the commutation table builds each generator's image
+once and shares it between the pairs.
 On top of the action sit that equivalence test, the non-annihilation
 check, and the fully independent reconstruction of the type-A string
 points: a depth-first walk over the 0/1 monomials on the restriction block
@@ -99,24 +99,25 @@ def act_sequence(
 
 
 @lru_cache(maxsize=None)
-def packed_power(
-    family: str, rank: int, i: int, width: int
-) -> tuple[int, tuple[int, ...]]:
-    """The basis of the i-th exterior power and the step masks, packed.
-
-    Digit v, ``width`` bits wide, stands for the key v.  The basis holds a 1
-    at every key of the power, built by doubling over the bits 1..dim: the
-    keys that use bit b are those without it, shifted by 2^b digits.  Mask t
-    holds all-ones digits at the keys with bit t set and bit t + 1 clear,
-    the keys that step t moves; bit 0 of a key is never set, so mask 0 is 0.
-    """
+def packed_power(family: str, rank: int, i: int, width: int) -> int:
+    """The basis of the i-th exterior power, packed: digit v, ``width`` bits
+    wide, stands for the key v, and holds a 1 at every key of the power, built
+    by doubling over the bits 1..dim: the keys that use bit b are those
+    without it, shifted by 2^b digits."""
     if i < 0:
         raise ValueError(f"exterior power {i} is negative")
-    dim = natural_dim(family, rank)
     ones = [1] + [0] * i  # ones[k]: the keys of k bits among the bits done
-    for b in range(1, dim + 1):
+    for b in range(1, natural_dim(family, rank) + 1):
         ones = [1] + [ones[k] | ones[k - 1] << (width << b) for k in range(1, i + 1)]
-    full = ones[i] * ((1 << width) - 1)
+    return ones[i]
+
+
+@lru_cache(maxsize=None)
+def step_masks(family: str, rank: int, width: int) -> tuple[int, ...]:
+    """Mask t of every power: all-ones digits at the keys v < 2^(dim+1) with bit t
+    set and bit t + 1 clear, the keys step t moves (mask 0 is 0).  A step reads
+    it at targets v + o of nonzero coefficients, keys of the power by themselves."""
+    dim = natural_dim(family, rank)
     # has[b]: all-ones digits at every v < 2^(dim+1) with bit b set
     has = []
     for b in range(dim + 1):
@@ -125,7 +126,7 @@ def packed_power(
             pattern |= pattern << width * span
             span *= 2
         has.append(pattern)
-    return ones[i], tuple(full & has[t] & ~has[t + 1] for t in range(dim))
+    return tuple(has[t] & ~has[t + 1] for t in range(dim))
 
 
 def _packed_product(
@@ -141,7 +142,7 @@ def _packed_product(
     """
     # every factor is checked before any work
     steps = [_steps(j, family, rank) for j in reversed(ops)]
-    basis, masks = packed_power(family, rank, i, width)
+    basis, masks = packed_power(family, rank, i, width), step_masks(family, rank, width)
     terms = {0: basis} if basis else {}
     for factor in steps:
         terms = _step(terms, factor, masks, width)
@@ -222,7 +223,7 @@ def commutation_table(family: str, rank: int, i: int) -> dict[tuple[int, int], b
     length 2.
     """
     width = 2 * 2 + 2
-    basis, masks = packed_power(family, rank, i, width)
+    basis, masks = packed_power(family, rank, i, width), step_masks(family, rank, width)
     start = {0: basis} if basis else {}
     steps = {j: _steps(j, family, rank) for j in range(1, rank + 1)}
     first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}

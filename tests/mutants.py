@@ -221,8 +221,8 @@ MUTANTS = [
     # the packed generator products
     (
         WEDGE,
-        "full & has[t] & ~has[t + 1]",
-        "full & has[t]",
+        "has[t] & ~has[t + 1]",
+        "has[t]",
         (
             "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
             "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
@@ -327,8 +327,8 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))",
-        "bounds = (level * sum(map(abs, row)) for row in mat)",
+        "bounds = (abs(t) + level * s for t, s in zip(trans, _row_sums(mat)))",
+        "bounds = (level * s for s in _row_sums(mat))",
         ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
     ),
     (
@@ -482,6 +482,72 @@ MUTANTS = [
         (
             "tests/test_fflv.py::test_packed_sum_is_the_copy_by_copy_sum",
             "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+        ),
+    ),
+    # the sweeps decided on packed ints: the unimodular entries read at bit 0
+    # of each digit instead of bit 1, the fold's byte of omega_n unread, the
+    # step masks spanning half the keys, and a rank's masks left cached
+    (
+        VERIFY,
+        "-q & ones << 1",
+        "-q & ones",
+        (
+            "tests/test_verify.py::test_unimodular_sweep_reads_the_entries_off_the_gates",
+            "tests/test_cli.py::test_verify_unimodular",
+        ),
+    ),
+    (
+        VERIFY,
+        "mask = (1 << 8 * n) - 1",
+        "mask = (1 << 8 * (n - 1)) - 1",
+        (
+            "tests/test_verify.py::test_packed_fold_verdicts_are_the_fold_vector_comparisons",
+            "tests/test_cli.py::test_verify_fold_failure_path",
+        ),
+    ),
+    (
+        WEDGE,
+        "        while span < 2 << dim:\n",
+        "        while span < 1 << dim:\n",
+        (
+            "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
+            "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
+        ),
+    ),
+    (
+        VERIFY,
+        "            step_masks.cache_clear()\n",
+        "",
+        ("tests/test_verify.py::test_comm_sweep_frees_the_tables_of_each_rank",),
+    ),
+    # the parser of argv's branch: a named sweep without --max-dim, a verify
+    # argv with no subcommand given the points trees, and a caption short of
+    # its last keys before points
+    (
+        CLI,
+        '                _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")\n',
+        "                pass\n",
+        (
+            "tests/test_cli.py::test_table_size_refused_before_work",
+            "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
+        ),
+    ),
+    (
+        CLI,
+        "    if leaf is None:\n",
+        "    if not leaf:\n",
+        (
+            "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
+            "tests/test_cli.py::test_argv_fuzz_exits_with_a_code",
+        ),
+    ),
+    (
+        CLI,
+        "list(doc.items())[:-1]",
+        "list(doc.items())[:-2]",
+        (
+            "tests/test_cli.py::test_caption_is_json_dumps",
+            "tests/test_cli.py::test_document_round_trip",
         ),
     ),
 ]

@@ -1,9 +1,13 @@
 """Command-line surface: documents, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +21,7 @@ from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_affine, build_matrix, build_translation
 from fflvstring.errors import VerificationError
 from fflvstring.fflv import points
-from fflvstring.rootsys import LieType, dominant_weights, weyl_dim
+from fflvstring.rootsys import LieType, dominant_weights, fundamental_weight, unpack, weyl_dim
 
 GOLDEN_SWEEPS = {
     ("unimodular", "3"): """\
@@ -88,6 +92,19 @@ def test_document_round_trip(capsys, command, lt, weight):
     doc = cli.polytope_document(lt, weight, KINDS[command])
     reference = with_point_set(doc, command, lt, weight)
     assert_json_layout(out, reference, f"{command} {lt} {weight}")
+
+
+# every key before the rows comes from templates: the caption must be json's
+# for every label layout up to rank 6, and for one of 1600 labels
+@pytest.mark.parametrize("kind", ["fflv", "string"])
+@pytest.mark.parametrize(
+    "lt", [LieType(f, n) for f in "AC" for n in range(1, 7)] + [LieType("C", 40)], ids=str
+)
+def test_caption_is_json_dumps(kind, lt):
+    weight = fundamental_weight(lt.rank, 1) if lt.rank <= 6 else (0,) * lt.rank
+    doc = cli.polytope_document(lt, weight, kind)
+    reference = dict(doc, points=[list(p) for p in unpack(*doc["points"])])
+    assert_json_layout(cli.render_document(doc), reference, f"{kind} {lt}")
 
 
 # the level and the letter count set the digit width of both kinds: up to
@@ -243,14 +260,14 @@ def test_verify_sweep_rejects_nonpositive_rank(capsys, sweep):
 
 
 def test_verify_unimodular_failure_path(capsys, monkeypatch):
-    real = verify.build_matrix
+    real = verify.packed_matrix
 
     def broken(lt):
         if lt == LieType("C", 2):
             raise VerificationError("degenmap.entry_range", f"{lt}: entries [1]")
         return real(lt)
 
-    monkeypatch.setattr(verify, "build_matrix", broken)
+    monkeypatch.setattr(verify, "packed_matrix", broken)
     code, out, _ = run_cli(capsys, "verify", "unimodular", "--max-rank", "2")
     assert code == 1
     assert "C2: FAILED (degenmap.entry_range: C2: entries [1])\n" in out
@@ -258,13 +275,15 @@ def test_verify_unimodular_failure_path(capsys, monkeypatch):
 
 
 def test_verify_fold_failure_path(capsys, monkeypatch):
-    real = verify.fold_vector
+    real = verify.packed_translations
 
-    def wrong(vec, n):
-        out = real(vec, n)
-        return out[:-1] + (out[-1] + 1,) if n == 2 else out
+    def wrong(lt):
+        # the last entry of t(C2, omega_1) and of t(C2, omega_2), one byte
+        # each of the last packed int, one too large
+        out = real(lt)
+        return out[:-1] + [out[-1] + 1 + (1 << 8)] if lt == LieType("C", 2) else out
 
-    monkeypatch.setattr(verify, "fold_vector", wrong)
+    monkeypatch.setattr(verify, "packed_translations", wrong)
     code, out, _ = run_cli(capsys, "verify", "fold", "--max-rank", "2")
     assert code == 1
     assert "fold t(A3, omega_2) == t(C2, omega_2): False\n" in out
@@ -426,7 +445,9 @@ def test_table_size_refused_before_work(capsys, monkeypatch, argv):
         raise AssertionError("a table was built before its size was checked")
 
     monkeypatch.setattr(wedge, "packed_power", no_work)
+    monkeypatch.setattr(wedge, "step_masks", no_work)
     monkeypatch.setattr(verify, "build_matrix", no_work)
+    monkeypatch.setattr(verify, "packed_matrix", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "above --max-dim" in err
@@ -514,13 +535,90 @@ def fuzzed_argv(draw):
     return argv
 
 
+@lru_cache(maxsize=None)
+def full_parser(leaf=None):
+    """Every branch in one parser, whatever argv names: the reference that
+    each branch of ``cli.build_parser`` must parse argv as."""
+    parser = argparse.ArgumentParser(
+        prog="fflvstring",
+        description="Exact lattice-point pipelines for chain and string polytopes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    fflv = sub.add_parser("fflv", help="chain polytope lattice points")
+    fflv_sub = fflv.add_subparsers(dest="subcommand", required=True)
+    cli._add_points_args(fflv_sub.add_parser("points", help="emit a point document"))
+    stringpoly = sub.add_parser("stringpoly", help="string polytope lattice points")
+    string_sub = stringpoly.add_subparsers(dest="subcommand", required=True)
+    cli._add_points_args(
+        string_sub.add_parser("points", help="emit a point document"),
+        f"{cli._DIM_TEXT}, or a type whose label count squared exceeds both this "
+        f"and {cli.DEFAULT_MAX_DIM}",
+    )
+    verify_cmd = sub.add_parser("verify", help="theorem verification sweeps")
+    verify_sub = verify_cmd.add_subparsers(dest="subcommand", required=True)
+    main_cmd = verify_sub.add_parser("main", help="set equality over a weight grid")
+    main_cmd.add_argument("--type", required=True)
+    main_cmd.add_argument("--rank", type=cli._positive("--rank"), required=True)
+    main_cmd.add_argument("--max-level", type=int, required=True)
+    cli._add_max_dim(
+        main_cmd,
+        f"{cli._DIM_TEXT}, or a matrix whose entry count exceeds both this "
+        f"and {cli.DEFAULT_MAX_DIM}",
+    )
+    main_cmd.add_argument("--json", default=None)
+    for name, (_, text, unit, _) in cli.SWEEPS.items():
+        sweep = verify_sub.add_parser(name, help=text)
+        sweep.add_argument("--max-rank", type=int, required=True)
+        if unit:
+            cli._add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
+    return parser
+
+
+def outcome(argv, parser=None):
+    """(exit code, stdout, stderr) of ``main(argv)``, under ``parser`` if
+    given; the per-case times of ``verify main`` read as (t)."""
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        if parser is not None:
+            stack.enter_context(mock.patch.object(cli, "build_parser", parser))
+        code = main(list(argv))
+    return code, re.sub(r"\(\d+\.\d{3}s\)", "(t)", out.getvalue()), err.getvalue()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(fuzzed_argv())
 def test_argv_fuzz_exits_with_a_code(argv):
     # ranks, levels and --max-rank stay at most 3, so every accepted run is
-    # small; every call goes through the one cached parser
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as stderr:
-        code = main(argv)
+    # small; the branch parser and the full one give the same outcome
+    code, out, err = outcome(argv)
     assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in stderr.getvalue(), argv
+    assert "Traceback" not in err, argv
+    assert (code, out, err) == outcome(argv, full_parser), argv
+
+
+# --help at every level, before and after a command, missing and unknown
+# commands, options before the command, "--", negative numbers and "-"
+EDGE_ARGV = [
+    (*head, "--help")
+    for head in [(), ("fflv",), ("fflv", "points"), ("stringpoly",), ("stringpoly", "points"),
+                 ("verify",), *(("verify", name) for name in ("main", *cli.SWEEPS))]
+] + [
+    (), ("-h", "verify", "comm"), ("verify", "-h", "fold"), ("fflv",), ("verify",),
+    ("verify", "nope"), ("nope", "verify", "comm"), ("verify", "comm"),
+    ("verify", "fold", "--max-rank", "1", "--max-dim", "9"),
+    ("--threads", "2", "verify", "fold", "--max-rank", "1"),
+    ("verify", "fold", "--threads", "2", "--max-rank", "1"),
+    ("--", "verify", "fold", "--max-rank", "1"), ("verify", "--", "fold", "--max-rank", "1"),
+    ("-5", "verify", "comm"), ("verify", "-5", "comm"), ("verify", "-", "comm"),
+    ("verify", "comm", "stray", "--max-rank", "1"), ("verify", "--max-rank", "1", "fold"),
+    ("fflv", "points", "verify"), ("stringpoly", "verify", "points"), ("verify", "fflv"),
+    ("verify", "unimodular", "--max-rank", "2", "--max-dim", "3"),
+    ("verify", "main", "--type", "C", "--rank", "2", "--max-level", "1"),
+    ("stringpoly", "points", "--type", "C", "--rank", "2", "--weight", "1,0"),
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_branch_parser_matches_the_full_parser(argv):
+    assert outcome(argv) == outcome(argv, full_parser)

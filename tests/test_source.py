@@ -149,7 +149,7 @@ def test_build_matrix_walks_once_per_type(monkeypatch):
     monkeypatch.setattr(degenmap, "_walk", counted)
     types = [LieType("A", 4), LieType("C", 3)]
     for lt in types:
-        degenmap.build_matrix.__wrapped__(lt)
+        degenmap.packed_matrix.__wrapped__(lt)
     assert calls == types
 
 

@@ -16,6 +16,8 @@ from fflvstring.degenmap import (
     apply_affine,
     build_matrix,
     build_translation,
+    fold_vector,
+    fundamental_translations,
 )
 from fflvstring.errors import VerificationError
 from fflvstring.fflv import points
@@ -34,11 +36,12 @@ from fflvstring.verify import (
     all_passed,
     check_main,
     comm_sweep,
+    fold_sweep,
     reports_to_json,
     run_grid,
     unimodular_sweep,
 )
-from fflvstring.wedge import packed_power
+from fflvstring.wedge import packed_power, step_masks
 from conftest import TWIST_MEMOS, WALK_MEMOS
 from oracles import twist_oracle
 
@@ -313,6 +316,7 @@ def test_comm_sweep_frees_the_tables_of_each_rank():
     # no acting rank reads the exterior-power tables of another
     assert comm_sweep(2)[1] == []
     assert packed_power.cache_info().currsize == 0
+    assert step_masks.cache_info().currsize == 0
 
 
 def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
@@ -439,3 +443,41 @@ def test_check_main_shares_no_stage_with_the_staged_reference(monkeypatch):
     monkeypatch.setattr(verify, "points", refuse)
     for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
         assert check_main(lt, w).status == "ok"
+
+
+def _dense_fold_lines(max_rank):
+    """The verdict lines of ``fold_sweep`` from the decoded translations and
+    ``fold_vector``."""
+    lines = []
+    for n in range(1, max_rank + 1):
+        source, target = LieType("A", 2 * n - 1), LieType("C", n)
+        pairs = zip(fundamental_translations(source), fundamental_translations(target))
+        lines += [
+            f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {fold_vector(a, n) == c}"
+            for i, (a, c) in enumerate(pairs, start=1)
+        ]
+    return lines
+
+
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_packed_fold_verdicts_are_the_fold_vector_comparisons(monkeypatch, family):
+    assert fold_sweep(12) == (_dense_fold_lines(12), [])
+    # one entry of one t(omega_i) of one type off by d: the packed verdicts
+    # still read as the dense comparisons, and only (n, i) fails
+    real = degenmap.packed_translations
+    for n in (2, 3):
+        bad = LieType(family, 2 * n - 1 if family == "A" else n)
+        for i in range(1, n + 1):
+            for k, d in ((0, 1), (-1, -2), (n, 2), (n + 1, -1)):
+
+                def wrong(lt, bad=bad, k=k, d=d, i=i):
+                    out = list(real(lt))
+                    if lt == bad:
+                        out[k] += d << 8 * (i - 1)
+                    return out
+
+                monkeypatch.setattr(degenmap, "packed_translations", wrong)
+                monkeypatch.setattr(verify, "packed_translations", wrong)
+                lines, failures = fold_sweep(3)
+                assert failures == [(n, i)]
+                assert lines == _dense_fold_lines(3) + [f"failing (rank, index) pairs: {failures}"]

@@ -266,13 +266,15 @@ def test_packed_power_is_the_only_memo():
     # the benchmark empties every lru_cache defined in a package module
     # between operations; a memo held in a module dict or a closure would
     # survive that and carry work from one operation into the next
-    fn = wedge.packed_power
-    assert fn.__module__ == "fflvstring.wedge"
-    fn.cache_clear()
+    memos = (wedge.packed_power, wedge.step_masks)
+    for fn in memos:
+        assert fn.__module__ == "fflvstring.wedge"
+        fn.cache_clear()
     assert sim_check_ops([1, 3], [3, 1], 2, "C", 3)
-    assert fn.cache_info().currsize == 1
-    fn.cache_clear()
-    assert fn.cache_info().currsize == 0
+    for fn in memos:
+        assert fn.cache_info().currsize == 1
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
     state = [
         name
         for name, value in vars(wedge).items()
