@@ -16,7 +16,6 @@ or the settings ``--max-dim``, ``--json`` and ``--out``; none is for tests.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import os
 import sys
@@ -188,10 +187,11 @@ def polytope_document(lt: LieType, weight, kind: str) -> dict:
 # row and opens the next, after the last one of the document it closes all
 _NEXT_ROW = "\n    ],\n    [\n      "
 _CLOSE = "\n    ]\n  ]\n}\n"
-# a byte of a point's blob -> its coordinate and the text after it; the top
-# bit flags the last coordinate of the point
-_CELLS = {v: f"{v},\n      " for v in range(128)} | {
-    128 + v: f"{v}{_NEXT_ROW}" for v in range(128)
+# digit place p (1, 10, 100) of a byte below 128 as an ASCII digit, NUL
+# where the number has no such digit; the units place is always written
+_PLACE = {
+    p: bytes(48 + v // p % 10 if v >= p or p == 1 else 0 for v in range(256))
+    for p in (1, 10, 100)
 }
 # a label of the document's list, as json's indented encoder writes it
 _LABEL = '{\n      "row": %d,\n      "col": %d,\n      "barred": %s\n    }'
@@ -215,23 +215,39 @@ def render_document(doc: dict) -> str:
     byte, with the packed points decoded into lists.
 
     json's indented encoder is pure Python and visits every value, so only
-    the scalars of ``_caption`` go through it.  On byte digits
-    every coordinate is below 128, so each point, the top bit of its last
-    byte set by ``x | 128``, is n bytes of one blob.
-    One charmap decode through ``_CELLS`` writes every coordinate with the
-    text after it into one string, with no tuple per point and no list of
-    cells; the last byte, which closes the document, is written apart.
-    Wider digits decode with ``unpack`` and fill one row template per
-    point; ``%s`` writes an ``int`` as json does.
+    the scalars of ``_caption`` go through it.  On byte digits every
+    coordinate is below 128 and each point is n bytes of one blob.  The
+    document is then one buffer: the caption, then one row template per
+    point, each coordinate ``width`` cells wide, ``width`` being the digit
+    count of the largest coordinate.  Each digit place of each coordinate
+    is written into every row at once by one strided slice assignment, and
+    the cells a shorter number leaves empty are deleted.  This is exact:
+    json writes an int as its decimal digits; a cell keeps its NUL only in
+    a leading place its number lacks; and neither the caption nor the
+    template holds a NUL.  Wider digits decode with ``unpack`` and fill one
+    row template per point; ``%s`` writes an ``int`` as json does.
     """
     ints, n, b = doc["points"]
     head = _caption(doc)
     # b = 8 iff the level or letter count is at most 127 (``pack_width``); the
-    # points are nonnegative, so each coordinate is one byte, its top bit clear
+    # points are nonnegative, so each coordinate is one byte below 128
     if b == 8:
-        blob = b"".join([(x | 128).to_bytes(n, "big") for x in ints])
-        rows, _ = codecs.charmap_decode(blob[:-1], "strict", _CELLS)
-        return "".join([head, rows, str(blob[-1] & 127), _CLOSE])
+        blob = b"".join([x.to_bytes(n, "big") for x in ints])
+        width = 1 + sum(bool(blob.translate(None, bytes(range(p)))) for p in (10, 100))
+        cell = b"\0" * width
+        row = (cell + b",\n      ") * (n - 1) + cell + _NEXT_ROW.encode()
+        buf = bytearray(head.encode())
+        start = len(buf)
+        buf += row * len(ints)
+        for t, p in enumerate((100, 10, 1)[3 - width:]):
+            digits = blob.translate(_PLACE[p])
+            for k in range(n):
+                # coordinate k starts after k cells and their 8-byte ",\n      "
+                buf[start + (width + 8) * k + t :: len(row)] = digits[k::n]
+        buf[-len(_NEXT_ROW):] = _CLOSE.encode()
+        if width > 1:
+            buf = buf.translate(None, b"\0")
+        return buf.decode()
     row = ",\n      ".join(["%s"] * n)
     return head + _NEXT_ROW.join([row % p for p in unpack(ints, n, b)]) + _CLOSE
 

@@ -104,14 +104,17 @@ def root_count(lt: LieType) -> int:
 
 @lru_cache(maxsize=None)
 def build_labels(lt: LieType) -> tuple[RootLabel, ...]:
-    """All labels of H(X_n) in descending order (high columns first, rows ascending)."""
+    """All labels of H(X_n) in descending order (high columns first, rows ascending).
+
+    The column keys descend through the barred columns 1-bar ... (n-1)-bar
+    (keys 2n-1 ... n+1, family C only), then the unbarred columns n ... 1;
+    so the labels are written in that order, with no sort.
+    """
     n = lt.rank
-    labels = [RootLabel(r, j) for j in range(1, n + 1) for r in range(1, j + 1)]
+    labels = []
     if lt.family == "C":
-        labels += [
-            RootLabel(r, j, True) for j in range(1, n) for r in range(1, j + 1)
-        ]
-    labels.sort(key=lambda lab: (-column_key(lab, n), lab.row))
+        labels = [RootLabel(r, j, True) for j in range(1, n) for r in range(1, j + 1)]
+    labels += [RootLabel(r, j) for j in range(n, 0, -1) for r in range(1, j + 1)]
     expected = root_count(lt)
     if len(labels) != expected:
         raise VerificationError(

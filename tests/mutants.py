@@ -311,6 +311,16 @@ MUTANTS = [
             "tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",
         ),
     ),
+    # the label chain written in order, rows descending inside a column
+    (
+        ROOTSYS,
+        "RootLabel(r, j) for j in range(n, 0, -1) for r in range(1, j + 1)",
+        "RootLabel(r, j) for j in range(n, 0, -1) for r in range(j, 0, -1)",
+        (
+            "tests/test_rootsys.py::test_labels_are_the_sorted_chain",
+            "tests/test_rootsys.py::test_labels_c2_printed_basis",
+        ),
+    ),
     # the one decoder: 4-byte digits read as 2-byte ones, and the from_bytes
     # path reading each digit one byte short
     (
@@ -416,14 +426,34 @@ MUTANTS = [
             "tests/test_degenmap.py::test_fold_vector_doubles_colliding_fiber",
         ),
     ),
-    # point documents rendered from the packed ints
+    # point documents rendered from the packed ints: no hundreds place, the
+    # empty cells of two-place rows kept, a number's leading place left
+    # empty, 16-bit digits read as bytes
     (
         CLI,
-        "(x | 128).to_bytes",
-        "x.to_bytes",
+        "for p in (10, 100))",
+        "for p in (10,))",
         (
-            "tests/test_cli.py::test_document_digest_fixture",
             "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+            "tests/test_cli.py::test_byte_digit_rows_are_json_dumps",
+        ),
+    ),
+    (
+        CLI,
+        "        if width > 1:\n",
+        "        if width > 2:\n",
+        (
+            "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+            "tests/test_cli.py::test_byte_digit_rows_are_json_dumps",
+        ),
+    ),
+    (
+        CLI,
+        "v >= p or p == 1",
+        "v > p or p == 1",
+        (
+            "tests/test_cli.py::test_document_at_the_byte_width_boundary",
+            "tests/test_cli.py::test_byte_digit_rows_are_json_dumps",
         ),
     ),
     (

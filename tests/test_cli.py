@@ -21,7 +21,9 @@ from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_affine, build_matrix, build_translation
 from fflvstring.errors import VerificationError
 from fflvstring.fflv import points
-from fflvstring.rootsys import LieType, dominant_weights, fundamental_weight, unpack, weyl_dim
+from fflvstring.rootsys import (
+    LieType, dominant_weights, fundamental_weight, pack, unpack, weyl_dim,
+)
 
 GOLDEN_SWEEPS = {
     ("unimodular", "3"): """\
@@ -108,12 +110,17 @@ def test_caption_is_json_dumps(kind, lt):
 
 
 # the level and the letter count set the digit width of both kinds: up to
-# 127 a coordinate is one byte and the rows come from one charmap decode,
-# from 128 on the digits are 16 bits wide and decode through unpack
+# 127 a coordinate is one byte and the rows are filled one decimal place at
+# a time, 1, 2 or 3 places as the largest coordinate has digits; from 128
+# on the digits are 16 bits wide and decode through unpack
 @pytest.mark.parametrize("command", KINDS)
 @pytest.mark.parametrize(
     "lt, weight, width",
     [
+        *[
+            pytest.param(LieType("A", 1), (level,), 8, id=f"A1-{level}")
+            for level in (9, 10, 99, 100)
+        ],
         pytest.param(LieType("A", 1), (127,), 8, id="A1-127"),
         pytest.param(LieType("A", 1), (128,), 16, id="A1-128"),
         pytest.param(LieType("A", 2), (127, 1), 16, id="A2-127,1"),
@@ -126,6 +133,28 @@ def test_document_at_the_byte_width_boundary(capsys, command, lt, weight, width)
     assert code == 0
     reference = with_point_set(doc, command, lt, weight)
     assert_json_layout(out, reference, f"{command} {lt} {weight}")
+
+
+# a byte-digit coordinate near a change of its digit count
+_NEAR_PLACE = st.one_of(st.sampled_from((0, 9, 10, 99, 100, 127)), st.integers(0, 127))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.tuples(*[_NEAR_PLACE] * n), min_size=1, max_size=20, unique=True)
+))
+def test_byte_digit_rows_are_json_dumps(rows):
+    # rows of every digit count side by side in one document, packed as
+    # fflv.packed_points packs them; the labels only set the caption
+    rows = sorted(rows)
+    n = len(rows[0])
+    doc = {
+        "type": "A", "rank": n, "weight": [0] * n, "kind": "fflv",
+        "labels": [{"row": 1, "col": k, "barred": False} for k in range(1, n + 1)],
+        "points": ([pack(r, 8) for r in rows], n, 8),
+    }
+    reference = dict(doc, points=[list(r) for r in rows])
+    assert_json_layout(cli.render_document(doc), reference, f"{rows}")
 
 
 # sha256 of documents as json.dumps(doc, indent=2) + "\n" wrote them

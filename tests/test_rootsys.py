@@ -70,6 +70,22 @@ def test_labels_a1_single_root():
     assert build_labels(A1) == (RootLabel(1, 1),)
 
 
+def sorted_labels(lt):
+    """The descending chain by its definition: every label of H(X_n), sorted
+    by column key descending, then by row ascending."""
+    n = lt.rank
+    labels = [RootLabel(r, j) for j in range(1, n + 1) for r in range(1, j + 1)]
+    if lt.family == "C":
+        labels += [RootLabel(r, j, True) for j in range(1, n) for r in range(1, j + 1)]
+    return tuple(sorted(labels, key=lambda lab: (-column_key(lab, n), lab.row)))
+
+
+def test_labels_are_the_sorted_chain():
+    types = [LieType(f, n) for f in "AC" for n in range(1, 13)]
+    for lt in types + [LieType("A", 40), LieType("C", 30)]:
+        assert build_labels(lt) == sorted_labels(lt), lt
+
+
 @pytest.mark.parametrize("family", ["A", "C"])
 @pytest.mark.parametrize("rank", range(1, 11))
 def test_label_count_matches_word_length(family, rank):
