@@ -96,7 +96,6 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(unpack(rows, len(rows), b))
 
 
-@lru_cache(maxsize=None)
 def packed_matrix(lt: LieType) -> tuple[tuple[int, ...], int]:
     """The rows of -R^{-1}, packed, and their digit width b, both gates passed.
 
@@ -252,7 +251,6 @@ def fold_label(row: int, col: int, m: int) -> RootLabel:
     return RootLabel(row, 2 * m - col, True)
 
 
-@lru_cache(maxsize=None)
 def fold_index(m: int) -> tuple[int, ...]:
     """Per label of H(A_{2m-1}), the index of its fold (``fold_label``) in H(C_m).
 

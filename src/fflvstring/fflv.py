@@ -127,7 +127,6 @@ def points(lt: LieType, weight: tuple[int, ...]) -> LatticePointSet:
     return tuple(unpack(*packed_points(lt, weight)))
 
 
-@lru_cache(maxsize=None)
 def _dyck_digits(
     rank: int, width: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:

@@ -391,7 +391,8 @@ def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> Weigh
 def dominant_weights(rank: int, max_level: int) -> Iterator[tuple[int, ...]]:
     """All dominant weights with coefficient sum <= max_level, deterministically.
 
-    Ordered by level, then lexicographically.
+    Ordered by level, then lexicographically: ``compositions`` yields each
+    level in that order, so the weights stream without a sort.
     """
     def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:
@@ -402,4 +403,4 @@ def dominant_weights(rank: int, max_level: int) -> Iterator[tuple[int, ...]]:
                 yield (head,) + tail
 
     for level in range(max_level + 1):
-        yield from sorted(compositions(level, rank))
+        yield from compositions(level, rank)

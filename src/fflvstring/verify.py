@@ -50,7 +50,7 @@ from .rootsys import (
     unpack,
     weyl_dim,
 )
-from .wedge import commutation_table, packed_power, step_masks
+from .wedge import commutation_tables
 
 WITNESS_CAP = 10
 
@@ -287,8 +287,9 @@ def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
 def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     """Commutation table: l, j commute iff |l - j| != 1 on every exterior power.
 
-    Each unordered pair l < j is tested once, by ``commutation_table``,
-    which builds the image of each generator once per power.  That covers
+    Each unordered pair l < j is tested once per power, by
+    ``commutation_tables``, which builds a rank's masks once, each
+    generator's image once per power, and keeps nothing.  That covers
     the whole table: a diagonal entry compares a product with itself, and
     the test is symmetric in the two products (equal keys, and
     r * x(v) = y(v) with r > 0 holds iff (1/r) * y(v) = x(v)).  At i = 1
@@ -301,7 +302,7 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     for family in ("A", "C"):
         for m in range(1, max_rank + 1):
             before = len(failures)
-            tables = [commutation_table(family, m, i) for i in range(1, m + 1)]
+            tables = commutation_tables(family, m)
             for l, j in combinations(range(1, m + 1), 2):
                 expected = j - l != 1
                 for i, table in enumerate(tables, start=1):
@@ -309,9 +310,6 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
                         failures.append((family, m, l, j, f"sim i={i}"))
             status = "ok" if len(failures) == before else "FAILED"
             lines.append(f"{family}{m}: commutation table {status}")
-            # no later rank reads the tables or the masks of this one
-            packed_power.cache_clear()
-            step_masks.cache_clear()
     if failures:
         lines.append(f"failing cases: {failures[:10]}")
     return lines, failures

@@ -12,10 +12,10 @@ through the same elementary step; ``_steps`` holds that unfolding for
 on a whole exterior power at once: a product is a map from the offset o of
 a term to one int whose digit v holds the coefficient of e_{v+o} in the
 image of e_v, and a step moves every basis wedge it applies to with one
-masked AND (``packed_power`` holds the basis, ``step_masks`` the masks of
+masked AND (``packed_power`` builds the basis, ``step_masks`` the masks of
 every power).  Two products are compared offset by offset, by integer
-cross-multiplication; the commutation table builds each generator's image
-once and shares it between the pairs.
+cross-multiplication; the commutation tables of a rank build its masks
+once, and each generator's image once per power, shared between the pairs.
 On top of the action sit that equivalence test, the non-annihilation
 check, and the fully independent reconstruction of the type-A string
 points: a depth-first walk over the 0/1 monomials on the restriction block
@@ -98,7 +98,6 @@ def act_sequence(
     return v
 
 
-@lru_cache(maxsize=None)
 def packed_power(family: str, rank: int, i: int, width: int) -> int:
     """The basis of the i-th exterior power, packed: digit v, ``width`` bits
     wide, stands for the key v, and holds a 1 at every key of the power, built
@@ -112,7 +111,6 @@ def packed_power(family: str, rank: int, i: int, width: int) -> int:
     return ones[i]
 
 
-@lru_cache(maxsize=None)
 def step_masks(family: str, rank: int, width: int) -> tuple[int, ...]:
     """Mask t of every power: all-ones digits at the keys v < 2^(dim+1) with bit t
     set and bit t + 1 clear, the keys step t moves (mask 0 is 0).  A step reads
@@ -214,27 +212,32 @@ def _proportional(fx: dict[int, int], fy: dict[int, int], width: int) -> bool:
     return all(num * fx[o] == den * c for o, c in fy.items())
 
 
-def commutation_table(family: str, rank: int, i: int) -> dict[tuple[int, int], bool]:
-    """``sim_check_ops([l, j], [j, l], i, family, rank)`` for every pair l < j.
+def commutation_tables(family: str, rank: int) -> list[dict[tuple[int, int], bool]]:
+    """``sim_check_ops([l, j], [j, l], i, family, rank)`` for every pair l < j,
+    one table per power i = 1..rank, at index i - 1.
 
     The rightmost factor acts first, so [l, j] is step l on the image of j
     and [j, l] step j on the image of l: each generator's first-factor image
-    is built once and shared by every pair, at the width of products of
-    length 2.
+    is built once per power and shared by every pair, at the width of
+    products of length 2.  The masks, which serve every power, are built once.
     """
     width = 2 * 2 + 2
-    basis, masks = packed_power(family, rank, i, width), step_masks(family, rank, width)
-    start = {0: basis} if basis else {}
+    masks = step_masks(family, rank, width)
     steps = {j: _steps(j, family, rank) for j in range(1, rank + 1)}
-    first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}
-    return {
-        (l, j): _proportional(
-            _step(first[j], steps[l], masks, width),
-            _step(first[l], steps[j], masks, width),
-            width,
-        )
-        for l, j in combinations(range(1, rank + 1), 2)
-    }
+    tables = []
+    for i in range(1, rank + 1):
+        basis = packed_power(family, rank, i, width)
+        start = {0: basis} if basis else {}
+        first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}
+        tables.append({
+            (l, j): _proportional(
+                _step(first[j], steps[l], masks, width),
+                _step(first[l], steps[j], masks, width),
+                width,
+            )
+            for l, j in combinations(range(1, rank + 1), 2)
+        })
+    return tables
 
 
 def _lowest_digit(c: int, width: int) -> int:
@@ -249,7 +252,6 @@ def nonannihilation_check(lt: LieType, i: int, p: Sequence[int]) -> bool:
     return bool(act_monomial(lt, image, highest_wedge(2 * i - 1)))
 
 
-@lru_cache(maxsize=None)
 def restriction_block(lt: LieType, i: int) -> tuple[int, ...]:
     """Word positions of the labels with row <= i <= col (type A only)."""
     if lt.family != "A":

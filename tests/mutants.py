@@ -544,11 +544,22 @@ MUTANTS = [
             "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
         ),
     ),
+    # the commutation tables of a rank: each power's own basis, and the
+    # masks at the width of the products
     (
-        VERIFY,
-        "            step_masks.cache_clear()\n",
-        "",
-        ("tests/test_verify.py::test_comm_sweep_frees_the_tables_of_each_rank",),
+        WEDGE,
+        "        basis = packed_power(family, rank, i, width)\n",
+        "        basis = packed_power(family, rank, 1, width)\n",
+        ("tests/test_wedge.py::test_commutation_tables_build_the_masks_once_and_each_basis_once",),
+    ),
+    (
+        WEDGE,
+        "    masks = step_masks(family, rank, width)\n",
+        "    masks = step_masks(family, rank, 4)\n",
+        (
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
+            "tests/test_wedge.py::test_commutation_tables_build_the_masks_once_and_each_basis_once",
+        ),
     ),
     # the parser of argv's branch: a named sweep without --max-dim, a verify
     # argv with no subcommand given the points trees, and a caption short of

@@ -321,15 +321,15 @@ def test_verify_fold_failure_path(capsys, monkeypatch):
 
 
 def test_verify_comm_failure_path(capsys, monkeypatch):
-    real = verify.commutation_table
+    real = verify.commutation_tables
 
-    def wrong(family, rank, i):
-        table = real(family, rank, i)
-        if (family, rank, i) == ("C", 2, 1):
-            table[1, 2] = not table[1, 2]
-        return table
+    def wrong(family, rank):
+        tables = real(family, rank)
+        if (family, rank) == ("C", 2):
+            tables[0][1, 2] = not tables[0][1, 2]
+        return tables
 
-    monkeypatch.setattr(verify, "commutation_table", wrong)
+    monkeypatch.setattr(verify, "commutation_tables", wrong)
     code, out, _ = run_cli(capsys, "verify", "comm", "--max-rank", "2")
     assert code == 1
     assert "C2: commutation table FAILED\n" in out

@@ -64,7 +64,7 @@ def test_entry_range_gate_rejects_repeated_letter(monkeypatch, lt):
     bad = word[:2] + (word[1],) + word[3:]
     monkeypatch.setattr(degenmap, "reduced_word", lambda lt: bad)
     with pytest.raises(VerificationError) as info:
-        packed_matrix.__wrapped__(lt)
+        packed_matrix(lt)
     assert info.value.gate == "degenmap.entry_range"
 
 
@@ -83,7 +83,7 @@ def test_entry_range_gate_rejects_minus_two_in_type_a(monkeypatch, fresh_simple_
     real = degenmap.cartan_matrix
     monkeypatch.setattr(degenmap, "cartan_matrix", lambda family, rank: real("C", rank))
     with pytest.raises(VerificationError) as info:
-        packed_matrix.__wrapped__(lt)
+        packed_matrix(lt)
     assert info.value.gate == "degenmap.entry_range"
     assert "entries [-2]" in str(info.value)
 
@@ -107,7 +107,7 @@ def test_entry_range_gate_names_the_true_entries(monkeypatch, fresh_simple_roots
     allowed = {0, -1} if lt.family == "A" else {0, -1, -2}
     bad = set().union(*slack_inverse(word, cartan(lt.family, lt.target_rank))) - allowed
     with pytest.raises(VerificationError) as info:
-        packed_matrix.__wrapped__(lt)
+        packed_matrix(lt)
     assert info.value.gate == "degenmap.entry_range"
     assert f"entries {sorted(bad)} outside" in str(info.value)
 
@@ -129,7 +129,7 @@ def test_unitriangular_gate(monkeypatch, lt, cell):
 
         monkeypatch.setattr(degenmap, "_walk", walk)
         with pytest.raises(VerificationError) as info:
-            packed_matrix.__wrapped__(lt)
+            packed_matrix(lt)
         assert info.value.gate == "degenmap.unitriangular"
 
 

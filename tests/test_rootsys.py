@@ -295,6 +295,11 @@ def test_dominant_weights_enumeration():
         (2, 0),
     ]
     assert len(list(dominant_weights(4, 3))) == 35
+    # streamed unsorted: each level comes out in lexicographic order
+    for rank in range(1, 7):
+        for level in range(6):
+            weights = list(dominant_weights(rank, level))
+            assert weights == sorted(weights, key=lambda w: (sum(w), w))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import fflvstring
-from fflvstring import crystal, degenmap, fflv, rootsys, verify
+from fflvstring import crystal, degenmap, fflv, rootsys, verify, wedge
 from fflvstring.rootsys import LieType
 
 TESTS = Path(__file__).resolve().parent
@@ -114,6 +114,30 @@ def test_point_sets_are_not_memoized():
     assert not hasattr(crystal.string_points, "cache_info")
 
 
+def test_tables_read_once_per_pass_are_not_memoized():
+    # a memo stays only where a pass reads an entry twice: each caller reads
+    # these once per type, rank or power, so a memo would only keep them alive
+    once = (degenmap.packed_matrix, degenmap.fold_index, fflv._dyck_digits,
+            wedge.restriction_block, wedge.packed_power, wedge.step_masks)
+    assert [fn.__name__ for fn in once if hasattr(fn, "cache_info")] == []
+    imported = {name for _, names in _imports(SRC / "verify.py") if names[0] == "wedge"
+                for name in names[1:]}
+    assert imported and not any(hasattr(getattr(wedge, name), "cache_info") for name in imported)
+
+
+def test_no_package_module_empties_a_memo():
+    # no module manages a memo, its own or another module's: what a pass
+    # reads once is built per call and freed with it
+    paths = sorted(SRC.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for tree, path in zip(_trees(paths), paths)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "cache_clear"
+    ]
+    assert found == []
+
+
 def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
     # an element is one int of column bitmasks, and each operator reads a
     # per-type table keyed by its classed letters: the letter scan runs once
@@ -149,7 +173,7 @@ def test_build_matrix_walks_once_per_type(monkeypatch):
     monkeypatch.setattr(degenmap, "_walk", counted)
     types = [LieType("A", 4), LieType("C", 3)]
     for lt in types:
-        degenmap.packed_matrix.__wrapped__(lt)
+        degenmap.packed_matrix(lt)
     assert calls == types
 
 

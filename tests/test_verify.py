@@ -18,6 +18,7 @@ from fflvstring.degenmap import (
     build_translation,
     fold_vector,
     fundamental_translations,
+    packed_matrix,
 )
 from fflvstring.errors import VerificationError
 from fflvstring.fflv import points
@@ -41,7 +42,6 @@ from fflvstring.verify import (
     run_grid,
     unimodular_sweep,
 )
-from fflvstring.wedge import packed_power, step_masks
 from conftest import TWIST_MEMOS, WALK_MEMOS
 from oracles import twist_oracle
 
@@ -313,24 +313,50 @@ def test_run_grid_level_zero():
 
 
 def test_comm_sweep_frees_the_tables_of_each_rank():
-    # no acting rank reads the exterior-power tables of another
-    assert comm_sweep(2)[1] == []
-    assert packed_power.cache_info().currsize == 0
-    assert step_masks.cache_info().currsize == 0
+    # no rank reads the exterior-power tables of another, so the sweep reads
+    # and fills no memo of any package module and grows no module state
+    modules = [module for name, module in sys.modules.items() if name.startswith("fflvstring.")]
+
+    def state():
+        return {
+            (module.__name__, name): value.cache_info() if hasattr(value, "cache_info")
+            else len(value)
+            for module in modules
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info") or isinstance(value, (dict, list, set))
+        }
+
+    before = state()
+    assert comm_sweep(3)[1] == []
+    assert state() == before
+
+
+def test_unimodular_sweep_keeps_about_one_rank_alive():
+    # each rank's packed rows are freed once its line is written: with the
+    # word and Cartan memos that both read warm, the sweep peaked at 3.5
+    # times the largest rank's rows while a memo kept them all, and at 1.4
+    # without it
+    for family in "AC":
+        for n in range(1, 21):
+            reduced_word(LieType(family, n))
+            degenmap._simple_roots(family, n)
+    lt = LieType("C", 20)
+    assert _traced_peak(unimodular_sweep, 20) <= 2.5 * _traced_peak(packed_matrix, lt)
 
 
 def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
     # m * C(m, 2) equivalence tests per family and rank m <= 4: the full
     # table of ordered pairs, diagonal included, would make 200
-    real = verify.commutation_table
+    real = verify.commutation_tables
     pairs = []
 
-    def counted(*args):
-        table = real(*args)
-        pairs.extend(table)
-        return table
+    def counted(family, rank):
+        tables = real(family, rank)
+        for table in tables:
+            pairs.extend(table)
+        return tables
 
-    monkeypatch.setattr(verify, "commutation_table", counted)
+    monkeypatch.setattr(verify, "commutation_tables", counted)
     assert comm_sweep(4)[1] == []
     assert len(pairs) == 70
     assert all(l < j for l, j in pairs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflvstring import wedge
+from fflvstring import rootsys, wedge
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import apply_T, apply_affine, build_matrix, build_translation
 from fflvstring.errors import VerificationError
@@ -26,7 +26,7 @@ from fflvstring.wedge import (
     act_monomial,
     act_sequence,
     act_simple,
-    commutation_table,
+    commutation_tables,
     highest_wedge,
     minimality_check_A,
     monomial_ops,
@@ -128,7 +128,20 @@ def test_commutation_table_matches_sim_check_ops(family):
                 (l, j): sim_check_ops([l, j], [j, l], i, family, m)
                 for l, j in combinations(range(1, m + 1), 2)
             }
-            assert commutation_table(family, m, i) == expected
+            assert commutation_tables(family, m)[i - 1] == expected
+
+
+def test_commutation_tables_build_the_masks_once_and_each_basis_once(monkeypatch):
+    # one call serves every power of a rank: the masks are shared by all of
+    # them, and each power reads its own basis, at the width of length 2
+    calls = []
+    for name in ("packed_power", "step_masks"):
+        real = getattr(wedge, name)
+        monkeypatch.setattr(
+            wedge, name, lambda *args, name=name, real=real: calls.append((name, *args)) or real(*args)
+        )
+    assert len(commutation_tables("C", 3)) == 3
+    assert calls == [("step_masks", "C", 3, 6)] + [("packed_power", "C", 3, i, 6) for i in (1, 2, 3)]
 
 
 def test_sim_counterexample_wedge():
@@ -262,19 +275,24 @@ def test_packed_generators_decode_to_act_simple(family):
                 wedge._packed_product([rank + 1], i, family, rank, width)
 
 
-def test_packed_power_is_the_only_memo():
-    # the benchmark empties every lru_cache defined in a package module
-    # between operations; a memo held in a module dict or a closure would
-    # survive that and carry work from one operation into the next
-    memos = (wedge.packed_power, wedge.step_masks)
-    for fn in memos:
-        assert fn.__module__ == "fflvstring.wedge"
-        fn.cache_clear()
+def test_products_and_tables_keep_no_memo():
+    # the packed products and the commutation tables build their bases and
+    # masks per call: the oracle's string points are the module's one memo,
+    # neither reads a memo of any module, and no module dict or closure
+    # carries work from one call into the next
+    memos = {
+        f"{module.__name__}.{name}": value
+        for module in (wedge, rootsys)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+    assert [name for name in memos if name.startswith("fflvstring.wedge.")] == [
+        "fflvstring.wedge.oracle_string_points_A"
+    ]
+    before = {name: memo.cache_info() for name, memo in memos.items()}
     assert sim_check_ops([1, 3], [3, 1], 2, "C", 3)
-    for fn in memos:
-        assert fn.cache_info().currsize == 1
-        fn.cache_clear()
-        assert fn.cache_info().currsize == 0
+    assert commutation_tables("C", 3)[1] == {(1, 2): False, (1, 3): True, (2, 3): False}
+    assert {name: memo.cache_info() for name, memo in memos.items()} == before
     state = [
         name
         for name, value in vars(wedge).items()
@@ -282,6 +300,7 @@ def test_packed_power_is_the_only_memo():
     ]
     assert state == []
     assert sim_check_ops.__closure__ is None
+    assert commutation_tables.__closure__ is None
 
 
 def test_nonannihilation_zero_point():
