@@ -13,7 +13,7 @@ walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated
 packed digits, at the width ``pack_width`` gives 2 + 2*N*max|a_ij|, which
 makes a decode that passes the gates exactly -R^{-1} for any word and any
 tridiagonal Cartan matrix; so do the fundamental translations.
-The affine map walks only the support of a point.
+The image of one point is the walk itself, which decodes no matrix.
 This module also houses the fold correspondence of coordinates from a
 special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
@@ -138,16 +138,8 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
     """R^{-1} c(lifted weight): the walk with nu the lifted weight and p = 0.
 
     q_k is the string of the extremal element,
-    <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>.  Cached per
-    type and dominant weight tuple, so a weight given as a list works too.
-    """
-    return _translation(lt, check_dominant(lt, weight))
-
-
-@lru_cache(maxsize=None)
-def _translation(lt: LieType, w: tuple[int, ...]) -> ExponentVector:
-    size = len(reduced_word(lt))
-    return tuple(_walk(lt, lifted_coeffs(lt, w), [0] * size))
+    <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>."""
+    return tuple(_walk(lt, lifted_coeffs(lt, weight), [0] * len(reduced_word(lt))))
 
 
 def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
@@ -210,18 +202,18 @@ def apply_affine(
 
 
 def apply_T(lt: LieType, weight, p: Sequence[int]) -> ExponentVector:
-    """Image of a chain point under the affine map for this weight.
+    """Image of a chain point under the affine map for this weight: the walk
+    with nu the lifted weight, ``build_translation`` at p = 0.
 
     The image of a chain point lies in the nonnegative orthant, so a
     negative entry is a hard failure (``check_nonnegative``); the map of an
     arbitrary vector is ``apply_affine`` on the matrix and translation.
     """
-    w = check_dominant(lt, weight)
-    labels = build_labels(lt)
-    if len(p) != len(labels):
-        raise ValueError(f"exponent vector must have length {len(labels)}")
-    image = apply_affine(build_matrix(lt), build_translation(lt, w), p)
-    check_nonnegative(lt, w, p, image)
+    nu, size = lifted_coeffs(lt, weight), len(reduced_word(lt))
+    if len(p) != size:
+        raise ValueError(f"exponent vector must have length {size}")
+    image = tuple(_walk(lt, nu, p))
+    check_nonnegative(lt, weight, p, image)
     return image
 
 

@@ -49,6 +49,8 @@ def natural_dim(family: str, rank: int) -> int:
 
 def fundamental_weight(rank: int, i: int) -> tuple[int, ...]:
     """Fundamental coefficients of omega_i: the i-th unit vector of length rank."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"fundamental index {i} out of range for rank {rank}")
     return tuple(1 if k == i - 1 else 0 for k in range(rank))
 
 

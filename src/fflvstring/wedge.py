@@ -8,20 +8,21 @@ elementary lowering e_j -> e_{j+1} on the natural module of the companion
 algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
 through the same elementary step; ``_steps`` holds that unfolding for
-``act_simple`` and the packed products alike.  The equivalence test acts
-on a whole exterior power at once: a product is a map from the offset o of
-a term to one int whose digit v holds the coefficient of e_{v+o} in the
-image of e_v, and a step moves every basis wedge it applies to with one
-masked AND (``packed_power`` builds the basis, ``step_masks`` the masks of
-every power).  Two products are compared offset by offset, by integer
-cross-multiplication; the commutation tables of a rank build its masks
-once, and each generator's image once per power, shared between the pairs.
-On top of the action sit that equivalence test, the non-annihilation
-check, and the fully independent reconstruction of the type-A string
-points: a depth-first walk over the 0/1 monomials on the restriction block
-that carries each prefix's image of the highest wedge, so a product is built
-one factor from its parent and a zero image prunes every extension.  The
-minimality check is membership in that reconstruction.
+``act_simple`` and the packed commutation tables alike.  The equivalence
+test acts wedge by wedge.  The commutation tables of a rank act on a whole
+exterior power at once: an image is a map from the offset o of a term to
+one int whose digit v holds the coefficient of e_{v+o} in the image of e_v,
+and a step moves every basis wedge it applies to with one masked AND
+(``packed_power`` builds the basis, ``step_masks`` the masks of every
+power).  Two images are compared offset by offset, by integer
+cross-multiplication; the masks are built once, and each generator's image
+once per power, shared between the pairs.  On top of the action sit the
+equivalence test, the non-annihilation check, and the fully independent
+reconstruction of the type-A string points: a depth-first walk over the 0/1
+monomials on the restriction block that carries each prefix's image of the
+highest wedge, so a product is built one factor from its parent and a zero
+image prunes every extension.  The minimality check is membership in that
+reconstruction.
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ def act_simple(j: int, v: WedgeVector, family: str, rank: int) -> WedgeVector:
 def act_sequence(
     ops: Sequence[int], v: WedgeVector, family: str, rank: int
 ) -> WedgeVector:
-    """Apply a written product of generators, rightmost factor first."""
+    """Apply a written product of generators, rightmost factor first; every
+    factor is checked before any acts, even those a dead vector never meets."""
+    for j in ops:
+        _steps(j, family, rank)
     for j in reversed(ops):
         if not v:
             return {}
@@ -125,26 +129,6 @@ def step_masks(family: str, rank: int, width: int) -> tuple[int, ...]:
             span *= 2
         has.append(pattern)
     return tuple(has[t] & ~has[t + 1] for t in range(dim))
-
-
-def _packed_product(
-    ops: Sequence[int], i: int, family: str, rank: int, width: int
-) -> dict[int, int]:
-    """A written product on the i-th power as offset o -> packed coefficients.
-
-    Digit v of the entry at o holds the coefficient of e_{v+o} in X(e_v).
-    Rightmost factor first, step t of a factor moves the digits its mask
-    selects, read at the keys v + o, on to offset o + 2^t; terms that land on
-    one offset are summed.  The empty product is the identity {0: basis},
-    or {} on a power above the dimension, which is 0.
-    """
-    # every factor is checked before any work
-    steps = [_steps(j, family, rank) for j in reversed(ops)]
-    basis, masks = packed_power(family, rank, i, width), step_masks(family, rank, width)
-    terms = {0: basis} if basis else {}
-    for factor in steps:
-        terms = _step(terms, factor, masks, width)
-    return terms
 
 
 def _step(
@@ -183,21 +167,27 @@ def sim_check_ops(
     """Equivalence of two generator products on the i-th exterior power.
 
     Requires one shared positive rational scalar r with r * x(v) = y(v) on
-    every basis wedge v.  Both packed products must have the same offsets;
-    r = num/den is read off the lowest nonzero digits of one offset and
-    checked on every offset at once as num * x_o == den * y_o.  A
-    coefficient of a product of length k counts at most 2^k step paths, and
-    so num, den <= 2^k: a digit of either side is at most 4^k, so with digits
-    2k + 2 bits wide nothing carries and integer equality is digitwise
-    equality.  No sign test is needed: every coefficient is a positive
-    integer, so r > 0 whenever it exists.
+    every basis wedge v.  Both products act on each basis wedge through
+    ``act_sequence``, and their images must have the same keys; r = num/den
+    is read off the first coefficient pair and checked on every coefficient
+    as num * x == den * y.  No sign test is needed: every coefficient is a
+    positive integer, so r > 0 whenever it exists.  The factors are checked
+    even on a power above the dimension, the zero space.
     """
-    width = 2 * max(len(ops_x), len(ops_y)) + 2
-    return _proportional(
-        _packed_product(ops_x, i, family, rank, width),
-        _packed_product(ops_y, i, family, rank, width),
-        width,
-    )
+    for j in (*ops_x, *ops_y):
+        _steps(j, family, rank)
+    if i < 0:
+        raise ValueError(f"exterior power {i} is negative")
+    ratio = None
+    for t in combinations(range(1, natural_dim(family, rank) + 1), i):
+        fx, fy = (act_sequence(ops, wedge_basis(t), family, rank) for ops in (ops_x, ops_y))
+        if fx.keys() != fy.keys():
+            return False
+        for key, c in fx.items():
+            num, den = ratio = ratio or (fy[key], c)
+            if num * c != den * fy[key]:
+                return False
+    return True
 
 
 def _proportional(fx: dict[int, int], fy: dict[int, int], width: int) -> bool:
@@ -218,8 +208,10 @@ def commutation_tables(family: str, rank: int) -> list[dict[tuple[int, int], boo
 
     The rightmost factor acts first, so [l, j] is step l on the image of j
     and [j, l] step j on the image of l: each generator's first-factor image
-    is built once per power and shared by every pair, at the width of
-    products of length 2.  The masks, which serve every power, are built once.
+    is built once per power and shared by every pair, as are the masks by
+    every power.  A coefficient of a product of length k = 2 counts at most
+    2^k step paths, so num, den <= 2^k and a digit of either side of
+    ``_proportional`` is at most 4^k: digits 2k + 2 bits wide never carry.
     """
     width = 2 * 2 + 2
     masks = step_masks(family, rank, width)

@@ -199,14 +199,14 @@ MUTANTS = [
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
-    # criterion 07 read off the grid: a per-weight translation off by one
-    # only on non-fundamental weights (check_main sums the fundamental ones,
-    # and the tests compare the two), and a sum that skips the last copy of
-    # a fundamental set
+    # criterion 07 read off the grid: a per-weight translation (the walk of
+    # build_translation) off by one only on non-fundamental weights
+    # (check_main sums the fundamental ones, and the tests compare the two),
+    # and a sum that skips the last copy of a fundamental set
     (
         DEGENMAP,
-        "lifted_coeffs(lt, w), [0] * size",
-        "lifted_coeffs(lt, w), [-(sum(w) > 1)] + [0] * (size - 1)",
+        "lifted_coeffs(lt, weight), [0] * len(reduced_word(lt))",
+        "lifted_coeffs(lt, weight), [-(sum(weight) > 1)] + [0] * (len(reduced_word(lt)) - 1)",
         (
             "tests/test_acceptance.py::test_translation_is_linear_in_the_weight",
             "tests/test_acceptance.py::test_summed_translation_is_the_per_weight_walk",
@@ -218,24 +218,61 @@ MUTANTS = [
         "        for _ in range(a - 1 or 1):\n",
         ("tests/test_acceptance.py::test_criterion_07_minkowski_containments",),
     ),
-    # the packed generator products
+    # the packed images of the commutation tables
     (
         WEDGE,
         "has[t] & ~has[t + 1]",
         "has[t]",
         (
             "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
-            "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
         ),
     ),
     (
         WEDGE,
         "num * fx[o] == den * c",
         "den * fx[o] == num * c",
+        ("tests/test_wedge.py::test_proportional_needs_one_shared_ratio",),
+    ),
+    # the equivalence test wedge by wedge: its ratio inverted, its key sets
+    # not compared, its factors unchecked on a power above the dimension;
+    # and a product whose factors are checked only while the vector lives
+    (
+        WEDGE,
+        "if num * c != den * fy[key]:",
+        "if den * c != num * fy[key]:",
         (
             "tests/test_wedge.py::test_sim_check_ops_shared_ratio_other_than_one",
-            "tests/test_wedge.py::test_sim_check_ops_digits_hold_the_largest_coefficient",
+            "tests/test_wedge.py::test_sim_check_ops_needs_one_shared_ratio",
         ),
+    ),
+    (
+        WEDGE,
+        "        if fx.keys() != fy.keys():\n            return False\n        for key, c in fx.items():\n",
+        "        for key, c in fx.items():\n",
+        (
+            "tests/test_wedge.py::test_sim_check_matches_commutation",
+            "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
+        ),
+    ),
+    (
+        WEDGE,
+        "    for j in (*ops_x, *ops_y):\n        _steps(j, family, rank)\n",
+        "",
+        ("tests/test_wedge.py::test_sim_check_ops_outside_the_powers",),
+    ),
+    (
+        WEDGE,
+        "    for j in ops:\n        _steps(j, family, rank)\n",
+        "",
+        ("tests/test_wedge.py::test_act_sequence_checks_every_factor",),
+    ),
+    # a fundamental index outside 1..rank read as the zero weight
+    (
+        ROOTSYS,
+        "    if not 1 <= i <= rank:\n        raise ValueError(f\"fundamental index {i}",
+        "    if False:\n        raise ValueError(f\"fundamental index {i}",
+        ("tests/test_wedge.py::test_checks_refuse_a_fundamental_weight_that_does_not_exist",),
     ),
     # the pruned walk of the type-A oracle
     (
@@ -392,13 +429,22 @@ MUTANTS = [
             "tests/test_fflv.py::test_dyck_check_matches_brute_force_box",
         ),
     ),
-    # apply_T without its nonnegativity gate, and stringpoly points without
-    # its type-size refusal
+    # apply_T without its nonnegativity gate or walking the zero point, and
+    # stringpoly points without its type-size refusal
     (
         DEGENMAP,
-        "    check_nonnegative(lt, w, p, image)\n",
+        "    check_nonnegative(lt, weight, p, image)\n",
         "",
         ("tests/test_degenmap.py::test_apply_T_nonnegativity_gate",),
+    ),
+    (
+        DEGENMAP,
+        "image = tuple(_walk(lt, nu, p))",
+        "image = tuple(_walk(lt, nu, [0] * size))",
+        (
+            "tests/test_degenmap.py::test_apply_T_rank2_hand_cases",
+            "tests/test_wedge.py::test_minimality_rejects_shifted_competitor",
+        ),
     ),
     (
         CLI,
@@ -541,7 +587,7 @@ MUTANTS = [
         "        while span < 1 << dim:\n",
         (
             "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
-            "tests/test_wedge.py::test_sim_check_ops_matches_stepwise_reference",
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
         ),
     ),
     # the commutation tables of a rank: each power's own basis, and the

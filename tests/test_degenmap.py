@@ -223,11 +223,9 @@ def test_simple_roots_read_the_whole_cartan_column(family):
         assert degenmap._simple_roots(family, rank) == column
 
 
-def test_apply_T_walks_each_translation_once(monkeypatch):
-    # the translation is cached per type and dominant weight tuple, so the
-    # points of one weight share one walk, and a list weight hits it too
-    build_matrix(A3)
-    degenmap._translation.cache_clear()
+def test_apply_T_walks_each_point_once(monkeypatch):
+    # the image of a point is one walk, which decodes no matrix (so no gate
+    # of packed_matrix runs), and a list weight maps like the tuple weight
     calls = []
     real = degenmap._walk
 
@@ -235,12 +233,17 @@ def test_apply_T_walks_each_translation_once(monkeypatch):
         calls.append(lt)
         return real(lt, *args)
 
+    def refused(lt):
+        raise AssertionError("apply_T decodes the matrix")
+
     monkeypatch.setattr(degenmap, "_walk", counted)
+    monkeypatch.setattr(degenmap, "packed_matrix", refused)
     w = (0, 1, 0)
-    images = [apply_T(A3, w, p) for p in points(A3, w)]
-    assert apply_T(A3, list(w), points(A3, w)[0]) == images[0]
+    chain = points(A3, w)
+    images = [apply_T(A3, w, p) for p in chain]
+    assert calls == [A3] * len(chain)
+    assert [apply_T(A3, list(w), p) for p in chain] == images
     assert build_translation(A3, [0, 1, 0]) == build_translation(A3, w)
-    assert calls == [A3]
 
 
 def _twist_pairs(lt, w):

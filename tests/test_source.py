@@ -117,8 +117,8 @@ def test_point_sets_are_not_memoized():
 def test_tables_read_once_per_pass_are_not_memoized():
     # a memo stays only where a pass reads an entry twice: each caller reads
     # these once per type, rank or power, so a memo would only keep them alive
-    once = (degenmap.packed_matrix, degenmap.fold_index, fflv._dyck_digits,
-            wedge.restriction_block, wedge.packed_power, wedge.step_masks)
+    once = (degenmap.packed_matrix, degenmap.build_translation, degenmap.fold_index,
+            fflv._dyck_digits, wedge.restriction_block, wedge.packed_power, wedge.step_masks)
     assert [fn.__name__ for fn in once if hasattr(fn, "cache_info")] == []
     imported = {name for _, names in _imports(SRC / "verify.py") if names[0] == "wedge"
                 for name in names[1:]}

@@ -231,16 +231,38 @@ def test_sim_check_ops_digits_hold_the_largest_coefficient():
     assert sim_check_ops(y, x, 3, "C", 3) == expected
 
 
-def test_sim_check_ops_needs_one_shared_ratio(monkeypatch):
+def test_proportional_needs_one_shared_ratio():
     # each offset on its own is proportional, with ratios 2 and 1: e2 -> e3
     # sits at offset e3 - e2, e3 -> e4 at offset e4 - e3, digits 4 bits wide
     (e2,), (e3,), (e4,) = wedge_basis((2,)), wedge_basis((3,)), wedge_basis((4,))
-    images = iter([
-        {e3 - e2: 1 << 4 * e2, e4 - e3: 1 << 4 * e3},
-        {e3 - e2: 2 << 4 * e2, e4 - e3: 1 << 4 * e3},
-    ])
-    monkeypatch.setattr(wedge, "_packed_product", lambda *args: next(images))
-    assert not sim_check_ops([1], [1], 1, "A", 3)
+    fx = {e3 - e2: 1 << 4 * e2, e4 - e3: 1 << 4 * e3}
+    assert not wedge._proportional(fx, {e3 - e2: 2 << 4 * e2, e4 - e3: 1 << 4 * e3}, 4)
+    assert wedge._proportional(fx, {e3 - e2: 2 << 4 * e2, e4 - e3: 2 << 4 * e3}, 4)
+
+
+def test_sim_check_ops_needs_one_shared_ratio(monkeypatch):
+    # A1 has the two basis wedges e1 and e2 on its first power; x and y act
+    # on e1, then on e2
+    cases = [
+        # each basis wedge on its own is proportional, with ratios 2 and 1
+        ([{4: 1}, {4: 2}, {8: 1}, {8: 1}], False),
+        # one wedge whose two coefficients have ratios 2 and 1
+        ([{4: 1, 8: 1}, {4: 2, 8: 1}, {}, {}], False),
+        # one ratio 2 on every coefficient of every wedge
+        ([{4: 1, 8: 3}, {4: 2, 8: 6}, {8: 1}, {8: 2}], True),
+    ]
+    for images, expected in cases:
+        images = iter(images)
+        monkeypatch.setattr(wedge, "act_sequence", lambda *args: next(images))
+        assert sim_check_ops([1], [1], 1, "A", 1) == expected
+
+
+def test_act_sequence_checks_every_factor():
+    # f_5 is no generator of A2, even where f_1 has already killed e_2
+    assert act_sequence([1], wedge_basis((2,)), "A", 2) == {}
+    for ops in ([5], [5, 1], [1, 5]):
+        with pytest.raises(ValueError):
+            act_sequence(ops, wedge_basis((2,)), "A", 2)
 
 
 def test_sim_check_ops_rejects_out_of_range_operator():
@@ -251,6 +273,9 @@ def test_sim_check_ops_rejects_out_of_range_operator():
 def test_sim_check_ops_outside_the_powers():
     # a power above the dimension is the zero space, where every product agrees
     assert sim_check_ops([], [], 4, "A", 2) and sim_check_ops([1], [2], 4, "A", 2)
+    # where no wedge is acted on, the factors are still checked
+    with pytest.raises(ValueError):
+        sim_check_ops([3], [1], 4, "A", 2)
     with pytest.raises(ValueError):
         sim_check_ops([], [], -1, "A", 2)
 
@@ -258,28 +283,32 @@ def test_sim_check_ops_outside_the_powers():
 @pytest.mark.parametrize("family", ["A", "C"])
 def test_packed_generators_decode_to_act_simple(family):
     # digit v of the entry at offset o is the coefficient of e_{v+o} in f_j(e_v);
-    # packing act_simple on every basis wedge must give every digit, zeros too
+    # packing act_simple on every basis wedge must give every digit, zeros too,
+    # in the one-factor image that commutation_tables builds
     width = 4
     for rank in (1, 2, 3):
         dim = natural_dim(family, rank)
+        masks = wedge.step_masks(family, rank, width)
         for i in range(dim + 1):
+            basis = {0: wedge.packed_power(family, rank, i, width)}
             for j in range(1, rank + 1):
                 expected = {}
                 for t in combinations(range(1, dim + 1), i):
                     (v,) = wedge_basis(t)
                     for key, c in act_simple(j, wedge_basis(t), family, rank).items():
                         expected[key - v] = expected.get(key - v, 0) + (c << width * v)
-                assert wedge._packed_product([j], i, family, rank, width) == expected
-            # the rank generators are all there are
-            with pytest.raises(ValueError):
-                wedge._packed_product([rank + 1], i, family, rank, width)
+                steps = wedge._steps(j, family, rank)
+                assert wedge._step(basis, steps, masks, width) == expected
+        # the rank generators are all there are
+        with pytest.raises(ValueError):
+            wedge._steps(rank + 1, family, rank)
 
 
 def test_products_and_tables_keep_no_memo():
-    # the packed products and the commutation tables build their bases and
-    # masks per call: the oracle's string points are the module's one memo,
-    # neither reads a memo of any module, and no module dict or closure
-    # carries work from one call into the next
+    # the commutation tables build their bases and masks per call, and the
+    # equivalence test acts wedge by wedge: the oracle's string points are
+    # the module's one memo, neither reads a memo of any module, and no
+    # module dict or closure carries work from one call into the next
     memos = {
         f"{module.__name__}.{name}": value
         for module in (wedge, rootsys)
@@ -307,6 +336,16 @@ def test_nonannihilation_zero_point():
     for lt, i in ((A3, 2), (C2, 2)):
         zero = (0,) * len(build_labels(lt))
         assert nonannihilation_check(lt, i, zero)
+
+
+def test_checks_refuse_a_fundamental_weight_that_does_not_exist():
+    # A3 has omega_1..omega_3 only: no other index stands for the zero weight
+    zero = (0,) * len(build_labels(A3))
+    for i in (0, 4, 7):
+        with pytest.raises(ValueError):
+            nonannihilation_check(A3, i, zero)
+    with pytest.raises(ValueError):
+        minimality_check_A(A3, 0, (0, 0, 0, 0, 0, 1))
 
 
 @pytest.mark.parametrize("family,max_rank", [("A", 4), ("C", 3)])
