@@ -4,13 +4,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 fault: a failed gate, or a ``ValueError`` that escapes the library after the
 input was validated.  Identical invocations produce byte-identical
 documents.  A command refuses a weight whose module dimension exceeds
-``--max-dim`` before it enumerates anything; ``verify unimodular`` and
-``verify comm`` likewise refuse a matrix or an exterior-power table that
-holds more entries or rows than that.  ``verify main`` and ``stringpoly
-points`` refuse a type of N labels whose N^2 exceeds both ``--max-dim`` and
-the default: one builds the N x N matrix, the other a step table of
-N(N-1)/2 string digits, even at a weight of dimension 1.  Flags are inputs
-or the settings ``--max-dim``, ``--json`` and ``--out``; none is for tests.
+``--max-dim`` before it enumerates anything; each ``verify`` sweep likewise
+refuses a rank whose matrix, exterior-power tables or packed translations
+hold more entries, rows or digits than that.  ``verify main`` and
+``stringpoly points`` refuse a type of N labels whose N^2 exceeds both
+``--max-dim`` and the default: one builds the N x N matrix, the other a
+step table of N(N-1)/2 string digits, even at a weight of dimension 1.
+Flags are inputs or the settings ``--max-dim``, ``--json`` and ``--out``;
+none is for tests.
+
+A leaf is a complete command: ``fflv points``, ``stringpoly points`` or
+``verify main|unimodular|fold|comm`` (``LEAVES``).  When argv's first two
+words name a leaf, that leaf's own parser parses the rest, and its result
+stands if it leaves no word over.  Every other argv goes to the full tree
+(``build_parser``), which prints the help, usage lines and errors.  The
+outcome is the tree's either way: the tree hands a leaf's words to the
+same parser, and only a word left over reaches the tree's own error.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .crystal import packed_string_points
@@ -100,8 +109,10 @@ def comm_table_rows(m: int) -> int:
     return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
 
 
-# name -> (function, help text, unit, size); a sized sweep holds the largest
-# table it builds at one rank, always in type C, against --max-dim
+# name -> (function, help text, unit, size); size(n) is the largest table the
+# sweep builds at rank n, checked against --max-dim and named by C_n: the
+# matrix of C_n, the tables at acting rank n, or the packed translations of
+# A_{2n-1}, one balanced byte per fundamental weight and label
 SWEEPS = {
     "unimodular": (
         unimodular_sweep,
@@ -109,7 +120,12 @@ SWEEPS = {
         "matrix entries",
         lambda n: root_count(LieType("C", n)) ** 2,
     ),
-    "fold": (fold_sweep, "translation folding sweep", None, None),
+    "fold": (
+        fold_sweep,
+        "translation folding sweep",
+        "translation digits",
+        lambda n: root_count(LieType("A", 2 * n - 1)) * (2 * n - 1),
+    ),
     "comm": (
         comm_sweep,
         "commutation equivalence sweep",
@@ -297,61 +313,12 @@ def _cmd_verify_sweep(args) -> int:
     if args.max_rank < 1:
         raise UsageError("--max-rank must be at least 1")
     sweep, _, unit, size = SWEEPS[args.subcommand]
-    if size:
-        # sizes grow with the rank: the first rank above the budget is refused
-        for rank in range(1, args.max_rank + 1):
-            _check_size(f"{LieType('C', rank)} {unit}", size(rank), args.max_dim)
+    # sizes grow with the rank: the first rank above the budget is refused
+    for rank in range(1, args.max_rank + 1):
+        _check_size(f"{LieType('C', rank)} {unit}", size(rank), args.max_dim)
     lines, failures = sweep(args.max_rank)
     print("\n".join(lines))
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
-
-
-def _leaf(argv) -> str | None:
-    """The verify subcommand word ("" if none) of argv, None for another command:
-    argparse dispatches on the first two words of argv that are no option."""
-    words = [a for a in argv if not a.startswith("-")][:2] + [""]
-    return words[1] if words[0] == "verify" else None
-
-
-@lru_cache(maxsize=None)
-def build_parser(leaf: str | None = None) -> argparse.ArgumentParser:
-    """The root and the three commands (usage line, choices, --help), then both
-    ``points`` trees, or for a ``_leaf`` the verify subcommands, only it with options."""
-    parser = argparse.ArgumentParser(
-        prog="fflvstring",
-        description="Exact lattice-point pipelines for chain and string polytopes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    fflv = sub.add_parser("fflv", help="chain polytope lattice points")
-    stringpoly = sub.add_parser("stringpoly", help="string polytope lattice points")
-    verify = sub.add_parser("verify", help="theorem verification sweeps")
-    if leaf is None:
-        string_text = f"{_DIM_TEXT}, or a type whose label count squared exceeds both this"
-        for cmd, text in ((fflv, _DIM_TEXT), (stringpoly, f"{string_text} and {DEFAULT_MAX_DIM}")):
-            points = cmd.add_subparsers(dest="subcommand", required=True)
-            _add_points_args(points.add_parser("points", help="emit a point document"), text)
-        return parser
-
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    main_cmd = verify_sub.add_parser("main", help="set equality over a weight grid")
-    if leaf == "main":
-        main_cmd.add_argument("--type", required=True)
-        main_cmd.add_argument("--rank", type=_positive("--rank"), required=True)
-        main_cmd.add_argument("--max-level", type=int, required=True)
-        _add_max_dim(
-            main_cmd,
-            f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
-            f"and {DEFAULT_MAX_DIM}",
-        )
-        main_cmd.add_argument("--json", default=None)
-
-    for name, (_, text, unit, _) in SWEEPS.items():
-        sweep = verify_sub.add_parser(name, help=text)
-        if name == leaf:
-            sweep.add_argument("--max-rank", type=int, required=True)
-            if unit:
-                _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
-    return parser
 
 
 def _add_points_args(cmd: argparse.ArgumentParser, max_dim_text: str = _DIM_TEXT) -> None:
@@ -360,6 +327,23 @@ def _add_points_args(cmd: argparse.ArgumentParser, max_dim_text: str = _DIM_TEXT
     cmd.add_argument("--weight", required=True)
     _add_max_dim(cmd, max_dim_text)
     cmd.add_argument("--out", default=None)
+
+
+def _add_main_args(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--type", required=True)
+    cmd.add_argument("--rank", type=_positive("--rank"), required=True)
+    cmd.add_argument("--max-level", type=int, required=True)
+    _add_max_dim(
+        cmd,
+        f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
+        f"and {DEFAULT_MAX_DIM}",
+    )
+    cmd.add_argument("--json", default=None)
+
+
+def _add_sweep_args(cmd: argparse.ArgumentParser, unit: str) -> None:
+    cmd.add_argument("--max-rank", type=int, required=True)
+    _add_max_dim(cmd, f"refuse a rank whose {unit} exceed this")
 
 
 def _add_max_dim(cmd: argparse.ArgumentParser, text: str = _DIM_TEXT) -> None:
@@ -371,9 +355,71 @@ def _add_max_dim(cmd: argparse.ArgumentParser, text: str = _DIM_TEXT) -> None:
     )
 
 
+COMMANDS = {
+    "fflv": "chain polytope lattice points",
+    "stringpoly": "string polytope lattice points",
+    "verify": "theorem verification sweeps",
+}
+# (command, subcommand) -> (help text, option adder), in the tree's order
+LEAVES = {
+    ("fflv", "points"): ("emit a point document", _add_points_args),
+    ("stringpoly", "points"): (
+        "emit a point document",
+        partial(
+            _add_points_args,
+            max_dim_text=f"{_DIM_TEXT}, or a type whose label count squared "
+            f"exceeds both this and {DEFAULT_MAX_DIM}",
+        ),
+    ),
+    ("verify", "main"): ("set equality over a weight grid", _add_main_args),
+    **{
+        ("verify", name): (text, partial(_add_sweep_args, unit=unit))
+        for name, (_, text, unit, _) in SWEEPS.items()
+    },
+}
+
+
+@lru_cache(maxsize=None)
+def leaf_parser(command: str, subcommand: str) -> argparse.ArgumentParser:
+    """One leaf's parser alone, as the full tree builds it under its command."""
+    parser = argparse.ArgumentParser(prog=f"fflvstring {command} {subcommand}")
+    LEAVES[command, subcommand][1](parser)
+    return parser
+
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the root, its commands and every leaf with its options."""
+    parser = argparse.ArgumentParser(
+        prog="fflvstring",
+        description="Exact lattice-point pipelines for chain and string polytopes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subs = {
+        command: sub.add_parser(command, help=text).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for command, text in COMMANDS.items()
+    }
+    for (command, name), (text, add_args) in LEAVES.items():
+        add_args(subs[command].add_parser(name, help=text))
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv by the parser of the leaf that ``argv[:2]`` names if it leaves no
+    word over, else by the full tree."""
+    if tuple(argv[:2]) in LEAVES:
+        args, rest = leaf_parser(*argv[:2]).parse_known_args(argv[2:])
+        if not rest:
+            args.command, args.subcommand = argv[:2]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser(_leaf(sys.argv[1:] if argv is None else argv)).parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "fflv":
             return _cmd_points(args, "fflv")
         if args.command == "stringpoly":

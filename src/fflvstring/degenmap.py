@@ -419,7 +419,8 @@ def _read_off(lt: LieType, scale: int, basis: dict, witness):
     sol = [[_ZERO] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):
-            sol[r][c] = Fraction(b[m + 1 + r], b[c])
+            if b[m + 1 + r]:
+                sol[r][c] = Fraction(b[m + 1 + r], b[c])
     matrix = tuple(tuple(row[:m]) for row in sol)
     shift = tuple(row[m] for row in sol)
     return WeightTwist(matrix, shift, len(basis) == m + 1), None

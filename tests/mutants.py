@@ -607,13 +607,14 @@ MUTANTS = [
             "tests/test_wedge.py::test_commutation_tables_build_the_masks_once_and_each_basis_once",
         ),
     ),
-    # the parser of argv's branch: a named sweep without --max-dim, a verify
-    # argv with no subcommand given the points trees, and a caption short of
-    # its last keys before points
+    # the parse of argv: the tree's sweeps without --max-dim, the tree's
+    # leaves without options, a leaf's result used with a word left over, a
+    # leaf's usage line without its command, a leaf named by the first two
+    # words that are no option, and the fold sweep with no size refusal
     (
         CLI,
-        '                _add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")\n',
-        "                pass\n",
+        '    _add_max_dim(cmd, f"refuse a rank whose {unit} exceed this")\n',
+        "    pass\n",
         (
             "tests/test_cli.py::test_table_size_refused_before_work",
             "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
@@ -621,11 +622,49 @@ MUTANTS = [
     ),
     (
         CLI,
-        "    if leaf is None:\n",
-        "    if not leaf:\n",
+        "        add_args(subs[command].add_parser(name, help=text))\n",
+        "        subs[command].add_parser(name, help=text)\n",
         (
             "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
             "tests/test_cli.py::test_argv_fuzz_exits_with_a_code",
+        ),
+    ),
+    (
+        CLI,
+        "        if not rest:\n",
+        "        if True:\n",
+        (
+            "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
+            "tests/test_cli.py::test_verify_main_has_no_thread_option",
+            "tests/test_cli.py::test_a_valid_leaf_builds_one_parser",
+        ),
+    ),
+    (
+        CLI,
+        'prog=f"fflvstring {command} {subcommand}"',
+        'prog=f"fflvstring {subcommand}"',
+        (
+            "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
+            "tests/test_cli.py::test_a_valid_leaf_builds_one_parser",
+        ),
+    ),
+    (
+        CLI,
+        "    if tuple(argv[:2]) in LEAVES:\n"
+        "        args, rest = leaf_parser(*argv[:2]).parse_known_args(argv[2:])\n",
+        "    words = [a for a in argv if not a.startswith(\"-\")][:2]\n"
+        "    if tuple(words) in LEAVES:\n"
+        "        args, rest = leaf_parser(*words).parse_known_args(\n"
+        "            [a for a in argv if a not in words])\n",
+        ("tests/test_cli.py::test_branch_parser_matches_the_full_parser",),
+    ),
+    (
+        CLI,
+        "        lambda n: root_count(LieType(\"A\", 2 * n - 1)) * (2 * n - 1),\n",
+        "        lambda n: 0,\n",
+        (
+            "tests/test_cli.py::test_table_size_refused_before_work",
+            "tests/test_cli.py::test_table_size_admits_its_bound",
         ),
     ),
     (

@@ -459,7 +459,8 @@ def test_max_dim_admits_its_bound(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # C8 needs 313,616 table rows, C22 234,256 and A30 216,225 matrix entries
+        # C8 needs 313,616 table rows, C22 234,256 and A30 216,225 matrix
+        # entries, C38 213,750 translation digits (A75: 2,850 labels, 75 bytes)
         ("verify", "comm", "--max-rank", "8"),
         ("verify", "comm", "--max-rank", "1000000000"),
         ("verify", "comm", "--max-rank", "3", "--max-dim", "122"),
@@ -467,6 +468,8 @@ def test_max_dim_admits_its_bound(capsys):
         ("verify", "unimodular", "--max-rank", "3", "--max-dim", "80"),
         ("verify", "main", "--type", "C", "--rank", "32", "--max-level", "0"),
         ("verify", "main", "--type", "A", "--rank", "30", "--max-level", "0"),
+        ("verify", "fold", "--max-rank", "38"),
+        ("verify", "fold", "--max-rank", "3", "--max-dim", "74"),
     ],
 )
 def test_table_size_refused_before_work(capsys, monkeypatch, argv):
@@ -477,14 +480,15 @@ def test_table_size_refused_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(wedge, "step_masks", no_work)
     monkeypatch.setattr(verify, "build_matrix", no_work)
     monkeypatch.setattr(verify, "packed_matrix", no_work)
+    monkeypatch.setattr(verify, "packed_translations", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "above --max-dim" in err
 
 
 def test_table_size_admits_its_bound(capsys):
-    # C3 holds 123 table rows and 81 matrix entries
-    for sweep, bound in (("comm", "123"), ("unimodular", "81")):
+    # C3 holds 123 table rows and 81 matrix entries, A5 75 translation digits
+    for sweep, bound in (("comm", "123"), ("fold", "75"), ("unimodular", "81")):
         code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", "3", "--max-dim", bound)
         assert (code, err) == (0, "")
     assert out == GOLDEN_SWEEPS["unimodular", "3"]
@@ -497,8 +501,11 @@ def test_table_size_admits_its_bound(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5783ee141126063c13d2c10e7361b570d79961956d91984d4a384646df8d2cb5"
     )
-    # the default budget admits the comm sweep up to acting rank 7
+    # the default budget admits the comm sweep up to acting rank 7, the fold
+    # sweep up to rank 37
     assert cli.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < cli.comm_table_rows(8)
+    fold_digits = cli.SWEEPS["fold"][3]
+    assert fold_digits(37) <= cli.DEFAULT_MAX_DIM < fold_digits(38)
 
 
 @pytest.mark.parametrize("rank", ["0", "-1", "two"])
@@ -544,7 +551,7 @@ ARGV_COMMANDS = {
     ("stringpoly", "points"): POINTS_FLAGS,
     ("verify", "main"): ("--type", "--rank", "--max-level", "--max-dim"),
     ("verify", "unimodular"): ("--max-rank", "--max-dim"),
-    ("verify", "fold"): ("--max-rank",),
+    ("verify", "fold"): ("--max-rank", "--max-dim"),
     ("verify", "comm"): ("--max-rank", "--max-dim"),
 }
 ARGV_NOISE = ("--no-such-flag", "--help", "--rank", "--weight", "verify", "stray", "3")
@@ -565,9 +572,9 @@ def fuzzed_argv(draw):
 
 
 @lru_cache(maxsize=None)
-def full_parser(leaf=None):
-    """Every branch in one parser, whatever argv names: the reference that
-    each branch of ``cli.build_parser`` must parse argv as."""
+def full_parser():
+    """Every leaf in one parser, whatever argv names: the reference that
+    ``cli.main`` must parse every argv as, by a leaf's parser or the tree."""
     parser = argparse.ArgumentParser(
         prog="fflvstring",
         description="Exact lattice-point pipelines for chain and string polytopes.",
@@ -598,19 +605,18 @@ def full_parser(leaf=None):
     for name, (_, text, unit, _) in cli.SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
         sweep.add_argument("--max-rank", type=int, required=True)
-        if unit:
-            cli._add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
+        cli._add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
     return parser
 
 
 def outcome(argv, parser=None):
-    """(exit code, stdout, stderr) of ``main(argv)``, under ``parser`` if
-    given; the per-case times of ``verify main`` read as (t)."""
+    """(exit code, stdout, stderr) of ``main(argv)``, every argv parsed by
+    ``parser`` if given; the per-case times of ``verify main`` read as (t)."""
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         if parser is not None:
-            stack.enter_context(mock.patch.object(cli, "build_parser", parser))
+            stack.enter_context(mock.patch.object(cli, "_parse", parser.parse_args))
         code = main(list(argv))
     return code, re.sub(r"\(\d+\.\d{3}s\)", "(t)", out.getvalue()), err.getvalue()
 
@@ -619,15 +625,18 @@ def outcome(argv, parser=None):
 @given(fuzzed_argv())
 def test_argv_fuzz_exits_with_a_code(argv):
     # ranks, levels and --max-rank stay at most 3, so every accepted run is
-    # small; the branch parser and the full one give the same outcome
+    # small; main's parse and the full parser's give the same outcome
     code, out, err = outcome(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
-    assert (code, out, err) == outcome(argv, full_parser), argv
+    assert (code, out, err) == outcome(argv, full_parser()), argv
 
 
 # --help at every level, before and after a command, missing and unknown
-# commands, options before the command, "--", negative numbers and "-"
+# commands, options before the command, "--", negative numbers and "-"; then
+# what a leaf's parser must read as the tree's: "--opt=value", abbreviated
+# and ambiguous options, "--" and -h among the options, a repeated option,
+# empty words, a missing value and a value that looks like an option
 EDGE_ARGV = [
     (*head, "--help")
     for head in [(), ("fflv",), ("fflv", "points"), ("stringpoly",), ("stringpoly", "points"),
@@ -645,9 +654,49 @@ EDGE_ARGV = [
     ("verify", "unimodular", "--max-rank", "2", "--max-dim", "3"),
     ("verify", "main", "--type", "C", "--rank", "2", "--max-level", "1"),
     ("stringpoly", "points", "--type", "C", "--rank", "2", "--weight", "1,0"),
+    ("fflv", "points", "--type=A", "--rank=2", "--weight=1,0"),
+    ("verify", "main", "--type=C", "--rank", "2", "--max-level=1"),
+    ("fflv", "points", "--ty", "A", "--rank", "2", "--we", "1,0"),
+    ("verify", "fold", "--max-r", "2"), ("verify", "comm", "--max", "2"),
+    ("verify", "main", "--type", "A", "--rank", "1", "--max", "1"),
+    ("verify", "fold", "--", "--max-rank", "1"), ("verify", "fold", "--max-rank", "1", "--"),
+    ("verify", "fold", "--max-rank", "1", "-h"), ("verify", "fold", "-h", "--bogus"),
+    ("verify", "fold", "--max-rank", "1", "--max-rank", "2"),
+    ("", "verify", "fold", "--max-rank", "1"), ("verify", "fold", "", "--max-rank", "1"),
+    ("verify", "fold", "--max-rank"),
+    ("fflv", "points", "--type", "A", "--rank", "2", "--weight"),
+    ("fflv", "points", "--type", "A", "--rank", "2", "--weight", "-1,0"),
 ]
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
 def test_branch_parser_matches_the_full_parser(argv):
-    assert outcome(argv) == outcome(argv, full_parser)
+    assert outcome(argv) == outcome(argv, full_parser())
+
+
+def test_a_valid_leaf_builds_one_parser(monkeypatch):
+    # a valid leaf builds its own parser alone; the tree (the root, its 3
+    # commands and 6 leaves) is built only when a word is left over
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    A2 = LieType("A", 2)
+    for argv in (points_argv("fflv", A2, (1, 0)), points_argv("stringpoly", A2, (1, 0)),
+                 ("verify", "fold", "--max-rank", "1")):
+        cli.leaf_parser.cache_clear()
+        cli.build_parser.cache_clear()
+        built.clear()
+        assert outcome(argv)[0] == 0
+        assert built == [" ".join(("fflvstring", *argv[:2]))]
+    # a word left over: the leaf's parser, then the whole tree for the error
+    cli.leaf_parser.cache_clear()
+    cli.build_parser.cache_clear()
+    built.clear()
+    code, out, err = outcome(("verify", "fold", "--max-rank", "1", "stray"))
+    assert (code, out) == (2, "") and "fflvstring: error: unrecognized arguments: stray" in err
+    assert built[:2] == ["fflvstring verify fold", "fflvstring"] and len(built) == 11
