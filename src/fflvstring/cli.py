@@ -6,20 +6,20 @@ input was validated.  Identical invocations produce byte-identical
 documents.  A command refuses a weight whose module dimension exceeds
 ``--max-dim`` before it enumerates anything; each ``verify`` sweep likewise
 refuses a rank whose matrix, exterior-power tables or packed translations
-hold more entries, rows or digits than that.  ``verify main`` and
-``stringpoly points`` refuse a type of N labels whose N^2 exceeds both
-``--max-dim`` and the default: one builds the N x N matrix, the other a
-step table of N(N-1)/2 string digits, even at a weight of dimension 1.
-Flags are inputs or the settings ``--max-dim``, ``--json`` and ``--out``;
-none is for tests.
+hold more entries, rows or digits than that (its ``verify.SWEEPS`` size).
+``verify main`` and ``stringpoly points`` refuse a type of N labels whose
+N^2 exceeds both ``--max-dim`` and the default: one builds the N x N
+matrix, the other a step table of N(N-1)/2 string digits, even at a weight
+of dimension 1.  Flags are inputs or the settings ``--max-dim``, ``--json``
+and ``--out``; none is for tests.
 
-A leaf is a complete command: ``fflv points``, ``stringpoly points`` or
-``verify main|unimodular|fold|comm`` (``LEAVES``).  When argv's first two
-words name a leaf, that leaf's own parser parses the rest, and its result
-stands if it leaves no word over.  Every other argv goes to the full tree
-(``build_parser``), which prints the help, usage lines and errors.  The
-outcome is the tree's either way: the tree hands a leaf's words to the
-same parser, and only a word left over reaches the tree's own error.
+A leaf is a complete command, ``fflv points``, ``stringpoly points`` or
+``verify main|unimodular|fold|comm``; its ``LEAVES`` entry holds its help
+text, option adder and handler.  If argv's first two words name a leaf, its
+own parser parses the rest, and its result stands if no word is left over;
+any other argv goes to the full tree (``build_parser``), which prints help,
+usage lines and errors.  Either way the outcome is the tree's: the tree hands
+a leaf's words to the same parser, and only a word left over reaches its error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import os
 import sys
 from functools import lru_cache, partial
-from math import comb
 
 from .crystal import packed_string_points
 from .errors import VerificationError
@@ -38,14 +37,12 @@ from .rootsys import (
     LieType,
     build_labels,
     dominant_weights,
-    natural_dim,
     reduced_word,
     root_count,
     unpack,
     weyl_dim,
 )
-from .verify import all_passed, comm_sweep, fold_sweep, reports_to_json, run_grid
-from .verify import unimodular_sweep
+from .verify import SWEEPS, all_passed, reports_to_json, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -92,47 +89,6 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     if any(a < 0 for a in coeffs):
         raise UsageError("--weight coefficients must be nonnegative")
     return coeffs
-
-
-def comm_table_rows(m: int) -> int:
-    """Rows of the exterior-power tables of the type-C generators at acting rank m.
-
-    Type C acts on the larger module (2m against m + 1), so this bounds the
-    work of ``comm_sweep`` for both families at that rank.  The sweep holds
-    no rows: it packs each power into ints of 2^(2m+1) digits, one per key
-    below 2^(2m+1), and sum_{1<=i<=m} C(2m, i) >= 4^m / 2, so that span is
-    at most four times the rows of one generator over the m powers.  Each
-    power holds up to 2m + 1 such ints and takes a fixed number of big-int
-    operations per tested pair, so memory and work grow as this count
-    times a factor linear in m.
-    """
-    return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
-
-
-# name -> (function, help text, unit, size); size(n) is the largest table the
-# sweep builds at rank n, checked against --max-dim and named by C_n: the
-# matrix of C_n, the tables at acting rank n, or the packed translations of
-# A_{2n-1}, one balanced byte per fundamental weight and label
-SWEEPS = {
-    "unimodular": (
-        unimodular_sweep,
-        "determinant sweep",
-        "matrix entries",
-        lambda n: root_count(LieType("C", n)) ** 2,
-    ),
-    "fold": (
-        fold_sweep,
-        "translation folding sweep",
-        "translation digits",
-        lambda n: root_count(LieType("A", 2 * n - 1)) * (2 * n - 1),
-    ),
-    "comm": (
-        comm_sweep,
-        "commutation equivalence sweep",
-        "exterior-power table rows",
-        comm_table_rows,
-    ),
-}
 
 
 def _check_dim(lt: LieType, weights, max_dim: int) -> None:
@@ -360,9 +316,11 @@ COMMANDS = {
     "stringpoly": "string polytope lattice points",
     "verify": "theorem verification sweeps",
 }
-# (command, subcommand) -> (help text, option adder), in the tree's order
+# (command, subcommand) -> (help text, option adder, handler), in the tree's order
 LEAVES = {
-    ("fflv", "points"): ("emit a point document", _add_points_args),
+    ("fflv", "points"): (
+        "emit a point document", _add_points_args, partial(_cmd_points, kind="fflv")
+    ),
     ("stringpoly", "points"): (
         "emit a point document",
         partial(
@@ -370,10 +328,11 @@ LEAVES = {
             max_dim_text=f"{_DIM_TEXT}, or a type whose label count squared "
             f"exceeds both this and {DEFAULT_MAX_DIM}",
         ),
+        partial(_cmd_points, kind="string"),
     ),
-    ("verify", "main"): ("set equality over a weight grid", _add_main_args),
+    ("verify", "main"): ("set equality over a weight grid", _add_main_args, _cmd_verify_main),
     **{
-        ("verify", name): (text, partial(_add_sweep_args, unit=unit))
+        ("verify", name): (text, partial(_add_sweep_args, unit=unit), _cmd_verify_sweep)
         for name, (_, text, unit, _) in SWEEPS.items()
     },
 }
@@ -401,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for command, text in COMMANDS.items()
     }
-    for (command, name), (text, add_args) in LEAVES.items():
+    for (command, name), (text, add_args, _) in LEAVES.items():
         add_args(subs[command].add_parser(name, help=text))
     return parser
 
@@ -420,15 +379,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args.command == "fflv":
-            return _cmd_points(args, "fflv")
-        if args.command == "stringpoly":
-            return _cmd_points(args, "string")
-        if args.command == "verify":
-            if args.subcommand == "main":
-                return _cmd_verify_main(args)
-            return _cmd_verify_sweep(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return LEAVES[args.command, args.subcommand][2](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (UsageError, OSError) as exc:

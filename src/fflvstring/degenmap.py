@@ -12,10 +12,10 @@ walk returns row k of -R^{-1} as one int of b-bit balanced digits, gated
 (``packed_matrix``) and decoded by ``rootsys.unpack``, the one decoder of
 packed digits, at the width ``pack_width`` gives 2 + 2*N*max|a_ij|, which
 makes a decode that passes the gates exactly -R^{-1} for any word and any
-tridiagonal Cartan matrix; so do the fundamental translations.
-The image of one point is the walk itself, which decodes no matrix.
-This module also houses the fold correspondence of coordinates from a
-special-linear rank 2m-1 onto a symplectic rank m, and the exact affine
+tridiagonal Cartan matrix.  The image of one point, and each t(omega_i), is
+the walk itself, which decodes no matrix.  This module also houses the fold
+of coordinates from a special-linear rank 2m-1 onto a symplectic rank m
+(``fold_index``) and its section (``embed_point_in_a``), and the exact affine
 solver for the weight twist.  The solver reduces every weight pair against
 a row basis of at most 2n rows in one integer elimination over all source
 coordinates; its answer is the free-variables-zero solution of the full
@@ -142,31 +142,25 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
     return tuple(_walk(lt, lifted_coeffs(lt, weight), [0] * len(reduced_word(lt))))
 
 
-def fundamental_translations(lt: LieType) -> tuple[ExponentVector, ...]:
-    """``build_translation(lt, omega_i)``, i = 1..n, decoded from ``packed_translations``:
-    ``unpack`` lists digit n - 1 first, so its rows are transposed and reversed."""
-    return tuple(zip(*unpack(packed_translations(lt), lt.rank, 8)))[::-1]
-
-
 def packed_translations(lt: LieType) -> list[int]:
-    """Entry k of t(omega_i), i = 1..n, as balanced byte i - 1 of int k: the
-    walk is linear in the weight, so a_i = 2^(8(i-1)) walks every omega_i at
-    once.  It moves nu by simple reflections, so entry k of t(omega_i) is a
-    fundamental coordinate of a weight in the Weyl orbit of the lifted
-    omega_i: in {-1, 0, 1} in type A, where it is minuscule, and within +-2
-    in type C, a signed permutation of a 0/1 vector in the epsilon basis."""
+    """Entry k of t(omega_i), i = 1..n, as balanced byte i - 1 of int k, for
+    ``verify.fold_sweep``: the walk is linear in the weight, so a_i = 2^(8(i-1))
+    walks every omega_i at once.  It moves nu by simple reflections, so entry k of
+    t(omega_i) is a fundamental coordinate of a weight in the Weyl orbit of the
+    lifted omega_i: in {-1, 0, 1} in type A, where it is minuscule, and within
+    +-2 in type C, a signed permutation of a 0/1 vector in the epsilon basis."""
     nu = lifted_coeffs(lt, [1 << 8 * d for d in range(lt.rank)])
     return _walk(lt, nu, [0] * len(reduced_word(lt)))
 
 
 @lru_cache(maxsize=None)
 def fundamental_rows(lt: LieType) -> tuple[tuple[int, ...], ...]:
-    """The scale row, D = ``weight_denominator(lt)`` in the scale entry, then
-    per i t(omega_i) and ``[D*lifted omega_i - D*hist(t(omega_i)), 0 | D*omega_i]``."""
+    """The scale row, D = ``weight_denominator(lt)`` in the scale entry, then per
+    i the walk t(omega_i) and ``[D*lifted omega_i - D*hist(t(omega_i)), 0 | D*omega_i]``."""
     d, n, size = weight_denominator(lt), lt.rank, len(reduced_word(lt))
     rows = [(0,) * (size + lt.target_rank) + (d,) + (0,) * n]
-    for i, t in enumerate(fundamental_translations(lt), start=1):
-        src, tgt = base_weights(lt, fundamental_weight(n, i))
+    for omega in (fundamental_weight(n, i) for i in range(1, n + 1)):
+        t, (src, tgt) = build_translation(lt, omega), base_weights(lt, omega)
         rows.append((*t, *(y - d * x for y, x in zip(tgt, letter_histogram(lt, t))), 0, *src))
     return tuple(rows)
 
@@ -255,6 +249,17 @@ def fold_index(m: int) -> tuple[int, ...]:
     labels = [(lab.row, lab.col) for lab in build_labels(LieType("A", 2 * m - 1))]
     pos = {rc: k for k, rc in enumerate(rc for rc in labels if sum(rc) <= 2 * m)}
     return tuple(pos[(r, c) if r + c <= 2 * m else (2 * m - c, 2 * m - r)] for r, c in labels)
+
+
+def embed_point_in_a(lt: LieType, p: Sequence[int]) -> ExponentVector:
+    """A type-C exponent vector in H(A_{2m-1}) coordinates, the section of
+    ``fold_index``: label k gets ``p[fold_index(m)[k]]`` if row + col <= 2m,
+    the one label of its fiber not reflected, else 0."""
+    if lt.family != "C":
+        raise ValueError("only type-C points embed")
+    m = lt.rank
+    labels = build_labels(LieType("A", 2 * m - 1))
+    return tuple(p[k] if lab.row + lab.col <= 2 * m else 0 for lab, k in zip(labels, fold_index(m)))
 
 
 def fold_vector(vec: Sequence[int], m: int) -> ExponentVector:

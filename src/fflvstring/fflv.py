@@ -6,7 +6,8 @@ column order), general weights by pointwise Minkowski sums of the fundamental
 sets.  Both constructions are gated on the Weyl dimension: a cardinality
 mismatch is a hard failure, never silently accepted.  The type-A cross-check
 against the Dyck path inequalities fills the bounding box depth first, with
-every path's slack one digit of a single packed int.
+every path's slack one digit of a single packed int.  The fold between
+types, and its section, live in ``degenmap``.
 """
 
 from __future__ import annotations
@@ -207,20 +208,3 @@ def dyck_check_A(rank: int, weight: tuple[int, ...], pts: LatticePointSet) -> bo
 
     fill(0, start)
     return feasible == set(pts)
-
-
-def embed_point_in_a(lt: LieType, p: ExponentVector) -> ExponentVector:
-    """Re-index a type-C exponent vector into H(A_{2n-1}) coordinates.
-
-    Every column goes to its column key, so barred columns land above n.
-    """
-    if lt.family != "C":
-        raise ValueError("only type-C points embed")
-    n = lt.rank
-    target = LieType("A", 2 * n - 1)
-    out = [0] * len(build_labels(target))
-    tgt_idx = label_index(target)
-    for x, lab in zip(p, build_labels(lt)):
-        if x:
-            out[tgt_idx[RootLabel(lab.row, column_key(lab, n))]] = x
-    return tuple(out)

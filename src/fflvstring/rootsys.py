@@ -363,17 +363,17 @@ def pack(v: Sequence[int], b: int) -> int:
 
 
 def unpack(xs: Iterable[int], n: int, b: int) -> list[ExponentVector]:
-    """Inverse of ``pack`` on n coordinates.  Per digit, (d + 2^(b-1)) ^ 2^(b-1)
-    is d in two's complement, so one ``to_bytes`` per int writes every digit;
-    struct's signed codes read back digits of 1, 2, 4 and 8 bytes, and
-    ``int.from_bytes`` the other multiples of 8 bits."""
+    """Inverse of ``pack`` on n coordinates.  ``tops`` is 2^(b-1) in every digit,
+    so x + tops holds d + 2^(b-1) per digit, no carry; at 1, 2, 4 and 8 bytes its
+    XOR with tops writes every d in two's complement for struct's signed codes, and
+    any other width reads digit r as ((x + tops) >> b*r & mask) - 2^(b-1)."""
     k = b // 8
     tops = ((1 << b * n) - 1) // ((1 << b) - 1) << (b - 1)
-    blob = b"".join([((x + tops) ^ tops).to_bytes(n * k, "big") for x in xs])
     if k in (1, 2, 4, 8):
+        blob = b"".join([((x + tops) ^ tops).to_bytes(n * k, "big") for x in xs])
         return list(struct.iter_unpack(f">{n}{'bhiq'[k.bit_length() - 1]}", blob))
-    digits = [int.from_bytes(blob[i : i + k], "big", signed=True) for i in range(0, len(blob), k)]
-    return [tuple(digits[i : i + n]) for i in range(0, len(digits), n)]
+    mask, half, shifts = (1 << b) - 1, 1 << (b - 1), range(b * (n - 1), -1, -b)
+    return [tuple((y >> s & mask) - half for s in shifts) for y in [x + tops for x in xs]]
 
 
 def fflv_weight(lt: LieType, weight: Sequence[int], p: Sequence[int]) -> WeightVector:

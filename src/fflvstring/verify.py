@@ -13,8 +13,9 @@ stores only this evidence: its verdict is derived from it, so no report can
 contradict itself.  Grid runs are deterministic: results are ordered by
 case, independent of thread count, and the JSON rendering contains no
 timing data.  The supporting sweeps return the lines the CLI prints and
-a list of their failing cases.  Nothing here bounds the work; the CLI
-refuses an oversized weight, matrix or table before it calls this module.
+a list of their failing cases; ``SWEEPS`` names each with the size of its
+largest table.  Nothing here refuses work: the CLI refuses an oversized
+weight, matrix or table before it calls this module.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .crystal import letter_count, walk
@@ -45,8 +47,10 @@ from .rootsys import (
     LieType,
     check_dominant,
     dominant_weights,
+    natural_dim,
     pack,
     pack_width,
+    root_count,
     unpack,
     weyl_dim,
 )
@@ -313,3 +317,43 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     if failures:
         lines.append(f"failing cases: {failures[:10]}")
     return lines, failures
+
+
+def comm_table_rows(m: int) -> int:
+    """Rows of the exterior-power tables of the type-C generators at acting rank m.
+
+    Type C acts on the larger module (2m against m + 1), so this bounds the
+    work of ``comm_sweep`` for both families at that rank.  The sweep holds
+    no rows: it packs each power into ints of 2^(2m+1) digits, one per key
+    below 2^(2m+1), and sum_{1<=i<=m} C(2m, i) >= 4^m / 2, so that span is
+    at most four times the rows of one generator over the m powers.  Each
+    power holds up to 2m + 1 such ints and takes a fixed number of big-int
+    operations per tested pair, so memory and work grow as this count
+    times a factor linear in m.
+    """
+    return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
+
+
+# name -> (function, help text, unit, size); size(n) is the largest table the
+# sweep builds at rank n, named by C_n: the matrix of C_n, the tables at acting
+# rank n, or A_{2n-1}'s packed translations, a byte per fundamental weight and label
+SWEEPS = {
+    "unimodular": (
+        unimodular_sweep,
+        "determinant sweep",
+        "matrix entries",
+        lambda n: root_count(LieType("C", n)) ** 2,
+    ),
+    "fold": (
+        fold_sweep,
+        "translation folding sweep",
+        "translation digits",
+        lambda n: root_count(LieType("A", 2 * n - 1)) * (2 * n - 1),
+    ),
+    "comm": (
+        comm_sweep,
+        "commutation equivalence sweep",
+        "exterior-power table rows",
+        comm_table_rows,
+    ),
+}

@@ -34,6 +34,19 @@ ROOTSYS = "src/fflvstring/rootsys.py"
 VERIFY = "src/fflvstring/verify.py"
 WEDGE = "src/fflvstring/wedge.py"
 
+# the text of cli.LEAVES between the points leaves' two handler kinds
+_BETWEEN_POINTS_KINDS = (
+    ")\n    ),\n"
+    '    ("stringpoly", "points"): (\n'
+    '        "emit a point document",\n'
+    "        partial(\n"
+    "            _add_points_args,\n"
+    '            max_dim_text=f"{_DIM_TEXT}, or a type whose label count squared "\n'
+    '            f"exceeds both this and {DEFAULT_MAX_DIM}",\n'
+    "        ),\n"
+    "        partial(_cmd_points, "
+)
+
 MUTANTS = [
     # the twist fit on per-type label rows
     (
@@ -368,8 +381,8 @@ MUTANTS = [
     ),
     (
         ROOTSYS,
-        "blob[i : i + k]",
-        "blob[i : i + k - 1]",
+        "mask, half, shifts = (1 << b) - 1,",
+        "mask, half, shifts = (1 << b - 1) - 1,",
         ("tests/test_rootsys.py::test_pack_is_linear_injective_and_lex_monotone",),
     ),
     (
@@ -659,7 +672,7 @@ MUTANTS = [
         ("tests/test_cli.py::test_branch_parser_matches_the_full_parser",),
     ),
     (
-        CLI,
+        VERIFY,
         "        lambda n: root_count(LieType(\"A\", 2 * n - 1)) * (2 * n - 1),\n",
         "        lambda n: 0,\n",
         (
@@ -674,6 +687,36 @@ MUTANTS = [
         (
             "tests/test_cli.py::test_caption_is_json_dumps",
             "tests/test_cli.py::test_document_round_trip",
+        ),
+    ),
+    # a fact stated once: the points leaves with each other's handler, the
+    # fold's section without the labels on row + col = 2m, and t(omega_i)
+    # walked for the mirrored fundamental weight
+    (
+        CLI,
+        'kind="fflv"' + _BETWEEN_POINTS_KINDS + 'kind="string"',
+        'kind="string"' + _BETWEEN_POINTS_KINDS + 'kind="fflv"',
+        (
+            "tests/test_cli.py::test_document_round_trip",
+            "tests/test_cli.py::test_document_digest_fixture",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "lab.row + lab.col <= 2 * m",
+        "lab.row + lab.col < 2 * m",
+        (
+            "tests/test_degenmap.py::test_embed_is_the_section_of_the_fold",
+            "tests/test_acceptance.py::test_criterion_06_proposition_sweeps",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "fundamental_weight(n, i) for i in range(1, n + 1)",
+        "fundamental_weight(n, n + 1 - i) for i in range(1, n + 1)",
+        (
+            "tests/test_acceptance.py::test_summed_translation_is_the_per_weight_walk",
+            "tests/test_verify.py::test_report_json_digest_fixture",
         ),
     ),
 ]

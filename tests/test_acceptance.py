@@ -15,10 +15,11 @@ from fflvstring.degenmap import (
     apply_T,
     build_matrix,
     build_translation,
+    embed_point_in_a,
     fold_vector,
     translation_and_zero_row,
 )
-from fflvstring.fflv import embed_point_in_a, fundamental_images, fundamental_points
+from fflvstring.fflv import fundamental_images, fundamental_points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,

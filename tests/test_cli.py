@@ -5,7 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
 from unittest import mock
 
@@ -337,37 +340,36 @@ def test_verify_comm_failure_path(capsys, monkeypatch):
     assert verify.comm_sweep(2)[1] == [("C", 2, 1, 2, "sim i=1")]
 
 
-def test_usage_error_wrong_weight_length(capsys):
-    code, _, err = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "3", "--weight", "1,0"
-    )
-    assert code == 2
-    assert "weight" in err
+A3_POINTS = ("fflv", "points", "--type", "A", "--rank", "3")
 
 
-def test_usage_error_bad_type(capsys):
-    code, _, err = run_cli(
-        capsys, "fflv", "points", "--type", "B", "--rank", "2", "--weight", "0,0"
-    )
-    assert code == 2
-
-
-def test_usage_error_unknown_flag(capsys):
-    code, _, _ = run_cli(capsys, "fflv", "points", "--bogus", "1")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param((*A3_POINTS, "--weight", "1,0"), "usage error: --weight needs exactly 3",
+                     id="length"),
+        pytest.param((*A3_POINTS, "--weight", "1,-1,0"),
+                     "usage error: --weight coefficients must be nonnegative", id="negative"),
+        pytest.param((*A3_POINTS, "--weight", "1,x,0"),
+                     "usage error: --weight must be comma-separated integers", id="integer"),
+        pytest.param(("fflv", "points", "--type", "B", "--rank", "2", "--weight", "0,0"),
+                     "usage error: --type must be A or C", id="type"),
+        pytest.param((*A3_POINTS, "--weight", "1,0,0", "--bogus", "1"),
+                     "error: unrecognized arguments: --bogus 1", id="flag"),
+        pytest.param(("verify", "main", "--type", "A", "--rank", "3", "--max-level", "-1"),
+                     "usage error: --max-level must be nonnegative", id="level"),
+    ],
+)
+def test_usage_error_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_verify_main_has_no_thread_option(capsys):
     argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "1")
     code, out, err = run_cli(capsys, *argv, "--threads", "2")
     assert (code, out) == (2, "") and "unrecognized arguments: --threads" in err
-
-
-def test_usage_error_negative_weight(capsys):
-    code, _, err = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,-1"
-    )
-    assert code == 2
 
 
 def test_gate_failure_exits_three(capsys, monkeypatch):
@@ -503,8 +505,8 @@ def test_table_size_admits_its_bound(capsys):
     )
     # the default budget admits the comm sweep up to acting rank 7, the fold
     # sweep up to rank 37
-    assert cli.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < cli.comm_table_rows(8)
-    fold_digits = cli.SWEEPS["fold"][3]
+    assert verify.comm_table_rows(7) <= cli.DEFAULT_MAX_DIM < verify.comm_table_rows(8)
+    fold_digits = verify.SWEEPS["fold"][3]
     assert fold_digits(37) <= cli.DEFAULT_MAX_DIM < fold_digits(38)
 
 
@@ -602,7 +604,7 @@ def full_parser():
         f"and {cli.DEFAULT_MAX_DIM}",
     )
     main_cmd.add_argument("--json", default=None)
-    for name, (_, text, unit, _) in cli.SWEEPS.items():
+    for name, (_, text, unit, _) in verify.SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
         sweep.add_argument("--max-rank", type=int, required=True)
         cli._add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
@@ -640,7 +642,7 @@ def test_argv_fuzz_exits_with_a_code(argv):
 EDGE_ARGV = [
     (*head, "--help")
     for head in [(), ("fflv",), ("fflv", "points"), ("stringpoly",), ("stringpoly", "points"),
-                 ("verify",), *(("verify", name) for name in ("main", *cli.SWEEPS))]
+                 ("verify",), *(("verify", name) for name in ("main", *verify.SWEEPS))]
 ] + [
     (), ("-h", "verify", "comm"), ("verify", "-h", "fold"), ("fflv",), ("verify",),
     ("verify", "nope"), ("nope", "verify", "comm"), ("verify", "comm"),
@@ -700,3 +702,11 @@ def test_a_valid_leaf_builds_one_parser(monkeypatch):
     code, out, err = outcome(("verify", "fold", "--max-rank", "1", "stray"))
     assert (code, out) == (2, "") and "fflvstring: error: unrecognized arguments: stray" in err
     assert built[:2] == ["fflvstring verify fold", "fflvstring"] and len(built) == 11
+
+
+def test_module_entrypoint_runs_a_leaf():
+    # python -m runs cli.entrypoint, which exits with main's code
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "fflvstring.cli", "verify", "fold", "--max-rank", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, GOLDEN_SWEEPS["fold", "2"], "")

@@ -15,11 +15,13 @@ from fflvstring.degenmap import (
     apply_affine,
     build_matrix,
     build_translation,
+    embed_point_in_a,
     fold_index,
     fold_label,
     fold_vector,
-    fundamental_translations,
     packed_matrix,
+    packed_translations,
+    scaled_twist_solve,
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
@@ -38,6 +40,7 @@ from fflvstring.rootsys import (
     reduced_word,
     root_delta,
     string_weight,
+    unpack,
     vector_from_labels,
     weight_denominator,
 )
@@ -162,6 +165,16 @@ def test_apply_T_nonnegativity_gate():
     assert apply_affine(build_matrix(A2), build_translation(A2, (1, 0)), outside) == (-4, 0, 1)
 
 
+def test_malformed_input_raises_value_error():
+    # a vector of the wrong length, and a twist fit with no pair to fit
+    with pytest.raises(ValueError, match="must have length 3"):
+        apply_T(A2, (1, 0), (0, 0))
+    with pytest.raises(ValueError, match="must have length 6"):
+        fold_vector((0,) * 4, 2)
+    with pytest.raises(ValueError, match="at least one weight pair"):
+        scaled_twist_solve(A2, 1, [])
+
+
 def test_images_of_chain_points_are_nonnegative():
     for lt, level in ((A3, 2), (C2, 2), (C3, 1)):
         for w in dominant_weights(lt.rank, level):
@@ -197,6 +210,22 @@ def test_fold_vector_doubles_colliding_fiber():
 
 
 @pytest.mark.parametrize("m", range(1, 7))
+def test_embed_is_the_section_of_the_fold(m):
+    # e_k of H(C_m) lands on the A label (row, column key) of its label, the
+    # one of its fiber with row + col <= 2m, and folds back to e_k
+    from fflvstring.rootsys import column_key
+
+    ltc, lta = LieType("C", m), LieType("A", 2 * m - 1)
+    target = label_index(lta)
+    for k, lab in enumerate(build_labels(ltc)):
+        unit = tuple(int(j == k) for j in range(m * m))
+        place = target[RootLabel(lab.row, column_key(lab, m))]
+        assert embed_point_in_a(ltc, unit) == tuple(int(j == place) for j in range(len(target)))
+    p = tuple(range(1, m * m + 1))
+    assert fold_vector(embed_point_in_a(ltc, p), m) == p
+
+
+@pytest.mark.parametrize("m", range(1, 7))
 def test_fold_index_is_fold_label(m):
     target = label_index(LieType("C", m))
     labels = build_labels(LieType("A", 2 * m - 1))
@@ -207,9 +236,11 @@ def test_fold_index_is_fold_label(m):
     "lt", [LieType("A", n) for n in range(1, 13)] + [LieType("C", n) for n in range(1, 9)]
 )
 def test_fundamental_translations_walk_every_omega_at_once(lt):
+    # packed_translations holds t(omega_i) as byte i - 1; ``unpack`` lists
+    # byte n - 1 first, so its rows are transposed and reversed
     n = lt.rank
     expected = tuple(build_translation(lt, fundamental_weight(n, i)) for i in range(1, n + 1))
-    assert fundamental_translations(lt) == expected
+    assert tuple(zip(*unpack(packed_translations(lt), n, 8)))[::-1] == expected
 
 
 @pytest.mark.parametrize("family", ["A", "C"])

@@ -3,6 +3,7 @@
 from itertools import permutations
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,3 +44,8 @@ def test_det_int_matches_leibniz(data):
     assert det == _leibniz(mat)
     if shape == "singular" and n:
         assert det == 0
+
+
+def test_det_int_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="not square"):
+        det_int([[1, 2, 3], [4, 5, 6]])

@@ -6,9 +6,9 @@ import pytest
 
 from fflvstring import fflv
 from fflvstring.errors import VerificationError
+from fflvstring.degenmap import embed_point_in_a
 from fflvstring.fflv import (
     dyck_check_A,
-    embed_point_in_a,
     fundamental_points,
     points,
 )

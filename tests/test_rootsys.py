@@ -312,13 +312,15 @@ def _balanced_vectors(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_balanced_vectors())
+@example((2**16, [[2**16, -(2**16), 5], [-1, 2**15, 0]]))
 @example((2**30, [[2**30, -(2**30), 5], [-1, 2**29, 0]]))
+@example((2**32, [[2**32, -(2**32), 5], [-1, 2**31, 0]]))
 @example((2**62, [[2**62, -(2**62), 5], [-1, 2**61, 0]]))
 @example((2**70, [[2**70, -(2**70), 5], [-1, 2**69, 0]]))
 def test_pack_is_linear_injective_and_lex_monotone(case):
     # |x| <= bound fits the width; 127 is the last bound of one byte; the
-    # widths 8, 16, 32 and 64 decode through struct, 24 and 72 through
-    # from_bytes, and the examples pin a nonempty draw at 32, 64 and 72
+    # widths 8, 16, 32 and 64 decode through struct, 24, 40 and 72 digit by
+    # digit, and the examples pin a nonempty draw at 24, 32, 40, 64 and 72
     bound, vecs = case
     b = pack_width(bound)
     assert b % 8 == 0 and bound < 2 ** (b - 1) and (b == 8 or bound >= 2 ** (b - 9))

@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import fflvstring
-from fflvstring import crystal, degenmap, fflv, rootsys, verify, wedge
+from fflvstring import cli, crystal, degenmap, fflv, rootsys, verify, wedge
 from fflvstring.rootsys import LieType
 
 TESTS = Path(__file__).resolve().parent
@@ -105,6 +105,28 @@ def test_degenmap_imports_no_label_formula_helpers():
         if "column_key" in names
     ]
     assert found == []
+
+
+def test_a_cli_leaf_is_its_table_entry():
+    # each sweep and its size bound live in verify, and each leaf is its
+    # LEAVES entry: main runs the entry's handler and reads no command name
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert [line for line, names in _imports(SRC / "cli.py") if names[0] == "math"] == []
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} | {
+        t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+    }
+    assert not {"SWEEPS", "comm_table_rows"} & defined
+    fixed = {("fflv", "points"), ("stringpoly", "points"), ("verify", "main")}
+    assert set(cli.LEAVES) == fixed | {("verify", name) for name in verify.SWEEPS}
+    assert all(callable(entry[2]) for entry in cli.LEAVES.values())
+    main = next(n for n in tree.body if getattr(n, "name", None) == "main")
+    compared = [
+        node.lineno
+        for node in ast.walk(main)
+        if isinstance(node, ast.Compare)
+        and any(getattr(x, "attr", None) == "command" for x in (node.left, *node.comparators))
+    ]
+    assert compared == []
 
 
 def test_point_sets_are_not_memoized():

@@ -17,7 +17,6 @@ from fflvstring.degenmap import (
     build_matrix,
     build_translation,
     fold_vector,
-    fundamental_translations,
     packed_matrix,
 )
 from fflvstring.errors import VerificationError
@@ -29,6 +28,7 @@ from fflvstring.rootsys import (
     fflv_weight,
     reduced_word,
     string_weight,
+    unpack,
     weight_denominator,
     weyl_dim,
 )
@@ -474,10 +474,14 @@ def test_check_main_shares_no_stage_with_the_staged_reference(monkeypatch):
 def _dense_fold_lines(max_rank):
     """The verdict lines of ``fold_sweep`` from the decoded translations and
     ``fold_vector``."""
+    def decoded(lt):
+        # unpack lists byte n - 1 first: its rows are transposed and reversed
+        return tuple(zip(*unpack(degenmap.packed_translations(lt), lt.rank, 8)))[::-1]
+
     lines = []
     for n in range(1, max_rank + 1):
         source, target = LieType("A", 2 * n - 1), LieType("C", n)
-        pairs = zip(fundamental_translations(source), fundamental_translations(target))
+        pairs = zip(decoded(source), decoded(target))
         lines += [
             f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {fold_vector(a, n) == c}"
             for i, (a, c) in enumerate(pairs, start=1)

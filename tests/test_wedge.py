@@ -465,6 +465,32 @@ def test_unfold_dominance_exhaustive_rank2():
             assert unfold_dominates(bits, 2, 2 * i - 1)
 
 
+def test_unfold_dominance_fails_when_a_fiber_is_dropped(monkeypatch):
+    # no vector the sweeps reach breaks dominance, so the False branch is
+    # shown on a fold that loses the fiber of one label: on A1 the monomial
+    # e_1 -> e_2 then has no folded C1 action to dominate it
+    real = wedge.fold_vector
+    monkeypatch.setattr(wedge, "fold_vector", lambda vec, m: (0,) + real(vec, m)[1:])
+    assert unfold_dominates((1,), 1, 1) is False
+    assert unfold_dominates((0,), 1, 1) is True
+
+
+def test_wedge_constructions_refuse_malformed_input():
+    # the restriction block, the minimality check and the oracle are type-A
+    # notions, the oracle's index lies in 1..rank, and a monomial has one
+    # exponent per letter of the word
+    with pytest.raises(ValueError, match="restriction block is a type-A notion"):
+        restriction_block(C2, 1)
+    with pytest.raises(ValueError, match="minimality sweep is implemented for type A only"):
+        minimality_check_A(C2, 1, (0,) * 4)
+    with pytest.raises(ValueError, match="oracle is a type-A construction"):
+        oracle_string_points_A(C2, 1)
+    with pytest.raises(ValueError, match="fundamental index 4 out of range"):
+        oracle_string_points_A(A3, 4)
+    with pytest.raises(ValueError, match="exponent vector must have length 6"):
+        monomial_ops(A3, (0,) * 5)
+
+
 def test_unfold_dimension_gate_trips(monkeypatch):
     # companion modules of A_{2m-1} and C_m of different dimensions
     monkeypatch.setattr(
