@@ -120,19 +120,9 @@ def _key_signature(row: tuple[int, ...], key: int, width: int) -> Signature:
     return tuple(minus)
 
 
-def _bits(x: int) -> list[int]:
-    """Positions of the set bits of x, ascending."""
-    bits = []
-    while x:
-        low = x & -x
-        bits.append(low.bit_length() - 1)
-        x ^= low
-    return bits
-
-
 def _decode(elem: int, width: int) -> TensorWord:
     """The tensor word of a packed element: its letters in bit order."""
-    return tuple(bit % width + 1 for bit in _bits(elem))
+    return tuple(bit % width + 1 for bit in range(elem.bit_length()) if elem >> bit & 1)
 
 
 def letter_count(w: tuple[int, ...]) -> int:

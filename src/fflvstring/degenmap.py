@@ -15,17 +15,18 @@ makes a decode that passes the gates exactly -R^{-1} for any word and any
 tridiagonal Cartan matrix.  The image of one point, and each t(omega_i), is
 the walk itself, which decodes no matrix.  This module also houses the fold
 of coordinates from a special-linear rank 2m-1 onto a symplectic rank m
-(``fold_index``) and its section (``embed_point_in_a``), and the exact affine
-solver for the weight twist.  The solver reduces every weight pair against
-a row basis of at most 2n rows in one integer elimination over all source
-coordinates; its answer is the free-variables-zero solution of the full
-system, the same as solving every coordinate over every pair, because the
-reduced row echelon form of a consistent system depends only on its row
-space.  Its rows are integer weight pairs over one denominator D: the
-pipeline joins the zero row of a case, over ``weight_denominator(lt)``, to a
-cached basis of per-label rows, and ``weight_twist_solve`` scales
-``Fraction`` pairs by the lcm of their denominators.  ``Fraction`` appears
-only where the twist or a witness is read off.
+(``fold_index``), its fiber sum (``fold_vector``) and its section
+(``embed_point_in_a``), and the exact affine solver for the weight twist.
+The solver reduces every weight pair against a row basis of at most 2n rows
+in one integer elimination over all source coordinates; its answer is the
+free-variables-zero solution of the full system, the same as solving every
+coordinate over every pair, because the reduced row echelon form of a
+consistent system depends only on its row space.  Its rows are integer
+weight pairs over one denominator D: the pipeline joins the zero row of a
+case, over ``weight_denominator(lt)``, to a cached basis of per-label rows,
+and ``weight_twist_solve`` scales ``Fraction`` pairs by the lcm of their
+denominators.  ``Fraction`` appears only where the twist or a witness is
+read off.
 """
 
 from __future__ import annotations
@@ -140,17 +141,6 @@ def build_translation(lt: LieType, weight: Sequence[int]) -> ExponentVector:
     q_k is the string of the extremal element,
     <s_{i_{k+1}} ... s_{i_N} lifted weight, alpha_{i_k}^vee>."""
     return tuple(_walk(lt, lifted_coeffs(lt, weight), [0] * len(reduced_word(lt))))
-
-
-def packed_translations(lt: LieType) -> list[int]:
-    """Entry k of t(omega_i), i = 1..n, as balanced byte i - 1 of int k, for
-    ``verify.fold_sweep``: the walk is linear in the weight, so a_i = 2^(8(i-1))
-    walks every omega_i at once.  It moves nu by simple reflections, so entry k of
-    t(omega_i) is a fundamental coordinate of a weight in the Weyl orbit of the
-    lifted omega_i: in {-1, 0, 1} in type A, where it is minuscule, and within
-    +-2 in type C, a signed permutation of a 0/1 vector in the epsilon basis."""
-    nu = lifted_coeffs(lt, [1 << 8 * d for d in range(lt.rank)])
-    return _walk(lt, nu, [0] * len(reduced_word(lt)))
 
 
 @lru_cache(maxsize=None)

@@ -33,10 +33,10 @@ from .degenmap import (
     WeightTwist,
     apply_affine,
     build_matrix,
+    build_translation,
     check_nonnegative,
-    fold_index,
+    fold_vector,
     packed_matrix,
-    packed_translations,
     support_twist_solve,
     translation_and_zero_row,
 )
@@ -261,22 +261,22 @@ def unimodular_sweep(max_rank: int) -> tuple[list[str], list[str]]:
 def fold_sweep(max_rank: int) -> tuple[list[str], list[tuple[int, int]]]:
     """t(A_{2n-1}, omega_i) must fold onto t(C_n, omega_i), ranks n <= max_rank.
 
-    Per label of C_n, the packed A_{2n-1} translations (``packed_translations``)
-    summed over its fiber of ``fold_index(n)`` less the C_n one hold the defect
-    of every omega_i as byte i - 1: a fiber holds at most two A labels, entries
-    in {-1, 0, 1}, and C entries lie within +-2, so no digit leaves +-4 or
-    carries.  Byte i - 1 of their OR, as two's-complement bytes, is zero iff (n, i) folds.
+    The walk is linear in the weight, so ``build_translation`` at a_i =
+    2^(8(i-1)) holds entry k of each t(omega_i) as balanced byte i - 1 of int
+    k: a fundamental coordinate of a Weyl-orbit weight, in {-1, 0, 1} in type
+    A (minuscule) and within +-2 in type C.  A fiber of ``fold_vector`` holds
+    at most two A labels, so folded A less C keeps digits within +-4, and
+    byte i - 1 of their OR, as two's-complement bytes, is zero iff (n, i) folds.
     """
     lines, failures = [], []
     for n in range(1, max_rank + 1):
         source, target = LieType("A", 2 * n - 1), LieType("C", n)
+        lanes = [1 << 8 * d for d in range(2 * n - 1)]
         mask = (1 << 8 * n) - 1
         tops = mask // 255 << 7
-        folded = [0] * n * n  # H(C_n) has n^2 labels
-        for q, k in zip(packed_translations(source), fold_index(n)):
-            folded[k] += q
+        folded = fold_vector(build_translation(source, lanes), n)
         defect = 0
-        for x, y in zip(folded, packed_translations(target)):
+        for x, y in zip(folded, build_translation(target, lanes[:n])):
             defect |= (x - y + tops ^ tops) & mask
         for i in range(1, n + 1):
             ok = not defect >> 8 * (i - 1) & 255

@@ -153,6 +153,16 @@ MUTANTS = [
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
+    # an element decoded to letters one below their own
+    (
+        CRYSTAL,
+        "bit % width + 1 for bit in range(elem.bit_length())",
+        "bit % width for bit in range(elem.bit_length())",
+        (
+            "tests/test_crystal.py::test_signature_table_matches_letter_scan",
+            "tests/test_crystal.py::test_demazure_set_rank2_fundamental",
+        ),
+    ),
     # its key scan reading the highest bit first
     (
         CRYSTAL,
@@ -573,6 +583,26 @@ MUTANTS = [
             "tests/test_cli.py::test_document_at_the_byte_width_boundary",
         ),
     ),
+    # the fold sweep: the target walked at the source's lanes shifted by one,
+    # and the source read as a prefix instead of folded by fold_vector
+    (
+        VERIFY,
+        "build_translation(target, lanes[:n])",
+        "build_translation(target, lanes[1 : n + 1])",
+        (
+            "tests/test_verify.py::test_packed_fold_verdicts_are_the_fold_vector_comparisons",
+            "tests/test_cli.py::test_verify_sweep_golden",
+        ),
+    ),
+    (
+        VERIFY,
+        "folded = fold_vector(build_translation(source, lanes), n)",
+        "folded = list(build_translation(source, lanes))[: n * n]",
+        (
+            "tests/test_verify.py::test_packed_fold_verdicts_are_the_fold_vector_comparisons",
+            "tests/test_cli.py::test_verify_sweep_golden",
+        ),
+    ),
     # the sweeps decided on packed ints: the unimodular entries read at bit 0
     # of each digit instead of bit 1, the fold's byte of omega_n unread, the
     # step masks spanning half the keys, and a rank's masks left cached
@@ -582,7 +612,7 @@ MUTANTS = [
         "-q & ones",
         (
             "tests/test_verify.py::test_unimodular_sweep_reads_the_entries_off_the_gates",
-            "tests/test_cli.py::test_verify_unimodular",
+            "tests/test_cli.py::test_verify_sweep_golden",
         ),
     ),
     (

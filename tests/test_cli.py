@@ -266,21 +266,10 @@ def test_verify_main_json_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def golden_sweep(capsys, sweep, max_rank):
+@pytest.mark.parametrize("sweep, max_rank", GOLDEN_SWEEPS)
+def test_verify_sweep_golden(capsys, sweep, max_rank):
     code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", max_rank)
     assert (code, out, err) == (0, GOLDEN_SWEEPS[sweep, max_rank], "")
-
-
-def test_verify_unimodular(capsys):
-    golden_sweep(capsys, "unimodular", "3")
-
-
-def test_verify_fold(capsys):
-    golden_sweep(capsys, "fold", "2")
-
-
-def test_verify_comm(capsys):
-    golden_sweep(capsys, "comm", "2")
 
 
 @pytest.mark.parametrize("sweep", ["unimodular", "fold", "comm"])
@@ -307,15 +296,13 @@ def test_verify_unimodular_failure_path(capsys, monkeypatch):
 
 
 def test_verify_fold_failure_path(capsys, monkeypatch):
-    real = verify.packed_translations
-
-    def wrong(lt):
+    def wrong(lt, weight):
         # the last entry of t(C2, omega_1) and of t(C2, omega_2), one byte
         # each of the last packed int, one too large
-        out = real(lt)
-        return out[:-1] + [out[-1] + 1 + (1 << 8)] if lt == LieType("C", 2) else out
+        out = build_translation(lt, weight)
+        return out[:-1] + (out[-1] + 1 + (1 << 8),) if lt == LieType("C", 2) else out
 
-    monkeypatch.setattr(verify, "packed_translations", wrong)
+    monkeypatch.setattr(verify, "build_translation", wrong)
     code, out, _ = run_cli(capsys, "verify", "fold", "--max-rank", "2")
     assert code == 1
     assert "fold t(A3, omega_2) == t(C2, omega_2): False\n" in out
@@ -482,7 +469,7 @@ def test_table_size_refused_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(wedge, "step_masks", no_work)
     monkeypatch.setattr(verify, "build_matrix", no_work)
     monkeypatch.setattr(verify, "packed_matrix", no_work)
-    monkeypatch.setattr(verify, "packed_translations", no_work)
+    monkeypatch.setattr(verify, "build_translation", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "above --max-dim" in err

@@ -20,7 +20,6 @@ from fflvstring.degenmap import (
     fold_label,
     fold_vector,
     packed_matrix,
-    packed_translations,
     scaled_twist_solve,
     weight_twist_solve,
 )
@@ -236,11 +235,13 @@ def test_fold_index_is_fold_label(m):
     "lt", [LieType("A", n) for n in range(1, 13)] + [LieType("C", n) for n in range(1, 9)]
 )
 def test_fundamental_translations_walk_every_omega_at_once(lt):
-    # packed_translations holds t(omega_i) as byte i - 1; ``unpack`` lists
-    # byte n - 1 first, so its rows are transposed and reversed
+    # the walk is linear in the weight: at a_i = 2^(8(i-1)) it holds t(omega_i)
+    # as byte i - 1; ``unpack`` lists byte n - 1 first, so its rows are
+    # transposed and reversed
     n = lt.rank
     expected = tuple(build_translation(lt, fundamental_weight(n, i)) for i in range(1, n + 1))
-    assert tuple(zip(*unpack(packed_translations(lt), n, 8)))[::-1] == expected
+    lanes = build_translation(lt, [1 << 8 * d for d in range(n)])
+    assert tuple(zip(*unpack(lanes, n, 8)))[::-1] == expected
 
 
 @pytest.mark.parametrize("family", ["A", "C"])
@@ -284,10 +285,11 @@ def _twist_pairs(lt, w):
     ]
 
 
-def test_weight_twist_rank2_fundamental_fits_all_pairs():
-    twist, witness = weight_twist_solve(A2, (1, 0), _twist_pairs(A2, (1, 0)))
+@pytest.mark.parametrize("lt, w", [(A2, (1, 0)), (A3, (1, 1, 1))], ids=["A2-1,0", "A3-1,1,1"])
+def test_weight_twist_fits_all_pairs(lt, w):
+    twist, witness = weight_twist_solve(lt, w, _twist_pairs(lt, w))
     assert witness is None
-    for src, tgt in _twist_pairs(A2, (1, 0)):
+    for src, tgt in _twist_pairs(lt, w):
         rows = zip(twist.matrix, twist.shift)
         assert tuple(sum(map(mul, row, tgt)) + s for row, s in rows) == src
 
@@ -305,15 +307,6 @@ def test_weight_twist_unique_iff_weights_span():
     assert spanning.unique
     flat, _ = weight_twist_solve(A2, (1, 0), _twist_pairs(A2, (1, 0)))
     assert not flat.unique
-
-
-def test_weight_twist_regular_a3():
-    w = (1, 1, 1)
-    twist, witness = weight_twist_solve(A3, w, _twist_pairs(A3, w))
-    assert witness is None
-    for src, tgt in _twist_pairs(A3, w):
-        rows = zip(twist.matrix, twist.shift)
-        assert tuple(sum(map(mul, row, tgt)) + s for row, s in rows) == src
 
 
 def test_weight_twist_reports_witness_on_corrupted_pairs():

@@ -129,6 +129,25 @@ def test_a_cli_leaf_is_its_table_entry():
     assert compared == []
 
 
+def _called(tree):
+    """The names of the functions a tree calls, bare or as an attribute."""
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_the_fold_lives_in_degenmap():
+    # the fold's positions (fold_index) and its fiber sum (fold_vector) are
+    # stated once: the fold sweep folds the package's own walk with them
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "degenmap.py")
+    assert [p.name for p, tree in zip(paths, _trees(paths)) if "fold_index" in _called(tree)] == []
+    tree = ast.parse((SRC / "verify.py").read_text())
+    sweep = next(n for n in tree.body if getattr(n, "name", None) == "fold_sweep")
+    assert {"fold_vector", "build_translation"} <= _called(sweep)
+
+
 def test_point_sets_are_not_memoized():
     # P(lambda) and Q_w(lambda~) are per-case sets that no caller reads
     # twice; a memo would only keep every case's set alive to the end

@@ -26,9 +26,9 @@ from fflvstring.rootsys import (
     build_labels,
     dominant_weights,
     fflv_weight,
+    fundamental_weight,
     reduced_word,
     string_weight,
-    unpack,
     weight_denominator,
     weyl_dim,
 )
@@ -471,20 +471,23 @@ def test_check_main_shares_no_stage_with_the_staged_reference(monkeypatch):
         assert check_main(lt, w).status == "ok"
 
 
-def _dense_fold_lines(max_rank):
-    """The verdict lines of ``fold_sweep`` from the decoded translations and
-    ``fold_vector``."""
-    def decoded(lt):
-        # unpack lists byte n - 1 first: its rows are transposed and reversed
-        return tuple(zip(*unpack(degenmap.packed_translations(lt), lt.rank, 8)))[::-1]
+def _dense_fold_lines(max_rank, bad=None):
+    """The verdict lines of ``fold_sweep`` from one ``build_translation`` walk
+    per omega_i and ``fold_vector``, with entry k of t(lt, omega_i) off by d
+    if ``bad`` is the corrupted pair ``(lt, i, k, d)``."""
+    def t(lt, i):
+        out = list(build_translation(lt, fundamental_weight(lt.rank, i)))
+        if bad is not None and bad[:2] == (lt, i):
+            out[bad[2]] += bad[3]
+        return tuple(out)
 
     lines = []
     for n in range(1, max_rank + 1):
         source, target = LieType("A", 2 * n - 1), LieType("C", n)
-        pairs = zip(decoded(source), decoded(target))
         lines += [
-            f"fold t({source}, omega_{i}) == t({target}, omega_{i}): {fold_vector(a, n) == c}"
-            for i, (a, c) in enumerate(pairs, start=1)
+            f"fold t({source}, omega_{i}) == t({target}, omega_{i}): "
+            f"{fold_vector(t(source, i), n) == t(target, i)}"
+            for i in range(1, n + 1)
         ]
     return lines
 
@@ -494,20 +497,20 @@ def test_packed_fold_verdicts_are_the_fold_vector_comparisons(monkeypatch, famil
     assert fold_sweep(12) == (_dense_fold_lines(12), [])
     # one entry of one t(omega_i) of one type off by d: the packed verdicts
     # still read as the dense comparisons, and only (n, i) fails
-    real = degenmap.packed_translations
     for n in (2, 3):
         bad = LieType(family, 2 * n - 1 if family == "A" else n)
         for i in range(1, n + 1):
             for k, d in ((0, 1), (-1, -2), (n, 2), (n + 1, -1)):
 
-                def wrong(lt, bad=bad, k=k, d=d, i=i):
-                    out = list(real(lt))
+                def wrong(lt, weight, bad=bad, k=k, d=d, i=i):
+                    out = list(build_translation(lt, weight))
                     if lt == bad:
                         out[k] += d << 8 * (i - 1)
                     return out
 
-                monkeypatch.setattr(degenmap, "packed_translations", wrong)
-                monkeypatch.setattr(verify, "packed_translations", wrong)
+                monkeypatch.setattr(verify, "build_translation", wrong)
                 lines, failures = fold_sweep(3)
                 assert failures == [(n, i)]
-                assert lines == _dense_fold_lines(3) + [f"failing (rank, index) pairs: {failures}"]
+                assert lines == _dense_fold_lines(3, (bad, i, k, d)) + [
+                    f"failing (rank, index) pairs: {failures}"
+                ]
