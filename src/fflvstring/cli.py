@@ -118,9 +118,11 @@ def _check_type_size(lt: LieType, unit: str, max_dim: int) -> None:
 
 def _check_out_path(out_path: str | None) -> None:
     """Refuse an output path that cannot be written, before any work starts."""
-    parent = os.path.dirname(os.path.abspath(out_path or "."))
-    if out_path and (os.path.isdir(out_path) or not os.path.isdir(parent)):
-        raise UsageError(f"cannot write {out_path}: not a file in an existing directory")
+    if out_path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not out_path or os.path.isdir(out_path) or not os.path.isdir(parent):
+        raise UsageError(f"cannot write {out_path!r}: not a file in an existing directory")
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -42,8 +42,7 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
     increasing in the column order, every pair a valid label.
     """
     n = lt.rank
-    if not 1 <= i <= n:
-        raise ValueError(f"fundamental index {i} out of range for rank {n}")
+    expected = weyl_dim(lt, fundamental_weight(n, i))
     idx = label_index(lt)
     # (key, col, barred) of the columns from key i on, ascending by key
     columns = {(column_key(lab, n), lab.col, lab.barred) for lab in build_labels(lt)}
@@ -63,7 +62,6 @@ def fundamental_points(lt: LieType, i: int) -> LatticePointSet:
 
     extend(i, 0)
     pts = tuple(sorted(out))
-    expected = weyl_dim(lt, fundamental_weight(n, i))
     if len(pts) != expected:
         raise VerificationError(
             "fflv.fundamental_cardinality",

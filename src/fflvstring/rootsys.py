@@ -217,8 +217,7 @@ def fundamental_weight_numerators(family: str, rank: int, k: int) -> ExponentVec
     2 min(i,k) for i < n, k for i = n for family C.  The gate checks the
     defining property: the Cartan matrix sends d omega_k to d e_k.
     """
-    if not 1 <= k <= rank:
-        raise ValueError(f"fundamental index {k} out of range for rank {rank}")
+    fundamental_weight(rank, k)  # refuses an index outside 1..rank
     n = rank
     if family == "A":
         w = tuple(min(i, k) * (n + 1 - max(i, k)) for i in range(1, n + 1))

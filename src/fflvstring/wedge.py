@@ -285,8 +285,7 @@ def oracle_string_points_A(lt: LieType, i: int) -> tuple[ExponentVector, ...]:
     """
     if lt.family != "A":
         raise ValueError("the oracle is a type-A construction")
-    if not 1 <= i <= lt.rank:
-        raise ValueError(f"fundamental index {i} out of range")
+    fundamental_weight(lt.rank, i)  # refuses an index outside 1..rank
     word = reduced_word(lt)
     size = len(word)
     order = restriction_block(lt, i)[::-1]

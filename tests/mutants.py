@@ -290,12 +290,29 @@ MUTANTS = [
         "",
         ("tests/test_wedge.py::test_act_sequence_checks_every_factor",),
     ),
-    # a fundamental index outside 1..rank read as the zero weight
+    # a fundamental index outside 1..rank read as the zero weight, by the one
+    # gate or by the chains of P(omega_i) built without it; and an empty
+    # output path read as no path
     (
         ROOTSYS,
         "    if not 1 <= i <= rank:\n        raise ValueError(f\"fundamental index {i}",
         "    if False:\n        raise ValueError(f\"fundamental index {i}",
-        ("tests/test_wedge.py::test_checks_refuse_a_fundamental_weight_that_does_not_exist",),
+        (
+            "tests/test_wedge.py::test_checks_refuse_a_fundamental_weight_that_does_not_exist",
+            "tests/test_fflv.py::test_fundamental_index_range",
+        ),
+    ),
+    (
+        FFLV,
+        "    expected = weyl_dim(lt, fundamental_weight(n, i))\n",
+        "    expected = weyl_dim(lt, tuple(int(k == i - 1) for k in range(n)))\n",
+        ("tests/test_fflv.py::test_fundamental_index_range",),
+    ),
+    (
+        CLI,
+        "    if out_path is None:\n        return\n",
+        "    if not out_path:\n        return\n",
+        ("tests/test_cli.py::test_unwritable_output_refused_before_work",),
     ),
     # the pruned walk of the type-A oracle
     (

@@ -42,6 +42,7 @@ from fflvstring.verify import (
     unimodular_sweep,
 )
 from fflvstring.wedge import restriction_block, unfold_dominates
+from conftest import A2, A3, C2, C3
 from oracles import label_matrix, label_translation
 
 A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", n), 2) for n in (5, 6)]
@@ -106,9 +107,6 @@ def test_criterion_03_unimodularity():
 
 
 def test_criterion_04_printed_fixtures():
-    A3 = LieType("A", 3)
-    C2 = LieType("C", 2)
-    C3 = LieType("C", 3)
     ok = build_matrix(A3) == (
         (-1, -1, -1, -1, 0, -1),
         (0, -1, -1, 0, -1, 0),
@@ -214,7 +212,7 @@ def test_translation_is_linear_in_the_weight():
             assert build_translation(lt, w) == total, (lt, w)
     for bad in ((0, 0, 1), (1, -1)):
         with pytest.raises(ValueError):
-            build_translation(LieType("A", 2), bad)
+            build_translation(A2, bad)
 
 
 def _grid_weights():
@@ -222,7 +220,7 @@ def _grid_weights():
     for lt, level in A_GRID + C_GRID:
         for w in dominant_weights(lt.rank, level):
             yield lt, w
-    yield LieType("A", 2), (127, 1)
+    yield A2, (127, 1)
 
 
 def test_summed_translation_is_the_per_weight_walk():

@@ -27,6 +27,7 @@ from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType, dominant_weights, fundamental_weight, pack, unpack, weyl_dim,
 )
+from conftest import A1, A2, C2, corrupted_matrix, run_cli
 
 GOLDEN_SWEEPS = {
     ("unimodular", "3"): """\
@@ -49,12 +50,6 @@ C1: commutation table ok
 C2: commutation table ok
 """,
 }
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def points_argv(command, lt, weight):
@@ -121,12 +116,12 @@ def test_caption_is_json_dumps(kind, lt):
     "lt, weight, width",
     [
         *[
-            pytest.param(LieType("A", 1), (level,), 8, id=f"A1-{level}")
+            pytest.param(A1, (level,), 8, id=f"A1-{level}")
             for level in (9, 10, 99, 100)
         ],
-        pytest.param(LieType("A", 1), (127,), 8, id="A1-127"),
-        pytest.param(LieType("A", 1), (128,), 16, id="A1-128"),
-        pytest.param(LieType("A", 2), (127, 1), 16, id="A2-127,1"),
+        pytest.param(A1, (127,), 8, id="A1-127"),
+        pytest.param(A1, (128,), 16, id="A1-128"),
+        pytest.param(A2, (127, 1), 16, id="A2-127,1"),
     ],
 )
 def test_document_at_the_byte_width_boundary(capsys, command, lt, weight, width):
@@ -142,7 +137,7 @@ def test_document_at_the_byte_width_boundary(capsys, command, lt, weight, width)
 _NEAR_PLACE = st.one_of(st.sampled_from((0, 9, 10, 99, 100, 127)), st.integers(0, 127))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 12).flatmap(
     lambda n: st.lists(st.tuples(*[_NEAR_PLACE] * n), min_size=1, max_size=20, unique=True)
 ))
@@ -192,7 +187,7 @@ def test_document_digest_fixture(capsys, command, family, weight):
     assert digest == DOCUMENT_DIGESTS[command, family, weight]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_point_sets_and_documents_agree(data):
     family = data.draw(st.sampled_from("AC"))
@@ -220,14 +215,9 @@ CORRUPTED_A3_REPORT_DIGEST = "874d543379ed2ceada54718dd92a9ce3764f84f2ff4fc9fbeb
 def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
     # the one fault seam is check_main's matrix: the grid runs through it,
     # each type's matrix with its first diagonal entry lowered by one
-    def corrupted(lt):
-        mat = [list(row) for row in build_matrix(lt)]
-        mat[0][0] -= 1
-        return tuple(map(tuple, mat))
-
     def corrupted_grid(cases):
         return [
-            verify.check_main(lt, w, corrupted(lt))
+            verify.check_main(lt, w, corrupted_matrix(lt))
             for lt, level in cases
             for w in dominant_weights(lt.rank, level)
         ]
@@ -284,7 +274,7 @@ def test_verify_unimodular_failure_path(capsys, monkeypatch):
     real = verify.packed_matrix
 
     def broken(lt):
-        if lt == LieType("C", 2):
+        if lt == C2:
             raise VerificationError("degenmap.entry_range", f"{lt}: entries [1]")
         return real(lt)
 
@@ -300,7 +290,7 @@ def test_verify_fold_failure_path(capsys, monkeypatch):
         # the last entry of t(C2, omega_1) and of t(C2, omega_2), one byte
         # each of the last packed int, one too large
         out = build_translation(lt, weight)
-        return out[:-1] + (out[-1] + 1 + (1 << 8),) if lt == LieType("C", 2) else out
+        return out[:-1] + (out[-1] + 1 + (1 << 8),) if lt == C2 else out
 
     monkeypatch.setattr(verify, "build_translation", wrong)
     code, out, _ = run_cli(capsys, "verify", "fold", "--max-rank", "2")
@@ -374,7 +364,7 @@ def test_gate_failure_exits_three(capsys, monkeypatch):
 
 def test_out_file_writing(tmp_path, capsys):
     path = tmp_path / "points.json"
-    argv = points_argv("fflv", LieType("A", 2), (1, 0))
+    argv = points_argv("fflv", A2, (1, 0))
     code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0
     assert out == ""
@@ -384,7 +374,7 @@ def test_out_file_writing(tmp_path, capsys):
     assert path.read_bytes() == stdout.encode("utf-8")
 
 
-@pytest.mark.parametrize("target", ["missing/out.json", "."])
+@pytest.mark.parametrize("target", ["missing/out.json", ".", ""])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -399,7 +389,9 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
 
     for name in ("run_grid", "packed_points", "packed_string_points"):
         monkeypatch.setattr(cli, name, no_work)
-    code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
+    # an empty path is refused as it stands, not read as the directory
+    path = str(tmp_path / target) if target else target
+    code, out, err = run_cli(capsys, *argv, path)
     assert (code, out) == (2, "")
     assert "cannot write" in err
 
@@ -610,7 +602,7 @@ def outcome(argv, parser=None):
     return code, re.sub(r"\(\d+\.\d{3}s\)", "(t)", out.getvalue()), err.getvalue()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(fuzzed_argv())
 def test_argv_fuzz_exits_with_a_code(argv):
     # ranks, levels and --max-rank stay at most 3, so every accepted run is
@@ -674,7 +666,6 @@ def test_a_valid_leaf_builds_one_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    A2 = LieType("A", 2)
     for argv in (points_argv("fflv", A2, (1, 0)), points_argv("stringpoly", A2, (1, 0)),
                  ("verify", "fold", "--max-rank", "1")):
         cli.leaf_parser.cache_clear()

@@ -1,6 +1,5 @@
 """Letter moves, the bracketing rule, the Demazure walk and string extraction."""
 
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,11 +37,7 @@ from fflvstring.rootsys import (
     weight_denominator,
     weyl_dim,
 )
-
-A2 = LieType("A", 2)
-A3 = LieType("A", 3)
-C2 = LieType("C", 2)
-C3 = LieType("C", 3)
+from conftest import A2, A3, C2, C3, traced_memory
 
 
 def build_highest(lt, w):
@@ -425,18 +420,8 @@ def test_walk_peak_memory_stays_near_its_result(lt, w):
     # (C3: 4.6 KB against 226 KB; C5: 5.6 KB against 1.03 MB)
     b = pack_width(len(build_highest(lt, w)))
     sum(1 for _ in walk(lt, w, b))
-    tracemalloc.start()
-    try:
-        leaves = sum(1 for _ in walk(lt, w, b))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    tracemalloc.start()
-    try:
-        strings = {s for _, s in walk(lt, w, b)}
-        size, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    leaves, _, peak = traced_memory(lambda: sum(1 for _ in walk(lt, w, b)))
+    strings, size, _ = traced_memory(lambda: {s for _, s in walk(lt, w, b)})
     assert leaves == len(strings) == weyl_dim(lt, w)
     assert 20 * peak <= size
 
@@ -485,7 +470,7 @@ def _tensor_words(draw):
     return vc, tuple(word)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_tensor_words())
 def test_bracket_scan_matches_stepwise_rule(case):
     # the one-pass key scan reads any tensor word packed one letter per
@@ -528,7 +513,7 @@ def _column_elements(draw):
     return vc, len(columns), elem, word
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_column_elements())
 def test_signature_table_matches_letter_scan(case):
     # the table entry of each operator's key, j = m of type C included, filled

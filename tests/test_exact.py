@@ -22,7 +22,7 @@ def _leibniz(mat):
     return total
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.data())
 def test_det_int_matches_leibniz(data):
     n = data.draw(st.integers(0, 5))

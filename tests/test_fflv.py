@@ -22,41 +22,27 @@ from fflvstring.rootsys import (
     vector_from_labels,
     weyl_dim,
 )
-
-A1 = LieType("A", 1)
-A2 = LieType("A", 2)
-A3 = LieType("A", 3)
-C2 = LieType("C", 2)
-C3 = LieType("C", 3)
+from conftest import A1, A2, A3, C2, C3
 
 
 def from_labels(lt, *labs):
     return vector_from_labels(lt, {lab: 1 for lab in labs})
 
 
-def test_fundamental_a3_i2_explicit():
-    expected = {
-        from_labels(A3),
-        from_labels(A3, RootLabel(1, 2)),
-        from_labels(A3, RootLabel(2, 2)),
-        from_labels(A3, RootLabel(1, 3)),
-        from_labels(A3, RootLabel(2, 3)),
-        from_labels(A3, RootLabel(2, 2), RootLabel(1, 3)),
-    }
-    assert set(fundamental_points(A3, 2)) == expected
-    assert len(expected) == 6
-
-
-def test_fundamental_c2_i2_explicit():
-    expected = {
-        from_labels(C2),
-        from_labels(C2, RootLabel(1, 2)),
-        from_labels(C2, RootLabel(2, 2)),
-        from_labels(C2, RootLabel(1, 1, True)),
-        from_labels(C2, RootLabel(2, 2), RootLabel(1, 1, True)),
-    }
-    assert set(fundamental_points(C2, 2)) == expected
-    assert len(expected) == 5
+@pytest.mark.parametrize(
+    "lt, chains, size",
+    [
+        (A3, [(), (RootLabel(1, 2),), (RootLabel(2, 2),), (RootLabel(1, 3),),
+              (RootLabel(2, 3),), (RootLabel(2, 2), RootLabel(1, 3))], 6),
+        (C2, [(), (RootLabel(1, 2),), (RootLabel(2, 2),), (RootLabel(1, 1, True),),
+              (RootLabel(2, 2), RootLabel(1, 1, True))], 5),
+    ],
+    ids=["A3", "C2"],
+)
+def test_fundamental_omega_2_explicit(lt, chains, size):
+    expected = {from_labels(lt, *chain) for chain in chains}
+    assert set(fundamental_points(lt, 2)) == expected
+    assert len(expected) == size
 
 
 def test_fundamental_contains_zero_vector():
@@ -237,10 +223,13 @@ def test_dyck_check_matches_brute_force_box(rank):
         pts = list(points(lt, w))
         variants = [pts, pts[1:], pts[:-1], pts + sorted(box - truth)[:1]]
         for k in range(len(labels)):
-            # one entry of the last point moved just off the box
-            p = list(pts[-1])
-            p[k] = bounds[k] + 1 if k % 2 else -1
-            variants.append(pts[:-1] + [tuple(p)])
+            # one entry of the zero point or of the last point moved just off
+            # the box, added to the set or put in place of the last point; a
+            # negative entry meets every path bound, yet is no point
+            for q in (pts[0], pts[-1]):
+                p = list(q)
+                p[k] = bounds[k] + 1 if k % 2 else -1
+                variants += [pts + [tuple(p)], pts[:-1] + [tuple(p)]]
         for variant in variants:
             assert dyck_check_A(rank, w, tuple(variant)) == (set(variant) == truth)
         assert dyck_check_A(rank, w, tuple(sorted(truth)))

@@ -6,9 +6,11 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+from hypothesis import settings
+
 import fflvstring
 from fflvstring import cli, crystal, degenmap, fflv, rootsys, verify, wedge
-from fflvstring.rootsys import LieType
+from conftest import A1, A2, A3, A4, C3, record_calls
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fflvstring"
@@ -179,23 +181,15 @@ def test_no_package_module_empties_a_memo():
     assert found == []
 
 
-def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
+def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch, fresh_walk_steps):
     # an element is one int of column bitmasks, and each operator reads a
     # per-type table keyed by its classed letters: the letter scan runs once
     # per new table entry, never once per element
-    leaves = list(crystal.walk(LieType("A", 3), (1, 1, 0), 8))
+    leaves = list(crystal.walk(A3, (1, 1, 0), 8))
     assert leaves and all(type(elem) is int for elem, _ in leaves)
-    calls = []
-    real = crystal._key_signature
-
-    def counted(row, key, width):
-        calls.append(key)
-        return real(row, key, width)
-
-    monkeypatch.setattr(crystal, "_key_signature", counted)
-    crystal._signature_tables.cache_clear()
-    crystal._steps.cache_clear()
-    lt = LieType("A", 4)
+    # A4's tables start empty, so every entry is scanned while counted
+    calls = record_calls(monkeypatch, crystal, "_key_signature")
+    lt = A4
     walked = sum(1 for w in rootsys.dominant_weights(4, 2) for _ in crystal.walk(lt, w, 8))
     entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
     assert 0 < len(calls) == entries < walked
@@ -204,18 +198,11 @@ def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch):
 def test_build_matrix_walks_once_per_type(monkeypatch):
     # one walk over packed places returns every row of -R^{-1}, so the
     # number of walks does not grow with the number of columns
-    calls = []
-    real = degenmap._walk
-
-    def counted(lt, *args):
-        calls.append(lt)
-        return real(lt, *args)
-
-    monkeypatch.setattr(degenmap, "_walk", counted)
-    types = [LieType("A", 4), LieType("C", 3)]
+    calls = record_calls(monkeypatch, degenmap, "_walk")
+    types = [A4, C3]
     for lt in types:
         degenmap.packed_matrix(lt)
-    assert calls == types
+    assert [args[0] for args in calls] == types
 
 
 def _perfbench_tree(name):
@@ -261,7 +248,7 @@ def test_benchmark_reads_existing_report_attributes():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "rep"
     }
     assert {"status", "equal", "weight_twist", "to_dict"} <= read
-    rep = verify.check_main(LieType("A", 1), (1,))
+    rep = verify.check_main(A1, (1,))
     assert [name for name in sorted(read) if not hasattr(rep, name)] == []
 
 
@@ -306,7 +293,7 @@ def test_twist_memos_are_package_caches_the_benchmark_clears():
     }
     assert set(memos) <= found
     assert all(type(memo) is type(rootsys.build_labels) for memo in memos)
-    assert verify.check_main(LieType("A", 2), (1, 1)).status == "ok"
+    assert verify.check_main(A2, (1, 1)).status == "ok"
     assert all(memo.cache_info().currsize for memo in memos)
     for memo in memos:
         memo.cache_clear()
@@ -329,13 +316,13 @@ def test_check_main_keeps_no_memo_outside_lru_caches():
         }
 
     before = sizes()
-    lt = LieType("A", 3)
+    lt = A3
     mat = [list(row) for row in degenmap.build_matrix(lt)]
     mat[1][4] += 7  # a matrix no other test uses
     for w in ((2, 1, 2), (0, 1, 3)):
         assert verify.check_main(lt, w).status == "ok"
         assert verify.check_main(lt, w, matrix=mat).status == "failed"
-    assert verify.check_main(LieType("C", 3), (1, 1, 1)).status == "ok"
+    assert verify.check_main(C3, (1, 1, 1)).status == "ok"
     assert before and sizes() == before
 
 
@@ -354,3 +341,18 @@ def test_every_cataloged_mutant_applies_exactly_once():
     killers = [k.split("::") for *_, ks in MUTANTS for k in ks]
     texts = {path: (root / path).read_text() for path, _ in killers}
     assert [k for k in killers if f"\ndef {k[1].split('[')[0]}(" not in texts[k[0]]] == []
+
+
+def test_property_tests_draw_from_the_derandomized_profile():
+    # the seed rule is stated once, in the profile that conftest.py loads:
+    # every property test draws the same examples on every run, and a test's
+    # own @settings sets its example count and nothing else
+    assert settings.default.derandomize and settings.default.deadline is None
+    fields = {
+        keyword.arg
+        for tree in _trees(sorted(TESTS.glob("test_*.py")))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "settings"
+        for keyword in node.keywords
+    }
+    assert fields == {"max_examples"}

@@ -2,7 +2,6 @@
 
 import hashlib
 import sys
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,21 +41,11 @@ from fflvstring.verify import (
     run_grid,
     unimodular_sweep,
 )
-from conftest import TWIST_MEMOS, WALK_MEMOS
+from conftest import (
+    A1, A2, A3, A4, C2, C3, TWIST_MEMOS, WALK_MEMOS, corrupted_matrix, record_calls,
+    traced_memory,
+)
 from oracles import twist_oracle
-
-A1 = LieType("A", 1)
-A2 = LieType("A", 2)
-A3 = LieType("A", 3)
-C2 = LieType("C", 2)
-C3 = LieType("C", 3)
-A4 = LieType("A", 4)
-
-
-def corrupted_matrix(lt):
-    mat = [list(row) for row in build_matrix(lt)]
-    mat[0][0] -= 1
-    return tuple(tuple(row) for row in mat)
 
 
 def test_check_main_small_cases():
@@ -183,27 +172,16 @@ def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
     assert degenmap.support_basis.cache_info().currsize == 1
 
 
-def _traced_peak(call, *args):
-    """The tracemalloc peak, in bytes, of one call."""
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_check_main_holds_no_point_set_but_the_images(monkeypatch):
     # the walk takes each match out of the image set, so with the per-type
     # caches warm a case peaks near packed_sum alone; a string set beside
     # the images read 1.83-2.01 times it
-    sums = []
     real = verify.packed_sum
-    monkeypatch.setattr(verify, "packed_sum", lambda *args: sums.append(args) or real(*args))
+    sums = record_calls(monkeypatch, verify, "packed_sum")
     for lt, w in ((C3, (0, 2, 2)), (A4, (1, 1, 1, 1))):
         assert check_main(lt, w).status == "ok"
-        alone = _traced_peak(real, *sums[-1])
-        assert _traced_peak(check_main, lt, w) <= 1.25 * alone
+        alone = traced_memory(real, *sums[-1])[2]
+        assert traced_memory(check_main, lt, w)[2] <= 1.25 * alone
 
 
 def _shift_translation(monkeypatch, k, step):
@@ -341,7 +319,7 @@ def test_unimodular_sweep_keeps_about_one_rank_alive():
             reduced_word(LieType(family, n))
             degenmap._simple_roots(family, n)
     lt = LieType("C", 20)
-    assert _traced_peak(unimodular_sweep, 20) <= 2.5 * _traced_peak(packed_matrix, lt)
+    assert traced_memory(unimodular_sweep, 20)[2] <= 2.5 * traced_memory(packed_matrix, lt)[2]
 
 
 def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
@@ -432,7 +410,7 @@ KERNEL_CASES = [
 ]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_integer_kernel_matches_staged_reference(data):
     # check_main fits the twist on integer pairs of the zero and unit

@@ -37,10 +37,7 @@ from fflvstring.wedge import (
     unfold_dominates,
     wedge_basis,
 )
-
-A2 = LieType("A", 2)
-A3 = LieType("A", 3)
-C2 = LieType("C", 2)
+from conftest import A2, A3, C2
 
 
 def test_act_simple_on_leading_wedge():
@@ -197,7 +194,7 @@ def _sim_cases(draw):
     return ops_x, ops_y, i, family, rank
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_sim_cases())
 def test_sim_check_ops_matches_stepwise_reference(case):
     ops_x, ops_y, i, family, rank = case
