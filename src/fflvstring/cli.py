@@ -20,6 +20,8 @@ own parser parses the rest, and its result stands if no word is left over;
 any other argv goes to the full tree (``build_parser``), which prints help,
 usage lines and errors.  Either way the outcome is the tree's: the tree hands
 a leaf's words to the same parser, and only a word left over reaches its error.
+An option's argparse type checks its value as argv is parsed, so of several bad
+options the first in argv is reported, even one before ``-h``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from functools import lru_cache, partial
 
 from .crystal import packed_string_points
@@ -62,16 +65,16 @@ def _parse_type(value: str) -> str:
     return value
 
 
-def _positive(option: str):
-    """argparse type for an option that takes an integer of at least 1."""
+def _at_least(option: str, least: int, rule: str):
+    """argparse type for an integer option of at least ``least``, worded ``rule``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise UsageError(f"{option} must be a positive integer, got {text!r}")
+            value = least - 1
+        if value < least:
+            raise UsageError(f"{option} must be {rule}, got {text!r}")
         return value
 
     return parse
@@ -116,21 +119,17 @@ def _check_type_size(lt: LieType, unit: str, max_dim: int) -> None:
     _check_size(f"{lt} {unit}", root_count(lt) ** 2, max(max_dim, DEFAULT_MAX_DIM))
 
 
-def _check_out_path(out_path: str | None) -> None:
-    """Refuse an output path that cannot be written, before any work starts."""
-    if out_path is None:
-        return
+def _check_out_path(out_path: str) -> str:
+    """argparse type of ``--out`` and ``--json``: a path that can be written."""
     parent = os.path.dirname(os.path.abspath(out_path))
     if not out_path or os.path.isdir(out_path) or not os.path.isdir(parent):
         raise UsageError(f"cannot write {out_path!r}: not a file in an existing directory")
+    return out_path
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def polytope_document(lt: LieType, weight, kind: str) -> dict:
@@ -227,9 +226,8 @@ def render_document(doc: dict) -> str:
 
 
 def _cmd_points(args, kind: str) -> int:
-    lt = LieType(_parse_type(args.type), args.rank)
+    lt = LieType(args.type, args.rank)
     weight = _parse_weight(args.weight, lt.rank)
-    _check_out_path(args.out)
     if kind == "string":
         _check_type_size(lt, "labels squared", args.max_dim)
     _check_dim(lt, [weight], args.max_dim)
@@ -239,15 +237,11 @@ def _cmd_points(args, kind: str) -> int:
 
 
 def _cmd_verify_main(args) -> int:
-    if args.max_level < 0:
-        raise UsageError("--max-level must be nonnegative")
-    lt = LieType(_parse_type(args.type), args.rank)
-    _check_out_path(args.json)
+    lt = LieType(args.type, args.rank)
     _check_type_size(lt, "matrix entries", args.max_dim)
     _check_dim(lt, dominant_weights(lt.rank, args.max_level), args.max_dim)
     reports = run_grid([(lt, args.max_level)])
-    header = f"{'case':<16}{'fflv':>6}{'string':>8}{'dim':>6}  {'status':<8}{'twist':<7}"
-    print(header)
+    print(f"{'case':<16}{'fflv':>6}{'string':>8}{'dim':>6}  {'status':<8}{'twist':<7}")
     for rep in reports:
         case = f"{rep.family}{rep.rank} {rep.weight}"
         twist = "ok" if rep.weight_twist is not None else "none"
@@ -268,8 +262,6 @@ def _cmd_verify_main(args) -> int:
 
 
 def _cmd_verify_sweep(args) -> int:
-    if args.max_rank < 1:
-        raise UsageError("--max-rank must be at least 1")
     sweep, _, unit, size = SWEEPS[args.subcommand]
     # sizes grow with the rank: the first rank above the budget is refused
     for rank in range(1, args.max_rank + 1):
@@ -280,34 +272,34 @@ def _cmd_verify_sweep(args) -> int:
 
 
 def _add_points_args(cmd: argparse.ArgumentParser, max_dim_text: str = _DIM_TEXT) -> None:
-    cmd.add_argument("--type", required=True)
-    cmd.add_argument("--rank", type=_positive("--rank"), required=True)
+    cmd.add_argument("--type", type=_parse_type, required=True)
+    cmd.add_argument("--rank", type=_at_least("--rank", 1, "a positive integer"), required=True)
     cmd.add_argument("--weight", required=True)
     _add_max_dim(cmd, max_dim_text)
-    cmd.add_argument("--out", default=None)
+    cmd.add_argument("--out", type=_check_out_path)
 
 
 def _add_main_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--type", required=True)
-    cmd.add_argument("--rank", type=_positive("--rank"), required=True)
-    cmd.add_argument("--max-level", type=int, required=True)
+    cmd.add_argument("--type", type=_parse_type, required=True)
+    cmd.add_argument("--rank", type=_at_least("--rank", 1, "a positive integer"), required=True)
+    cmd.add_argument("--max-level", type=_at_least("--max-level", 0, "nonnegative"), required=True)
     _add_max_dim(
         cmd,
         f"{_DIM_TEXT}, or a matrix whose entry count exceeds both this "
         f"and {DEFAULT_MAX_DIM}",
     )
-    cmd.add_argument("--json", default=None)
+    cmd.add_argument("--json", type=_check_out_path)
 
 
 def _add_sweep_args(cmd: argparse.ArgumentParser, unit: str) -> None:
-    cmd.add_argument("--max-rank", type=int, required=True)
+    cmd.add_argument("--max-rank", type=_at_least("--max-rank", 1, "at least 1"), required=True)
     _add_max_dim(cmd, f"refuse a rank whose {unit} exceed this")
 
 
 def _add_max_dim(cmd: argparse.ArgumentParser, text: str = _DIM_TEXT) -> None:
     cmd.add_argument(
         "--max-dim",
-        type=_positive("--max-dim"),
+        type=_at_least("--max-dim", 1, "a positive integer"),
         default=DEFAULT_MAX_DIM,
         help=f"{text} (default {DEFAULT_MAX_DIM})",
     )

@@ -308,11 +308,28 @@ MUTANTS = [
         "    expected = weyl_dim(lt, tuple(int(k == i - 1) for k in range(n)))\n",
         ("tests/test_fflv.py::test_fundamental_index_range",),
     ),
+    # each option's value checked by its argparse type: an empty output path
+    # admitted, --max-level 0 refused, --json declared without its type
     (
         CLI,
-        "    if out_path is None:\n        return\n",
-        "    if not out_path:\n        return\n",
+        "    if not out_path or os.path.isdir(out_path)",
+        "    if os.path.isdir(out_path)",
         ("tests/test_cli.py::test_unwritable_output_refused_before_work",),
+    ),
+    (
+        CLI,
+        "        if value < least:\n",
+        "        if value <= least:\n",
+        ("tests/test_cli.py::test_table_size_admits_its_bound",),
+    ),
+    (
+        CLI,
+        'cmd.add_argument("--json", type=_check_out_path)',
+        'cmd.add_argument("--json")',
+        (
+            "tests/test_cli.py::test_unwritable_output_refused_before_work",
+            "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
+        ),
     ),
     # the pruned walk of the type-A oracle
     (

@@ -59,6 +59,7 @@ def points_argv(command, lt, weight):
     )
 
 
+A3_MAIN = ("verify", "main", "--type", "A", "--rank", "3")
 KINDS = {"fflv": "fflv", "stringpoly": "string"}
 
 # rank 1 holds one coordinate per row and the zero weight one point
@@ -224,11 +225,7 @@ def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_grid", corrupted_grid)
     path = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "main", "--type", "A", "--rank", "3", "--max-level", "2",
-        "--json", str(path),
-    )
+    code, out, _ = run_cli(capsys, *A3_MAIN, "--max-level", "2", "--json", str(path))
     assert code == 1
     assert out.count("\n  missing string point: [") == 36
     assert out.count("\n  unmatched image point: [") == 36
@@ -246,13 +243,9 @@ def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
 
 def test_verify_main_json_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "2", "--json")
     for path in paths:
-        code, _, _ = run_cli(
-            capsys,
-            "verify", "main", "--type", "A", "--rank", "2", "--max-level", "2",
-            "--json", str(path),
-        )
-        assert code == 0
+        assert run_cli(capsys, *argv, str(path))[0] == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -260,14 +253,6 @@ def test_verify_main_json_deterministic(tmp_path, capsys):
 def test_verify_sweep_golden(capsys, sweep, max_rank):
     code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", max_rank)
     assert (code, out, err) == (0, GOLDEN_SWEEPS[sweep, max_rank], "")
-
-
-@pytest.mark.parametrize("sweep", ["unimodular", "fold", "comm"])
-def test_verify_sweep_rejects_nonpositive_rank(capsys, sweep):
-    code, out, err = run_cli(capsys, "verify", sweep, "--max-rank", "0")
-    assert code == 2
-    assert out == ""
-    assert "--max-rank must be at least 1" in err
 
 
 def test_verify_unimodular_failure_path(capsys, monkeypatch):
@@ -333,8 +318,15 @@ A3_POINTS = ("fflv", "points", "--type", "A", "--rank", "3")
                      "usage error: --type must be A or C", id="type"),
         pytest.param((*A3_POINTS, "--weight", "1,0,0", "--bogus", "1"),
                      "error: unrecognized arguments: --bogus 1", id="flag"),
-        pytest.param(("verify", "main", "--type", "A", "--rank", "3", "--max-level", "-1"),
+        pytest.param((*A3_MAIN, "--max-level", "-1"),
                      "usage error: --max-level must be nonnegative", id="level"),
+        pytest.param((*A3_MAIN, "--max-level", "x"),
+                     "usage error: --max-level must be nonnegative, got 'x'", id="level-integer"),
+        *[pytest.param(("verify", sweep, "--max-rank", "0"),
+                       "usage error: --max-rank must be at least 1, got '0'",
+                       id=f"max-rank-{sweep}") for sweep in verify.SWEEPS],
+        pytest.param(("verify", "fold", "--max-rank", "x"),
+                     "usage error: --max-rank must be at least 1, got 'x'", id="max-rank-integer"),
     ],
 )
 def test_usage_error_exits_two(capsys, argv, message):
@@ -354,9 +346,7 @@ def test_gate_failure_exits_three(capsys, monkeypatch):
         raise VerificationError("fflv.minkowski_cardinality", "forced by test")
 
     monkeypatch.setattr(cli, "packed_points", explode)
-    code, out, err = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0"
-    )
+    code, out, err = run_cli(capsys, *points_argv("fflv", A2, (1, 0)))
     assert code == 3
     assert "fflv.minkowski_cardinality" in err
     assert out == ""
@@ -430,10 +420,7 @@ def test_max_dim_admits_its_bound(capsys):
     # the adjoint of A2 has dimension 8, the largest case of the level-2 grid
     argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "2")
     assert run_cli(capsys, *argv, "--max-dim", "8")[0] == 0
-    code, out, _ = run_cli(
-        capsys, "fflv", "points", "--type", "A", "--rank", "2", "--weight", "1,0",
-        "--max-dim", "3",
-    )
+    code, out, _ = run_cli(capsys, *points_argv("fflv", A2, (1, 0)), "--max-dim", "3")
     assert code == 0 and len(json.loads(out)["points"]) == 3
 
 
@@ -574,18 +561,22 @@ def full_parser():
     verify_cmd = sub.add_parser("verify", help="theorem verification sweeps")
     verify_sub = verify_cmd.add_subparsers(dest="subcommand", required=True)
     main_cmd = verify_sub.add_parser("main", help="set equality over a weight grid")
-    main_cmd.add_argument("--type", required=True)
-    main_cmd.add_argument("--rank", type=cli._positive("--rank"), required=True)
-    main_cmd.add_argument("--max-level", type=int, required=True)
+    at_least = cli._at_least
+    main_cmd.add_argument("--type", type=cli._parse_type, required=True)
+    main_cmd.add_argument("--rank", required=True,
+                          type=at_least("--rank", 1, "a positive integer"))
+    main_cmd.add_argument("--max-level", required=True,
+                          type=at_least("--max-level", 0, "nonnegative"))
     cli._add_max_dim(
         main_cmd,
         f"{cli._DIM_TEXT}, or a matrix whose entry count exceeds both this "
         f"and {cli.DEFAULT_MAX_DIM}",
     )
-    main_cmd.add_argument("--json", default=None)
+    main_cmd.add_argument("--json", type=cli._check_out_path)
     for name, (_, text, unit, _) in verify.SWEEPS.items():
         sweep = verify_sub.add_parser(name, help=text)
-        sweep.add_argument("--max-rank", type=int, required=True)
+        sweep.add_argument("--max-rank", required=True,
+                           type=at_least("--max-rank", 1, "at least 1"))
         cli._add_max_dim(sweep, f"refuse a rank whose {unit} exceed this")
     return parser
 
@@ -617,7 +608,8 @@ def test_argv_fuzz_exits_with_a_code(argv):
 # commands, options before the command, "--", negative numbers and "-"; then
 # what a leaf's parser must read as the tree's: "--opt=value", abbreviated
 # and ambiguous options, "--" and -h among the options, a repeated option,
-# empty words, a missing value and a value that looks like an option
+# empty words, a missing value and a value that looks like an option; last,
+# each rule of an option's type broken, alone and before -h or a stray word
 EDGE_ARGV = [
     (*head, "--help")
     for head in [(), ("fflv",), ("fflv", "points"), ("stringpoly",), ("stringpoly", "points"),
@@ -647,6 +639,15 @@ EDGE_ARGV = [
     ("verify", "fold", "--max-rank"),
     ("fflv", "points", "--type", "A", "--rank", "2", "--weight"),
     ("fflv", "points", "--type", "A", "--rank", "2", "--weight", "-1,0"),
+] + [
+    (*head, option, value, *tail)
+    for head, option, value in [
+        (("fflv", "points"), "--type", "B"), (("verify", "main"), "--max-level", "-1"),
+        (("verify", "main"), "--max-level", "x"), (("verify", "comm"), "--max-rank", "0"),
+        (("verify", "fold"), "--max-rank", "x"), (("verify", "main"), "--json", ""),
+        (("stringpoly", "points"), "--out", "."),
+    ]
+    for tail in [(), ("-h",), ("stray",)]
 ]
 
 

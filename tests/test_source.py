@@ -150,6 +150,19 @@ def test_the_fold_lives_in_degenmap():
     assert {"fold_vector", "build_translation"} <= _called(sweep)
 
 
+def test_cli_handlers_check_no_single_option():
+    # an option's own value is checked once, by its argparse type as argv is
+    # parsed; a handler keeps only the refusals that join options or bound work
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = [n for n in tree.body if getattr(n, "name", "").startswith("_cmd_")]
+    assert len(handlers) == 3
+    assert [h.name for h in handlers if {"_parse_type", "_check_out_path"} & _called(h)] == []
+    sides = [(n.left, *n.comparators) for h in handlers for n in ast.walk(h)
+             if isinstance(n, ast.Compare)]
+    literal = [s for s in sides if any(isinstance(x, ast.Constant) for x in s)]
+    assert [ast.unparse(x) for s in literal for x in s if ast.unparse(x).startswith("args.")] == []
+
+
 def test_point_sets_are_not_memoized():
     # P(lambda) and Q_w(lambda~) are per-case sets that no caller reads
     # twice; a memo would only keep every case's set alive to the end
