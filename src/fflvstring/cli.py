@@ -20,8 +20,11 @@ own parser parses the rest, and its result stands if no word is left over;
 any other argv goes to the full tree (``build_parser``), which prints help,
 usage lines and errors.  Either way the outcome is the tree's: the tree hands
 a leaf's words to the same parser, and only a word left over reaches its error.
-An option's argparse type checks its value as argv is parsed, so of several bad
-options the first in argv is reported, even one before ``-h``.
+An option's argparse type checks its value as argv is parsed, every integer of
+``--weight`` too (only its length is checked later, against ``--rank``), so of
+several bad options the first in argv is reported, even one before ``-h``.
+Every integer is read by one grammar, ``_INTEGER``: an optional sign and ASCII
+digits, spaces around.  ``verify main`` flushes its rows case by case.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 from functools import lru_cache, partial
@@ -45,7 +49,7 @@ from .rootsys import (
     unpack,
     weyl_dim,
 )
-from .verify import SWEEPS, all_passed, reports_to_json, run_grid
+from .verify import SWEEPS, all_passed, check_main, reports_to_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -53,6 +57,7 @@ EXIT_USAGE = 2
 EXIT_GATE_FAILURE = 3
 DEFAULT_MAX_DIM = 200_000
 _DIM_TEXT = "refuse a weight whose module dimension exceeds this"
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 
 
 class UsageError(Exception):
@@ -69,10 +74,7 @@ def _at_least(option: str, least: int, rule: str):
     """argparse type for an integer option of at least ``least``, worded ``rule``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
+        value = int(text) if _INTEGER.fullmatch(text) else least - 1
         if value < least:
             raise UsageError(f"{option} must be {rule}, got {text!r}")
         return value
@@ -80,18 +82,10 @@ def _at_least(option: str, least: int, rule: str):
     return parse
 
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    try:
-        coeffs = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--weight must be comma-separated integers: {exc}")
-    if len(coeffs) != rank:
-        raise UsageError(
-            f"--weight needs exactly {rank} coefficients, got {len(coeffs)}"
-        )
-    if any(a < 0 for a in coeffs):
-        raise UsageError("--weight coefficients must be nonnegative")
-    return coeffs
+def _coefficients(text: str) -> tuple[int, ...]:
+    """argparse type of ``--weight``: each comma-separated part read by ``_at_least``."""
+    coefficient = _at_least("--weight", 0, "comma-separated nonnegative integers")
+    return tuple(map(coefficient, text.split(",")))
 
 
 def _check_dim(lt: LieType, weights, max_dim: int) -> None:
@@ -226,8 +220,9 @@ def render_document(doc: dict) -> str:
 
 
 def _cmd_points(args, kind: str) -> int:
-    lt = LieType(args.type, args.rank)
-    weight = _parse_weight(args.weight, lt.rank)
+    lt, weight = LieType(args.type, args.rank), args.weight
+    if len(weight) != lt.rank:
+        raise UsageError(f"--weight needs exactly {lt.rank} coefficients, got {len(weight)}")
     if kind == "string":
         _check_type_size(lt, "labels squared", args.max_dim)
     _check_dim(lt, [weight], args.max_dim)
@@ -240,15 +235,14 @@ def _cmd_verify_main(args) -> int:
     lt = LieType(args.type, args.rank)
     _check_type_size(lt, "matrix entries", args.max_dim)
     _check_dim(lt, dominant_weights(lt.rank, args.max_level), args.max_dim)
-    reports = run_grid([(lt, args.max_level)])
     print(f"{'case':<16}{'fflv':>6}{'string':>8}{'dim':>6}  {'status':<8}{'twist':<7}")
-    for rep in reports:
+    reports = []
+    for w in dominant_weights(lt.rank, args.max_level):
+        reports.append(rep := check_main(lt, w))
         case = f"{rep.family}{rep.rank} {rep.weight}"
         twist = "ok" if rep.weight_twist is not None else "none"
-        print(
-            f"{case:<16}{rep.fflv_count:>6}{rep.string_count:>8}"
-            f"{rep.weyl_dim:>6}  {rep.status:<8}{twist:<7}({rep.elapsed:.3f}s)"
-        )
+        print(f"{case:<16}{rep.fflv_count:>6}{rep.string_count:>8}{rep.weyl_dim:>6}  "
+              f"{rep.status:<8}{twist:<7}({rep.elapsed:.3f}s)")
         if rep.weight_twist is None:
             src, tgt = (", ".join(map(str, v)) for v in rep.twist_witness)
             print(f"  twist witness: source [{src}], companion [{tgt}]")
@@ -256,6 +250,7 @@ def _cmd_verify_main(args) -> int:
             print(f"  missing string point: {list(p)}")
         for p in rep.extra:
             print(f"  unmatched image point: {list(p)}")
+        sys.stdout.flush()
     if args.json:
         _emit(reports_to_json(reports), args.json)
     return EXIT_OK if all_passed(reports) else EXIT_VERIFICATION_FAILED
@@ -274,7 +269,7 @@ def _cmd_verify_sweep(args) -> int:
 def _add_points_args(cmd: argparse.ArgumentParser, max_dim_text: str = _DIM_TEXT) -> None:
     cmd.add_argument("--type", type=_parse_type, required=True)
     cmd.add_argument("--rank", type=_at_least("--rank", 1, "a positive integer"), required=True)
-    cmd.add_argument("--weight", required=True)
+    cmd.add_argument("--weight", type=_coefficients, required=True)
     _add_max_dim(cmd, max_dim_text)
     cmd.add_argument("--out", type=_check_out_path)
 

@@ -49,7 +49,7 @@ def natural_dim(family: str, rank: int) -> int:
 
 def fundamental_weight(rank: int, i: int) -> tuple[int, ...]:
     """Fundamental coefficients of omega_i: the i-th unit vector of length rank."""
-    if not 1 <= i <= rank:
+    if type(i) is not int or not 1 <= i <= rank:
         raise ValueError(f"fundamental index {i} out of range for rank {rank}")
     return tuple(1 if k == i - 1 else 0 for k in range(rank))
 
@@ -64,8 +64,8 @@ class LieType:
     def __post_init__(self):
         if self.family not in ("A", "C"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be a positive integer")
+        if type(self.rank) is not int or self.rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
 
     @property
     def target_rank(self) -> int:
@@ -254,11 +254,11 @@ def weight_numerators(
 
 def check_dominant(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a dominant weight given by fundamental coefficients."""
-    w = tuple(int(a) for a in weight)
+    w = tuple(weight)
     if len(w) != lt.rank:
         raise ValueError(f"weight must have {lt.rank} coefficients, got {len(w)}")
-    if any(a < 0 for a in w):
-        raise ValueError("dominant weight coefficients must be nonnegative")
+    if any(type(a) is not int or a < 0 for a in w):
+        raise ValueError(f"dominant weight coefficients must be nonnegative ints, got {w}")
     return w
 
 

@@ -295,7 +295,8 @@ MUTANTS = [
     # output path read as no path
     (
         ROOTSYS,
-        "    if not 1 <= i <= rank:\n        raise ValueError(f\"fundamental index {i}",
+        "    if type(i) is not int or not 1 <= i <= rank:\n"
+        "        raise ValueError(f\"fundamental index {i}",
         "    if False:\n        raise ValueError(f\"fundamental index {i}",
         (
             "tests/test_wedge.py::test_checks_refuse_a_fundamental_weight_that_does_not_exist",
@@ -330,6 +331,50 @@ MUTANTS = [
             "tests/test_cli.py::test_unwritable_output_refused_before_work",
             "tests/test_cli.py::test_branch_parser_matches_the_full_parser",
         ),
+    ),
+    # one integer grammar, --weight read by its type, the library refusing
+    # what is not an int, and verify main's rows printed case by case
+    (
+        CLI,
+        'cmd.add_argument("--weight", type=_coefficients, required=True)',
+        'cmd.add_argument("--weight", required=True)',
+        ("tests/test_cli.py::test_usage_error_exits_two[integer-help]",),
+    ),
+    (
+        CLI,
+        "        value = int(text) if _INTEGER.fullmatch(text) else least - 1\n",
+        "        try:\n"
+        "            value = int(text)\n"
+        "        except ValueError:\n"
+        "            value = least - 1\n",
+        ("tests/test_cli.py::test_usage_error_exits_two[weight-underscore]",),
+    ),
+    (
+        ROOTSYS,
+        "any(type(a) is not int or a < 0 for a in w)",
+        "any(a < 0 for a in w)",
+        ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
+    ),
+    (
+        ROOTSYS,
+        "    if type(i) is not int or not 1 <= i <= rank:\n",
+        "    if not 1 <= i <= rank:\n",
+        ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
+    ),
+    (
+        ROOTSYS,
+        "if type(self.rank) is not int or self.rank < 1:",
+        "if self.rank < 1:",
+        ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
+    ),
+    (
+        CLI,
+        "    reports = []\n"
+        "    for w in dominant_weights(lt.rank, args.max_level):\n"
+        "        reports.append(rep := check_main(lt, w))\n",
+        "    reports = [check_main(lt, w) for w in dominant_weights(lt.rank, args.max_level)]\n"
+        "    for rep in reports:\n",
+        ("tests/test_cli.py::test_verify_main_prints_each_case_as_it_finishes",),
     ),
     # the pruned walk of the type-A oracle
     (

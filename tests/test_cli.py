@@ -27,7 +27,7 @@ from fflvstring.fflv import points
 from fflvstring.rootsys import (
     LieType, dominant_weights, fundamental_weight, pack, unpack, weyl_dim,
 )
-from conftest import A1, A2, C2, corrupted_matrix, run_cli
+from conftest import A1, A2, A3, C2, corrupted_matrix, run_cli
 
 GOLDEN_SWEEPS = {
     ("unimodular", "3"): """\
@@ -214,16 +214,10 @@ CORRUPTED_A3_REPORT_DIGEST = "874d543379ed2ceada54718dd92a9ce3764f84f2ff4fc9fbeb
 
 
 def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
-    # the one fault seam is check_main's matrix: the grid runs through it,
+    # the one fault seam is check_main's matrix: each case runs through it,
     # each type's matrix with its first diagonal entry lowered by one
-    def corrupted_grid(cases):
-        return [
-            verify.check_main(lt, w, corrupted_matrix(lt))
-            for lt, level in cases
-            for w in dominant_weights(lt.rank, level)
-        ]
-
-    monkeypatch.setattr(cli, "run_grid", corrupted_grid)
+    real = verify.check_main
+    monkeypatch.setattr(cli, "check_main", lambda lt, w: real(lt, w, corrupted_matrix(lt)))
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, *A3_MAIN, "--max-level", "2", "--json", str(path))
     assert code == 1
@@ -239,6 +233,16 @@ def test_verify_main_corrupted_fixture_fails(tmp_path, capsys, monkeypatch):
     k = next(k for k, line in enumerate(lines) if line.startswith("A4 (1, 1, 1, 1) "))
     assert code == 1 and "none" in lines[k]
     assert lines[k + 1] == "  twist witness: source [1, 2, 2, 1], companion [1, 1, 0, 0, 0, 1, 1]"
+
+
+def test_verify_main_prints_each_case_as_it_finishes(capsys, monkeypatch):
+    # a gate that trips on the third case leaves the rows of the two before it
+    first = [verify.check_main(A3, w) for w in list(dominant_weights(3, 1))[:2]]
+    fault = VerificationError("fflv.minkowski_cardinality", "forced by test")
+    monkeypatch.setattr(cli, "check_main", mock.Mock(side_effect=[*first, fault]))
+    code, out, err = run_cli(capsys, *A3_MAIN, "--max-level", "1")
+    assert code == 3 and "fflv.minkowski_cardinality" in err
+    assert [row[:16].rstrip() for row in out.splitlines()[1:]] == [f"A3 {r.weight}" for r in first]
 
 
 def test_verify_main_json_deterministic(tmp_path, capsys):
@@ -303,6 +307,8 @@ def test_verify_comm_failure_path(capsys, monkeypatch):
 
 
 A3_POINTS = ("fflv", "points", "--type", "A", "--rank", "3")
+WEIGHT_RULE = "usage error: --weight must be comma-separated nonnegative integers"
+NOT_ASCII_INTEGERS = [("underscore", "1_0"), ("arabic-indic", "\u0661"), ("fullwidth", "\uff11")]
 
 
 @pytest.mark.parametrize(
@@ -310,10 +316,14 @@ A3_POINTS = ("fflv", "points", "--type", "A", "--rank", "3")
     [
         pytest.param((*A3_POINTS, "--weight", "1,0"), "usage error: --weight needs exactly 3",
                      id="length"),
-        pytest.param((*A3_POINTS, "--weight", "1,-1,0"),
-                     "usage error: --weight coefficients must be nonnegative", id="negative"),
-        pytest.param((*A3_POINTS, "--weight", "1,x,0"),
-                     "usage error: --weight must be comma-separated integers", id="integer"),
+        pytest.param((*A3_POINTS, "--weight", "1,-1,0"), f"{WEIGHT_RULE}, got '-1'", id="negative"),
+        pytest.param((*A3_POINTS, "--weight", "1,x,0"), f"{WEIGHT_RULE}, got 'x'", id="integer"),
+        pytest.param((*A3_POINTS, "--weight", "x,1,0", "-h"), WEIGHT_RULE, id="integer-help"),
+        # int() reads these as 10, 1 and 1: the CLI reads ASCII digits alone
+        *[pytest.param((*A3_POINTS, "--weight", f"{text},0,0"), f"{WEIGHT_RULE}, got {text!r}",
+                       id=f"weight-{name}") for name, text in NOT_ASCII_INTEGERS],
+        *[pytest.param(("fflv", "points", "--rank", text), f"a positive integer, got {text!r}",
+                       id=f"rank-{name}") for name, text in NOT_ASCII_INTEGERS],
         pytest.param(("fflv", "points", "--type", "B", "--rank", "2", "--weight", "0,0"),
                      "usage error: --type must be A or C", id="type"),
         pytest.param((*A3_POINTS, "--weight", "1,0,0", "--bogus", "1"),
@@ -352,6 +362,11 @@ def test_gate_failure_exits_three(capsys, monkeypatch):
     assert out == ""
 
 
+def test_weight_admits_spaces_around_coefficients(capsys):
+    argv = points_argv("fflv", A2, (1, 0))[:-1]
+    assert run_cli(capsys, *argv, "1, 0") == (0, run_cli(capsys, *argv, "1,0")[1], "")
+
+
 def test_out_file_writing(tmp_path, capsys):
     path = tmp_path / "points.json"
     argv = points_argv("fflv", A2, (1, 0))
@@ -377,7 +392,7 @@ def test_unwritable_output_refused_before_work(tmp_path, capsys, monkeypatch, ar
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the output path was checked")
 
-    for name in ("run_grid", "packed_points", "packed_string_points"):
+    for name in ("check_main", "packed_points", "packed_string_points"):
         monkeypatch.setattr(cli, name, no_work)
     # an empty path is refused as it stands, not read as the directory
     path = str(tmp_path / target) if target else target
@@ -409,7 +424,7 @@ def test_max_dim_refused_before_enumeration(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the dimension was checked")
 
-    for name in ("run_grid", "packed_points", "packed_string_points"):
+    for name in ("check_main", "packed_points", "packed_string_points"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -479,11 +494,10 @@ def test_table_size_admits_its_bound(capsys):
 @pytest.mark.parametrize("rank", ["0", "-1", "two"])
 @pytest.mark.parametrize("command", [("fflv", "points"), ("verify", "main")])
 def test_rank_validated_at_parse_time(capsys, monkeypatch, command, rank):
-    def no_parse(*args, **kwargs):
-        raise AssertionError("a weight was parsed for an invalid rank")
+    def no_run(*args, **kwargs):
+        raise AssertionError("a handler ran for an invalid rank")
 
-    monkeypatch.setattr(cli, "_parse_weight", no_parse)
-    monkeypatch.setattr(cli, "run_grid", no_parse)
+    monkeypatch.setattr(cli, "LieType", no_run)
     extra = ("--weight", "0") if command[0] == "fflv" else ("--max-level", "0")
     code, out, err = run_cli(capsys, *command, "--type", "A", "--rank", rank, *extra)
     assert (code, out) == (2, "")
@@ -496,10 +510,10 @@ def test_library_value_error_is_internal_fault(capsys, monkeypatch):
     def fault(*args, **kwargs):
         raise ValueError("at least one weight pair is required")
 
-    monkeypatch.setattr(cli, "run_grid", fault)
+    monkeypatch.setattr(cli, "check_main", fault)
     argv = ("verify", "main", "--type", "A", "--rank", "2", "--max-level", "1")
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (3, "")
+    assert (code, out.count("\n")) == (3, 1)
     assert "internal error: at least one weight pair is required" in err
 
 
@@ -640,12 +654,13 @@ EDGE_ARGV = [
     ("fflv", "points", "--type", "A", "--rank", "2", "--weight"),
     ("fflv", "points", "--type", "A", "--rank", "2", "--weight", "-1,0"),
 ] + [
-    (*head, option, value, *tail)
-    for head, option, value in [
-        (("fflv", "points"), "--type", "B"), (("verify", "main"), "--max-level", "-1"),
-        (("verify", "main"), "--max-level", "x"), (("verify", "comm"), "--max-rank", "0"),
-        (("verify", "fold"), "--max-rank", "x"), (("verify", "main"), "--json", ""),
-        (("stringpoly", "points"), "--out", "."),
+    (*words, *tail)
+    for words in [
+        ("fflv", "points", "--type", "B"), ("verify", "main", "--max-level", "-1"),
+        ("verify", "main", "--max-level", "x"), ("verify", "comm", "--max-rank", "0"),
+        ("verify", "fold", "--max-rank", "x"), ("verify", "main", "--json", ""),
+        ("stringpoly", "points", "--out", "."), (*A3_POINTS, "--weight", "x,1"),
+        (*A3_POINTS, "--weight=-1,0"), (*A3_POINTS, "--weight", "1_0,0"),
     ]
     for tail in [(), ("-h",), ("stray",)]
 ]

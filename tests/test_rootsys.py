@@ -44,6 +44,14 @@ def test_lietype_validation():
         LieType("A", 0)
 
 
+def test_non_int_input_raises_value_error():
+    # a float, a bool or a string of digits is refused, never truncated or read
+    for call, *args in [(LieType, "A", 2.0), (LieType, "A", True), (fundamental_weight, 2, 1.5),
+                        (rootsys.check_dominant, A2, (1.9, 0)), (rootsys.check_dominant, A2, "12")]:
+        with pytest.raises(ValueError):
+            call(*args)
+
+
 def test_natural_dim_and_fundamental_weight():
     assert [natural_dim("A", m) for m in (1, 2, 5)] == [2, 3, 6]
     assert [natural_dim("C", m) for m in (1, 2, 5)] == [2, 4, 10]

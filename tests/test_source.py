@@ -152,12 +152,21 @@ def test_the_fold_lives_in_degenmap():
 
 def test_cli_handlers_check_no_single_option():
     # an option's own value is checked once, by its argparse type as argv is
-    # parsed; a handler keeps only the refusals that join options or bound work
+    # parsed; a handler keeps only the refusals that join options or bound
+    # work: neither it nor a cli function it reaches calls a type, int or split
     tree = ast.parse((SRC / "cli.py").read_text())
-    handlers = [n for n in tree.body if getattr(n, "name", "").startswith("_cmd_")]
-    assert len(handlers) == 3
-    assert [h.name for h in handlers if {"_parse_type", "_check_out_path"} & _called(h)] == []
-    sides = [(n.left, *n.comparators) for h in handlers for n in ast.walk(h)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    types = {ast.unparse(k.value).split("(")[0] for k in ast.walk(tree)
+             if isinstance(k, ast.keyword) and k.arg == "type"}
+    assert {"_parse_type", "_at_least", "_check_out_path"} <= types
+    reads = {}
+    for handler in [name for name in defs if name.startswith("_cmd_")]:
+        reached = {handler}
+        while not (more := {c for f in reached for c in _called(defs[f]) if c in defs}) <= reached:
+            reached |= more
+        reads[handler] = sorted(f for f in reached if _called(defs[f]) & (types | {"int", "split"}))
+    assert reads == dict.fromkeys(("_cmd_points", "_cmd_verify_main", "_cmd_verify_sweep"), [])
+    sides = [(n.left, *n.comparators) for h in reads for n in ast.walk(defs[h])
              if isinstance(n, ast.Compare)]
     literal = [s for s in sides if any(isinstance(x, ast.Constant) for x in s)]
     assert [ast.unparse(x) for s in literal for x in s if ast.unparse(x).startswith("args.")] == []
