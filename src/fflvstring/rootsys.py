@@ -22,9 +22,11 @@ Conventions:
   common one of a source algebra and its companion, lcm(n+1, 2n) for A_n
   and 2 for C_n.  The ``Fraction`` weights ``fflv_weight`` and
   ``string_weight`` are views of these numerators.  Dominant weights
-  enter as tuples of nonnegative fundamental-weight coefficients.  The
-  weight of a point is its base weight minus an integer delta:
-  ``root_delta`` of a chain point, ``letter_histogram`` of a string point.
+  enter as tuples of nonnegative fundamental-weight coefficients, which
+  ``weight_numerators`` turns into numerators by one closed form per
+  family over the whole weight, gated by the Cartan matrix.  The weight
+  of a point is its base weight minus an integer delta: ``root_delta`` of
+  a chain point, ``letter_histogram`` of a string point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import VerificationError
@@ -49,8 +53,8 @@ def natural_dim(family: str, rank: int) -> int:
 
 def fundamental_weight(rank: int, i: int) -> tuple[int, ...]:
     """Fundamental coefficients of omega_i: the i-th unit vector of length rank."""
-    if type(i) is not int or not 1 <= i <= rank:
-        raise ValueError(f"fundamental index {i} out of range for rank {rank}")
+    if type(rank) is not int or type(i) is not int or not 1 <= i <= rank:
+        raise ValueError(f"fundamental index {i!r} out of range for rank {rank!r}")
     return tuple(1 if k == i - 1 else 0 for k in range(rank))
 
 
@@ -209,47 +213,33 @@ def weight_denominator(lt: LieType) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def fundamental_weight_numerators(family: str, rank: int, k: int) -> ExponentVector:
-    """d * omega_k in simple-root coordinates, d = ``fundamental_denominator``.
+def weight_numerators(family: str, rank: int, coeffs: Sequence[int], scale: int) -> ExponentVector:
+    """scale * sum_k coeffs[k-1] * omega_k in simple-root coordinates.
 
-    Closed forms: (d omega_k)_i = min(i,k)(n+1-max(i,k)) for family A, and
+    With d = ``fundamental_denominator``, a divisor of ``scale``, the closed
+    forms are (d omega_k)_i = min(i,k)(n+1-max(i,k)) for family A, and
     2 min(i,k) for i < n, k for i = n for family C.  The gate checks the
-    defining property: the Cartan matrix sends d omega_k to d e_k.
-    """
-    fundamental_weight(rank, k)  # refuses an index outside 1..rank
-    n = rank
-    if family == "A":
-        w = tuple(min(i, k) * (n + 1 - max(i, k)) for i in range(1, n + 1))
-    else:
-        w = tuple(2 * min(i, k) for i in range(1, n)) + (k,)
-    d = fundamental_denominator(family, rank)
-    for i, row in enumerate(cartan_matrix(family, rank)):
-        if sum(a * x for a, x in zip(row, w)) != (d if i == k - 1 else 0):
-            raise VerificationError(
-                "rootsys.cartan_invertible",
-                f"{family}{rank}: the Cartan matrix does not send omega_{k} to e_{k}",
-            )
-    return w
-
-
-def weight_numerators(
-    family: str, rank: int, coeffs: Sequence[int], scale: int
-) -> ExponentVector:
-    """scale * sum_i coeffs[i] * omega_{i+1} in simple-root coordinates.
-
-    ``scale`` must be a multiple of ``fundamental_denominator(family, rank)``,
-    so that every entry is an integer.
+    defining property: the Cartan matrix sends the result to scale * coeffs.
     """
     if len(coeffs) != rank:
         raise ValueError("coefficient vector length must equal the rank")
-    f = scale // fundamental_denominator(family, rank)
-    out = [0] * rank
-    for i, a in enumerate(coeffs, start=1):
-        if a:
-            w = fundamental_weight_numerators(family, rank, i)
-            out = [x + a * f * y for x, y in zip(out, w)]
-    return tuple(out)
+    n, f = rank, scale // fundamental_denominator(family, rank)
+    terms = [(k, a * f) for k, a in enumerate(coeffs, start=1) if a]
+    a_type = family == "A"
+    w = tuple(
+        sum(
+            c * (min(i, k) * (n + 1 - max(i, k)) if a_type else 2 * min(i, k) if i < n else k)
+            for k, c in terms
+        )
+        for i in range(1, n + 1)
+    )
+    cartan = cartan_matrix(family, rank)
+    if any(sum(map(mul, row, w)) != scale * a for row, a in zip(cartan, coeffs)):
+        raise VerificationError(
+            "rootsys.cartan_invertible",
+            f"{family}{rank}: the Cartan matrix does not send {w} to {scale} * {tuple(coeffs)}",
+        )
+    return w
 
 
 def check_dominant(lt: LieType, weight: Sequence[int]) -> tuple[int, ...]:
@@ -392,16 +382,14 @@ def string_weight(lt: LieType, weight: Sequence[int], q: Sequence[int]) -> Weigh
 def dominant_weights(rank: int, max_level: int) -> Iterator[tuple[int, ...]]:
     """All dominant weights with coefficient sum <= max_level, deterministically.
 
-    Ordered by level, then lexicographically: ``compositions`` yields each
-    level in that order, so the weights stream without a sort.
+    Ordered by level, then lexicographically.  A weight of level L is the
+    gaps between rank - 1 bars among L + rank - 1 slots (stars and bars);
+    ``combinations`` yields the bar positions in lex order, which is the lex
+    order of the weights, so they stream without a sort.
     """
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head,) + tail
-
+    if type(rank) is not int or rank < 1 or type(max_level) is not int:
+        raise ValueError(f"need an int rank >= 1 and an int level, got {rank!r}, {max_level!r}")
     for level in range(max_level + 1):
-        yield from compositions(level, rank)
+        end = level + rank - 1
+        for bars in combinations(range(end), rank - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end)))

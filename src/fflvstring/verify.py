@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -152,7 +151,7 @@ def check_main(
     mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
     trans, row0 = translation_and_zero_row(lt, w)
     n, level = len(trans), sum(w)
-    bounds = (abs(t) + level * s for t, s in zip(trans, _row_sums(mat)))
+    bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
     b = pack_width(max(letter_count(w), *bounds))
     images = packed_sum(lt, w, pack(trans, b), mat, b)
     size, missing = len(images), []
@@ -189,12 +188,6 @@ def check_main(
         twist_witness=witness,
         elapsed=time.perf_counter() - start,
     )
-
-
-@lru_cache(maxsize=None)
-def _row_sums(mat: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """sum_k |M_rk| of each row r, the matrix's part of ``check_main``'s width bound."""
-    return tuple(sum(map(abs, row)) for row in mat)
 
 
 def run_grid(

@@ -295,9 +295,8 @@ MUTANTS = [
     # output path read as no path
     (
         ROOTSYS,
-        "    if type(i) is not int or not 1 <= i <= rank:\n"
-        "        raise ValueError(f\"fundamental index {i}",
-        "    if False:\n        raise ValueError(f\"fundamental index {i}",
+        "    if type(rank) is not int or type(i) is not int or not 1 <= i <= rank:\n",
+        "    if False:\n",
         (
             "tests/test_wedge.py::test_checks_refuse_a_fundamental_weight_that_does_not_exist",
             "tests/test_fflv.py::test_fundamental_index_range",
@@ -357,8 +356,20 @@ MUTANTS = [
     ),
     (
         ROOTSYS,
-        "    if type(i) is not int or not 1 <= i <= rank:\n",
-        "    if not 1 <= i <= rank:\n",
+        "type(i) is not int or not 1 <= i <= rank",
+        "not 1 <= i <= rank",
+        ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
+    ),
+    (
+        ROOTSYS,
+        "if type(rank) is not int or type(i) is not int",
+        "if type(i) is not int",
+        ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
+    ),
+    (
+        ROOTSYS,
+        "if type(rank) is not int or rank < 1 or type(max_level) is not int:",
+        "if type(max_level) is not int:",
         ("tests/test_rootsys.py::test_non_int_input_raises_value_error",),
     ),
     (
@@ -450,6 +461,26 @@ MUTANTS = [
             "tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",
         ),
     ),
+    # the weight formula without its Cartan gate or with type C's last
+    # coordinate doubled, and the stars and bars one slot long
+    (
+        ROOTSYS,
+        "    if any(sum(map(mul, row, w)) != scale * a for row, a in zip(cartan, coeffs)):\n",
+        "    if False:\n",
+        ("tests/test_rootsys.py::test_singular_cartan_matrix_is_a_named_gate",),
+    ),
+    (
+        ROOTSYS,
+        "2 * min(i, k) if i < n else k)",
+        "2 * min(i, k) if i < n else 2 * k)",
+        ("tests/test_rootsys.py::test_base_weights_satisfy_the_cartan_property",),
+    ),
+    (
+        ROOTSYS,
+        "        end = level + rank - 1\n",
+        "        end = level + rank\n",
+        ("tests/test_rootsys.py::test_dominant_weights_enumeration",),
+    ),
     # the label chain written in order, rows descending inside a column
     (
         ROOTSYS,
@@ -476,8 +507,8 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "bounds = (abs(t) + level * s for t, s in zip(trans, _row_sums(mat)))",
-        "bounds = (level * s for s in _row_sums(mat))",
+        "abs(t) + level * sum(map(abs, row))",
+        "level * sum(map(abs, row))",
         ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
     ),
     (

@@ -175,18 +175,6 @@ def test_minkowski_monotonicity(family, rank, level):
                     assert tuple(x + y for x, y in zip(p, q)) in big
 
 
-def test_dyck_rejects_added_point():
-    bad = points(A2, (1, 0)) + (from_labels(A2, RootLabel(2, 2)),)
-    assert dyck_check_A(2, (1, 0), tuple(sorted(bad))) is False
-    # outside the bounding box: meets every path bound, yet is no point
-    assert dyck_check_A(2, (1, 1), points(A2, (1, 1)) + ((-1, 0, 0),)) is False
-
-
-def test_dyck_rejects_removed_point():
-    pts = points(A2, (1, 1))
-    assert dyck_check_A(2, (1, 1), pts[:-1]) is False
-
-
 @pytest.mark.parametrize("rank", range(1, 5))
 def test_dyck_full_grid(rank):
     lt = LieType("A", rank)

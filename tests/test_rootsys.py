@@ -20,7 +20,6 @@ from fflvstring.rootsys import (
     dominant_weights,
     fflv_weight,
     fundamental_weight,
-    fundamental_weight_numerators,
     lifted_coeffs,
     natural_dim,
     pack,
@@ -45,11 +44,15 @@ def test_lietype_validation():
 
 
 def test_non_int_input_raises_value_error():
-    # a float, a bool or a string of digits is refused, never truncated or read
+    # a float, a bool or a string of digits is refused, never truncated or
+    # read, and so is rank 0; list() runs the generator
     for call, *args in [(LieType, "A", 2.0), (LieType, "A", True), (fundamental_weight, 2, 1.5),
-                        (rootsys.check_dominant, A2, (1.9, 0)), (rootsys.check_dominant, A2, "12")]:
+                        (fundamental_weight, 2.0, 1), (fundamental_weight, True, 1),
+                        (rootsys.check_dominant, A2, (1.9, 0)), (rootsys.check_dominant, A2, "12"),
+                        (dominant_weights, 0, 2), (dominant_weights, 2.0, 1),
+                        (dominant_weights, True, 1), (dominant_weights, 2, 1.5)]:
         with pytest.raises(ValueError):
-            call(*args)
+            list(call(*args))
 
 
 def test_natural_dim_and_fundamental_weight():
@@ -189,7 +192,7 @@ def test_root_expansion():
 def test_singular_cartan_matrix_is_a_named_gate(monkeypatch):
     monkeypatch.setattr(rootsys, "cartan_matrix", lambda family, rank: ((1, 1), (1, 1)))
     with pytest.raises(VerificationError) as exc:
-        fundamental_weight_numerators.__wrapped__("A", 2, 1)
+        rootsys.weight_numerators("A", 2, (1, 0), 3)
     assert exc.value.gate == "rootsys.cartan_invertible"
 
 
@@ -276,6 +279,7 @@ def test_lifted_coeffs_positions():
 
 def test_dominant_weights_enumeration():
     assert list(dominant_weights(2, 0)) == [(0, 0)]
+    assert list(dominant_weights(2, -1)) == []
     levels = list(dominant_weights(2, 2))
     assert levels == [
         (0, 0),
@@ -291,6 +295,9 @@ def test_dominant_weights_enumeration():
         for level in range(6):
             weights = list(dominant_weights(rank, level))
             assert weights == sorted(weights, key=lambda w: (sum(w), w))
+            # stars and bars: C(L + r - 1, r - 1) weights of level L
+            top = {w for w in weights if sum(w) == level}
+            assert len(top) == math.comb(level + rank - 1, rank - 1)
 
 
 @st.composite

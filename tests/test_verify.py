@@ -63,11 +63,6 @@ def test_check_main_small_cases():
         assert rep.weight_twist is not None
 
 
-def test_check_main_report_witness_invariant():
-    rep = check_main(A2, (1, 1))
-    assert rep.equal == (rep.missing_total == 0 and rep.extra_total == 0)
-
-
 def test_report_fails_when_both_counts_miss_the_weyl_dimension():
     rep = check_main(A2, (1, 1))
     assert rep.status == "ok"
