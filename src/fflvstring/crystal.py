@@ -19,31 +19,25 @@ is k xors.  The table is filled by ``_key_signature``, one pass over the
 key's bits, lowest first, which with ``letter_classes`` is the one statement
 of the bracket rule.
 
-The depth-first ``walk`` from the highest element, taking the letters of the
-reduced word last first, yields the Demazure set with the string vector
-(Littelmann's string coordinates) of each element.  By the string property
-(Kashiwara 1993) the set built from the letters done so far meets every
-j-string in nothing, its head alone or the whole string, so the next set is
-the f_j^t(h), t = 0..c, of its j-heads h, and the recursion is a tree: the
-walk expands each head into these children and drops every non-head.  At the
-last letter it yields the children as leaves.  A leaf's path is its string,
-since the bracket rule gives epsilon_j(f_j^t(h)) = t: so distinct leaves have
-distinct strings and are distinct elements of the Demazure set, and a leaf
-count equal to the dimension of the source module makes the leaves the whole
-set.  That count is the one gate; the walk's only live state is its stack,
-and its step table is cached per type, column count and string width.
-Strings are packed (``rootsys.pack``): prepending t adds t times the
-letter's digit.  ``demazure_set`` decodes the elements back to tensor words,
-and ``extract_string``, raising a tensor word back along the whole word, is
-the independent reference.  The gate also pins the scan direction and the
-walk order, as the tests show: a forward walk loses an element of A2
+The depth-first ``walk_word`` from the highest element, taking the letters
+of a reduced word last first, hands each leaf's string (Littelmann's string
+coordinates, packed by ``rootsys.pack``) to a consumer and counts the
+leaves.  By the string property (Kashiwara 1993) the set built from the
+letters done so far meets every j-string in nothing, its head alone or the
+whole string, so the next set is the f_j^t(h), t = 0..c, of its j-heads h:
+the recursion is a tree, and its leaves have distinct strings, as
+epsilon_j(f_j^t(h)) = t.  ``walk`` runs it on the distinguished word and
+gates the count on the dimension of the source module, which makes the
+leaves the whole Demazure set.  ``extract_string``, raising a tensor word
+back along the word, is the independent reference.  The gate also pins the
+scan direction and the walk order: a forward walk loses an element of A2
 omega_1, and a descending key scan leaves C3 omega_3 no head at its first
 letter.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable
 from functools import lru_cache
 
 from .errors import VerificationError
@@ -131,35 +125,34 @@ def letter_count(w: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _steps(lt: LieType, columns: int, b: int) -> tuple[tuple, ...]:
-    """Per letter of the reduced word, last first: its string digit place at
-    width b, its classed bits over all columns, its key table and its row."""
-    family, m = lt.family, lt.target_rank
+def _steps(family: str, m: int, word: tuple[int, ...], columns: int, b: int) -> tuple[tuple, ...]:
+    """Per letter of the word, last first: its string digit place at width b,
+    its classed bits over all columns, its key table and its row."""
     rows, tables = letter_classes(family, m), _signature_tables(family, m)
-    width = natural_dim(family, m)
-    unit = sum(1 << (width * c) for c in range(columns))
+    unit = _highest([1] * columns, natural_dim(family, m))
     return tuple(
         (1 << (b * k), tables[j][0] * unit, tables[j][1], rows[j])  # digit of N-1-k
-        for k, j in enumerate(reversed(reduced_word(lt)))
+        for k, j in enumerate(reversed(word))
     )
 
 
-def walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
-    """Each packed Demazure element with its string vector in b-bit digits.
+def _highest(heights: list[int], width: int) -> int:
+    """The packed highest element: column c holds the letters 1..heights[c]."""
+    return sum(((1 << h) - 1) << (width * c) for c, h in enumerate(heights))
 
-    Column c of the highest word holds bits width*c .. width*c + width - 1,
-    letter L at bit width*c + L - 1.  A stack node is an element, its string
-    so far and the number of letters done.  A head of the next letter pushes
-    its children f_j^t, t >= 1, and walks on as its own child t = 0; at the
-    last letter it yields them all instead.  A leaf count that is not the
-    dimension of the source module is a hard failure, raised after the last
-    leaf.  ``b`` must hold the letter count, as f_j^k lowers k letters.
+
+def walk_word(family: str, m: int, word: tuple, heights: list, b: int, take: Callable) -> int:
+    """Hand each leaf's packed string to ``take`` and return the leaf count,
+    ungated: the walk of a nonempty reduced word of the rank-m algebra from
+    the highest element of columns 1..h, h in ``heights``, letter L of column
+    c at bit width*c + L - 1.  A head of the next letter pushes its children
+    f_j^t, t >= 1, each with its string and the number of letters done, and
+    walks on as its own child t = 0; at the last letter it hands all their
+    strings to ``take``.  ``b`` must hold the letter count (f_j^k lowers k).
     """
-    width = natural_dim(lt.family, lt.target_rank)
-    sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
-    steps = _steps(lt, len(sizes), b)
+    width, steps = natural_dim(family, m), _steps(family, m, word, len(heights), b)
     last, leaves = len(steps) - 1, 0
-    stack = [(sum(((1 << size) - 1) << (width * c) for c, size in enumerate(sizes)), 0, 0)]
+    stack = [(_highest(heights, width), 0, 0)]
     while stack:
         elem, s, k = stack.pop()
         while True:
@@ -172,11 +165,10 @@ def walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
                 break
             if k == last:
                 leaves += 1 + len(deltas)
-                yield elem, s
-                for delta in deltas:
-                    elem ^= delta
+                take(s)
+                for _ in deltas:
                     s += place
-                    yield elem, s
+                    take(s)
                 break
             k += 1
             child, x = elem, s
@@ -184,20 +176,39 @@ def walk(lt: LieType, w: tuple[int, ...], b: int) -> Iterator[tuple[int, int]]:
                 child ^= delta
                 x += place
                 stack.append((child, x, k))
-    expected = weyl_dim(lt, w)
-    if leaves != expected:
+    return leaves
+
+
+def walk(lt: LieType, w: tuple[int, ...], b: int, take: Callable) -> int:
+    """The leaf count of ``walk_word`` on the distinguished word from the lifted
+    columns 1, 3, ..., 2i - 1, gated here on the dimension of the source module."""
+    sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
+    leaves = walk_word(lt.family, lt.target_rank, reduced_word(lt), sizes, b, take)
+    if leaves != (expected := weyl_dim(lt, w)):
         raise VerificationError(
             "crystal.demazure_dimension",
             f"{lt} {w}: closure has {leaves} elements, expected {expected}",
         )
+    return leaves
 
 
 def demazure_set(lt: LieType, weight: tuple[int, ...]) -> tuple[TensorWord, ...]:
-    """The Demazure crystal of the reduced word, as sorted tensor words."""
+    """The Demazure crystal of the reduced word, as sorted tensor words: each
+    string replayed from the highest word on the key tables its walk filled."""
     w = check_dominant(lt, weight)
-    width = natural_dim(lt.family, lt.target_rank)
-    leaves = walk(lt, w, pack_width(letter_count(w)))
-    return tuple(sorted(_decode(elem, width) for elem, _ in leaves))
+    b, strings = pack_width(letter_count(w)), []
+    walk(lt, w, b, strings.append)
+    width, tables = lt.target_dim, _signature_tables(lt.family, lt.target_rank)
+    sizes = [2 * i - 1 for i, a in enumerate(w, start=1) for _ in range(a)]
+    top, unit, out = _highest(sizes, width), _highest([1] * len(sizes), width), []
+    for s in strings:
+        elem = top
+        for k, j in enumerate(reversed(reduced_word(lt))):
+            letters, table = tables[j]
+            for delta in table[elem & letters * unit][: s >> b * k & (1 << b) - 1]:
+                elem ^= delta
+        out.append(_decode(elem, width))
+    return tuple(sorted(out))
 
 
 def extract_string(
@@ -243,8 +254,10 @@ def packed_string_points(
     """String vectors of the Demazure crystal, packed: (sorted ints, N, b),
     at the width ``pack_width`` gives the letter count."""
     w = check_dominant(lt, weight)
-    b = pack_width(letter_count(w))
-    return sorted(s for _, s in walk(lt, w, b)), len(reduced_word(lt)), b
+    b, out = pack_width(letter_count(w)), []
+    walk(lt, w, b, out.append)
+    out.sort()
+    return out, len(reduced_word(lt)), b
 
 
 def string_points(lt: LieType, weight: tuple[int, ...]) -> tuple[ExponentVector, ...]:

@@ -128,10 +128,10 @@ def check_main(
     string entry, at most the letter count.  The trusted matrix is gated
     unitriangular, so ``fflv_count = |T(P)| = |P|``; under an override it is
     ``len(points)``.  t_lambda is the sum of a_i t(omega_i), by linearity.
-    Then the walk takes each string out of that one set, or records it
-    missing.  Its strings are distinct (a leaf's path is its string), so the
-    images left are exactly those no string matched, the extras, and
-    ``string_count``, matched plus missing, is the gated leaf count.
+    The walk, gated in ``crystal.walk``, hands each string to ``images.discard``.
+    Its strings are distinct, so the images left are the extras and
+    ``missing_total`` is the leaf count less the |T(P)| - |extras| matches;
+    only a case with missing strings walks again, to name them.
 
     The twist is ``support_twist_solve``: the integer pair row of 0 over D =
     ``weight_denominator(lt)``, a sum of per-type rows, joins the cached basis
@@ -154,12 +154,11 @@ def check_main(
     bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
     b = pack_width(max(letter_count(w), *bounds))
     images = packed_sum(lt, w, pack(trans, b), mat, b)
-    size, missing = len(images), []
-    for _, s in walk(lt, w, b):
-        try:
-            images.remove(s)
-        except KeyError:
-            missing.append(s)
+    size, missing = len(images), set()
+    leaves = walk(lt, w, b, images.discard)
+    if leaves > size - len(images):  # a string matched no image: name each by a second walk
+        walk(lt, w, b, missing.add)
+        missing -= packed_sum(lt, w, pack(trans, b), mat, b)
     extra = unpack(sorted(images), n, b)
     if trusted and any(min(v) < 0 for v in extra):
         for p in points(lt, w):
@@ -178,10 +177,10 @@ def check_main(
         rank=lt.rank,
         weight=w,
         fflv_count=size if trusted else len(points(lt, w)),
-        string_count=size - len(images) + len(missing),
+        string_count=leaves,
         weyl_dim=weyl_dim(lt, w),
         missing=tuple(unpack(sorted(missing)[:WITNESS_CAP], n, b)),
-        missing_total=len(missing),
+        missing_total=leaves - (size - len(images)),
         extra=tuple(extra[:WITNESS_CAP]),
         extra_total=len(extra),
         weight_twist=twist,

@@ -184,8 +184,10 @@ MUTANTS = [
             "tests/test_crystal.py::test_signature_table_matches_letter_scan",
         ),
     ),
-    # the depth-first walk: a non-head expanded as a head, t up to c - 1,
-    # no final count, the letters walked first to last
+    # the depth-first walk core: a non-head expanded as a head, t up to c - 1,
+    # no final count, the step table built from the word first letter first,
+    # the last letter's child 0 not handed to the consumer, and the replay of
+    # demazure_set reading the next letter's key table
     (
         CRYSTAL,
         "            if deltas is None:\n                break\n",
@@ -206,7 +208,7 @@ MUTANTS = [
     ),
     (
         CRYSTAL,
-        "    if leaves != expected:\n",
+        "    if leaves != (expected := weyl_dim(lt, w)):\n",
         "    if False:\n",
         (
             "tests/test_crystal.py::test_closure_order_gate",
@@ -215,10 +217,30 @@ MUTANTS = [
     ),
     (
         CRYSTAL,
-        "for k, j in enumerate(reversed(reduced_word(lt)))",
-        "for k, j in enumerate(reduced_word(lt))",
+        "        for k, j in enumerate(reversed(word))\n",
+        "        for k, j in enumerate(word)\n",
         (
             "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_string_round_trip",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "                take(s)\n                for _ in deltas:\n",
+        "                for _ in deltas:\n",
+        (
+            "tests/test_crystal.py::test_string_points_examples",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
+            "tests/test_crystal.py::test_core_strings_of_the_nice_word_are_littelmanns_polytope",
+        ),
+    ),
+    (
+        CRYSTAL,
+        "            letters, table = tables[j]\n",
+        "            letters, table = tables[reduced_word(lt)[-k - 2]]\n",
+        (
+            "tests/test_crystal.py::test_demazure_set_rank2_fundamental",
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
@@ -416,13 +438,14 @@ MUTANTS = [
         ),
     ),
     # the packed image engine: one pass of the walk takes each match out of
-    # the image set; a matched image left in it, a missing string not
-    # recorded, the image count on the override path, the leaf count
-    # without the missing strings
+    # the image set; a matched image left in it, the witness walk skipped when
+    # the counts disagree, the missing strings named against the leftover
+    # images, the image count on the override path, the leaf count as the
+    # matched strings alone
     (
         VERIFY,
-        "images.remove(s)",
-        "images.remove(s) or images.add(s)",
+        "walk(lt, w, b, images.discard)",
+        "walk(lt, w, b, images.__contains__)",
         (
             "tests/test_verify.py::test_check_main_small_cases",
             "tests/test_verify.py::test_report_json_digest_fixture",
@@ -430,9 +453,19 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "            missing.append(s)\n",
-        "            pass\n",
-        ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
+        "    if leaves > size - len(images):",
+        "    if False:",
+        (
+            "tests/test_verify.py::test_report_lists_ten_witnesses_per_direction",
+            "tests/test_verify.py::"
+            "test_translation_plus_one_fails_with_witnesses_while_the_twist_fits",
+        ),
+    ),
+    (
+        VERIFY,
+        "        missing -= packed_sum(lt, w, pack(trans, b), mat, b)\n",
+        "        missing -= images\n",
+        ("tests/test_verify.py::test_integer_kernel_matches_staged_reference",),
     ),
     (
         VERIFY,
@@ -445,7 +478,7 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "string_count=size - len(images) + len(missing),",
+        "string_count=leaves,",
         "string_count=size - len(images),",
         (
             "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
@@ -662,7 +695,8 @@ MUTANTS = [
     (
         CRYSTAL,
         "@lru_cache(maxsize=None)\ndef _steps(",
-        "@lambda f: lambda lt, columns, b, memo={}: memo.setdefault((lt, columns), f(lt, columns, b))"
+        "@lambda f: lambda family, m, word, columns, b, memo={}:"
+        " memo.setdefault((family, m, word, columns), f(family, m, word, columns, b))"
         "\ndef _steps(",
         ("tests/test_crystal.py::test_walk_steps_are_kept_per_width",),
     ),

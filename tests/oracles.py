@@ -2,12 +2,13 @@
 
 Dimension counts by two routes: triangular-pattern enumeration for family A
 and Freudenthal's multiplicity recursion for both families.  Reducedness of
-a word by the root criterion, on the same root data.  The paper's
-label formulas for the linear part and the fundamental translations of the
-affine map, which read only the label order of ``build_labels``.  The
-linear part for any word and Cartan matrix, by back substitution.  The
-weight twist by Gauss-Jordan elimination on the whole system.  Everything is
-exact integer or ``Fraction`` arithmetic.
+a word by the root criterion, and Demazure characters by Demazure's
+operators, both on the same root data.  The paper's label formulas for the
+linear part and the fundamental translations of the affine map, which read
+only the label order of ``build_labels``.  The linear part for any word and
+Cartan matrix, by back substitution.  The weight twist by Gauss-Jordan
+elimination on the whole system.  Everything is exact integer or
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -147,6 +148,37 @@ def word_is_reduced(family: str, rank: int, word) -> bool:
         if v not in positive:
             return False
     return True
+
+
+def cartan(family: str, rank: int) -> list[list[int]]:
+    """cartan[i][j] = <alpha_{j+1}, alpha_{i+1}^vee> = 2 (alpha_{j+1},
+    alpha_{i+1}) / (alpha_{i+1}, alpha_{i+1}), on the simple roots of
+    ``_root_data`` (type C: alpha_n = 2 e_n is the long root)."""
+    simple, _, _ = _root_data(family, rank)
+    return [[2 * _dot(a, b) // _dot(a, a) for b in simple] for a in simple]
+
+
+def demazure_character(family: str, rank: int, word, coeffs) -> dict[tuple[int, ...], int]:
+    """D_{i_1} ... D_{i_N}(e^lambda), lambda = sum_k coeffs[k-1] omega_k, D_{i_N}
+    applied first, as {simple-root coordinates of lambda - mu: coefficient}.
+
+    With n = <mu, alpha_j^vee>, D_j(e^mu) = (e^mu - e^(s_j mu - alpha_j)) /
+    (1 - e^-alpha_j) is e^mu + e^(mu - alpha_j) + ... + e^(mu - n alpha_j) for
+    n >= 0, 0 for n = -1 and -(e^(mu + alpha_j) + ... + e^(mu - (n+1) alpha_j))
+    for n <= -2 (Demazure 1974).  Zero coefficients are dropped.
+    """
+    a = cartan(family, rank)
+    char = {(0,) * rank: 1}
+    for j in reversed(word):
+        out: dict[tuple[int, ...], int] = {}
+        for c, mult in char.items():
+            n = coeffs[j - 1] - sum(x * a[j - 1][i] for i, x in enumerate(c))
+            sign, ts = (1, range(n + 1)) if n >= 0 else (-1, range(n + 1, 0))
+            for t in ts:  # the term e^(mu - t alpha_j)
+                key = c[: j - 1] + (c[j - 1] + t,) + c[j:]
+                out[key] = out.get(key, 0) + sign * mult
+        char = {c: mult for c, mult in out.items() if mult}
+    return char
 
 
 def _column_key(lab, n: int) -> int:

@@ -1,5 +1,6 @@
 """Letter moves, the bracketing rule, the Demazure walk and string extraction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,13 @@ from fflvstring.crystal import (
     _decode,
     _key_signature,
     _signature_tables,
-    _steps,
     demazure_set,
     extract_string,
     letter_classes,
     letter_count,
     string_points,
     walk,
+    walk_word,
 )
 from fflvstring.degenmap import build_translation
 from fflvstring.errors import VerificationError
@@ -38,6 +39,7 @@ from fflvstring.rootsys import (
     weyl_dim,
 )
 from conftest import A2, A3, C2, C3, traced_memory
+from oracles import cartan, demazure_character, word_is_reduced
 
 
 def build_highest(lt, w):
@@ -48,15 +50,25 @@ def build_highest(lt, w):
     )
 
 
+def _ignore(s):
+    """A consumer that keeps no leaf."""
+
+
+def _walked(lt, w, b):
+    """The packed strings ``walk`` hands its consumer, in walk order."""
+    strings = []
+    walk(lt, w, b, strings.append)
+    return strings
+
+
 def _strings(lt, w):
-    """The walk's leaves as tensor words with their string vectors, decoded
-    by ``_decode`` and ``unpack``."""
-    b = pack_width(len(build_highest(lt, w)))
-    elements, strings = zip(*walk(lt, w, b))
-    width = natural_dim(lt.family, lt.target_rank)
-    words = [_decode(elem, width) for elem in elements]
-    assert len(set(words)) == len(words)
-    return dict(zip(words, unpack(strings, len(reduced_word(lt)), b)))
+    """The Demazure set as tensor words, each with its string extracted by
+    the letter-level reference; those strings are exactly the walk's."""
+    words, word = demazure_set(lt, w), reduced_word(lt)
+    table, top = letter_classes(lt.family, lt.target_rank), build_highest(lt, w)
+    pairs = {b: extract_string(table, b, word, top) for b in words}
+    assert len(pairs) == len(words) and sorted(pairs.values()) == list(string_points(lt, w))
+    return pairs
 
 
 def _lower(vc, j, letter):
@@ -219,15 +231,15 @@ def test_support_restriction_type_a(rank):
 )
 def test_string_round_trip(family, rank, level):
     # the column walk agrees with the letter-level reference: its strings are
-    # the extracted ones, and lowering the highest word by them (stepwise
-    # rule, cheap up to level 4 - rank) gives the decoded element back
+    # those extracted from demazure_set's replayed elements (``_strings``),
+    # and lowering the highest word by them (stepwise rule, cheap up to level
+    # 4 - rank) gives the replayed element back
     lt = LieType(family, rank)
     vc = (family, lt.target_rank)
     word = reduced_word(lt)
     for w in dominant_weights(rank, level):
         top = build_highest(lt, w)
         for b, q in _strings(lt, w).items():
-            assert extract_string(letter_classes(*vc), b, word, top) == q
             if sum(w) > 4 - rank:
                 continue
             x = top
@@ -326,7 +338,6 @@ def test_closure_order_gate(monkeypatch, fresh_walk_steps):
     assert _saturate(vc, top, reversed(word)) == set(demazure_set(A2, (1, 0)))
     assert len(_saturate(vc, top, word)) == 2
     monkeypatch.setattr("fflvstring.crystal.reduced_word", lambda lt: word[::-1])
-    _steps.cache_clear()  # the steps of the forward word
     with pytest.raises(VerificationError, match="closure has 2 elements, expected 3") as info:
         demazure_set(A2, (1, 0))
     assert info.value.gate == "crystal.demazure_dimension"
@@ -340,7 +351,7 @@ def test_sorted_packed_strings_decode_in_lex_order(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
         b = pack_width(len(build_highest(lt, w)))
-        packed = sorted(s for _, s in walk(lt, w, b))
+        packed = sorted(_walked(lt, w, b))
         vecs = unpack(packed, len(reduced_word(lt)), b)
         assert vecs == sorted(vecs) and len(set(vecs)) == len(vecs)
         assert [pack(v, b) for v in vecs] == packed
@@ -392,11 +403,11 @@ def test_walk_given_a_wrong_count_raises(monkeypatch, lt, w):
     # the walk counts its leaves against the Weyl dimension; any other
     # count trips the gate after the last leaf
     b, dim = pack_width(len(build_highest(lt, w))), weyl_dim(lt, w)
-    assert sum(1 for _ in walk(lt, w, b)) == dim
+    assert walk(lt, w, b, _ignore) == len(_walked(lt, w, b)) == dim
     for wrong in (dim - 1, dim + 1):
         monkeypatch.setattr("fflvstring.crystal.weyl_dim", lambda lt, w, n=wrong: n)
         with pytest.raises(VerificationError, match=f"expected {wrong}") as info:
-            sum(1 for _ in walk(lt, w, b))
+            walk(lt, w, b, _ignore)
         assert info.value.gate == "crystal.demazure_dimension"
 
 
@@ -405,7 +416,7 @@ def test_walk_steps_are_kept_per_width():
     # strings of one weight at 8 and at 16 bits decode to the same vectors
     for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
         n = len(reduced_word(lt))
-        decoded = [sorted(unpack([s for _, s in walk(lt, w, b)], n, b)) for b in (8, 16)]
+        decoded = [sorted(unpack(_walked(lt, w, b), n, b)) for b in (8, 16)]
         assert decoded[0] == decoded[1] == sorted(string_points(lt, w))
 
 
@@ -419,11 +430,74 @@ def test_walk_peak_memory_stays_near_its_result(lt, w):
     # counts the leaves peaks at most 1/20 of the string set it would fill
     # (C3: 4.6 KB against 226 KB; C5: 5.6 KB against 1.03 MB)
     b = pack_width(len(build_highest(lt, w)))
-    sum(1 for _ in walk(lt, w, b))
-    leaves, _, peak = traced_memory(lambda: sum(1 for _ in walk(lt, w, b)))
-    strings, size, _ = traced_memory(lambda: {s for _, s in walk(lt, w, b)})
+    walk(lt, w, b, _ignore)
+    leaves, _, peak = traced_memory(walk, lt, w, b, _ignore)
+    strings, size, _ = traced_memory(lambda: set(_walked(lt, w, b)))
     assert leaves == len(strings) == weyl_dim(lt, w)
     assert 20 * peak <= size
+
+
+@st.composite
+def _reduced_words(draw):
+    """A nonempty reduced word of A_m (m <= 5) or C_m (m <= 4), each drawn
+    letter j kept only if w(alpha_j) > 0 for the word w so far, and the
+    column heights of a dominant weight of level <= 3, k for each omega_k."""
+    family = draw(st.sampled_from("AC"))
+    m = draw(st.integers(1, 5 if family == "A" else 4))
+    word = ()
+    size = draw(st.integers(1, 40))  # enough letters to reach w0's length
+    for j in draw(st.lists(st.integers(1, m), min_size=size, max_size=size)):
+        if word_is_reduced(family, m, word + (j,)):
+            word += (j,)
+    level = draw(st.integers(0, 3))
+    ks = draw(st.lists(st.integers(1, m), min_size=level, max_size=level))
+    return family, m, word, sorted(ks)
+
+
+@settings(max_examples=240)
+@given(_reduced_words())
+def test_core_leaf_weights_are_the_demazure_character(case):
+    # known answer for any reduced word: the leaves' weights lambda - sum
+    # q_k alpha_{i_k}, as simple-root coordinates of lambda - mu, are the
+    # character D_{i_1} ... D_{i_N}(e^lambda) of the Demazure module
+    family, m, word, heights = case
+    b, strings = pack_width(sum(heights)), []
+    assert walk_word(family, m, word, heights, b, strings.append) == len(strings)
+    weights = Counter(
+        tuple(sum(x for x, letter in zip(q, word) if letter == i) for i in range(1, m + 1))
+        for q in unpack(strings, len(word), b)
+    )
+    coeffs = [heights.count(k) for k in range(1, m + 1)]
+    assert dict(weights) == demazure_character(family, m, word, coeffs)
+
+
+def _nice_word_points(m, w):
+    """The nice word (1)(2 1)(3 2 1)... of w0 in A_m and the lattice points of
+    its string polytope (Littelmann 1998, Sec. 5 and Prop. 1.5), built from
+    the last entry: each block nonincreasing and >= 0, and t_k <= <lambda,
+    alpha_{i_k}^vee> - sum_{l>k} t_l <alpha_{i_l}, alpha_{i_k}^vee>."""
+    word = tuple(j for k in range(1, m + 1) for j in range(k, 0, -1))
+    a, points = cartan("A", m), [()]
+    for k in reversed(range(len(word))):
+        i, rest = word[k], word[k + 1 :]
+        low = rest[:1] == (i - 1,)  # the next letter is in this block
+        points = [
+            (t, *p)
+            for p in points
+            for t in range(p[0] if low else 0,
+                           w[i - 1] + 1 - sum(x * a[i - 1][j - 1] for x, j in zip(p, rest)))
+        ]
+    return word, sorted(points)
+
+
+@pytest.mark.parametrize("m,level", [(1, 3), (2, 2), (3, 2), (4, 1)])
+def test_core_strings_of_the_nice_word_are_littelmanns_polytope(m, level):
+    for w in dominant_weights(m, level):
+        word, points = _nice_word_points(m, w)
+        heights = [k for k, a in enumerate(w, start=1) for _ in range(a)]
+        b, strings = pack_width(sum(heights)), []
+        walk_word("A", m, word, heights, b, strings.append)
+        assert sorted(unpack(strings, len(word), b)) == points
 
 
 def _signature(vc, j, word):

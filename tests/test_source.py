@@ -207,17 +207,31 @@ def test_no_package_module_empties_a_memo():
 
 
 def test_crystal_walk_reads_packed_columns_through_the_key_table(monkeypatch, fresh_walk_steps):
-    # an element is one int of column bitmasks, and each operator reads a
+    # each leaf is handed over as one packed int, and each operator reads a
     # per-type table keyed by its classed letters: the letter scan runs once
     # per new table entry, never once per element
-    leaves = list(crystal.walk(A3, (1, 1, 0), 8))
-    assert leaves and all(type(elem) is int for elem, _ in leaves)
+    strings = []
+    assert crystal.walk(A3, (1, 1, 0), 8, strings.append) == len(strings) > 0
+    assert all(type(s) is int for s in strings)
     # A4's tables start empty, so every entry is scanned while counted
     calls = record_calls(monkeypatch, crystal, "_key_signature")
     lt = A4
-    walked = sum(1 for w in rootsys.dominant_weights(4, 2) for _ in crystal.walk(lt, w, 8))
+    walked = sum(crystal.walk(lt, w, 8, lambda s: None) for w in rootsys.dominant_weights(4, 2))
     entries = sum(len(table) for _, table in crystal._signature_tables("A", lt.target_rank))
     assert 0 < len(calls) == entries < walked
+
+
+def test_only_the_walk_core_reads_the_step_table():
+    # one loop over the step table: no other crystal function unpacks
+    # _steps rows, and a key is scanned only where its table entry is filled
+    tree = ast.parse((SRC / "crystal.py").read_text())
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert [n.name for n in defs if "_steps" in _called(n)] == ["walk_word"]
+    calls = [n for n in ast.walk(tree) if getattr(getattr(n, "func", None), "id", None)
+             == "_key_signature"]
+    fills = [n.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and any(isinstance(target, ast.Subscript) for target in n.targets)]
+    assert calls and all(any(call is value for value in fills) for call in calls)
 
 
 def test_build_matrix_walks_once_per_type(monkeypatch):
