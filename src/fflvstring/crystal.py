@@ -143,14 +143,18 @@ def _highest(heights: list[int], width: int) -> int:
 
 def walk_word(family: str, m: int, word: tuple, heights: list, b: int, take: Callable) -> int:
     """Hand each leaf's packed string to ``take`` and return the leaf count,
-    ungated: the walk of a nonempty reduced word of the rank-m algebra from
-    the highest element of columns 1..h, h in ``heights``, letter L of column
-    c at bit width*c + L - 1.  A head of the next letter pushes its children
+    ungated: the walk of a reduced word of the rank-m algebra from the
+    highest element of columns 1..h, h in ``heights``, letter L of column c
+    at bit width*c + L - 1.  A head of the next letter pushes its children
     f_j^t, t >= 1, each with its string and the number of letters done, and
     walks on as its own child t = 0; at the last letter it hands all their
-    strings to ``take``.  ``b`` must hold the letter count (f_j^k lowers k).
+    strings to ``take``.  The empty word, the identity, has the one leaf 0,
+    the highest element.  ``b`` must hold the letter count (f_j^k lowers k).
     """
     width, steps = natural_dim(family, m), _steps(family, m, word, len(heights), b)
+    if not steps:
+        take(0)
+        return 1
     last, leaves = len(steps) - 1, 0
     stack = [(_highest(heights, width), 0, 0)]
     while stack:

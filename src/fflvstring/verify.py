@@ -284,8 +284,11 @@ def comm_sweep(max_rank: int) -> tuple[list[str], list[tuple]]:
     """Commutation table: l, j commute iff |l - j| != 1 on every exterior power.
 
     Each unordered pair l < j is tested once per power, by
-    ``commutation_tables``, which builds a rank's masks once, each
-    generator's image once per power, and keeps nothing.  That covers
+    ``commutation_tables``, which acts on all the powers of a rank at once
+    in one packed int (digit v holds key 2v), builds the masks and bases
+    once, each generator's image once and each ordered pair's product
+    once, splits a pair's products into powers only where they differ,
+    and keeps nothing.  That covers
     the whole table: a diagonal entry compares a product with itself, and
     the test is symmetric in the two products (equal keys, and
     r * x(v) = y(v) with r > 0 holds iff (1/r) * y(v) = x(v)).  At i = 1
@@ -316,12 +319,13 @@ def comm_table_rows(m: int) -> int:
 
     Type C acts on the larger module (2m against m + 1), so this bounds the
     work of ``comm_sweep`` for both families at that rank.  The sweep holds
-    no rows: it packs each power into ints of 2^(2m+1) digits, one per key
-    below 2^(2m+1), and sum_{1<=i<=m} C(2m, i) >= 4^m / 2, so that span is
-    at most four times the rows of one generator over the m powers.  Each
-    power holds up to 2m + 1 such ints and takes a fixed number of big-int
-    operations per tested pair, so memory and work grow as this count
-    times a factor linear in m.
+    no rows: it packs all m powers into one int of 2^(2m) digits, digit v
+    for the key 2v below 2^(2m+1), and sum_{1<=i<=m} C(2m, i) >= 4^m / 2,
+    so that span is at most twice the rows of one generator over the m
+    powers.  A rank holds a number of such ints linear in m (its step
+    masks, bases, power masks and one-factor images) and takes a fixed
+    number of big-int operations per tested pair and power, so memory
+    grows as this count and work as this count times a factor linear in m.
     """
     return m * sum(comb(natural_dim("C", m), i) for i in range(1, m + 1))
 

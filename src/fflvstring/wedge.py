@@ -9,14 +9,19 @@ algebra; for family C it is the unfolded pair e_j -> e_{j+1},
 e_{2m-j} -> e_{2m-j+1} on the reordered natural module, so both families act
 through the same elementary step; ``_steps`` holds that unfolding for
 ``act_simple`` and the packed commutation tables alike.  The equivalence
-test acts wedge by wedge.  The commutation tables of a rank act on a whole
-exterior power at once: an image is a map from the offset o of a term to
-one int whose digit v holds the coefficient of e_{v+o} in the image of e_v,
-and a step moves every basis wedge it applies to with one masked AND
-(``packed_power`` builds the basis, ``step_masks`` the masks of every
-power).  Two images are compared offset by offset, by integer
-cross-multiplication; the masks are built once, and each generator's image
-once per power, shared between the pairs.  On top of the action sit the
+test acts wedge by wedge.  The commutation tables of a rank act on every
+exterior power 1..rank at once: bit 0 of a key is never set, so digit v
+of an int stands for the key 2v, and an image is a map from the offset o
+of a term to one int whose digit v holds the coefficient of the wedge
+keyed 2(v + o) in the image of the wedge keyed 2v.  An int spans 2^dim
+digits, 4^m at acting rank m in type C, and a step moves
+every basis wedge of every power it applies to with one masked AND
+(``packed_powers`` builds the bases in one pass, ``step_masks`` the masks
+shared by all powers).  All the powers share one int, and two images are
+split into powers, by masking, only where they differ; then they are
+compared offset by offset, by integer cross-multiplication.  The masks
+and bases are built once per rank, each generator's image once, and each
+ordered pair's product once.  On top of the action sit the
 equivalence test, the non-annihilation check, and the fully independent
 reconstruction of the type-A string points: a depth-first walk over the 0/1
 monomials on the restriction block that carries each prefix's image of the
@@ -102,33 +107,35 @@ def act_sequence(
     return v
 
 
-def packed_power(family: str, rank: int, i: int, width: int) -> int:
-    """The basis of the i-th exterior power, packed: digit v, ``width`` bits
-    wide, stands for the key v, and holds a 1 at every key of the power, built
-    by doubling over the bits 1..dim: the keys that use bit b are those
-    without it, shifted by 2^b digits."""
-    if i < 0:
-        raise ValueError(f"exterior power {i} is negative")
-    ones = [1] + [0] * i  # ones[k]: the keys of k bits among the bits done
-    for b in range(1, natural_dim(family, rank) + 1):
-        ones = [1] + [ones[k] | ones[k - 1] << (width << b) for k in range(1, i + 1)]
-    return ones[i]
+def packed_powers(family: str, rank: int, top: int, width: int) -> list[int]:
+    """The bases of the exterior powers 0..top, packed: digit v, ``width``
+    bits wide, stands for the key 2v (bit 0 of a key is never set), and
+    basis i holds a 1 at every key of power i.  One doubling pass over the
+    bits 1..dim builds them all: the keys that use bit b are those without
+    it, shifted by 2^(b-1) digits."""
+    if top < 0:
+        raise ValueError(f"exterior power {top} is negative")
+    ones = [1] + [0] * top  # ones[k]: the keys of k bits among the bits done
+    for b in range(natural_dim(family, rank)):
+        ones = [1] + [ones[k] | ones[k - 1] << (width << b) for k in range(1, top + 1)]
+    return ones
 
 
 def step_masks(family: str, rank: int, width: int) -> tuple[int, ...]:
-    """Mask t of every power: all-ones digits at the keys v < 2^(dim+1) with bit t
-    set and bit t + 1 clear, the keys step t moves (mask 0 is 0).  A step reads
-    it at targets v + o of nonzero coefficients, keys of the power by themselves."""
+    """Mask t of every power: all-ones digits at the digits v < 2^dim whose
+    key 2v has bit t set and bit t + 1 clear, the keys step t moves (mask 0
+    is 0).  A step reads it at targets v + o of nonzero coefficients, keys
+    of the power by themselves."""
     dim = natural_dim(family, rank)
-    # has[b]: all-ones digits at every v < 2^(dim+1) with bit b set
+    # has[b]: all-ones digits at every v < 2^dim with bit b set, key bit b + 1
     has = []
-    for b in range(dim + 1):
+    for b in range(dim):
         pattern, span = (1 << (width << b)) - 1 << (width << b), 2 << b
-        while span < 2 << dim:
+        while span < 1 << dim:
             pattern |= pattern << width * span
             span *= 2
         has.append(pattern)
-    return tuple(has[t] & ~has[t + 1] for t in range(dim))
+    return (0, *(has[t - 1] & ~has[t] for t in range(1, dim)))
 
 
 def _step(
@@ -140,7 +147,7 @@ def _step(
         for t in factor:
             moved = c & (masks[t] >> width * o)
             if moved:
-                o_t = o + (1 << t)
+                o_t = o + (1 << t - 1)
                 out[o_t] = out.get(o_t, 0) + moved
     return out
 
@@ -206,30 +213,38 @@ def commutation_tables(family: str, rank: int) -> list[dict[tuple[int, int], boo
     """``sim_check_ops([l, j], [j, l], i, family, rank)`` for every pair l < j,
     one table per power i = 1..rank, at index i - 1.
 
-    The rightmost factor acts first, so [l, j] is step l on the image of j
-    and [j, l] step j on the image of l: each generator's first-factor image
-    is built once per power and shared by every pair, as are the masks by
-    every power.  A coefficient of a product of length k = 2 counts at most
-    2^k step paths, so num, den <= 2^k and a digit of either side of
-    ``_proportional`` is at most 4^k: digits 2k + 2 bits wide never carry.
+    A step maps each power into itself, and the keys of different powers
+    are different digits, so the products act on the sum of the bases of
+    all the powers at once.  The rightmost factor acts first, so [l, j] is
+    step l on the image of j and [j, l] step j on the image of l: each
+    generator's first-factor image is built once and shared by every pair,
+    and each ordered pair's product is built once.  Two equal products
+    agree on every power (r = 1); only two that differ are cut into powers,
+    each masked by its basis times the all-ones digit.  A coefficient of a
+    product of length k = 2 counts at most 2^k step paths, so num, den <=
+    2^k and a digit of either side of ``_proportional`` is at most 4^k:
+    digits 2k + 2 bits wide never carry.
     """
     width = 2 * 2 + 2
     masks = step_masks(family, rank, width)
+    bases = packed_powers(family, rank, rank, width)[1:]
     steps = {j: _steps(j, family, rank) for j in range(1, rank + 1)}
-    tables = []
-    for i in range(1, rank + 1):
-        basis = packed_power(family, rank, i, width)
-        start = {0: basis} if basis else {}
-        first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}
-        tables.append({
-            (l, j): _proportional(
-                _step(first[j], steps[l], masks, width),
-                _step(first[l], steps[j], masks, width),
-                width,
-            )
-            for l, j in combinations(range(1, rank + 1), 2)
-        })
+    start = {0: sum(bases)}
+    first = {j: _step(start, factor, masks, width) for j, factor in steps.items()}
+    powers = [basis * ((1 << width) - 1) for basis in bases]
+    tables: list[dict[tuple[int, int], bool]] = [{} for _ in powers]
+    for l, j in combinations(range(1, rank + 1), 2):
+        fx = _step(first[j], steps[l], masks, width)
+        fy = _step(first[l], steps[j], masks, width)
+        equal = fx == fy
+        for table, power in zip(tables, powers):
+            table[l, j] = equal or _proportional(_masked(fx, power), _masked(fy, power), width)
     return tables
+
+
+def _masked(terms: dict[int, int], mask: int) -> dict[int, int]:
+    """The nonzero terms of a packed product cut to the digits of ``mask``."""
+    return {o: cut for o, c in terms.items() if (cut := c & mask)}
 
 
 def _lowest_digit(c: int, width: int) -> int:

@@ -266,8 +266,8 @@ MUTANTS = [
     # the packed images of the commutation tables
     (
         WEDGE,
-        "has[t] & ~has[t + 1]",
-        "has[t]",
+        "has[t - 1] & ~has[t]",
+        "has[t - 1]",
         (
             "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
             "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
@@ -770,20 +770,74 @@ MUTANTS = [
     ),
     (
         WEDGE,
-        "        while span < 2 << dim:\n",
         "        while span < 1 << dim:\n",
+        "        while span < 1 << dim - 1:\n",
         (
             "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
             "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
         ),
     ),
-    # the commutation tables of a rank: each power's own basis, and the
-    # masks at the width of the products
+    # the core walk of the empty word, which has no step to read
+    (
+        CRYSTAL,
+        "    if not steps:\n        take(0)\n        return 1\n",
+        "",
+        ("tests/test_crystal.py::test_core_walks_the_empty_word_to_its_highest_element",),
+    ),
+    # the commutation tables of a rank: the bases of every power, the masks
+    # at the width of the products, digit v at key 2v, the equal products
+    # read True on every power uncut, and unequal ones cut per power, each
+    # by its own basis, keeping only the offsets left nonzero
     (
         WEDGE,
-        "        basis = packed_power(family, rank, i, width)\n",
-        "        basis = packed_power(family, rank, 1, width)\n",
-        ("tests/test_wedge.py::test_commutation_tables_build_the_masks_once_and_each_basis_once",),
+        "    bases = packed_powers(family, rank, rank, width)[1:]\n",
+        "    bases = packed_powers(family, rank, 1, width)[1:]\n",
+        (
+            "tests/test_wedge.py::test_commutation_tables_build_the_masks_once_and_each_basis_once",
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
+        ),
+    ),
+    (
+        WEDGE,
+        "ones[k - 1] << (width << b)",
+        "ones[k - 1] << (width << b + 1)",
+        (
+            "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
+        ),
+    ),
+    (
+        WEDGE,
+        "o_t = o + (1 << t - 1)",
+        "o_t = o + (1 << t)",
+        (
+            "tests/test_wedge.py::test_packed_generators_decode_to_act_simple",
+            "tests/test_wedge.py::test_commutation_table_matches_sim_check_ops",
+        ),
+    ),
+    (
+        WEDGE,
+        "equal or _proportional(",
+        "equal and table is tables[0] or _proportional(",
+        ("tests/test_wedge.py::test_commutation_tables_cut_only_differing_products_into_powers",),
+    ),
+    (
+        WEDGE,
+        "zip(tables, powers)",
+        "zip(tables, powers[::-1])",
+        ("tests/test_wedge.py::test_commutation_tables_read_each_power_on_its_own_digits",),
+    ),
+    (
+        WEDGE,
+        "table[l, j] = equal or _proportional(_masked(fx, power), _masked(fy, power), width)",
+        "table[l, j] = equal",
+        ("tests/test_wedge.py::test_commutation_tables_read_each_power_on_its_own_digits",),
+    ),
+    (
+        WEDGE,
+        "{o: cut for o, c in terms.items() if (cut := c & mask)}",
+        "{o: c & mask for o, c in terms.items()}",
+        ("tests/test_wedge.py::test_commutation_tables_read_each_power_on_its_own_digits",),
     ),
     (
         WEDGE,

@@ -459,7 +459,7 @@ def test_table_size_refused_before_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a table was built before its size was checked")
 
-    monkeypatch.setattr(wedge, "packed_power", no_work)
+    monkeypatch.setattr(wedge, "packed_powers", no_work)
     monkeypatch.setattr(wedge, "step_masks", no_work)
     monkeypatch.setattr(verify, "build_matrix", no_work)
     monkeypatch.setattr(verify, "packed_matrix", no_work)

@@ -471,6 +471,15 @@ def test_core_leaf_weights_are_the_demazure_character(case):
     assert dict(weights) == demazure_character(family, m, word, coeffs)
 
 
+def test_core_walks_the_empty_word_to_its_highest_element():
+    # the identity's Demazure set is the highest element alone: one leaf,
+    # the empty string, for any columns, the empty set of columns included
+    for family, m, heights in (("A", 2, [1]), ("C", 3, [1, 3, 5]), ("A", 1, [])):
+        strings = []
+        assert walk_word(family, m, (), heights, 8, strings.append) == 1
+        assert strings == [0]
+
+
 def _nice_word_points(m, w):
     """The nice word (1)(2 1)(3 2 1)... of w0 in A_m and the lattice points of
     its string polytope (Littelmann 1998, Sec. 5 and Prop. 1.5), built from

@@ -184,7 +184,7 @@ def test_tables_read_once_per_pass_are_not_memoized():
     # these once per type, rank or power, so a memo would only keep them alive
     once = (degenmap.packed_matrix, degenmap.build_translation, degenmap.fold_index,
             fflv._dyck_digits, rootsys.weight_numerators, wedge.restriction_block,
-            wedge.packed_power, wedge.step_masks)
+            wedge.packed_powers, wedge.step_masks)
     assert [fn.__name__ for fn in once if hasattr(fn, "cache_info")] == []
     # every table check_main reads lives, memo or not, in the module that builds it
     assert "lru_cache" not in (SRC / "verify.py").read_text()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflvstring import crystal, degenmap, rootsys, verify
+from fflvstring import cli, crystal, degenmap, rootsys, verify
 from fflvstring.crystal import string_points
 from fflvstring.degenmap import (
     apply_affine,
@@ -333,6 +333,16 @@ def test_comm_sweep_tests_each_unordered_pair_once(monkeypatch):
     assert comm_sweep(4)[1] == []
     assert len(pairs) == 70
     assert all(l < j for l, j in pairs)
+
+
+def test_comm_sweep_stdout_at_rank_seven(capsys):
+    # the largest rank the default --max-dim admits: both families' tables
+    # at every acting rank up to 7, as the sweep prints them
+    assert cli.main(["verify", "comm", "--max-rank", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b80f3ab01479308a6690752877b96ae07d2d73692fa289dedee6e273d4c613e3"
+    )
 
 
 def test_unimodular_sweep_reads_the_entries_off_the_gates():

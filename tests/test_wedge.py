@@ -37,7 +37,7 @@ from fflvstring.wedge import (
     unfold_dominates,
     wedge_basis,
 )
-from conftest import A2, A3, C2
+from conftest import A2, A3, C2, record_calls
 
 
 def test_act_simple_on_leading_wedge():
@@ -129,16 +129,40 @@ def test_commutation_table_matches_sim_check_ops(family):
 
 
 def test_commutation_tables_build_the_masks_once_and_each_basis_once(monkeypatch):
-    # one call serves every power of a rank: the masks are shared by all of
-    # them, and each power reads its own basis, at the width of length 2
+    # one call serves every power of a rank: one mask build and one basis
+    # pass over the powers 0..rank, both at the width of length 2
     calls = []
-    for name in ("packed_power", "step_masks"):
+    for name in ("packed_powers", "step_masks"):
         real = getattr(wedge, name)
         monkeypatch.setattr(
             wedge, name, lambda *args, name=name, real=real: calls.append((name, *args)) or real(*args)
         )
     assert len(commutation_tables("C", 3)) == 3
-    assert calls == [("step_masks", "C", 3, 6)] + [("packed_power", "C", 3, i, 6) for i in (1, 2, 3)]
+    assert calls == [("step_masks", "C", 3, 6), ("packed_powers", "C", 3, 3, 6)]
+
+
+def test_commutation_tables_cut_only_differing_products_into_powers(monkeypatch):
+    # one product per ordered pair serves every power: C3's commuting pair
+    # (1, 3) has equal products and reads True on all three powers uncut,
+    # the adjacent pairs (1, 2) and (2, 3) are cut once per power and side
+    calls = record_calls(monkeypatch, wedge, "_masked")
+    assert commutation_tables("C", 3) == [{(1, 2): False, (1, 3): True, (2, 3): False}] * 3
+    assert len(calls) == 2 * 3 * 2
+
+
+def test_commutation_tables_read_each_power_on_its_own_digits(monkeypatch):
+    # A2's powers 1 and 2 hold the digits v = 1, 2, 4 and v = 3, 5, 6 (keys
+    # 2v).  Two products that differ, with one ratio 2 on the digits of
+    # power 1 and ratios 1 and 2 on those of power 2: only power 1 has a
+    # shared scalar, and the offset 3 that only fy has holds power 2 alone.
+    # The first two steps build the one-factor images, the next two the
+    # products [1, 2] and [2, 1]
+    w = 6
+    fx = {1: 1 << w | 1 << 2 * w | 1 << 3 * w | 1 << 5 * w, 2: 1 << 4 * w}
+    fy = {1: 2 << w | 2 << 2 * w | 1 << 3 * w | 2 << 5 * w, 2: 2 << 4 * w, 3: 1 << 6 * w}
+    images = iter([{}, {}, fx, fy])
+    monkeypatch.setattr(wedge, "_step", lambda *args: next(images))
+    assert commutation_tables("A", 2) == [{(1, 2): True}, {(1, 2): False}]
 
 
 def test_sim_counterexample_wedge():
@@ -279,21 +303,26 @@ def test_sim_check_ops_outside_the_powers():
 
 @pytest.mark.parametrize("family", ["A", "C"])
 def test_packed_generators_decode_to_act_simple(family):
-    # digit v of the entry at offset o is the coefficient of e_{v+o} in f_j(e_v);
-    # packing act_simple on every basis wedge must give every digit, zeros too,
-    # in the one-factor image that commutation_tables builds
+    # digit v of the entry at offset o is the coefficient of the wedge keyed
+    # 2(v + o) in f_j of the wedge keyed 2v; packing act_simple on every
+    # basis wedge must give every digit, zeros too, in the one-factor image
+    # that commutation_tables builds, on each power and on all at once
     width = 4
     for rank in (1, 2, 3):
         dim = natural_dim(family, rank)
         masks = wedge.step_masks(family, rank, width)
-        for i in range(dim + 1):
-            basis = {0: wedge.packed_power(family, rank, i, width)}
+        bases = wedge.packed_powers(family, rank, dim, width)
+        assert len(bases) == dim + 1
+        for powers in (*([i] for i in range(dim + 1)), range(dim + 1)):
+            basis = {0: sum(bases[i] for i in powers)}
             for j in range(1, rank + 1):
                 expected = {}
-                for t in combinations(range(1, dim + 1), i):
-                    (v,) = wedge_basis(t)
-                    for key, c in act_simple(j, wedge_basis(t), family, rank).items():
-                        expected[key - v] = expected.get(key - v, 0) + (c << width * v)
+                for i in powers:
+                    for t in combinations(range(1, dim + 1), i):
+                        (key,) = wedge_basis(t)
+                        for moved, c in act_simple(j, wedge_basis(t), family, rank).items():
+                            o = (moved - key) // 2
+                            expected[o] = expected.get(o, 0) + (c << width * (key // 2))
                 steps = wedge._steps(j, family, rank)
                 assert wedge._step(basis, steps, masks, width) == expected
         # the rank generators are all there are
