@@ -9,19 +9,18 @@ fix the same twist as all weight pairs of the case.  Only the points are
 built per weight: t_lambda and the pair row of 0 are linear in lambda (but
 for the row's scale entry) and 0 lies in every P(omega_i), so the rows, the
 fundamental images and the walk's step table are cached per type.  A report
-stores only this evidence: its verdict is derived from it, so no report can
-contradict itself.  Grid runs are deterministic: results are ordered by
-case, independent of thread count, and the JSON rendering contains no
-timing data.  The supporting sweeps return the lines the CLI prints and
-a list of their failing cases; ``SWEEPS`` names each with the size of its
-largest table.  Nothing here refuses work: the CLI refuses an oversized
+stores only this evidence, no timing (the CLI times each case itself): its
+verdict is derived from it, so no report can contradict itself.  Grid runs
+are deterministic: results are ordered by case, independent of thread
+count.  The supporting sweeps return the lines the CLI prints and a list of
+their failing cases; ``SWEEPS`` names each with the size of its largest
+table.  Nothing here refuses work: the CLI refuses an oversized
 weight, matrix or table before it calls this module.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -74,7 +73,6 @@ class VerificationReport:
     extra_total: int
     weight_twist: WeightTwist | None
     twist_witness: tuple | None
-    elapsed: float
 
     @property
     def equal(self) -> bool:
@@ -89,7 +87,7 @@ class VerificationReport:
         return "ok" if ok else "failed"
 
     def to_dict(self) -> dict:
-        """JSON-stable rendering; excludes the elapsed time on purpose."""
+        """JSON-stable rendering of every field."""
         twist = None
         if self.weight_twist is not None:
             twist = {
@@ -144,7 +142,6 @@ def check_main(
     instead of raising the nonnegativity gate.  Every case runs to the end; a
     caller that must bound the work checks ``weyl_dim`` first, as the CLI does.
     """
-    start = time.perf_counter()
     w = check_dominant(lt, weight)
 
     trusted = matrix is None
@@ -185,7 +182,6 @@ def check_main(
         extra_total=len(extra),
         weight_twist=twist,
         twist_witness=witness,
-        elapsed=time.perf_counter() - start,
     )
 
 

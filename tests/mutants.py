@@ -30,6 +30,7 @@ CLI = "src/fflvstring/cli.py"
 CRYSTAL = "src/fflvstring/crystal.py"
 DEGENMAP = "src/fflvstring/degenmap.py"
 FFLV = "src/fflvstring/fflv.py"
+ORACLES = "tests/oracles.py"
 ROOTSYS = "src/fflvstring/rootsys.py"
 VERIFY = "src/fflvstring/verify.py"
 WEDGE = "src/fflvstring/wedge.py"
@@ -160,7 +161,7 @@ MUTANTS = [
         "bit % width for bit in range(elem.bit_length())",
         (
             "tests/test_crystal.py::test_signature_table_matches_letter_scan",
-            "tests/test_crystal.py::test_demazure_set_rank2_fundamental",
+            "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
     # its key scan reading the highest bit first
@@ -193,7 +194,7 @@ MUTANTS = [
         "            if deltas is None:\n                break\n",
         "            if deltas is None:\n                deltas = ()\n",
         (
-            "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
@@ -202,7 +203,7 @@ MUTANTS = [
         "            for delta in deltas:\n                child ^= delta\n",
         "            for delta in deltas[:-1]:\n                child ^= delta\n",
         (
-            "tests/test_crystal.py::test_demazure_dimension_gate",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
             "tests/test_crystal.py::test_string_round_trip",
         ),
     ),
@@ -211,7 +212,7 @@ MUTANTS = [
         "    if leaves != (expected := weyl_dim(lt, w)):\n",
         "    if False:\n",
         (
-            "tests/test_crystal.py::test_closure_order_gate",
+            "tests/test_crystal.py::test_walk_given_a_wrong_count_raises",
             "tests/test_crystal.py::test_per_letter_count_gate",
         ),
     ),
@@ -220,9 +221,9 @@ MUTANTS = [
         "        for k, j in enumerate(reversed(word))\n",
         "        for k, j in enumerate(word)\n",
         (
-            "tests/test_crystal.py::test_demazure_dimension_gate",
             "tests/test_crystal.py::test_string_round_trip",
             "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
+            "tests/test_crystal.py::test_core_strings_of_the_nice_word_are_littelmanns_polytope",
         ),
     ),
     (
@@ -230,7 +231,7 @@ MUTANTS = [
         "                take(s)\n                for _ in deltas:\n",
         "                for _ in deltas:\n",
         (
-            "tests/test_crystal.py::test_string_points_examples",
+            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
             "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
             "tests/test_crystal.py::test_core_strings_of_the_nice_word_are_littelmanns_polytope",
         ),
@@ -239,10 +240,7 @@ MUTANTS = [
         CRYSTAL,
         "            letters, table = tables[j]\n",
         "            letters, table = tables[reduced_word(lt)[-k - 2]]\n",
-        (
-            "tests/test_crystal.py::test_demazure_set_rank2_fundamental",
-            "tests/test_crystal.py::test_string_round_trip",
-        ),
+        ("tests/test_crystal.py::test_string_round_trip",),
     ),
     # criterion 07 read off the grid: a per-weight translation (the walk of
     # build_translation) off by one only on non-fundamental weights
@@ -404,9 +402,11 @@ MUTANTS = [
         CLI,
         "    reports = []\n"
         "    for w in dominant_weights(lt.rank, args.max_level):\n"
+        "        start = time.perf_counter()\n"
         "        reports.append(rep := check_main(lt, w))\n",
         "    reports = [check_main(lt, w) for w in dominant_weights(lt.rank, args.max_level)]\n"
-        "    for rep in reports:\n",
+        "    for rep in reports:\n"
+        "        start = time.perf_counter()\n",
         ("tests/test_cli.py::test_verify_main_prints_each_case_as_it_finishes",),
     ),
     # the pruned walk of the type-A oracle
@@ -945,6 +945,36 @@ MUTANTS = [
         (
             "tests/test_acceptance.py::test_summed_translation_is_the_per_weight_walk",
             "tests/test_verify.py::test_report_json_digest_fixture",
+        ),
+    ),
+    # criterion 11: the oracle's Demazure operators applied first letter
+    # first, or with no terms for <mu, alpha_j^vee> <= -2, and a twist read
+    # off with a zero shift
+    (
+        ORACLES,
+        "    for j in reversed(word):\n        out: dict",
+        "    for j in word:\n        out: dict",
+        (
+            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
+        ),
+    ),
+    (
+        ORACLES,
+        "(-1, range(n + 1, 0))",
+        "(-1, ())",
+        (
+            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
+            "tests/test_crystal.py::test_core_leaf_weights_are_the_demazure_character",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "    shift = tuple(row[m] for row in sol)\n",
+        "    shift = tuple(_ZERO for row in sol)\n",
+        (
+            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
+            "tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",
         ),
     ),
 ]

@@ -3,9 +3,10 @@
 Dimension counts by two routes: triangular-pattern enumeration for family A
 and Freudenthal's multiplicity recursion for both families.  Reducedness of
 a word by the root criterion, and Demazure characters by Demazure's
-operators, both on the same root data.  The paper's label formulas for the
-linear part and the fundamental translations of the affine map, which read
-only the label order of ``build_labels``.  The linear part for any word and
+operators, both on the same root data, with a reduced word of the longest
+element and the simple-root coordinates of a weight.  The paper's label
+formulas for the linear part and the fundamental translations of the affine
+map, which read only the label order of ``build_labels``.  The linear part for any word and
 Cartan matrix, by back substitution.  The weight twist by Gauss-Jordan
 elimination on the whole system.  Everything is exact integer or
 ``Fraction`` arithmetic.
@@ -179,6 +180,21 @@ def demazure_character(family: str, rank: int, word, coeffs) -> dict[tuple[int, 
                 out[key] = out.get(key, 0) + sign * mult
         char = {c: mult for c, mult in out.items() if mult}
     return char
+
+
+def longest_word(family: str, rank: int) -> tuple[int, ...]:
+    """A reduced word of w0: (1)(2 1)(3 2 1)... in type A, and in type C
+    (1 ... n)^n, the Coxeter element to the power h / 2 = n."""
+    if family == "A":
+        return tuple(j for k in range(1, rank + 1) for j in range(k, 0, -1))
+    return tuple(range(1, rank + 1)) * rank
+
+
+def root_coordinates(family: str, rank: int, coeffs) -> tuple[Fraction, ...]:
+    """sum_k coeffs[k-1] omega_k in simple-root coordinates: the x with
+    sum_j cartan[i][j] x_j = coeffs[i] for every i, by Gauss-Jordan."""
+    _, (x,) = _gauss_jordan(cartan(family, rank), [(c,) for c in coeffs])
+    return tuple(x)
 
 
 def _column_key(lab, n: int) -> int:

@@ -6,6 +6,10 @@ per-criterion lines.
 """
 
 import time
+from collections import Counter
+from itertools import chain
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -30,6 +34,7 @@ from fflvstring.rootsys import (
     letter_histogram,
     pack,
     reduced_word,
+    string_weight,
     vector_from_labels,
     weight_denominator,
 )
@@ -43,16 +48,34 @@ from fflvstring.verify import (
 )
 from fflvstring.wedge import restriction_block, unfold_dominates
 from conftest import A2, A3, C2, C3
-from oracles import label_matrix, label_translation
+from oracles import (
+    demazure_character,
+    label_matrix,
+    label_translation,
+    longest_word,
+    root_coordinates,
+)
 
 A_GRID = [(LieType("A", n), 3) for n in range(1, 5)] + [(LieType("A", n), 2) for n in (5, 6)]
 C_GRID = [(LieType("C", n), 2) for n in (2, 3, 4)]
 
 
 @pytest.fixture(scope="module")
-def grid():
-    """One serial run of the whole grid, shared by criteria 01, 02, 07, 08, 09 and 10."""
-    return run_grid(A_GRID + C_GRID)
+def timed_grid():
+    """One serial run of the whole grid, family by family: the reports and
+    the seconds each family took."""
+    reports, seconds = [], {}
+    for family, cases in (("A", A_GRID), ("C", C_GRID)):
+        start = time.perf_counter()
+        reports += run_grid(cases)
+        seconds[family] = time.perf_counter() - start
+    return reports, seconds
+
+
+@pytest.fixture(scope="module")
+def grid(timed_grid):
+    """The grid's reports, shared by criteria 01, 02 and 07 to 11."""
+    return timed_grid[0]
 
 
 def record(num: int, title: str, ok: bool, detail: str = "") -> None:
@@ -62,28 +85,30 @@ def record(num: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {title} {suffix}"
 
 
-def test_criterion_01_main_theorem_type_a(grid):
+def test_criterion_01_main_theorem_type_a(timed_grid):
+    grid, seconds = timed_grid
     reports = [r for r in grid if r.family == "A"]
-    elapsed = sum(r.elapsed for r in reports)
+    elapsed = seconds["A"]
     ok = all_passed(reports) and all(
         r.equal and r.fflv_count == r.string_count == r.weyl_dim for r in reports
     )
     spot = next(r for r in reports if (r.rank, r.weight) == (3, (1, 1, 1)))
     ok = ok and spot.fflv_count == 64
     ok = ok and elapsed < 300
-    record(1, "main theorem, type A", ok, f"{len(reports)} cases, {elapsed:.1f}s")
+    record(1, "main theorem, type A", ok, f"{len(reports)} cases, {elapsed:.3f}s")
 
 
-def test_criterion_02_main_theorem_type_c(grid):
+def test_criterion_02_main_theorem_type_c(timed_grid):
+    grid, seconds = timed_grid
     reports = [r for r in grid if r.family == "C"]
-    elapsed = sum(r.elapsed for r in reports)
+    elapsed = seconds["C"]
     ok = all_passed(reports) and all(
         r.equal and r.fflv_count == r.string_count == r.weyl_dim for r in reports
     )
     by_case = {(r.rank, r.weight): r.fflv_count for r in reports}
     ok = ok and by_case[(2, (0, 1))] == 5 and by_case[(3, (0, 1, 0))] == 14
     ok = ok and elapsed < 300
-    record(2, "main theorem, type C", ok, f"{len(reports)} cases, {elapsed:.1f}s")
+    record(2, "main theorem, type C", ok, f"{len(reports)} cases, {elapsed:.3f}s")
 
 
 def test_criterion_03_unimodularity():
@@ -297,3 +322,38 @@ def test_criterion_10_determinism(grid):
     threaded = reports_to_json(run_grid(A_GRID + C_GRID, threads=4))
     ok = first == second == threaded
     record(10, "byte-identical reports across runs and thread counts", ok)
+
+
+def _characters_agree(r) -> bool:
+    """Criterion 11 on one report.  Demazure's character formula fixes the
+    weights of both sides with no crystal and no polytope: (a) the string
+    points' weights are D_{i_1} ... D_{i_N}(e^lambda~) along the reduced
+    word at the lifted weight, and (b) the printed twist pushes that
+    character onto ch V(lambda) = D_{w0}(e^lambda).  Both are keyed by
+    lambda - mu in simple-root coordinates, so the source weight lambda - d
+    = M (lambda~ - c) + s reads d = off + M c, in integers over the lcm of
+    the twist's denominators."""
+    lt, w, twist = LieType(r.family, r.rank), r.weight, r.weight_twist
+    lifted = tuple(x for a in w for x in (a, 0))[:-1]
+    top = root_coordinates(lt.family, lt.target_rank, lifted)
+    demazure = demazure_character(lt.family, lt.target_rank, reduced_word(lt), lifted)
+    weights = Counter(
+        tuple(t - x for t, x in zip(top, string_weight(lt, w, q))) for q in string_points(lt, w)
+    )
+    if weights != demazure or twist is None:
+        return False
+    source = root_coordinates(lt.family, lt.rank, w)
+    off = [y - sum(map(mul, row, top)) - s for y, row, s in zip(source, twist.matrix, twist.shift)]
+    scale = lcm(*(x.denominator for x in chain(off, *twist.matrix)))
+    rows = [(int(scale * o), [int(scale * x) for x in row]) for o, row in zip(off, twist.matrix)]
+    pushed = Counter()
+    for c, mult in demazure.items():
+        pushed[tuple(o + sum(map(mul, row, c)) for o, row in rows)] += mult
+    weyl = demazure_character(lt.family, lt.rank, longest_word(lt.family, lt.rank), w)
+    return pushed == {tuple(scale * x for x in d): mult for d, mult in weyl.items()}
+
+
+def test_criterion_11_demazure_characters(grid):
+    failing = sum(not _characters_agree(r) for r in grid)
+    record(11, "Demazure characters of the string points and the printed twist",
+           failing == 0, f"{len(grid)} cases, {failing} failing")

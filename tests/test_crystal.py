@@ -1,7 +1,6 @@
 """Letter moves, the bracketing rule, the Demazure walk and string extraction."""
 
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from fflvstring.crystal import (
     LOWER,
-    RAISE,
     _decode,
     _key_signature,
     _signature_tables,
@@ -25,21 +23,16 @@ from fflvstring.degenmap import build_translation
 from fflvstring.errors import VerificationError
 from fflvstring.rootsys import (
     LieType,
-    base_weights,
     dominant_weights,
-    fundamental_weight,
-    lifted_coeffs,
     natural_dim,
     pack,
     pack_width,
     reduced_word,
-    string_weight,
     unpack,
-    weight_denominator,
     weyl_dim,
 )
 from conftest import A2, A3, C2, C3, traced_memory
-from oracles import cartan, demazure_character, word_is_reduced
+from oracles import cartan, demazure_character, longest_word, word_is_reduced
 
 
 def build_highest(lt, w):
@@ -62,12 +55,13 @@ def _walked(lt, w, b):
 
 
 def _strings(lt, w):
-    """The Demazure set as tensor words, each with its string extracted by
-    the letter-level reference; those strings are exactly the walk's."""
+    """The Demazure set as tensor words, sorted and distinct, each with its
+    string extracted by the letter-level reference; those strings are
+    exactly the walk's."""
     words, word = demazure_set(lt, w), reduced_word(lt)
     table, top = letter_classes(lt.family, lt.target_rank), build_highest(lt, w)
     pairs = {b: extract_string(table, b, word, top) for b in words}
-    assert len(pairs) == len(words) and sorted(pairs.values()) == list(string_points(lt, w))
+    assert list(words) == sorted(pairs) and sorted(pairs.values()) == list(string_points(lt, w))
     return pairs
 
 
@@ -92,92 +86,6 @@ def _letters(vc):
     return range(1, natural_dim(*vc) + 1)
 
 
-def _moved_letters(vc, j):
-    """Letters the class table marks as moved by f_j; each one's successor
-    must be marked as moved back by e_j, and no other letter may be marked."""
-    row = letter_classes(*vc)[j]
-    lowered = tuple(k for k in _letters(vc) if row[k] == LOWER)
-    raised = tuple(k for k in _letters(vc) if row[k] == RAISE)
-    assert raised == tuple(k + 1 for k in lowered)
-    assert len(row) == len(_letters(vc)) + 1
-    return lowered
-
-
-def test_vector_crystal_a():
-    vc = ("A", 3)
-    assert len(_letters(vc)) == 4
-    for j in range(1, 4):
-        assert _moved_letters(vc, j) == (j,)
-        for k in _letters(vc):
-            assert _lower(vc, j, k) == (k + 1 if k == j else None)
-            assert _raise(vc, j, k) == (k - 1 if k == j + 1 else None)
-
-
-def test_vector_crystal_c():
-    m = 3
-    vc = ("C", m)
-    assert len(_letters(vc)) == 2 * m
-    # long operator: m -> m-bar
-    assert _lower(vc, m, m) == m + 1
-    assert _moved_letters(vc, m) == (m,)
-    # short operators move j and (j+1)-bar
-    for j in range(1, m):
-        assert _lower(vc, j, j) == j + 1
-        assert _lower(vc, j, 2 * m - j) == 2 * m - j + 1
-        moved = tuple(k for k in _letters(vc) if _lower(vc, j, k) is not None)
-        assert moved == _moved_letters(vc, j) == (j, 2 * m - j)
-        # raising is the exact inverse
-        assert _raise(vc, j, 2 * m - j + 1) == 2 * m - j
-
-
-def test_vector_crystal_c1_degenerates_to_a1():
-    vc = ("C", 1)
-    assert len(_letters(vc)) == 2
-    assert _lower(vc, 1, 1) == 2 and _lower(vc, 1, 2) is None
-    assert letter_classes("C", 1) == letter_classes("A", 1)
-
-
-def test_tensor_rule_examples():
-    vc = ("A", 3)
-    assert _ref_step(vc, 2, (1, 2), lower=True) == (1, 3)
-    # raising kills a highest-weight word
-    assert _is_highest(vc, (1, 2))
-    # partial inverse property
-    for word in [(1, 2), (1, 1), (2, 1), (1, 2, 3)]:
-        for j in range(1, 4):
-            low = _ref_step(vc, j, word, lower=True)
-            if low is not None:
-                assert _ref_step(vc, j, low, lower=False) == word
-
-
-def test_build_highest():
-    assert build_highest(A3, (0, 1, 0)) == (1, 2, 3)
-    assert build_highest(A2, (0, 0)) == ()
-    assert build_highest(A2, (1, 1)) == (1, 1, 2, 3)
-    assert _is_highest(("A", 3), build_highest(A2, (1, 1)))
-    # the walk starts at the packed highest word, whose length sets its width
-    assert build_highest(A2, (1, 1)) in demazure_set(A2, (1, 1))
-    for w in dominant_weights(3, 3):
-        assert letter_count(w) == len(build_highest(A3, w))
-
-
-def test_demazure_set_rank2_fundamental():
-    assert demazure_set(A2, (1, 0)) == ((1,), (2,), (3,))
-
-
-def test_demazure_set_trivial_weight():
-    assert demazure_set(A2, (0, 0)) == ((),)
-
-
-@pytest.mark.parametrize(
-    "family,rank,level", [("A", 2, 2), ("A", 3, 2), ("C", 2, 2), ("C", 3, 1)]
-)
-def test_demazure_dimension_gate(family, rank, level):
-    lt = LieType(family, rank)
-    for w in dominant_weights(rank, level):
-        assert len(demazure_set(lt, w)) == weyl_dim(lt, w)
-
-
 def test_extract_string_examples():
     table = letter_classes("A", 3)
     word = reduced_word(A2)
@@ -196,30 +104,6 @@ def test_extract_string_rejects_foreign_element():
     with pytest.raises(VerificationError) as info:
         extract_string(table, (), (2, 3, 1), (1,))
     assert info.value.gate == "crystal.highest_weight"
-
-
-def test_string_points_examples():
-    assert string_points(A2, (1, 0)) == ((0, 0, 0), (0, 0, 1), (1, 0, 1))
-    assert string_points(A2, (0, 0)) == ((0, 0, 0),)
-    pts = string_points(A3, (0, 1, 0))
-    assert len(pts) == 6
-    assert all(set(p) <= {0, 1} for p in pts)
-
-
-@pytest.mark.parametrize("rank", range(1, 5))
-def test_support_restriction_type_a(rank):
-    # fundamental string points vanish outside the block row <= i <= col
-    from fflvstring.rootsys import build_labels
-
-    lt = LieType("A", rank)
-    labels = build_labels(lt)
-    for i in range(1, rank + 1):
-        block = {k for k, lab in enumerate(labels) if lab.row <= i <= lab.col}
-        for p in string_points(lt, fundamental_weight(lt.rank, i)):
-            assert set(p) <= {0, 1}
-            for k, x in enumerate(p):
-                if k not in block:
-                    assert x == 0
 
 
 @pytest.mark.parametrize(
@@ -249,43 +133,6 @@ def test_string_round_trip(family, rank, level):
             assert x == b
 
 
-def _letter_weight(lt, w, b):
-    """Letter-count reference for ``string_weight``: the weight of tensor word b.
-
-    The defect of b against the highest word lies in the root lattice and
-    converts exactly to simple-root coordinates of the companion lattice.
-    """
-    m = lt.target_rank
-    size = m + 1 if lt.family == "A" else m
-    top, wt = [0] * size, [0] * size
-    for k, a in enumerate(lifted_coeffs(lt, w), start=1):
-        for t in range(k):
-            top[t] += a
-    for letter in b:
-        if letter <= size:
-            wt[letter - 1] += 1
-        else:  # family C: letter 2m+1-i reads i-bar
-            wt[2 * m - letter] -= 1
-    delta = [x - y for x, y in zip(top, wt)]
-    if lt.family == "A":
-        roots = [Fraction(sum(delta[:k])) for k in range(1, m + 1)]
-    else:
-        roots = [Fraction(sum(delta[:k])) for k in range(1, m)]
-        roots.append(Fraction(sum(delta), 2))
-    d = weight_denominator(lt)
-    return tuple(Fraction(y, d) - r for y, r in zip(base_weights(lt, w)[1], roots))
-
-
-@pytest.mark.parametrize(
-    "family,rank,level", [("A", 2, 2), ("A", 3, 1), ("C", 2, 2), ("C", 3, 1)]
-)
-def test_string_weight_matches_letter_counts(family, rank, level):
-    lt = LieType(family, rank)
-    for w in dominant_weights(rank, level):
-        for b, q in _strings(lt, w).items():
-            assert string_weight(lt, w, q) == _letter_weight(lt, w, b)
-
-
 @pytest.mark.parametrize(
     "family,rank,level", [("A", 2, 2), ("A", 3, 1), ("C", 2, 1), ("C", 3, 1)]
 )
@@ -303,46 +150,6 @@ def test_extremal_element_extracts_to_translation(family, rank, level):
         assert q == build_translation(lt, w)
 
 
-def test_minkowski_containment_string_side():
-    for lt, grid_level in ((A2, 1), (C2, 1)):
-        grid = list(dominant_weights(lt.rank, grid_level))
-        for w1 in grid:
-            for w2 in grid:
-                total = tuple(a + b for a, b in zip(w1, w2))
-                big = set(string_points(lt, total))
-                for p in string_points(lt, w1):
-                    for q in string_points(lt, w2):
-                        assert tuple(x + y for x, y in zip(p, q)) in big
-
-
-def _saturate(vc, top, order):
-    """Closure of {top} under f_j^k for j in ``order``, one step at a time."""
-    current = {top}
-    for j in order:
-        grown = set(current)
-        for b in current:
-            x = b
-            while (x := _ref_step(vc, j, x, lower=True)) is not None:
-                grown.add(x)
-        current = grown
-    return current
-
-
-def test_closure_order_gate(monkeypatch, fresh_walk_steps):
-    # saturating right to left along the word passes; the forward
-    # composition loses an element of (A,2) omega_1, and so does the walk
-    # run forward, which the dimension gate catches
-    vc = ("A", 3)
-    word = reduced_word(A2)
-    top = build_highest(A2, (1, 0))
-    assert _saturate(vc, top, reversed(word)) == set(demazure_set(A2, (1, 0)))
-    assert len(_saturate(vc, top, word)) == 2
-    monkeypatch.setattr("fflvstring.crystal.reduced_word", lambda lt: word[::-1])
-    with pytest.raises(VerificationError, match="closure has 2 elements, expected 3") as info:
-        demazure_set(A2, (1, 0))
-    assert info.value.gate == "crystal.demazure_dimension"
-
-
 @pytest.mark.parametrize(
     "family,rank,level",
     [("A", 1, 3), ("A", 2, 3), ("A", 3, 3), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)],
@@ -350,25 +157,13 @@ def test_closure_order_gate(monkeypatch, fresh_walk_steps):
 def test_sorted_packed_strings_decode_in_lex_order(family, rank, level):
     lt = LieType(family, rank)
     for w in dominant_weights(rank, level):
-        b = pack_width(len(build_highest(lt, w)))
+        # the width holds the letter count, the most that f_j^k can lower
+        assert letter_count(w) == len(build_highest(lt, w))
+        b = pack_width(letter_count(w))
         packed = sorted(_walked(lt, w, b))
         vecs = unpack(packed, len(reduced_word(lt)), b)
         assert vecs == sorted(vecs) and len(set(vecs)) == len(vecs)
         assert [pack(v, b) for v in vecs] == packed
-
-
-def test_signature_convention_gate():
-    # a right-to-left bracketing scan is the left-to-right scan of the
-    # mirrored word; it breaks the highest-weight property of the
-    # multi-column word and with it the dimension gate
-    vc = ("A", 3)
-    order = tuple(reversed(reduced_word(A2)))
-    top = build_highest(A2, (1, 1))
-    mirrored = top[::-1]
-    assert len(demazure_set(A2, (1, 1))) == weyl_dim(A2, (1, 1)) == 8
-    assert _is_highest(vc, top)
-    assert not _is_highest(vc, mirrored)
-    assert len(_saturate(vc, mirrored, order)) == 18
 
 
 def _descending_key_signature(row, key, width):
@@ -485,7 +280,7 @@ def _nice_word_points(m, w):
     its string polytope (Littelmann 1998, Sec. 5 and Prop. 1.5), built from
     the last entry: each block nonincreasing and >= 0, and t_k <= <lambda,
     alpha_{i_k}^vee> - sum_{l>k} t_l <alpha_{i_l}, alpha_{i_k}^vee>."""
-    word = tuple(j for k in range(1, m + 1) for j in range(k, 0, -1))
+    word = longest_word("A", m)
     a, points = cartan("A", m), [()]
     for k in reversed(range(len(word))):
         i, rest = word[k], word[k + 1 :]
@@ -535,11 +330,6 @@ def _ref_step(vc, j, word, lower):
     pos = minus[0] if lower else plus[-1]
     new = _lower(vc, j, word[pos]) if lower else _raise(vc, j, word[pos])
     return word[:pos] + (new,) + word[pos + 1 :]
-
-
-def _is_highest(vc, word):
-    """Reference: every raising operator kills the word."""
-    return all(_ref_step(vc, j, word, lower=False) is None for j in range(1, vc[1] + 1))
 
 
 def _moved(word, positions, step):

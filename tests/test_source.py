@@ -109,6 +109,21 @@ def test_degenmap_imports_no_label_formula_helpers():
     assert found == []
 
 
+def test_oracles_share_no_code_with_the_package():
+    # an oracle that calls what it checks checks nothing: the only name
+    # tests/oracles.py reads from the package is the label order that the
+    # paper's label formulas are written in
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    found = [
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "fflvstring" in f"{getattr(node, 'module', '')} {alias.name}"
+    ]
+    assert found == [("fflvstring.rootsys", "build_labels")]
+
+
 def test_a_cli_leaf_is_its_table_entry():
     # each sweep and its size bound live in verify, and each leaf is its
     # LEAVES entry: main runs the entry's handler and reads no command name

@@ -163,7 +163,7 @@ def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
     # are keyed on tuples of tuples
     mat = corrupted_matrix(A3)
     rep = check_main(A3, (1, 1, 0), matrix=[list(row) for row in mat])
-    assert rep == replace(check_main(A3, (1, 1, 0), matrix=mat), elapsed=rep.elapsed)
+    assert rep == check_main(A3, (1, 1, 0), matrix=mat)
     assert degenmap.support_basis.cache_info().currsize == 1
 
 
