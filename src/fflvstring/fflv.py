@@ -3,11 +3,16 @@
 Fundamental sets are produced by direct enumeration of the defining chains
 (rows strictly decreasing below i, columns strictly increasing above i in the
 column order), general weights by pointwise Minkowski sums of the fundamental
-sets.  Both constructions are gated on the Weyl dimension: a cardinality
-mismatch is a hard failure, never silently accepted.  The type-A cross-check
-against the Dyck path inequalities fills the bounding box depth first, with
-every path's slack one digit of a single packed int.  The fold between
-types, and its section, live in ``degenmap``.
+sets.  Two builders run the sum, one per consumer: ``packed_sum`` returns a
+set, since ``check_main``'s walk needs membership, and ``packed_points``
+returns the sorted list a point document needs, merged from sorted runs
+without hashing.  From the first copy of a fundamental set that less than
+doubles the sum on, both hand the rest of its copies to ``_frontier``.  The
+fundamental sets and the documents' sum are gated on the Weyl dimension: a
+cardinality mismatch is a hard failure, never silently accepted.  The
+type-A cross-check against the Dyck path inequalities fills the bounding
+box depth first, with every path's slack one digit of a single packed int.
+The fold between types, and its section, live in ``degenmap``.
 """
 
 from __future__ import annotations
@@ -80,24 +85,45 @@ def fundamental_images(lt: LieType, i: int, mat, b: int) -> tuple[int, ...]:
     return tuple(sum(c for c, x in zip(columns, p) if x) for p in fundamental_points(lt, i))
 
 
+def _frontier(current: set[int], previous, step: tuple[int, ...], copies: int) -> set[int]:
+    """The sum ``current`` = S_k, of which ``previous`` holds S_(k-1), plus
+    ``copies`` more copies of ``step``, grown in place.  S_(k-1) + step is
+    S_k, so S_(k+1) = S_k | ((S_k - S_(k-1)) + step): each copy expands only
+    the points the one before added."""
+    fresh = current.difference(previous)
+    for _ in range(copies):
+        grown = {x + y for x in fresh for y in step}
+        fresh = grown.difference(current)
+        current |= fresh
+    return current
+
+
 def packed_sum(lt: LieType, w: tuple[int, ...], start: int, mat, b: int) -> set[int]:
     """``start`` plus a_i copies of each ``fundamental_images``, one int add
-    per Minkowski pair.  Each image set holds 0, the empty chain's image, so
-    the sums S_k of one coefficient's copies grow, and S_(k+1) = S_k |
-    ((S_k - S_(k-1)) + step): once a copy has less than doubled the sum,
-    each later copy expands only the points the one before added."""
+    per Minkowski pair, as a set: ``check_main``'s walk needs membership.
+    Each image set holds 0, the empty chain's image, so the sums of one
+    coefficient's copies grow; from the first copy that less than doubles
+    the sum on, ``_frontier`` adds the rest."""
     current = {start}
     for i, a in enumerate(w, start=1):
         step = fundamental_images(lt, i, mat, b) if a else ()
-        fresh = current
-        for _ in range(a):
-            grown = {x + y for x in fresh for y in step}
-            if fresh is current and 2 * len(current) <= len(grown):
-                fresh = current = grown
-            else:
-                fresh = grown.difference(current)
-                current |= fresh
+        for k in range(a):
+            grown = {x + y for x in current for y in step}
+            if k + 1 < a and 2 * len(current) > len(grown):
+                current = _frontier(grown, current, step, a - k - 1)
+                break
+            current = grown
     return current
+
+
+def _add_copy(pts: list[int], step: tuple[int, ...]) -> list[int]:
+    """The sums of the strictly ascending ``pts`` and ``step``, strictly
+    ascending: each image y gives the ascending run pts + y, one sort merges
+    the |step| runs in O(n log |step|), and one pass drops the adjacent
+    duplicates."""
+    runs = [x + y for y in step for x in pts]
+    runs.sort()
+    return [x for x, y in zip(runs, runs[1:]) if x != y] + runs[-1:]
 
 
 def packed_points(lt: LieType, weight: tuple[int, ...]) -> tuple[list[int], int, int]:
@@ -105,13 +131,25 @@ def packed_points(lt: LieType, weight: tuple[int, ...]) -> tuple[list[int], int,
 
     The coefficient a_i contributes a_i pointwise copies of the i-th
     fundamental set, summed packed at the width ``pack_width`` gives the
-    level, which bounds every coordinate.  The result must have exactly the
-    Weyl dimension many points; a mismatch would falsify the lattice-level
-    Minkowski identity and raises immediately.
+    level, which bounds every coordinate.  A document needs the points in
+    order, so while a copy at least doubles the sum, ``_add_copy`` merges it
+    as sorted runs; from the first copy that less than doubles it on,
+    ``_frontier`` adds the rest of the coefficient's copies, and one sort
+    follows.  The result must have exactly the Weyl dimension many points;
+    a mismatch would falsify the lattice-level Minkowski identity and raises
+    immediately.
     """
     w = check_dominant(lt, weight)
     n, b = len(build_labels(lt)), pack_width(sum(w))
-    pts = sorted(packed_sum(lt, w, 0, None, b))
+    pts = [0]
+    for i, a in enumerate(w, start=1):
+        step = fundamental_images(lt, i, None, b) if a else ()
+        for k in range(a):
+            grown = _add_copy(pts, step)
+            if k + 1 < a and 2 * len(pts) > len(grown):
+                pts = sorted(_frontier(set(grown), pts, step, a - k - 1))
+                break
+            pts = grown
     expected = weyl_dim(lt, w)
     if len(pts) != expected:
         raise VerificationError(

@@ -257,8 +257,8 @@ MUTANTS = [
     ),
     (
         FFLV,
-        "        for _ in range(a):\n",
-        "        for _ in range(a - 1 or 1):\n",
+        "        for k in range(a):\n            grown = {",
+        "        for k in range(a - 1 or 1):\n            grown = {",
         ("tests/test_acceptance.py::test_criterion_07_minkowski_containments",),
     ),
     # the packed images of the commutation tables
@@ -720,12 +720,36 @@ MUTANTS = [
     ),
     (
         FFLV,
-        "                current |= fresh\n",
-        "                current = fresh\n",
+        "        current |= fresh\n",
+        "        current = fresh\n",
         (
             "tests/test_fflv.py::test_packed_sum_is_the_copy_by_copy_sum",
             "tests/test_cli.py::test_document_at_the_byte_width_boundary",
         ),
+    ),
+    # the documents' sorted runs: the largest sum of a copy dropped by the
+    # dedup pass, a frontier phase's points left out of the sort after it,
+    # and a frontier phase's set handed unsorted to the next coefficient
+    (
+        FFLV,
+        "if x != y] + runs[-1:]",
+        "if x != y]",
+        ("tests/test_fflv.py::test_packed_sum_is_the_copy_by_copy_sum",),
+    ),
+    (
+        FFLV,
+        "pts = sorted(_frontier(set(grown), pts, step, a - k - 1))",
+        "pts = sorted(grown)",
+        (
+            "tests/test_fflv.py::test_packed_sum_is_the_copy_by_copy_sum",
+            "tests/test_fflv.py::test_every_copy_merges_into_a_sorted_sum",
+        ),
+    ),
+    (
+        FFLV,
+        "pts = sorted(_frontier(set(grown), pts, step, a - k - 1))",
+        "pts = list(_frontier(set(grown), pts, step, a - k - 1))",
+        ("tests/test_fflv.py::test_every_copy_merges_into_a_sorted_sum",),
     ),
     # the fold sweep: the target walked at the source's lanes shifted by one,
     # and the source read as a prefix instead of folded by fold_vector

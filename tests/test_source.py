@@ -249,6 +249,19 @@ def test_only_the_walk_core_reads_the_step_table():
     assert calls and all(any(call is value for value in fills) for call in calls)
 
 
+def test_only_the_frontier_helper_holds_the_frontier_loop():
+    # S_(k+1) = S_k | ((S_k - S_(k-1)) + step) is stated once: no other fflv
+    # function takes a set difference or grows a set in place, and both
+    # builders, the set and the sorted runs, call the one that does
+    tree = ast.parse((SRC / "fflv.py").read_text())
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    grows = [n.name for n in defs if "difference" in _called(n) or any(
+        isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+        and isinstance(node.target, ast.Name) for node in ast.walk(n))]
+    assert grows == ["_frontier"]
+    assert [n.name for n in defs if "_frontier" in _called(n)] == ["packed_sum", "packed_points"]
+
+
 def test_build_matrix_walks_once_per_type(monkeypatch):
     # one walk over packed places returns every row of -R^{-1}, so the
     # number of walks does not grow with the number of columns
