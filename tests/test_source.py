@@ -349,7 +349,8 @@ def test_benchmark_replay_parameters_pinned():
 def test_twist_memos_are_package_caches_the_benchmark_clears():
     # perfbench's clear_caches empties every functools.lru_cache that a
     # package module defines, found by scanning the module's names
-    memos = (degenmap.label_rows, degenmap.support_basis)
+    memos = (degenmap.label_rows, degenmap.support_basis, degenmap.matrix_row_sum,
+             degenmap._fraction)
     found = {
         value
         for module in (importlib.import_module(f"fflvstring.{info.name}")

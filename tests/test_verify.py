@@ -107,24 +107,30 @@ def test_report_lists_ten_witnesses_per_direction():
     assert len(rep.to_dict()["missing"]) == len(rep.to_dict()["extra"]) == 10
 
 
-def test_check_main_builds_fractions_only_in_the_twist_read_off(monkeypatch):
+def test_check_main_builds_fractions_only_in_the_twist_read_off(
+    monkeypatch, fresh_twist_memos
+):
     # the weight rows are integers over weight_denominator(lt); the only
-    # Fractions of a passing case are the entries of the twist, built where
-    # degenmap reads the twist off its basis
+    # Fractions of a passing case are the entries of the twist, built by the
+    # table degenmap reads the twist off its basis through, and that table
+    # is read nowhere else
     callers = []
     new = Fraction.__new__
 
-    def recording(cls, *args, **kwargs):
-        frame = sys._getframe(1)
+    def named(frame):
         while frame.f_code.co_name.startswith("<"):  # a comprehension
             frame = frame.f_back
-        callers.append(frame.f_code.co_name)
+        return frame
+
+    def recording(cls, *args, **kwargs):
+        frame = named(sys._getframe(1))
+        callers.append((frame.f_code.co_name, named(frame.f_back).f_code.co_name))
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", recording)
     for lt, w in ((A3, (1, 0, 1)), (C3, (0, 1, 1))):
         assert check_main(lt, w).status == "ok"
-    assert callers and set(callers) == {"_read_off"}
+    assert callers and set(callers) == {("_fraction", "_read_off")}
 
 
 def test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case(
@@ -220,6 +226,71 @@ def test_translation_past_one_byte_widens_the_digits(monkeypatch):
         moved = sorted(s[:k] + (s[k] + 200,) + s[k + 1 :] for s in strings)
         assert rep.extra == tuple(moved[:WITNESS_CAP]) and rep.extra_total == len(strings)
         assert rep.missing_total == len(strings) and rep.weight_twist is not None
+
+
+def test_override_rows_past_one_byte_widen_the_digits(fresh_twist_memos):
+    # 100 added to an entry of column 0, whose chain coordinate reaches the
+    # level 2, puts image entries near 200: a row sum of the override times
+    # the level needs 16-bit digits where the trusted matrix's rows need 8,
+    # and the witnesses decode exactly as the images of the chain points
+    lt, w = A3, (1, 0, 1)
+    trans, strings = build_translation(lt, w), set(string_points(lt, w))
+    trusted = max(map(abs, trans)) + sum(w) * degenmap.matrix_row_sum(lt)
+    assert rootsys.pack_width(max(crystal.letter_count(w), trusted)) == 8
+    for r in range(len(trans)):
+        mat = [list(row) for row in build_matrix(lt)]
+        mat[r][0] += 100
+        images = {apply_affine(mat, trans, p) for p in points(lt, w)}
+        assert max(map(max, images)) > 127
+        rep = check_main(lt, w, matrix=mat)
+        extra, missing = sorted(images - strings), sorted(strings - images)
+        assert rep.extra == tuple(extra[:WITNESS_CAP]) and rep.extra_total == len(extra)
+        assert rep.missing == tuple(missing[:WITNESS_CAP])
+        assert rep.missing_total == len(missing)
+
+
+def test_a_lost_image_leaves_the_dimension_at_the_leaf_count(monkeypatch):
+    # packed_sum without its least image: the image count falls by one and
+    # the string it matched is the one missing witness, while the report's
+    # dimension stays the walk's gated leaf count
+    real = verify.packed_sum
+
+    def lossy(*args):
+        images = real(*args)
+        images.discard(min(images))
+        return images
+
+    monkeypatch.setattr(verify, "packed_sum", lossy)
+    for lt, w in ((A3, (1, 0, 1)), (C2, (1, 1))):
+        rep, dim = check_main(lt, w), weyl_dim(lt, w)
+        assert (rep.fflv_count, rep.string_count, rep.weyl_dim) == (dim - 1, dim, dim)
+        assert rep.missing == (min(string_points(lt, w)),) and rep.missing_total == 1
+        assert rep.extra == () and rep.extra_total == 0 and rep.status == "failed"
+
+
+def test_check_main_evaluates_one_weyl_product_per_case(monkeypatch):
+    # the walk's gate equates the leaf count with weyl_dim, so the report
+    # carries that count and check_main evaluates no second product; an
+    # override counts its chain points through fflv.points, and the one
+    # further product is that Minkowski sum's own cardinality gate
+    real, callers = rootsys.weyl_dim, []
+
+    def spy(lt, w):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(lt, w)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fflvstring") and vars(module).get("weyl_dim") is real:
+            monkeypatch.setattr(module, "weyl_dim", spy)
+    override = [list(row) for row in build_matrix(A3)]
+    for lt, w, mat, expected in (
+        (A3, (1, 0, 1), None, ["walk"]),
+        (C3, (0, 1, 1), None, ["walk"]),
+        (A3, (1, 1, 0), override, ["walk", "packed_points"]),
+    ):
+        callers.clear()
+        assert check_main(lt, w, mat).status == "ok"
+        assert callers == expected
 
 
 @pytest.mark.parametrize("lt, w", [(A3, (1, 0, 1)), (C2, (0, 1))])
