@@ -128,10 +128,12 @@ def check_main(
     in size, as no chain coordinate exceeds the level; the row sum is kept
     per type (``matrix_row_sum``), and an override's rows are summed per case.
     The trusted matrix is gated unitriangular, so ``fflv_count = |T(P)| =
-    |P|``; under an override it is ``len(points)``.  t_lambda is the sum of
-    a_i t(omega_i), by linearity.  The walk, gated in ``crystal.walk``, hands
-    each string to ``images.discard``; its gate is the case's one Weyl
-    product, so the report's dimension is the leaf count.  Its strings are
+    |P|``; under an override it is the size of the identity's sum at the
+    same width, which holds the letter count and so the level, the bound of
+    every chain coordinate.  t_lambda is the sum of a_i t(omega_i), by
+    linearity.  The walk, gated in ``crystal.walk``, hands each string to
+    ``images.discard``; its gate is the case's one Weyl product on either
+    path, so the report's dimension is the leaf count.  Its strings are
     distinct, so the images left are the extras and ``missing_total`` is the
     leaf count less the |T(P)| - |extras| matches; only a case with missing
     strings walks again, to name them, and only a case with extras sorts and
@@ -181,7 +183,7 @@ def check_main(
         family=lt.family,
         rank=lt.rank,
         weight=w,
-        fflv_count=size if trusted else len(points(lt, w)),
+        fflv_count=size if trusted else len(packed_sum(lt, w, 0, None, b)),
         string_count=leaves,
         weyl_dim=leaves,
         missing=tuple(unpack(sorted(missing)[:WITNESS_CAP], n, b)) if missing else (),

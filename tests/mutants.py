@@ -443,8 +443,8 @@ MUTANTS = [
     # the packed image engine: one pass of the walk takes each match out of
     # the image set; a matched image left in it, the witness walk skipped when
     # the counts disagree, the missing strings named against the leftover
-    # images, the image count on the override path, the leaf count as the
-    # matched strings alone
+    # images, the image count on the override path or the override counted
+    # through the gated point set, the leaf count as the matched strings alone
     (
         VERIFY,
         "walk(lt, w, b, images.discard)",
@@ -472,12 +472,18 @@ MUTANTS = [
     ),
     (
         VERIFY,
-        "fflv_count=size if trusted else len(points(lt, w)),",
+        "fflv_count=size if trusted else len(packed_sum(lt, w, 0, None, b)),",
         "fflv_count=size,",
         (
             "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
             "tests/test_verify.py::test_override_that_merges_images_reports_them",
         ),
+    ),
+    (
+        VERIFY,
+        "len(packed_sum(lt, w, 0, None, b))",
+        "len(points(lt, w))",
+        ("tests/test_verify.py::test_a_lost_image_leaves_the_dimension_at_the_leaf_count",),
     ),
     (
         VERIFY,
@@ -650,7 +656,7 @@ MUTANTS = [
         "        masks[pos[a, b]] |= ones\n",
         "        masks[pos[a, b]] |= ones if (a, b) != (j, j) else 0\n",
         (
-            "tests/test_fflv.py::test_dyck_full_grid",
+            "tests/test_acceptance.py::test_criterion_12_dyck_path_inequalities",
             "tests/test_fflv.py::test_dyck_check_matches_brute_force_box",
         ),
     ),
@@ -1059,6 +1065,27 @@ MUTANTS = [
             "tests/test_acceptance.py::test_criterion_11_demazure_characters",
             "tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",
         ),
+    ),
+    # criterion 12: the oracle's type-C paths without their long-root
+    # endings, or bounded as if they ended on the diagonal, and type A with
+    # no path from (n, n)
+    (
+        ORACLES,
+        "        if long_roots and r < n and key == 2 * n - r:",
+        "        if False:",
+        ("tests/test_acceptance.py::test_criterion_12_dyck_path_inequalities",),
+    ),
+    (
+        ORACLES,
+        "            paths.append((cells, i, n))",
+        "            paths.append((cells, i, r))",
+        ("tests/test_acceptance.py::test_criterion_12_dyck_path_inequalities",),
+    ),
+    (
+        ORACLES,
+        "    for i in range(1, n + 1):\n        walk(i, i, i, [])",
+        "    for i in range(1, n + long_roots):\n        walk(i, i, i, [])",
+        ("tests/test_acceptance.py::test_criterion_12_dyck_path_inequalities",),
     ),
 ]
 

@@ -6,10 +6,11 @@ a word by the root criterion, and Demazure characters by Demazure's
 operators, both on the same root data, with a reduced word of the longest
 element and the simple-root coordinates of a weight.  The paper's label
 formulas for the linear part and the fundamental translations of the affine
-map, which read only the label order of ``build_labels``.  The linear part for any word and
-Cartan matrix, by back substitution.  The weight twist by Gauss-Jordan
-elimination on the whole system.  Everything is exact integer or
-``Fraction`` arithmetic.
+map, which read only the label order of ``build_labels``, and so do the
+Dyck path inequalities of P(lambda) and their lattice points.  The linear
+part for any word and Cartan matrix, by back substitution.  The weight
+twist by Gauss-Jordan elimination on the whole system.  Everything is
+exact integer or ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -200,6 +201,67 @@ def root_coordinates(family: str, rank: int, coeffs) -> tuple[Fraction, ...]:
 def _column_key(lab, n: int) -> int:
     # the column order 1 < ... < n = n-bar < ... < 1-bar
     return 2 * n - lab.col if lab.barred else lab.col
+
+
+def dyck_paths(lt) -> list[tuple[list[int], int, int]]:
+    """The Dyck paths of P(lambda) as (label positions, i, j): the path's
+    bound is a_i + ... + a_j.  A cell is (row r, column key K), r <= K <= n
+    in type A (Feigin-Fourier-Littelmann 2011, Transform. Groups 16) and r
+    <= K <= 2n - r in type C (their symplectic paths, IMRN 2011).  A path
+    starts at (i, i) and steps to (r, K+1) or (r+1, K); one that ends at
+    (j, j) is bounded by a_i + ... + a_j, and in type C one that ends at the
+    long root (j, 2n - j), j < n, by a_i + ... + a_n."""
+    n, long_roots = lt.rank, lt.family == "C"
+    pos = {(lab.row, _column_key(lab, n)): k for k, lab in enumerate(build_labels(lt))}
+    paths = []
+
+    def walk(i: int, r: int, key: int, cells: list[int]) -> None:
+        cells = cells + [pos[r, key]]
+        if key == r:
+            paths.append((cells, i, r))
+        if long_roots and r < n and key == 2 * n - r:
+            paths.append((cells, i, n))
+        for step in ((r, key + 1), (r + 1, key)):
+            if step in pos:
+                walk(i, *step, cells)
+
+    for i in range(1, n + 1):
+        walk(i, i, i, [])
+    return paths
+
+
+def dyck_points(lt, coeffs) -> list[tuple[int, ...]]:
+    """The lattice points of the Dyck path inequalities, in lex order: a
+    depth-first fill of the labels in ``build_labels`` order, each
+    coordinate at most the level and cut where a path through it meets its
+    bound, so a looser system fills a larger finite box."""
+    paths = dyck_paths(lt)
+    slack = [sum(coeffs[i - 1 : j]) for _, i, j in paths]
+    through = [[] for _ in build_labels(lt)]
+    for p, (cells, _, _) in enumerate(paths):
+        for k in cells:
+            through[k].append(p)
+    level, vec, out = sum(coeffs), [0] * len(through), []
+
+    def fill(k: int) -> None:
+        if k == len(vec):
+            out.append(tuple(vec))
+            return
+        x = 0
+        while True:
+            vec[k] = x
+            fill(k + 1)
+            if x == level or any(slack[p] == 0 for p in through[k]):
+                break
+            x += 1
+            for p in through[k]:
+                slack[p] -= 1
+        for p in through[k]:
+            slack[p] += x
+        vec[k] = 0
+
+    fill(0)
+    return out
 
 
 def label_matrix(lt) -> tuple[tuple[int, ...], ...]:

@@ -23,7 +23,7 @@ from fflvstring.degenmap import (
     fold_vector,
     translation_and_zero_row,
 )
-from fflvstring.fflv import fundamental_images, fundamental_points
+from fflvstring.fflv import dyck_check_A, fundamental_images, fundamental_points, points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
@@ -37,6 +37,7 @@ from fflvstring.rootsys import (
     string_weight,
     vector_from_labels,
     weight_denominator,
+    weyl_dim,
 )
 from fflvstring.verify import (
     all_passed,
@@ -47,9 +48,10 @@ from fflvstring.verify import (
     unimodular_sweep,
 )
 from fflvstring.wedge import restriction_block, unfold_dominates
-from conftest import A2, A3, C2, C3
+from conftest import A2, A3, C1, C2, C3
 from oracles import (
     demazure_character,
+    dyck_points,
     label_matrix,
     label_translation,
     longest_word,
@@ -357,3 +359,20 @@ def test_criterion_11_demazure_characters(grid):
     failing = sum(not _characters_agree(r) for r in grid)
     record(11, "Demazure characters of the string points and the printed twist",
            failing == 0, f"{len(grid)} cases, {failing} failing")
+
+
+def test_criterion_12_dyck_path_inequalities():
+    # P(lambda) by its defining inequalities, both families: the chain points
+    # are the oracle's lattice points, weyl_dim many; at level 1 they are the
+    # fundamental chains, and in type A the package's own path check holds
+    start, failing = time.perf_counter(), 0
+    cases = [(lt, w) for lt, level in A_GRID + C_GRID + [(C1, 4)]
+             for w in dominant_weights(lt.rank, level)]
+    for lt, w in cases:
+        pts = points(lt, w)
+        ok = list(pts) == sorted(dyck_points(lt, w)) and len(pts) == weyl_dim(lt, w)
+        ok = ok and (sum(w) != 1 or fundamental_points(lt, w.index(1) + 1) == pts)
+        failing += not (ok and (lt.family == "C" or dyck_check_A(lt.rank, w, pts)))
+    elapsed = time.perf_counter() - start
+    record(12, "chain points are the Dyck inequalities' lattice points", failing == 0,
+           f"{len(cases)} cases, {failing} failing, {elapsed:.3f}s")

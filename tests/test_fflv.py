@@ -16,44 +16,15 @@ from fflvstring.fflv import (
 )
 from fflvstring.rootsys import (
     LieType,
-    RootLabel,
     build_labels,
     column_key,
     dominant_weights,
-    fundamental_weight,
     pack_width,
     unpack,
-    vector_from_labels,
     weyl_dim,
 )
 from conftest import A1, A2, A3, A4, C2, C3, record_calls, traced_memory
-
-
-def from_labels(lt, *labs):
-    return vector_from_labels(lt, {lab: 1 for lab in labs})
-
-
-@pytest.mark.parametrize(
-    "lt, chains, size",
-    [
-        (A3, [(), (RootLabel(1, 2),), (RootLabel(2, 2),), (RootLabel(1, 3),),
-              (RootLabel(2, 3),), (RootLabel(2, 2), RootLabel(1, 3))], 6),
-        (C2, [(), (RootLabel(1, 2),), (RootLabel(2, 2),), (RootLabel(1, 1, True),),
-              (RootLabel(2, 2), RootLabel(1, 1, True))], 5),
-    ],
-    ids=["A3", "C2"],
-)
-def test_fundamental_omega_2_explicit(lt, chains, size):
-    expected = {from_labels(lt, *chain) for chain in chains}
-    assert set(fundamental_points(lt, 2)) == expected
-    assert len(expected) == size
-
-
-def test_fundamental_contains_zero_vector():
-    for lt in (A1, A3, C2, C3):
-        for i in range(1, lt.rank + 1):
-            pts = fundamental_points(lt, i)
-            assert (0,) * len(build_labels(lt)) in pts
+from oracles import dyck_paths
 
 
 def test_fundamental_index_range():
@@ -61,15 +32,6 @@ def test_fundamental_index_range():
         fundamental_points(A2, 3)
     with pytest.raises(ValueError):
         fundamental_points(A2, 0)
-
-
-@pytest.mark.parametrize("family,max_rank", [("A", 5), ("C", 4)])
-def test_fundamental_cardinality_gate(family, max_rank):
-    for n in range(1, max_rank + 1):
-        lt = LieType(family, n)
-        for i in range(1, n + 1):
-            pts = fundamental_points(lt, i)
-            assert len(pts) == weyl_dim(lt, fundamental_weight(lt.rank, i))
 
 
 def test_fundamental_cardinality_gate_trips(monkeypatch):
@@ -107,24 +69,6 @@ def test_fundamental_points_are_chains(family, max_rank):
                 assert len(set(cols)) == len(cols)
                 if support:
                     assert rows[0] <= i <= cols[0]
-
-
-def test_points_trivial_weight():
-    assert points(A2, (0, 0)) == ((0, 0, 0),)
-
-
-def test_points_fundamental_weight_reduces():
-    assert points(A3, (0, 1, 0)) == fundamental_points(A3, 2)
-    assert points(C2, (0, 1)) == fundamental_points(C2, 2)
-
-
-@pytest.mark.parametrize(
-    "family,rank,level", [("A", 2, 3), ("A", 3, 3), ("A", 4, 3), ("C", 2, 2), ("C", 3, 2)]
-)
-def test_points_cardinality_gate(family, rank, level):
-    lt = LieType(family, rank)
-    for w in dominant_weights(rank, level):
-        assert len(points(lt, w)) == weyl_dim(lt, w)
 
 
 def test_minkowski_cardinality_gate_trips_on_a_short_sum(monkeypatch):
@@ -213,39 +157,20 @@ def test_minkowski_monotonicity(family, rank, level):
                     assert tuple(x + y for x, y in zip(p, q)) in big
 
 
-@pytest.mark.parametrize("rank", range(1, 5))
-def test_dyck_full_grid(rank):
-    lt = LieType("A", rank)
-    for w in dominant_weights(rank, 3):
-        assert dyck_check_A(rank, w, points(lt, w))
-
-
-def _meets_path_bounds(rank, w, vec):
-    """Every monotone path from (l,l) to (j,j) sums to at most a_l + ... + a_j,
-    for a nonnegative vector: the largest path sums from each (l,l), by
-    dynamic programming over the triangle."""
-    labels = build_labels(LieType("A", rank))
-    entry = {(lab.row, lab.col): x for lab, x in zip(labels, vec)}
-    for l in range(1, rank + 1):
-        best = {}
-        for b in range(l, rank + 1):
-            for a in range(l, b + 1):
-                before = [best[q] for q in ((a, b - 1), (a - 1, b)) if q in best]
-                best[a, b] = entry[a, b] + max(before, default=0)
-        if any(best[j, j] > sum(w[l - 1 : j]) for j in range(l, rank + 1)):
-            return False
-    return True
+def _meets_path_bounds(paths, w, vec):
+    """Every path of the oracle's table sums to at most its bound."""
+    return all(sum(vec[k] for k in cells) <= sum(w[i - 1 : j]) for cells, i, j in paths)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_dyck_check_matches_brute_force_box(rank):
     # the pruned depth-first check against every vector of the bounding box
     lt = LieType("A", rank)
-    labels = build_labels(lt)
+    labels, paths = build_labels(lt), dyck_paths(lt)
     for w in dominant_weights(rank, 3):
         bounds = [sum(w[lab.row - 1 : lab.col]) for lab in labels]
         box = set(product(*(range(b + 1) for b in bounds)))
-        truth = {v for v in box if _meets_path_bounds(rank, w, v)}
+        truth = {v for v in box if _meets_path_bounds(paths, w, v)}
         pts = list(points(lt, w))
         variants = [pts, pts[1:], pts[:-1], pts + sorted(box - truth)[:1]]
         for k in range(len(labels)):
@@ -282,7 +207,7 @@ def test_dyck_register_width_boundaries(w):
     # smallest (1, 4, 8)
     pts = points(A3, w)
     pushed = _pushed_past_a_bound(A3, w, pts)
-    assert not _meets_path_bounds(3, w, pushed)
+    assert not _meets_path_bounds(dyck_paths(A3), w, pushed)
     assert dyck_check_A(3, w, pts)
     assert dyck_check_A(3, w, pts + (pushed,)) is False
     assert dyck_check_A(3, w, pts[1:] + (pushed,)) is False
