@@ -22,11 +22,15 @@ in one integer elimination over all source coordinates; its answer is the
 free-variables-zero solution of the full system, the same as solving every
 coordinate over every pair, because the reduced row echelon form of a
 consistent system depends only on its row space.  Its rows are integer
-weight pairs over one denominator D: the pipeline joins the zero row of a
-case, over ``weight_denominator(lt)``, to a cached basis of per-label rows,
-and ``weight_twist_solve`` scales ``Fraction`` pairs by the lcm of their
-denominators.  ``Fraction`` appears only where the twist or a witness is
-read off.
+weight pairs over one denominator D, ``weight_denominator(lt)``, and
+``weight_twist_solve`` scales ``Fraction`` pairs by the lcm of their
+denominators.  On the trusted matrix the pipeline solves nothing per case:
+one elimination per type gives Phi, the map from companion coordinates to
+source weights that every twist of the type shares (``weight_map``); a
+support's basis is the slice of Phi at the coordinates its unit labels
+touch, certified by a GF(2) rank (``support_slice``); and a case adds the
+one column its zero row gives (``case_twist``).  ``Fraction`` appears only
+where the twist or a witness is read off.
 """
 
 from __future__ import annotations
@@ -320,7 +324,8 @@ def scaled_twist_solve(lt: LieType, scale: int, pairs):
 
     Solves twist * companion_weight + shift = source_weight for all pairs and
     all n source coordinates in one exact elimination, ``_eliminate``, which
-    ``support_twist_solve`` shares with a precomputed basis.  Each pair gives
+    ``weight_map`` shares.  It is the reference ``case_twist`` runs where Phi
+    does not apply, an override among them.  Each pair gives
     the augmented row ``[D*companion, D | D*source]``, cleared in every pivot
     column of the basis.  A row still nonzero in a companion or scale
     column joins the basis at the first such column, made primitive and
@@ -364,32 +369,107 @@ def label_rows(lt: LieType, mat: tuple[tuple[int, ...], ...]) -> tuple[tuple[int
     )
 
 
-@lru_cache(maxsize=None)
-def support_basis(lt: LieType, mat, support: tuple[int, ...]):
-    """The label rows of the unit points of each ``P(omega_i)``, i in support,
-    eliminated by descending label index: the basis as (pivot, row) pairs,
-    and the label first breaking the lowest broken source coordinate, or None."""
+def _units(lt: LieType, support: tuple[int, ...]) -> list[int]:
+    """The labels of the unit points of ``P(lambda)`` for a weight of this
+    support, descending: the unit points of each ``P(omega_i)``, i in support."""
     units = {p.index(1) for i in support for p in fundamental_points(lt, i) if sum(p) == 1}
-    rows, basis = label_rows(lt, mat), {}
-    broken = _eliminate(lt.target_rank, ((k, rows[k]) for k in sorted(units, reverse=True)), basis)
-    return tuple((c, tuple(b)) for c, b in basis.items()), broken
+    return sorted(units, reverse=True)
 
 
-def support_twist_solve(lt: LieType, mat, support: tuple[int, ...], row0: Sequence[int]):
-    """``scaled_twist_solve`` on the pair row ``row0`` of 0, then ``row0 - delta_k``
-    for the units k of the support.  Both lists span the rows ``row0`` and
-    ``delta_k``, and only ``row0`` is nonzero in the scale column, so a prefix
-    of the pairs is inconsistent in a source coordinate iff that prefix of
-    the ``delta_k`` is: ``support_basis`` names the witness, read off this
-    weight's row.  Otherwise ``row0`` joins a copy of the basis."""
-    basis, broken = support_basis(lt, mat, support)
+@lru_cache(maxsize=None)
+def weight_map(lt: LieType):
+    """Phi, the linear part that every twist of the type shares, or None.
+
+    Phi is the source weight phi_c of each companion coordinate c, kept as m
+    integer columns and as the n x m ``Fraction`` matrix of a twist, with,
+    per label k, the coordinates and the parities of the histogram h_k of
+    ``delta_k`` = D*h_k as two bitmasks.  It is one elimination of all N label
+    rows of the trusted matrix, by descending label index, accepted only if
+    the rows are consistent and leave m pivots, each row ``+-[e_c, 0 | phi_c]``
+    (coordinate: a unit pivot).  Then every delta_k lies on the graph of Phi,
+    ``[D*h_k, 0 | D*Phi(h_k)]``, and Phi is integral.
+    """
+    m, d = lt.target_rank, weight_denominator(lt)
+    rows, basis = label_rows(lt, build_matrix(lt)), {}
+    broken = _eliminate(m, ((k, rows[k]) for k in reversed(range(len(rows)))), basis)
+    if broken is not None or len(basis) != m or any(abs(b[c]) != 1 for c, b in basis.items()):
+        return None
+    phi = tuple(tuple(basis[c][c] * x for x in basis[c][m + 1 :]) for c in range(m))
+    masks = tuple(
+        (sum(1 << c for c, x in enumerate(row[:m]) if x),
+         sum(1 << c for c, x in enumerate(row[:m]) if x // d & 1))
+        for row in rows
+    )
+    return phi, tuple(tuple(_fraction(x, 1) for x in row) for row in zip(*phi)), masks
+
+
+@lru_cache(maxsize=None)
+def support_slice(lt: LieType, support: tuple[int, ...]):
+    """C_S as a bitmask, the twist matrix with Phi in the columns C_S and 0
+    elsewhere, and the pairs (c, phi_c), c in C_S; None without Phi or without
+    the certificate.
+
+    C_S is the set of companion coordinates that the histograms h_k of the
+    support's unit labels touch.  The certificate: the parities of the h_k
+    have GF(2) rank |C_S| (an XOR basis keyed by the top bit).  Rank over F_2
+    is at most rank over Q, which is at most |C_S|, so the h_k span E_{C_S},
+    and the support's delta_k span the graph of Phi on it, whose reduced
+    basis is ``[e_c, 0 | phi_c]``, c in C_S.
+    """
+    mapped = weight_map(lt)
+    if mapped is None:
+        return None
+    phi, fractions, masks = mapped
+    touched, tops = 0, {}
+    for k in _units(lt, support):
+        touch, parity = masks[k]
+        touched |= touch
+        while parity and parity.bit_length() in tops:
+            parity ^= tops[parity.bit_length()]
+        if parity:
+            tops[parity.bit_length()] = parity
+    if len(tops) != touched.bit_count():
+        return None
+    matrix = tuple(
+        tuple(x if touched >> c & 1 else _ZERO for c, x in enumerate(row)) for row in fractions
+    )
+    return touched, matrix, tuple((c, f) for c, f in enumerate(phi) if touched >> c & 1)
+
+
+def case_twist(lt: LieType, mat, support: tuple[int, ...], row0: Sequence[int]):
+    """The twist and witness of ``scaled_twist_solve`` on the pair row ``row0`` of
+    0, then ``row0 - delta_k`` for the unit labels k of the support by
+    descending k; ``mat`` is None for the trusted matrix.
+
+    With Phi and the certificate (``support_slice``) this is read off Phi.
+    ``row0`` cleared by the basis ``[e_c, 0 | phi_c]`` is first nonzero at p,
+    the first coordinate outside C_S where ``row0`` is, or else at the scale
+    column m, where ``row0`` holds D.  It joins the basis there and changes no
+    row of it, as none is nonzero at p.  So the columns C_S of the twist are
+    Phi, column p is ``(row0_src - sum_c row0[c]*phi_c) / row0[p]``, the shift
+    is that column when p = m and zero otherwise, every other column is 0,
+    and the twist is unique iff C_S holds all m coordinates.  There is no
+    witness: only ``row0`` is nonzero in the scale column, so the rows are
+    consistent.  Every other case, an override among them, runs the
+    reference, ``scaled_twist_solve``, on those rows.
+    """
+    sliced = support_slice(lt, support) if mat is None else None
     m = lt.target_rank
-    if broken is not None:
-        row = [x - y for x, y in zip(row0, label_rows(lt, mat)[broken])]
-        return _read_off(lt, row0[m], {}, (row[m + 1 :], row[:m]))
-    basis = dict(basis)
-    _eliminate(m, [(None, row0)], basis)
-    return _read_off(lt, row0[m], basis, None)
+    if sliced is None:
+        rows = label_rows(lt, build_matrix(lt) if mat is None else mat)
+        pairs = [row0] + [[x - y for x, y in zip(row0, rows[k])] for k in _units(lt, support)]
+        return scaled_twist_solve(lt, row0[m], [(r[m + 1 :], r[:m]) for r in pairs])
+    touched, matrix, columns = sliced
+    p = next((c for c in range(m) if row0[c] and not touched >> c & 1), m)
+    col = row0[m + 1 :]
+    for c, f in columns:
+        if row0[c]:
+            col = [y - row0[c] * x for y, x in zip(col, f)]
+    col = tuple(_fraction(y, row0[p]) for y in col)
+    if p == m:
+        return WeightTwist(matrix, col, len(columns) == m), None
+    matrix = tuple(r[:p] + (x,) + r[p + 1 :] for r, x in zip(matrix, col))
+    return WeightTwist(matrix, (_ZERO,) * len(col), False), None
 
 
 def _eliminate(m: int, rows, basis: dict):
@@ -422,7 +502,7 @@ _ZERO = Fraction(0)
 def _fraction(numerator: int, denominator: int) -> Fraction:
     """The ``Fraction`` numerator/denominator, kept per pass: the twists of a
     type share most of their entries, so a cold pass over the benchmark's
-    85-case grid reads 694 entries off but builds 105."""
+    85-case grid reads 337 entries off but builds 139."""
     return Fraction(numerator, denominator)
 
 

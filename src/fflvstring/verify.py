@@ -32,12 +32,12 @@ from .degenmap import (
     apply_affine,
     build_matrix,
     build_translation,
+    case_twist,
     check_nonnegative,
     fold_vector,
     matrix_row_sum,
     packed_matrix,
     row_sum_bound,
-    support_twist_solve,
     translation_and_zero_row,
 )
 from .errors import VerificationError
@@ -139,12 +139,16 @@ def check_main(
     strings walks again, to name them, and only a case with extras sorts and
     decodes them.
 
-    The twist is ``support_twist_solve``: the integer pair row of 0 over D =
-    ``weight_denominator(lt)``, a sum of per-type rows, joins the cached basis
-    of the label rows of the unit points of ``P(lambda)``, a fact of the
-    type, matrix and support.  It returns the same twist and witness as
-    ``weight_twist_solve`` on the ``Fraction`` weights of every point, each
-    entry read from one table of ``Fraction`` values per pass.
+    The twist is ``case_twist`` on the integer pair row of 0 over D =
+    ``weight_denominator(lt)``, a sum of per-type rows, and the label rows of
+    the unit points of ``P(lambda)``.  On the trusted matrix it is read off
+    Phi, one map per type from companion coordinates to source weights,
+    sliced at the support's coordinates with one column of this case; an
+    override, or a type or support that Phi or its certificate does not
+    cover, fits the same rows by ``scaled_twist_solve``.  Either way it is
+    the twist and witness of ``weight_twist_solve`` on the ``Fraction``
+    weights of every point, each entry read from one table of ``Fraction``
+    values per pass.  A malformed override, not N x N, is refused first.
 
     ``matrix`` overrides the linear part, the package's one fault seam; the
     override path reports a negative image, never a string, as a witness
@@ -155,6 +159,8 @@ def check_main(
 
     trusted = matrix is None
     mat = build_matrix(lt) if trusted else tuple(map(tuple, matrix))
+    if not trusted and (len(mat) != root_count(lt) or any(len(row) != len(mat) for row in mat)):
+        raise ValueError(f"{lt}: matrix must be {root_count(lt)} x {root_count(lt)}")
     row_sum = matrix_row_sum(lt) if trusted else row_sum_bound(mat)
     trans, row0 = translation_and_zero_row(lt, w)
     n, level = len(trans), sum(w)
@@ -177,7 +183,7 @@ def check_main(
     # and span the rows of all of P.  Same witness: 0, then e_k by descending
     # k, is lex order, and e_k <=lex p when p_k >= 1.
     support = tuple(i for i, a in enumerate(w, start=1) if a)
-    twist, witness = support_twist_solve(lt, mat, support, row0)
+    twist, witness = case_twist(lt, None if trusted else mat, support, row0)
 
     return VerificationReport(
         family=lt.family,

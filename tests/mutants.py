@@ -52,7 +52,11 @@ _BETWEEN_POINTS_KINDS = (
 )
 
 MUTANTS = [
-    # the twist fit on per-type label rows
+    # the twist: the support's unit labels, the override's label rows read
+    # off the trusted matrix, the reference's rows by ascending label; the
+    # certificate compared with <=, the parities read off D*h, Phi accepted
+    # without a unit pivot, p the first coordinate outside C_S whatever row0
+    # holds there, and the shift kept when p < m
     (
         DEGENMAP,
         "for i in support for p in fundamental_points(lt, i)",
@@ -64,8 +68,8 @@ MUTANTS = [
     ),
     (
         DEGENMAP,
-        "label_rows(lt, mat), {}",
-        "label_rows(lt, build_matrix(lt)), {}",
+        "label_rows(lt, build_matrix(lt) if mat is None else mat)",
+        "label_rows(lt, build_matrix(lt))",
         (
             "tests/test_verify.py::test_corrupted_a4_matrix_twist_witness",
             "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
@@ -73,13 +77,58 @@ MUTANTS = [
     ),
     (
         DEGENMAP,
-        "for k in sorted(units, reverse=True)",
-        "for k in sorted(units)",
+        "return sorted(units, reverse=True)",
+        "return sorted(units)",
         (
-            "tests/test_verify.py::"
-            "test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case",
+            "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
             "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
         ),
+    ),
+    (
+        DEGENMAP,
+        "if len(tops) != touched.bit_count():",
+        "if len(tops) > touched.bit_count():",
+        ("tests/test_degenmap.py::test_a_support_that_misses_a_coordinate_runs_the_reference",),
+    ),
+    (
+        DEGENMAP,
+        "if x // d & 1",
+        "if x & 1",
+        (
+            "tests/test_verify.py::test_check_main_eliminates_the_label_rows_once_per_type",
+            "tests/test_degenmap.py::test_every_support_slices_phi_by_its_certificate",
+        ),
+    ),
+    (
+        DEGENMAP,
+        " or any(abs(b[c]) != 1 for c, b in basis.items()):",
+        ":",
+        ("tests/test_degenmap.py::test_a_map_off_the_lattice_runs_the_reference",),
+    ),
+    (
+        DEGENMAP,
+        "if row0[c] and not touched >> c & 1), m)",
+        "if not touched >> c & 1), m)",
+        (
+            "tests/test_verify.py::test_report_json_digest_fixture",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    (
+        DEGENMAP,
+        "WeightTwist(matrix, (_ZERO,) * len(col), False)",
+        "WeightTwist(matrix, col, False)",
+        (
+            "tests/test_verify.py::test_report_json_digest_fixture",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    # the override's shape gate without its row lengths
+    (
+        VERIFY,
+        " or any(len(row) != len(mat) for row in mat)):",
+        "):",
+        ("tests/test_verify.py::test_malformed_override_is_refused_before_any_work",),
     ),
     (
         DEGENMAP,
@@ -1038,7 +1087,7 @@ MUTANTS = [
     ),
     # criterion 11: the oracle's Demazure operators applied first letter
     # first, or with no terms for <mu, alpha_j^vee> <= -2, and a twist read
-    # off with a zero shift
+    # off Phi with a zero shift; the reference's read-off with a zero shift
     (
         ORACLES,
         "    for j in reversed(word):\n        out: dict",
@@ -1059,11 +1108,20 @@ MUTANTS = [
     ),
     (
         DEGENMAP,
+        "return WeightTwist(matrix, col, len(columns) == m), None",
+        "return WeightTwist(matrix, (_ZERO,) * len(col), len(columns) == m), None",
+        (
+            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
+            "tests/test_degenmap.py::test_support_path_matches_the_full_pair_list",
+        ),
+    ),
+    (
+        DEGENMAP,
         "    shift = tuple(row[m] for row in sol)\n",
         "    shift = tuple(_ZERO for row in sol)\n",
         (
-            "tests/test_acceptance.py::test_criterion_11_demazure_characters",
             "tests/test_degenmap.py::test_weight_twist_matches_full_system_oracle",
+            "tests/test_verify.py::test_integer_kernel_matches_staged_reference",
         ),
     ),
     # criterion 12: the oracle's type-C paths without their long-root

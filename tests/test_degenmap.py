@@ -1,6 +1,7 @@
 """The affine map: matrices, translations, folding, weight twist."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -24,7 +25,7 @@ from fflvstring.degenmap import (
     weight_twist_solve,
 )
 from fflvstring.errors import VerificationError
-from fflvstring.fflv import points
+from fflvstring.fflv import fundamental_points, points
 from fflvstring.rootsys import (
     LieType,
     RootLabel,
@@ -38,11 +39,13 @@ from fflvstring.rootsys import (
     letter_histogram,
     reduced_word,
     root_delta,
+    root_expansion,
     string_weight,
     unpack,
     vector_from_labels,
     weight_denominator,
 )
+from fflvstring.verify import check_main
 from conftest import A1, A2, A3, A4, C1, C2, C3, record_calls
 from oracles import slack_inverse, twist_oracle
 
@@ -382,18 +385,104 @@ def _support_path_matches_full_pair_list(data):
         mat[r][c] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     mat = tuple(map(tuple, mat))
     d, pairs = weight_denominator(lt), _unit_pairs(lt, w, mat)
-    src0, tgt0 = pairs[0]
+    expected = degenmap.scaled_twist_solve(lt, d, pairs)
     support = tuple(i for i, a in enumerate(w, start=1) if a)
-    fit = degenmap.support_twist_solve(lt, mat, support, (*tgt0, d, *src0))
-    assert fit == degenmap.scaled_twist_solve(lt, d, pairs)
-    _SUPPORT_WITNESSES.append(fit[1] is not None)
+    if mat == build_matrix(lt):
+        src0, tgt0 = pairs[0]
+        assert degenmap.support_slice(lt, support) is not None
+        assert degenmap.case_twist(lt, None, support, (*tgt0, d, *src0)) == expected
+    else:
+        rep = check_main(lt, w, matrix=mat)
+        assert (rep.weight_twist, rep.twist_witness) == expected
+        _SUPPORT_WITNESSES.append(expected[1] is not None)
 
 
 def test_support_path_matches_the_full_pair_list(fresh_twist_memos):
-    # the cached per-support basis with this case's zero row gives the twist
-    # and witness of the whole list of 0 and the unit points, on the trusted
-    # matrix and on matrices moved by +-1..3 in up to four entries
+    # the twist of 0 and the unit points, each weighed through its own
+    # image: read off Phi on the trusted matrix, and fitted by check_main's
+    # reference on matrices moved by +-1..3 in up to four entries
     _SUPPORT_WITNESSES.clear()
     _support_path_matches_full_pair_list()
     assert 4 * sum(_SUPPORT_WITNESSES) >= len(_SUPPORT_WITNESSES) > 0
     assert not all(_SUPPORT_WITNESSES)
+
+
+def _gf2_rank(masks):
+    """The rank over F_2 of bitmask rows: take the largest, clear its top bit
+    from every row sharing it, drop the zeros, repeat."""
+    masks, rank = [x for x in masks if x], 0
+    while masks:
+        top = max(masks)
+        masks = [y for x in masks if (y := x ^ top if x.bit_length() == top.bit_length() else x)]
+        rank += 1
+    return rank
+
+
+def test_every_support_slices_phi_by_its_certificate(fresh_twist_memos):
+    # Phi is integral, and alpha_k = Phi(h_k) for every label k: each delta_k
+    # lies on its graph.  For each support of A1-A8 and C1-C6 the parities of
+    # the unit histograms have GF(2) rank |C_S|, and the slice keeps Phi in
+    # exactly the columns C_S
+    for lt in [LieType("A", n) for n in range(1, 9)] + [LieType("C", n) for n in range(1, 7)]:
+        m, mat = lt.target_rank, build_matrix(lt)
+        phi = degenmap.weight_map(lt)[0]
+        assert len(phi) == m
+        for col, lab in zip(zip(*mat), build_labels(lt)):
+            h = letter_histogram(lt, col)
+            image = [sum(x * f[r] for x, f in zip(h, phi)) for r in range(lt.rank)]
+            assert image == list(root_expansion(lt, lab))
+        for size in range(1, lt.rank + 1):
+            for support in combinations(range(1, lt.rank + 1), size):
+                hists = [
+                    letter_histogram(lt, [row[p.index(1)] for row in mat])
+                    for i in support for p in fundamental_points(lt, i) if sum(p) == 1
+                ]
+                coords = {c for h in hists for c, x in enumerate(h) if x}
+                parities = [sum((x & 1) << c for c, x in enumerate(h)) for h in hists]
+                assert _gf2_rank(parities) == len(coords)
+                touched, matrix, columns = degenmap.support_slice(lt, support)
+                assert [c for c, _ in columns] == sorted(coords)
+                assert touched == sum(1 << c for c in coords)
+                assert matrix == tuple(
+                    tuple(Fraction(f[r]) if c in coords else 0 for c, f in enumerate(phi))
+                    for r in range(lt.rank)
+                )
+
+
+def test_a_map_off_the_lattice_runs_the_reference(monkeypatch, fresh_twist_memos):
+    # tripled histograms keep every parity, so each support's certificate
+    # holds, but Phi's pivots become 3: Phi is not coordinate, so the trusted
+    # path fits the twist by the reference on the tripled rows
+    real = degenmap.letter_histogram
+    monkeypatch.setattr(
+        degenmap, "letter_histogram", lambda lt, q: tuple(3 * x for x in real(lt, q))
+    )
+    for lt, w in ((A2, (1, 1)), (A3, (1, 0, 1)), (C2, (0, 1)), (C3, (1, 1, 0))):
+        assert degenmap.weight_map(lt) is None
+        m, row0 = lt.target_rank, degenmap.translation_and_zero_row(lt, w)[1]
+        rows = degenmap.label_rows(lt, build_matrix(lt))
+        units = sorted((p.index(1) for p in points(lt, w) if sum(p) == 1), reverse=True)
+        pairs = [row0] + [[x - y for x, y in zip(row0, rows[k])] for k in units]
+        expected = scaled_twist_solve(lt, row0[m], [(r[m + 1 :], r[:m]) for r in pairs])
+        rep = check_main(lt, w)
+        assert (rep.weight_twist, rep.twist_witness) == expected
+
+
+def test_a_support_that_misses_a_coordinate_runs_the_reference(monkeypatch, fresh_twist_memos):
+    # without the unit point e_0 of P(omega_1), the histograms of A2's other
+    # unit touch two companion coordinates but span one line: the support's
+    # certificate fails, and the twist is the reference's on the rows left
+    real = degenmap.fundamental_points
+    unit = (1, 0, 0)
+    monkeypatch.setattr(
+        degenmap, "fundamental_points", lambda lt, i: tuple(p for p in real(lt, i) if p != unit)
+    )
+    assert degenmap.weight_map(A2) is not None
+    assert degenmap.support_slice(A2, (1,)) is None
+    for w in ((1, 0), (2, 0), (3, 0)):
+        # e_0 is the last unit point in lex order
+        pairs = _unit_pairs(A2, w, build_matrix(A2))[:-1]
+        expected = scaled_twist_solve(A2, weight_denominator(A2), pairs)
+        rep = check_main(A2, w)
+        assert (rep.weight_twist, rep.twist_witness) == expected
+        assert not rep.weight_twist.unique

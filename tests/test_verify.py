@@ -112,8 +112,8 @@ def test_check_main_builds_fractions_only_in_the_twist_read_off(
 ):
     # the weight rows are integers over weight_denominator(lt); the only
     # Fractions of a passing case are the entries of the twist, built by the
-    # table degenmap reads the twist off its basis through, and that table
-    # is read nowhere else
+    # table degenmap reads Phi and each case's column off through, and that
+    # table is read nowhere else
     callers = []
     new = Fraction.__new__
 
@@ -130,16 +130,13 @@ def test_check_main_builds_fractions_only_in_the_twist_read_off(
     monkeypatch.setattr(Fraction, "__new__", recording)
     for lt, w in ((A3, (1, 0, 1)), (C3, (0, 1, 1))):
         assert check_main(lt, w).status == "ok"
-    assert callers and set(callers) == {("_fraction", "_read_off")}
+    assert set(callers) == {("_fraction", "weight_map"), ("_fraction", "case_twist")}
 
 
-def test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case(
-    monkeypatch, fresh_twist_memos
-):
-    # the zero point and the unit points of P(lambda) span the rows of all
-    # of P; the unit rows are per type and support, so a grid eliminates at
-    # most N label rows, by descending label index, once per (type, support),
-    # and one zero row per case
+def test_check_main_eliminates_the_label_rows_once_per_type(monkeypatch, fresh_twist_memos):
+    # the trusted path reads every twist off Phi, one elimination of the N
+    # label rows of the type by descending label index; no support or case
+    # eliminates a row, and none runs the reference
     real = degenmap._eliminate
     seen = []
 
@@ -149,19 +146,12 @@ def test_check_main_fits_label_rows_per_support_and_one_zero_row_per_case(
         return real(m, rows, basis)
 
     monkeypatch.setattr(degenmap, "_eliminate", recording)
+    monkeypatch.setattr(degenmap, "scaled_twist_solve", None)
     for lt in (A1, A2, A3, A4, C2, C3):
-        supports = set()
+        seen.clear()
         for w in dominant_weights(lt.rank, 2):
-            seen.clear()
             assert check_main(lt, w).status == "ok"
-            support = tuple(i for i, a in enumerate(w, start=1) if a)
-            *labels, zero = seen
-            assert zero == [None]
-            assert len(labels) == (support not in supports)
-            supports.add(support)
-            for keys in labels:
-                assert len(keys) <= rootsys.root_count(lt)
-                assert keys == sorted(keys, reverse=True) and None not in keys
+        assert seen == [list(reversed(range(rootsys.root_count(lt))))]
 
 
 def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
@@ -170,7 +160,19 @@ def test_check_main_keys_the_fit_on_a_tuple_matrix(fresh_twist_memos):
     mat = corrupted_matrix(A3)
     rep = check_main(A3, (1, 1, 0), matrix=[list(row) for row in mat])
     assert rep == check_main(A3, (1, 1, 0), matrix=mat)
-    assert degenmap.support_basis.cache_info().currsize == 1
+    assert degenmap.label_rows.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[-1, 0, 0], [0, -1], [0, 0, -1]], [], [[1]]], ids=["ragged", "empty", "1x1"]
+)
+def test_malformed_override_is_refused_before_any_work(monkeypatch, matrix):
+    # one ValueError naming the expected N x N shape, raised before a sum,
+    # a walk or a fit starts
+    for name in ("packed_sum", "walk", "case_twist", "translation_and_zero_row"):
+        monkeypatch.setattr(verify, name, None)
+    with pytest.raises(ValueError, match=r"^A2: matrix must be 3 x 3$"):
+        check_main(A2, (1, 0), matrix=matrix)
 
 
 def test_check_main_holds_no_point_set_but_the_images(monkeypatch):
